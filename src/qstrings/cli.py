@@ -273,6 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject flag values no subcommand can run with."""
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError("--trials must be at least 1")
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("--jobs must be at least 1")
+    epsilon = getattr(args, "epsilon", 0.5)
+    if not 0 < epsilon < 1:
+        raise ValueError("--epsilon must lie in (0, 1)")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -281,8 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_args(args)
         return args.func(args, argv)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, RuntimeError) as exc:
+        # RuntimeError covers CopiesExhausted and failed instance construction;
+        # exit code 1 stays reserved for failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

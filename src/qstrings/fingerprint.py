@@ -152,22 +152,56 @@ def rolling_hash(u: BitString, p: int) -> HashValue:
     return HashValue(residue=acc, width=width)
 
 
-def prefix_hashes(u: BitString, p: int) -> list[HashValue]:
-    """Hashes of all prefixes; element i is h_p(u[1..i]), element 0 is 0."""
-    width = hash_width(p)
-    out = [HashValue(0, width)]
-    acc = 0
-    power = 1 % p
-    for b in u.bits:
-        if b:
-            acc = (acc + power) % p
-        power = (power << 1) % p
-        out.append(HashValue(acc, width))
+# Residue arithmetic is exact in int64 for every p below this bound: in
+# _mulmod each product of a residue and a limb of at most 21 bits, and the
+# sum of two such terms, stays below 2^63.  Drawable primes lie below 2^39.
+_MULMOD_P_CAP = 1 << 41
+_LIMB_BITS = 20
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Prefix sums add at most this many residues before reducing mod p.
+_CUMSUM_BLOCK = 1 << 20
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray | int, p: int) -> np.ndarray:
+    """(a * b) mod p elementwise for residues below _MULMOD_P_CAP.
+
+    b is split into 20-bit limbs, so no intermediate reaches 2^63.
+    """
+    hi = a * (b >> _LIMB_BITS) % p
+    return ((hi << _LIMB_BITS) + a * (b & _LIMB_MASK)) % p
+
+
+def _power_table(base: int, count: int, p: int) -> np.ndarray:
+    """base^j mod p for j in [0, count), by block doubling."""
+    out = np.empty(max(1, count), dtype=np.int64)
+    out[0] = 1 % p
+    filled = 1
+    while filled < count:
+        step = min(filled, count - filled)
+        out[filled : filled + step] = _mulmod(out[:step], pow(base, filled, p), p)
+        filled += step
+    return out[:count]
+
+
+def prefix_hashes(u: BitString, p: int) -> np.ndarray:
+    """int64 residues of all prefixes; element i is h_p(u[1..i]), element 0 is 0."""
+    if not 2 <= p < _MULMOD_P_CAP:
+        raise ValueError(f"modulus {p} outside [2, 2^41) for int64 residue arithmetic")
+    bits = np.asarray(u.bits, dtype=np.int64)
+    terms = bits * _power_table(2, bits.size, p)
+    out = np.zeros(bits.size + 1, dtype=np.int64)
+    carry = 0
+    for start in range(0, bits.size, _CUMSUM_BLOCK):
+        block = np.cumsum(terms[start : start + _CUMSUM_BLOCK])
+        block += carry
+        block %= p
+        out[start + 1 : start + 1 + block.size] = block
+        carry = int(block[-1])
     return out
 
 
-def window_hashes(text: BitString, m: int, p: int) -> list[HashValue]:
-    """Hashes of every length-m window of `text`, in one linear pass.
+def window_hashes(text: BitString, m: int, p: int) -> np.ndarray:
+    """int64 residues of every length-m window of `text`, in one linear pass.
 
     Window i (0-indexed start) satisfies
     h(text[i+1 .. i+m]) = (pref[i+m] - pref[i]) * inv2^i mod p for odd p;
@@ -176,17 +210,12 @@ def window_hashes(text: BitString, m: int, p: int) -> list[HashValue]:
     n = len(text)
     if not 1 <= m <= n:
         raise ValueError("window length out of range")
-    width = hash_width(p)
+    count = n - m + 1
     if p == 2:
-        return [HashValue(text.bits[i], width) for i in range(n - m + 1)]
-    pref = [hv.residue for hv in prefix_hashes(text, p)]
-    inv2 = (p + 1) // 2
-    out = []
-    shift = 1  # inv2^i mod p
-    for i in range(n - m + 1):
-        out.append(HashValue((pref[i + m] - pref[i]) * shift % p, width))
-        shift = shift * inv2 % p
-    return out
+        return np.asarray(text.bits[:count], dtype=np.int64)
+    pref = prefix_hashes(text, p)
+    diffs = (pref[m:] - pref[:count]) % p
+    return _mulmod(diffs, _power_table((p + 1) // 2, count, p), p)
 
 
 def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:
@@ -206,7 +235,7 @@ def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:
         # re-test the endpoint once the bracket closes, keeping the
         # comparison count a function of k alone
         mid = (lo + hi + 1) // 2 if lo < hi else lo
-        if hu[mid].residue == hv[mid].residue:
+        if hu[mid] == hv[mid]:
             lo = max(lo, mid)
         else:
             hi = mid - 1

@@ -97,6 +97,7 @@ class OracleSpec:
             self.eval_error_probs = np.full(self.padded, error_prob)
         else:
             self.eval_error_probs = None
+        self._query_errors: dict[int, np.ndarray | None] = {}
 
     @property
     def target_count(self) -> int:
@@ -113,7 +114,16 @@ class OracleSpec:
         return rho
 
     def query_error(self, rho: int) -> np.ndarray | None:
-        """Per-index probability the amplified query output is wrong."""
+        """Per-index probability the amplified query output is wrong.
+
+        Computed once per rho and shared by every later query; callers
+        must not modify the returned array.
+        """
+        if rho not in self._query_errors:
+            self._query_errors[rho] = self._amplified_error(rho)
+        return self._query_errors[rho]
+
+    def _amplified_error(self, rho: int) -> np.ndarray | None:
         if self.eval_error_probs is None:
             return None
         e = self.eval_error_probs
@@ -146,7 +156,6 @@ class GroverOutcome:
     predicate_value_at_found: int
     iterations_used: int
     copies_used: int = 1
-    ledger_delta: dict[str, int] | None = None
 
     @property
     def verified(self) -> bool:
@@ -242,7 +251,6 @@ def grover_run(
         found_index=found,
         predicate_value_at_found=oracle.truth_at(found),
         iterations_used=iterations,
-        ledger_delta=ledger.phase_breakdown[-1][1],
     )
 
 
@@ -287,14 +295,12 @@ def bbht_search(
                 predicate_value_at_found=1,
                 iterations_used=total,
                 copies_used=rep + 1,
-                ledger_delta=ledger.counters(),
             )
     return GroverOutcome(
         found_index=None,
         predicate_value_at_found=0,
         iterations_used=total,
         copies_used=len(schedule),
-        ledger_delta=ledger.counters(),
     )
 
 
@@ -320,15 +326,7 @@ def bounded_error_search(
     ledger = ledger if ledger is not None else ResourceLedger()
     if iterations is None:
         return bbht_search(oracle, rng, state_factory, ledger)
-    search = state_factory(0)
-    outcome = grover_run(search, oracle, iterations, rng, ledger, rho=rho)
-    return GroverOutcome(
-        found_index=outcome.found_index,
-        predicate_value_at_found=outcome.predicate_value_at_found,
-        iterations_used=outcome.iterations_used,
-        copies_used=1,
-        ledger_delta=outcome.ledger_delta,
-    )
+    return grover_run(state_factory(0), oracle, iterations, rng, ledger, rho=rho)
 
 
 def durr_hoyer_min(

@@ -166,12 +166,8 @@ def build_compare_state(
     width = None
     if params is not None:
         width = params.width
-        prefix_u = np.array(
-            [h.residue for h in fingerprint.prefix_hashes(u, params.p)], dtype=np.int64
-        )
-        prefix_v = np.array(
-            [h.residue for h in fingerprint.prefix_hashes(v, params.p)], dtype=np.int64
-        )
+        prefix_u = fingerprint.prefix_hashes(u, params.p)
+        prefix_v = fingerprint.prefix_hashes(v, params.p)
     return CompareInstanceState(
         k=k,
         u_bits=u_bits,

@@ -218,7 +218,7 @@ class MatchStateSpec:
         bit_domain = padded_size(self.params.width)
         table = np.asarray(miss_probability_table(bit_domain))
         diffs = self.window_hash_table ^ self.pattern_hash.residue
-        t_counts = np.array([bin(int(d)).count("1") for d in diffs])
+        t_counts = np.bitwise_count(diffs)
         truth = t_counts == 0
         truth[self.num_windows :] = False  # sentinel never equals the pattern hash
         eval_miss = np.where(truth, 0.0, table[np.minimum(t_counts, bit_domain)])
@@ -247,10 +247,9 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
     if params.delta < inst.num_windows:
         raise ValueError("hash universe sized for fewer comparisons than windows")
     pattern_hash = fingerprint.rolling_hash(inst.pattern, params.p)
-    windows = fingerprint.window_hashes(inst.text, inst.m, params.p)
     padded = padded_size(inst.num_windows)
     table = np.zeros(padded, dtype=np.int64)
-    table[: inst.num_windows] = [hv.residue for hv in windows]
+    table[: inst.num_windows] = fingerprint.window_hashes(inst.text, inst.m, params.p)
     sentinel = (~pattern_hash.residue) & ((1 << params.width) - 1)
     if sentinel == pattern_hash.residue:  # width-0 complement cannot happen, be safe
         sentinel ^= 1

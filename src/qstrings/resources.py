@@ -191,6 +191,12 @@ class SweepConfig:
             raise ValueError(f"unknown sweep algo {self.algo!r}")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        if min(self.grid) < 1:
+            raise ValueError("sweep grid values must be positive")
+        if self.algo == "match" and not 1 <= self.m <= min(self.grid):
+            raise ValueError(
+                f"match sweep needs 1 <= m <= n for every grid value, got m={self.m}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -221,13 +227,13 @@ def _sweep_point(args: tuple) -> dict:
             )
             v = BitString.from_bits(v_bits[:x])
             if algo == "compare_grover":
-                result = qcompare.compare_grover(u, v, rng)
+                result = qcompare.compare_grover(u, v, rng, mode=backend)
                 ledger = result.ledger
                 if ledger.qubits_total != qubit_count_compare_grover(min(len(u), len(v))):
                     raise AssertionError("ledger qubit count diverged from the layout formula")
             else:
                 params = qcompare.compare_params(u, v, epsilon, rng)
-                result = qcompare.compare_bsearch(u, v, params, rng)
+                result = qcompare.compare_bsearch(u, v, params, rng, mode=backend)
                 ledger = result.ledger
                 expected = qubit_count_compare_bsearch(
                     min(len(u), len(v)), epsilon, p=params.p

@@ -123,7 +123,7 @@ class DenseState:
         self.check_norm()
 
     def check_norm(self) -> None:
-        norm = float(np.sum(np.abs(self.amps) ** 2))
+        norm = float(np.vdot(self.amps, self.amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
@@ -317,7 +317,7 @@ class StructuredState:
         self.check_norm()
 
     def check_norm(self) -> None:
-        norm = float(np.sum(np.abs(self.amps) ** 2))
+        norm = float(np.vdot(self.amps, self.amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
@@ -336,7 +336,8 @@ class StructuredState:
         return self
 
     def diffuse(self) -> "StructuredState":
-        self.amps = 2.0 * self.amps.mean() - self.amps
+        # in place, like apply_phase_pattern: reusing the buffer keeps it in cache
+        np.subtract(2.0 * self.amps.mean(), self.amps, out=self.amps)
         self.check_norm()
         return self
 

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
+from qstrings import qcompare, qmatch
 from qstrings.cli import main
 from qstrings.crosscheck import run_crosscheck
+from qstrings.grover import CopiesExhausted
 
 
 def run_cli(args, capsys):
@@ -187,3 +190,90 @@ def test_crosscheck_reports_deviation_per_instance():
     report = run_crosscheck(2)
     assert len(report.instances) == 22
     assert all(r.max_deviation < 1e-9 for r in report.instances)
+
+
+def _assert_usage_error(code, err):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["match", "--text", "0101", "--pattern", "01"],
+        ["compare", "--u", "01", "--v", "00", "--algo", "grover"],
+        ["min-find", "--values", "3,1,2"],
+        ["sweep", "--algo", "match", "--grid", "16", "--m", "4"],
+    ],
+)
+def test_nonpositive_trials_rejected(capsys, command, trials):
+    code, out, err = run_cli(command + ["--seed", "1", "--trials", trials], capsys)
+    _assert_usage_error(code, err)
+    assert "--trials" in err and out == ""
+
+
+def test_zero_jobs_rejected(capsys):
+    code, out, err = run_cli(
+        ["match", "--text", "0101", "--pattern", "01", "--seed", "1", "--jobs", "0"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert "--jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("epsilon", ["1.5", "0", "-0.1", "nan"])
+def test_epsilon_out_of_range_rejected(capsys, epsilon):
+    code, out, err = run_cli(
+        ["compare", "--u", "01", "--v", "00", "--algo", "grover", "--seed", "1",
+         "--epsilon", epsilon],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert "--epsilon" in err and out == ""
+
+
+def test_sweep_pattern_longer_than_text_rejected(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--algo", "match", "--grid", "8", "--m", "9", "--seed", "1"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert "m=9" in err and "high" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("failed to construct an instance"), CopiesExhausted("all 3 copies consumed")],
+)
+def test_runtime_errors_exit_2(capsys, monkeypatch, exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(qmatch, "match_search", fail)
+    code, _, err = run_cli(
+        ["match", "--text", "0101", "--pattern", "01", "--seed", "1"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert str(exc) in err
+
+
+@pytest.mark.parametrize("algo", ["compare-grover", "compare-bsearch"])
+def test_sweep_mode_reaches_comparators(tmp_path, monkeypatch, algo):
+    name = algo.replace("-", "_")
+    real = getattr(qcompare, name)
+    modes = []
+
+    def spy(*args, mode="structured", **kwargs):
+        modes.append(mode)
+        return real(*args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(qcompare, name, spy)
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", "--algo", algo, "--grid", "4", "--mode", "dense", "--seed", "1",
+         "--trials", "2", "--csv", str(out)]
+    )
+    assert code == 0
+    assert modes == ["dense", "dense"]
+    assert len(out.read_text().strip().splitlines()) == 3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from qstrings import fingerprint as fp
@@ -9,6 +10,13 @@ from qstrings.strings_core import BitString, compare_classical
 
 bits = st.lists(st.integers(0, 1), max_size=16).map(BitString.from_bits)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 127])
+# Just above 2^31.5, where a plain int64 product of two residues overflows,
+# and the largest prime any draw can return (below the nth-prime cap's bound).
+WIDE_PRIMES = (
+    int(sympy.nextprime(3_037_000_500)),
+    int(sympy.prevprime(fp._sieve_upper_bound(fp.UNIVERSE_R_CAP))),
+)
+any_prime = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 127, *WIDE_PRIMES])
 
 
 def test_first_r_primes_examples():
@@ -76,17 +84,20 @@ def test_hash_value_bits_lsb_first():
 
 def test_prefix_hashes_examples():
     out = fp.prefix_hashes(BitString.from_text("101"), 3)
-    assert [h.residue for h in out] == [0, 1, 1, 2]
-    out = fp.prefix_hashes(BitString.from_text("00"), 5)
-    assert [h.residue for h in out] == [0, 0, 0]
+    assert out.dtype == np.int64
+    assert out.tolist() == [0, 1, 1, 2]
+    assert fp.prefix_hashes(BitString.from_text("00"), 5).tolist() == [0, 0, 0]
+    assert fp.prefix_hashes(BitString.from_bits([]), 7).tolist() == [0]
 
 
-@given(bits, small_primes)
-def test_prefix_hashes_match_rolling(u, p):
+@given(st.integers(0, 160), st.integers(0, 2**32 - 1), any_prime)
+def test_prefix_hashes_match_rolling(n, seed, p):
+    u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
     out = fp.prefix_hashes(u, p)
+    assert out.dtype == np.int64
     assert len(out) == len(u) + 1
     for i in range(len(u) + 1):
-        assert out[i].residue == fp.rolling_hash(u.substring(1, i), p).residue
+        assert int(out[i]) == fp.rolling_hash(u.substring(1, i), p).residue
 
 
 @given(bits, bits, small_primes)
@@ -95,16 +106,35 @@ def test_equal_strings_always_hash_equal(u, v, p):
         assert fp.rolling_hash(u, p).residue == fp.rolling_hash(v, p).residue
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 40), st.integers(1, 10), small_primes)
+@settings(max_examples=80)
+@given(st.integers(1, 120), st.integers(1, 60), any_prime)
 def test_window_hashes_match_direct(n, m, p):
     rng = np.random.default_rng(n * 31 + m)
     text = BitString.from_bits(rng.integers(0, 2, n))
     m = min(m, n)
     hashes = fp.window_hashes(text, m, p)
+    assert hashes.dtype == np.int64
     assert len(hashes) == n - m + 1
-    for i, hv in enumerate(hashes):
-        assert hv.residue == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+    for i in range(n - m + 1):
+        assert int(hashes[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_array_hashes_exact_across_sum_blocks(monkeypatch, p):
+    # Shrink the prefix-sum block so the carry between blocks is exercised.
+    monkeypatch.setattr(fp, "_CUMSUM_BLOCK", 3)
+    text = BitString.from_bits(np.random.default_rng(p % 1000).integers(0, 2, 90))
+    prefixes = fp.prefix_hashes(text, p)
+    for i in range(len(text) + 1):
+        assert int(prefixes[i]) == fp.rolling_hash(text.substring(1, i), p).residue
+    windows = fp.window_hashes(text, 50, p)
+    for i in range(len(windows)):
+        assert int(windows[i]) == fp.rolling_hash(text.substring(i + 1, i + 50), p).residue
+
+
+def test_array_hashes_reject_modulus_beyond_int64_bound():
+    with pytest.raises(ValueError):
+        fp.prefix_hashes(BitString.from_text("1"), int(sympy.nextprime(2**41)))
 
 
 def test_collision_rate_bounded():
