@@ -190,7 +190,7 @@ def _cmd_sweep(args, argv) -> int:
 
 
 def _cmd_crosscheck(args, argv) -> int:
-    report = crosscheck_mod.run_crosscheck(args.seed, max_width=args.max_width)
+    report = crosscheck_mod.run_crosscheck(args.seed)
     print(_flag_echo(argv))
     print(report.render())
     return 0 if report.passed else 1
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="dense/structured backend equivalence battery")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-width", type=int, default=24)
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("primes", help="print the sized prime universe and drawn modulus")

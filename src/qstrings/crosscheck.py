@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fingerprint import HashParams, universe_size
-from .grover import doubling_schedule, optimal_iterations
-from .qcompare import access_element, bsearch_readout, build_compare_state
+from .grover import OracleSpec, doubling_schedule, optimal_iterations
+from .qcompare import access_element, build_compare_state
 from .qmatch import prepare_match_state
 from .resources import ResourceLedger, charge
 from .sim import expand_structured, project_flag_minus
@@ -87,7 +87,6 @@ def _step_battery(
     """Drive both backends through `iterations` shared search steps."""
     led_dense = ResourceLedger()
     led_struct = ResourceLedger()
-    width = structured.layout.width(structured.index_register)
     max_dev, worst_idx = _deviation(dense_search, structured)
     rho = oracle.amplification(iterations)
     for step in range(iterations):
@@ -96,10 +95,10 @@ def _step_battery(
         structured.apply_phase_pattern(pattern)
         dense_search.diffuse()
         structured.diffuse()
-        for led in (led_dense, led_struct):
-            charge(led, "oracle_query", 1)
-            charge(led, "hash_eval", rho * oracle.evaluation_cost)
-            charge(led, "diffusion", width)
+        for led, search in ((led_dense, dense_search), (led_struct, structured)):
+            charge(led, "oracle_queries", 1)
+            charge(led, "hash_eval_units", rho * oracle.evaluation_cost)
+            charge(led, "diffusion_units", search.index_width)
         if perturb is not None:
             perturb(name, structured)
         dev, idx = _deviation(dense_search, structured)
@@ -141,8 +140,6 @@ def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceRepo
     differs = state.u_bits[: k] != state.v_bits[: k]
     truth = np.zeros(state.padded, dtype=bool)
     truth[:k] = differs
-    from .grover import OracleSpec
-
     oracle = OracleSpec(k, truth, evaluation_cost=1)
     iterations = optimal_iterations(state.padded, max(1, int(truth.sum())))
     dense_search = state.symbol_copy("dense")
@@ -167,8 +164,8 @@ def _compare_bsearch_instance(name, u_text, v_text, p, perturb) -> InstanceRepor
         )
     led_dense = ResourceLedger()
     led_struct = ResourceLedger()
-    dense_readout = bsearch_readout(state, "dense")
-    struct_readout = bsearch_readout(state, "structured")
+    dense_readout = state.symbol_copy("dense")
+    struct_readout = state.symbol_copy("structured")
     for i in range(k):
         dense_vals = access_element(dense_readout, i, ("u", "v"), led_dense, domain=k)
         struct_vals = access_element(struct_readout, i, ("u", "v"), led_struct, domain=k)
@@ -181,10 +178,8 @@ def _compare_bsearch_instance(name, u_text, v_text, p, perturb) -> InstanceRepor
     return InstanceReport(name, max_dev, True)
 
 
-def run_crosscheck(seed: int, max_width: int = 24, perturb=None) -> CrosscheckReport:
+def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
     """The default battery: 22 tiny instances across all four algorithms."""
-    if max_width > 24:
-        raise ValueError("dense cross-checks are capped at 24 qubits")
     rng = np.random.default_rng(seed)
     report = CrosscheckReport()
 

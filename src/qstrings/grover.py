@@ -1,9 +1,9 @@
 """Grover-search primitives over either state backend.
 
-Includes fixed-iteration search, the doubling schedule for unknown
-target counts (2^j iterations on repetition j, first verified hit
-wins), a bounded-error-oracle wrapper that amplifies each query by
-independent re-evaluation, and threshold-descent minimum finding.
+Includes fixed-iteration search (answering each query of a
+bounded-error oracle by rho independent re-evaluations), the doubling
+schedule for unknown target counts (2^j iterations on repetition j,
+first verified hit wins), and threshold-descent minimum finding.
 
 Noisy oracles are modeled stochastically: each query samples a fresh
 marked-index pattern from the oracle's per-index evaluation error,
@@ -20,14 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .resources import ResourceLedger, charge
-from .sim import (
-    DenseState,
-    StructuredState,
-    bind_data,
-    diffusion,
-    padded_size,
-    phase_oracle,
-)
+from .sim import SearchState, padded_size
 
 
 class CopiesExhausted(RuntimeError):
@@ -99,10 +92,6 @@ class OracleSpec:
             self.eval_error_probs = None
         self._query_errors: dict[int, np.ndarray | None] = {}
 
-    @property
-    def target_count(self) -> int:
-        return int(self.truth.sum())
-
     def amplification(self, iterations: int) -> int:
         """Evaluations per query so the query error is <= 1/(10*iterations)."""
         if self.error_prob <= 0:
@@ -162,63 +151,6 @@ class GroverOutcome:
         return self.found_index is not None and self.predicate_value_at_found == 1
 
 
-class DenseSearchState:
-    """Adapter presenting a DenseState as a Grover search space.
-
-    The phase oracle kicks back off the |-> flag register; diffusion
-    unbinds any data registers, reflects the index register, and rebinds,
-    so the index amplitudes evolve exactly as in the structured backend.
-    Index measurement samples the index marginal (consuming one draw,
-    keeping rng streams aligned across backends) and collapses.
-    """
-
-    def __init__(
-        self,
-        state: DenseState,
-        index_register: str = "idx",
-        flag_register: str | None = "xi",
-        data_tables: dict[str, np.ndarray] | None = None,
-    ):
-        self.state = state
-        self.index_register = index_register
-        self.flag_register = flag_register
-        self.data_tables = data_tables or {}
-        self.size = 1 << state.layout.width(index_register)
-
-    def apply_phase_pattern(self, pattern: np.ndarray) -> None:
-        phase_oracle(self.state, pattern, self.index_register, ancilla=self.flag_register)
-
-    def diffuse(self) -> None:
-        for name, table in self.data_tables.items():
-            bind_data(self.state, name, table)
-        diffusion(self.state, self.index_register)
-        for name, table in self.data_tables.items():
-            bind_data(self.state, name, table)
-
-    def index_probabilities(self) -> np.ndarray:
-        probs = np.abs(self.state.amps) ** 2
-        values = self.state.register_values(self.index_register)
-        return np.bincount(values, weights=probs, minlength=self.size)
-
-    def measure_index(self, rng: np.random.Generator) -> int:
-        probs = self.index_probabilities()
-        probs /= probs.sum()
-        outcome = int(rng.choice(self.size, p=probs))
-        keep = self.state.register_values(self.index_register) == outcome
-        amps = np.where(keep, self.state.amps, 0.0)
-        self.state.amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        return outcome
-
-
-SearchState = StructuredState | DenseSearchState
-
-
-def _index_width_of(search: SearchState) -> int:
-    if isinstance(search, StructuredState):
-        return search.layout.width(search.index_register)
-    return search.state.layout.width(search.index_register)
-
-
 def grover_run(
     search: SearchState,
     oracle: OracleSpec,
@@ -229,22 +161,24 @@ def grover_run(
 ) -> GroverOutcome:
     """Alternate query and diffusion `iterations` times, then measure.
 
-    The caller supplies a uniform index superposition.  For exact oracles
+    The caller supplies a uniform index superposition.  Each query is
+    answered by `rho` independent evaluations, by default enough for a
+    per-query error of at most 1/(10 * iterations).  For exact oracles
     on power-of-two domains the pre-measurement success probability is
     exactly sin^2((2*iterations+1) * asin(sqrt(t/M_padded))).
     """
     ledger = ledger if ledger is not None else ResourceLedger()
     before = ledger.snapshot()
     rho = oracle.amplification(iterations) if rho is None else rho
-    width = _index_width_of(search)
+    width = search.index_width
     for _ in range(iterations):
         pattern = oracle.query_pattern(rng, rho)
         search.apply_phase_pattern(pattern)
         search.diffuse()
-        charge(ledger, "oracle_query", 1)
-        charge(ledger, "hash_eval", rho * oracle.evaluation_cost)
-        charge(ledger, "inner_iterations", rho * oracle.inner_iterations_per_eval)
-        charge(ledger, "diffusion", width)
+        charge(ledger, "oracle_queries", 1)
+        charge(ledger, "hash_eval_units", rho * oracle.evaluation_cost)
+        charge(ledger, "inner_grover_iterations", rho * oracle.inner_iterations_per_eval)
+        charge(ledger, "diffusion_units", width)
     found = search.measure_index(rng)
     ledger.close_phase(f"grover_run[{iterations}]", before)
     return GroverOutcome(
@@ -302,31 +236,6 @@ def bbht_search(
         iterations_used=total,
         copies_used=len(schedule),
     )
-
-
-def bounded_error_search(
-    oracle: OracleSpec,
-    rng: np.random.Generator,
-    state_factory: Callable[[int], SearchState],
-    iterations: int | None = None,
-    rho: int | None = None,
-    ledger: ResourceLedger | None = None,
-) -> GroverOutcome:
-    """Search with a bounded-error oracle via per-query re-evaluation.
-
-    Every query is answered by rho independent evaluations (one-sided
-    evaluators keep any verified witness; otherwise majority vote), with
-    rho sized so the per-query error is at most 1/(10 * iterations).
-    With `iterations` given, runs a single fixed-length pass and
-    classically verifies the outcome; otherwise runs the doubling
-    schedule.  Exact oracles reduce to the unwrapped search (rho = 1).
-    """
-    if oracle.error_prob >= 0.5:
-        raise ValueError("oracle error probability must be below 1/2")
-    ledger = ledger if ledger is not None else ResourceLedger()
-    if iterations is None:
-        return bbht_search(oracle, rng, state_factory, ledger)
-    return grover_run(state_factory(0), oracle, iterations, rng, ledger, rho=rho)
 
 
 def durr_hoyer_min(

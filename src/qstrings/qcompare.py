@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
-from .grover import CopiesExhausted, DenseSearchState, durr_hoyer_min
+from .grover import CopiesExhausted, durr_hoyer_min
 from .qmatch import (
     hash_equality_eval,
     inner_eval_gate_cost,
@@ -34,22 +34,8 @@ from .resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
-from .sim import (
-    DenseState,
-    Register,
-    RegisterLayout,
-    StructuredState,
-    bind_data,
-    padded_size,
-    prepare_minus,
-    prepare_uniform,
-)
+from .sim import Register, RegisterLayout, SearchState, padded_size, search_state
 from .strings_core import BitString
-
-
-def comp_pairs(q: int, i: int, q2: int, i2: int) -> int:
-    """1 iff (q, i) precedes (q2, i2) lexicographically."""
-    return int(q < q2 or (q == q2 and i < i2))
 
 
 @dataclass(frozen=True)
@@ -124,26 +110,11 @@ class CompareInstanceState:
             ]
         )
 
-    def symbol_copy(self, mode: str) -> StructuredState | DenseSearchState:
-        tables = {"u": self.u_bits, "v": self.v_bits}
-        if mode == "structured":
-            return StructuredState(self.symbol_layout(), self.k, bindings=tables)
-        if mode != "dense":
-            raise ValueError(f"unknown mode {mode!r}")
-        layout = RegisterLayout(
-            [
-                Register("idx", self.index_register_width, "index"),
-                Register("u", 1, "data", depends_on="idx"),
-                Register("v", 1, "data", depends_on="idx"),
-                Register("xi", 1, "flag"),
-            ]
+    def symbol_copy(self, mode: str) -> SearchState:
+        """One fresh uniform search state over positions with (u_a, v_a) bound."""
+        return search_state(
+            mode, self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits}
         )
-        state = DenseState(layout)
-        prepare_uniform(state, "idx")
-        bind_data(state, "u", self.u_bits)
-        bind_data(state, "v", self.v_bits)
-        prepare_minus(state, "xi")
-        return DenseSearchState(state, "idx", "xi", data_tables=tables)
 
     def hash_pair(self, prefix_len: int) -> tuple[HashValue, HashValue]:
         return (
@@ -179,7 +150,7 @@ def build_compare_state(
 
 
 def access_element(
-    state: StructuredState | DenseState,
+    state: SearchState,
     i: int,
     registers: tuple[str, ...],
     ledger: ResourceLedger | None = None,
@@ -190,22 +161,10 @@ def access_element(
     The swap-to-front access trick costs the same for every index, so the
     charge is uniform and independent of i.
     """
-    if isinstance(state, StructuredState):
-        size = state.size
-        if not 0 <= i < size:
-            raise IndexError(f"index {i} outside padded domain {size}")
-        values = tuple(int(state.bindings[name][i]) for name in registers)
-    else:
-        index_reg = next(r.name for r in state.layout.registers if r.role == "index")
-        idx_values = state.register_values(index_reg)
-        support = np.flatnonzero((np.abs(state.amps) > 0) & (idx_values == i))
-        if support.size == 0:
-            raise IndexError(f"index {i} has no amplitude support")
-        basis = int(support[0])
-        values = tuple(int(state.layout.extract(name, basis)) for name in registers)
-        size = 1 << state.layout.width(index_reg)
+    values = state.values_at(i, registers)
     if ledger is not None:
-        charge(ledger, "access", index_width(domain if domain is not None else size))
+        size = domain if domain is not None else state.size
+        charge(ledger, "access_units", index_width(size))
     return values
 
 
@@ -260,8 +219,7 @@ def compare_grover(
         verdict = _length_verdict(u, v)
         return CompareResult(verdict, None, phases, 0, budget["used"], tuple(records), ledger)
     readout = state.symbol_copy(mode)
-    readout_state = readout if isinstance(readout, StructuredState) else readout.state
-    u_bit, v_bit = access_element(readout_state, best, ("u", "v"), ledger, domain=k)
+    u_bit, v_bit = access_element(readout, best, ("u", "v"), ledger, domain=k)
     verdict = -1 if u_bit < v_bit else 1
     return CompareResult(verdict, best + 1, phases, 0, budget["used"] + 1, tuple(records), ledger)
 
@@ -302,7 +260,7 @@ def compare_bsearch(
     tests = 0
     for _ in range(log_k):
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
-        charge(ledger, "access", index_width(k))  # swap-to-front fetch of mid
+        charge(ledger, "access_units", index_width(k))  # swap-to-front fetch of mid
         href, hcand = state.hash_pair(mid)
         equal = _amplified_equality_test(href, hcand, rho, rng, mode, ledger)
         tests += 1
@@ -312,7 +270,7 @@ def compare_bsearch(
         else:
             hi = mid
     a0 = hi
-    readout = bsearch_readout(state, mode)
+    readout = state.symbol_copy(mode)
     u_bit, v_bit = access_element(readout, a0 - 1, ("u", "v"), ledger, domain=k)
     if u_bit == v_bit:
         # The candidate position does not actually differ: equal within
@@ -344,24 +302,3 @@ def _amplified_equality_test(
         if hash_equality_eval(href, hcand, rng, mode, ledger) == 0:
             equal = False
     return equal
-
-
-def bsearch_readout(
-    state: CompareInstanceState, mode: str
-) -> StructuredState | DenseState:
-    layout = RegisterLayout(
-        [
-            Register("idx", state.index_register_width, "index"),
-            Register("u", 1, "data", depends_on="idx"),
-            Register("v", 1, "data", depends_on="idx"),
-        ]
-    )
-    if mode == "structured":
-        return StructuredState(
-            layout, state.k, bindings={"u": state.u_bits, "v": state.v_bits}
-        )
-    dense = DenseState(layout)
-    prepare_uniform(dense, "idx")
-    bind_data(dense, "u", state.u_bits)
-    bind_data(dense, "v", state.v_bits)
-    return dense

@@ -23,7 +23,6 @@ from . import fingerprint
 from .fingerprint import HashParams, HashValue
 from .grover import (
     CopiesExhausted,
-    DenseSearchState,
     OracleSpec,
     doubling_schedule,
     grover_run,
@@ -37,16 +36,7 @@ from .resources import (
     qubit_count_match,
     qubit_count_match_unique,
 )
-from .sim import (
-    DenseState,
-    Register,
-    RegisterLayout,
-    StructuredState,
-    bind_data,
-    padded_size,
-    prepare_minus,
-    prepare_uniform,
-)
+from .sim import Register, RegisterLayout, SearchState, padded_size, search_state
 from .strings_core import BitString, MatchInstance
 
 
@@ -107,28 +97,20 @@ def hash_equality_eval(
     diff = reference.residue ^ candidate.residue
     t = bin(diff).count("1")
     if ledger is not None:
-        charge(ledger, "inner_iterations", sum(inner_schedule(domain)))
-        charge(ledger, "hash_eval", inner_eval_gate_cost(domain))
+        charge(ledger, "inner_grover_iterations", sum(inner_schedule(domain)))
+        charge(ledger, "hash_eval_units", inner_eval_gate_cost(domain))
     if mode == "structured":
         for iterations in inner_schedule(domain):
             if t and rng.random() < success_probability(domain, t, iterations):
                 return 0
         return 1
-    if mode != "dense":
-        raise ValueError(f"unknown mode {mode!r}")
     truth = np.array(
         [(diff >> j) & 1 == 1 if j < reference.width else False for j in range(domain)]
     )
     oracle = OracleSpec(domain, truth, evaluation_cost=1)
-    layout = RegisterLayout(
-        [Register("bit", max(1, index_width(domain)), "index"), Register("xi", 1, "flag")]
-    )
+    layout = RegisterLayout([Register("bit", max(1, index_width(domain)), "index")])
     for iterations in inner_schedule(domain):
-        state = DenseState(layout)
-        prepare_uniform(state, "bit")
-        prepare_minus(state, "xi")
-        search = DenseSearchState(state, "bit", "xi")
-        outcome = grover_run(search, oracle, iterations, rng)
+        outcome = grover_run(search_state(mode, layout, domain), oracle, iterations, rng)
         if outcome.verified:
             return 0
     return 1
@@ -176,29 +158,10 @@ class MatchStateSpec:
             ]
         )
 
-    def make_copy(self, mode: str) -> StructuredState | DenseSearchState:
+    def make_copy(self, mode: str) -> SearchState:
         """One fresh uniform search state."""
-        if mode == "structured":
-            return StructuredState(
-                self.layout(),
-                self.num_windows,
-                bindings={"whash": self.window_hash_table},
-            )
-        if mode != "dense":
-            raise ValueError(f"unknown mode {mode!r}")
-        layout = RegisterLayout(
-            [
-                Register("idx", self.index_register_width, "index"),
-                Register("whash", self.params.width, "data", depends_on="idx"),
-                Register("xi", 1, "flag"),
-            ]
-        )
-        state = DenseState(layout)
-        prepare_uniform(state, "idx")
-        bind_data(state, "whash", self.window_hash_table)
-        prepare_minus(state, "xi")
-        return DenseSearchState(
-            state, "idx", "xi", data_tables={"whash": self.window_hash_table}
+        return search_state(
+            mode, self.layout(), self.num_windows, {"whash": self.window_hash_table}
         )
 
     def copy_factory(self, mode: str):
@@ -262,20 +225,6 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
         window_hash_table=table,
         copies=copies,
     )
-
-
-def equality_oracle_f(
-    i: int,
-    spec: MatchStateSpec,
-    rng: np.random.Generator,
-    mode: str = "structured",
-    ledger: ResourceLedger | None = None,
-) -> int:
-    """f(i): 1 iff the hash of window i+1 is judged equal to the pattern hash."""
-    if not 0 <= i < spec.padded_windows:
-        raise IndexError(f"window index {i} outside the padded domain")
-    candidate = HashValue(int(spec.window_hash_table[i]), spec.params.width)
-    return hash_equality_eval(spec.pattern_hash, candidate, rng, mode, ledger)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,6 @@ import numpy as np
 
 from . import fingerprint
 
-CSV_HEADER = (
-    "algo,n,m,k,epsilon,seed,trials,success_rate,qubits,diffusion_units,"
-    "oracle_queries,inner_grover_iterations,access_units,hash_eval_units,"
-    "gate_units_total"
-)
-
 # Fixed ancilla allowances (phase-kickback flag, nested-search index and
 # verdict registers at desk scale).  Excluded from asymptotic checks.
 ANCILLA_MATCH = 7
@@ -40,6 +34,13 @@ _COUNTERS = (
     "inner_grover_iterations",
     "access_units",
     "hash_eval_units",
+)
+_GATE_COUNTERS = tuple(c for c in _COUNTERS if c != "inner_grover_iterations")
+
+CSV_HEADER = ",".join(
+    ("algo", "n", "m", "k", "epsilon", "seed", "trials", "success_rate", "qubits")
+    + _COUNTERS
+    + ("gate_units_total",)
 )
 
 
@@ -60,12 +61,7 @@ class ResourceLedger:
 
     @property
     def gate_units_total(self) -> int:
-        return (
-            self.diffusion_units
-            + self.oracle_queries
-            + self.access_units
-            + self.hash_eval_units
-        )
+        return sum(getattr(self, name) for name in _GATE_COUNTERS)
 
     def snapshot(self) -> dict[str, int]:
         return self.counters()
@@ -75,20 +71,13 @@ class ResourceLedger:
         self.phase_breakdown.append((label, delta))
 
 
-def charge(ledger: ResourceLedger, kind: str, amount: int | float) -> ResourceLedger:
-    """Add `amount` units to the counter for `kind`."""
+def charge(ledger: ResourceLedger, counter: str, amount: int | float) -> ResourceLedger:
+    """Add `amount` units to the ledger counter named `counter`."""
     if amount < 0:
         raise ValueError("charge amount must be non-negative")
-    mapping = {
-        "diffusion": "diffusion_units",
-        "oracle_query": "oracle_queries",
-        "inner_iterations": "inner_grover_iterations",
-        "access": "access_units",
-        "hash_eval": "hash_eval_units",
-    }
-    if kind not in mapping:
-        raise ValueError(f"unknown charge kind {kind!r}")
-    setattr(ledger, mapping[kind], getattr(ledger, mapping[kind]) + int(amount))
+    if counter not in _COUNTERS:
+        raise ValueError(f"unknown ledger counter {counter!r}")
+    setattr(ledger, counter, getattr(ledger, counter) + int(amount))
     return ledger
 
 

@@ -11,7 +11,10 @@ the two backends must agree amplitude-for-amplitude after expansion.
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
 unbind the data (XOR the binding out), diffuse, and rebind; the
-structured backend gets the same effect for free.
+structured backend gets the same effect for free.  DenseSearchState
+does that bookkeeping, and `search_state` is the one place that builds
+a fresh search state in either backend, so algorithm code never
+branches on which one it holds.
 
 Conventions: qubit 0 is the least-significant bit of the flat basis
 index, and each register occupies a contiguous run of qubits with its
@@ -126,9 +129,6 @@ class DenseState:
         norm = float(np.vdot(self.amps, self.amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
-
-    def copy(self) -> "DenseState":
-        return DenseState(self.layout, self.amps.copy())
 
     def register_values(self, name: str) -> np.ndarray:
         return self.layout.extract(name, np.arange(self.amps.size))
@@ -281,7 +281,7 @@ class StructuredState:
 
     Bindings map every padded index value to the content of the
     corresponding data register; padding entries carry whatever sentinel
-    the caller installed.
+    the caller installed.  A new state is the uniform superposition.
     """
 
     def __init__(
@@ -290,7 +290,6 @@ class StructuredState:
         domain_size: int,
         bindings: Mapping[str, np.ndarray] | None = None,
         index_register: str = "idx",
-        amps: np.ndarray | None = None,
     ):
         self.layout = layout
         self.domain_size = domain_size
@@ -310,25 +309,13 @@ class StructuredState:
             if table.max(initial=0) >= (1 << r.width):
                 raise ValueError(f"binding for {r.name!r} overflows its register width")
             self.bindings[r.name] = table
-        if amps is None:
-            self.amps = np.full(self.size, 1.0 / math.sqrt(self.size), dtype=complex)
-        else:
-            self.amps = np.asarray(amps, dtype=complex).reshape(self.size)
+        self.amps = np.full(self.size, 1.0 / math.sqrt(self.size), dtype=complex)
         self.check_norm()
 
     def check_norm(self) -> None:
         norm = float(np.vdot(self.amps, self.amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
-
-    def copy(self) -> "StructuredState":
-        return StructuredState(
-            self.layout,
-            self.domain_size,
-            bindings=self.bindings,
-            index_register=self.index_register,
-            amps=self.amps.copy(),
-        )
 
     def apply_phase_pattern(self, pattern: np.ndarray) -> "StructuredState":
         hit = _pattern_over_index(pattern, self.size)
@@ -352,8 +339,113 @@ class StructuredState:
     def index_probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def binding_value(self, register: str, a: int) -> int:
-        return int(self.bindings[register][a])
+    @property
+    def index_width(self) -> int:
+        return self.layout.width(self.index_register)
+
+    def values_at(self, i: int, registers: Sequence[str]) -> tuple[int, ...]:
+        """Bound data values at index value i, read from the binding tables."""
+        if not 0 <= i < self.size:
+            raise IndexError(f"index {i} outside padded domain {self.size}")
+        return tuple(int(self.bindings[name][i]) for name in registers)
+
+
+class DenseSearchState:
+    """Adapter presenting a DenseState as a Grover search space.
+
+    The phase oracle kicks back off the |-> flag register; diffusion
+    unbinds any data registers, reflects the index register, and rebinds,
+    so the index amplitudes evolve exactly as in the structured backend.
+    Index measurement samples the index marginal (consuming one draw,
+    keeping rng streams aligned across backends) and collapses.
+    """
+
+    def __init__(
+        self,
+        state: DenseState,
+        index_register: str = "idx",
+        flag_register: str | None = "xi",
+        data_tables: dict[str, np.ndarray] | None = None,
+    ):
+        self.state = state
+        self.index_register = index_register
+        self.flag_register = flag_register
+        self.data_tables = data_tables or {}
+        self.size = 1 << state.layout.width(index_register)
+
+    @property
+    def index_width(self) -> int:
+        return self.state.layout.width(self.index_register)
+
+    def apply_phase_pattern(self, pattern: np.ndarray) -> None:
+        phase_oracle(self.state, pattern, self.index_register, ancilla=self.flag_register)
+
+    def diffuse(self) -> None:
+        for name, table in self.data_tables.items():
+            bind_data(self.state, name, table)
+        diffusion(self.state, self.index_register)
+        for name, table in self.data_tables.items():
+            bind_data(self.state, name, table)
+
+    def index_probabilities(self) -> np.ndarray:
+        probs = np.abs(self.state.amps) ** 2
+        values = self.state.register_values(self.index_register)
+        return np.bincount(values, weights=probs, minlength=self.size)
+
+    def measure_index(self, rng: np.random.Generator) -> int:
+        probs = self.index_probabilities()
+        probs /= probs.sum()
+        outcome = int(rng.choice(self.size, p=probs))
+        keep = self.state.register_values(self.index_register) == outcome
+        amps = np.where(keep, self.state.amps, 0.0)
+        self.state.amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        return outcome
+
+    def values_at(self, i: int, registers: Sequence[str]) -> tuple[int, ...]:
+        """Data values of a basis state with index value i and nonzero amplitude.
+
+        Read from the amplitude support, not from `data_tables`, so it
+        shows what the evolved state actually holds.
+        """
+        idx_values = self.state.register_values(self.index_register)
+        support = np.flatnonzero((np.abs(self.state.amps) > 0) & (idx_values == i))
+        if support.size == 0:
+            raise IndexError(f"index {i} has no amplitude support")
+        basis = int(support[0])
+        return tuple(int(self.state.layout.extract(name, basis)) for name in registers)
+
+
+SearchState = StructuredState | DenseSearchState
+
+
+def search_state(
+    mode: str,
+    layout: RegisterLayout,
+    domain_size: int,
+    bindings: Mapping[str, np.ndarray] | None = None,
+) -> SearchState:
+    """A fresh uniform superposition over the index register of `layout`,
+    with each data register bound to its table.
+
+    `mode` names the backend: "structured" keeps one amplitude per index
+    value; "dense" appends a phase-kickback flag register "xi", prepares
+    the index uniformly, XORs in each table in order, and puts the flag
+    in |->.
+    """
+    index = next(r.name for r in layout.registers if r.role == "index")
+    if mode == "structured":
+        return StructuredState(layout, domain_size, bindings, index_register=index)
+    if mode != "dense":
+        raise ValueError(f"unknown mode {mode!r}")
+    if (1 << layout.width(index)) != padded_size(domain_size):
+        raise ValueError("index register width does not cover the padded domain")
+    bindings = bindings or {}
+    state = DenseState(RegisterLayout([*layout.registers, Register("xi", 1, "flag")]))
+    prepare_uniform(state, index)
+    for name, table in bindings.items():
+        bind_data(state, name, table)
+    prepare_minus(state, "xi")
+    return DenseSearchState(state, index, "xi", data_tables=bindings)
 
 
 def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> DenseState:

@@ -14,12 +14,7 @@ import pytest
 from qstrings import fingerprint as fp
 from qstrings import qmatch
 from qstrings.crosscheck import run_crosscheck
-from qstrings.grover import (
-    DenseSearchState,
-    OracleSpec,
-    durr_hoyer_min,
-    success_probability,
-)
+from qstrings.grover import OracleSpec, durr_hoyer_min, success_probability
 from qstrings.qcompare import compare_bsearch, compare_grover, compare_params
 from qstrings.resources import (
     ANCILLA_COMPARE_BSEARCH,
@@ -32,6 +27,7 @@ from qstrings.resources import (
     run_sweep,
 )
 from qstrings.sim import (
+    DenseSearchState,
     DenseState,
     Register,
     RegisterLayout,

@@ -5,11 +5,9 @@ import pytest
 
 from qstrings.grover import (
     CopiesExhausted,
-    DenseSearchState,
     GroverOutcome,
     OracleSpec,
     bbht_search,
-    bounded_error_search,
     doubling_schedule,
     durr_hoyer_min,
     grover_run,
@@ -18,6 +16,7 @@ from qstrings.grover import (
 )
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
+    DenseSearchState,
     DenseState,
     Register,
     RegisterLayout,
@@ -183,16 +182,6 @@ def test_amplification_policy():
     assert two_sided.amplification(8) % 2 == 1
 
 
-def test_bounded_error_exact_oracle_identical_trajectory():
-    truth = np.zeros(8, dtype=bool)
-    truth[3] = True
-    oracle = OracleSpec(8, truth)
-    a = bounded_error_search(oracle, np.random.default_rng(5), lambda rep: _structured(8), iterations=2)
-    b = grover_run(_structured(8), oracle, 2, np.random.default_rng(5))
-    assert a.found_index == b.found_index
-    assert a.iterations_used == b.iterations_used == 2
-
-
 def test_bounded_error_success_close_to_exact():
     truth = np.zeros(8, dtype=bool)
     truth[2] = True
@@ -202,10 +191,8 @@ def test_bounded_error_success_close_to_exact():
     rng = np.random.default_rng(21)
     exact_hits = noisy_hits = 0
     for _ in range(2000):
-        a = bounded_error_search(exact, rng, lambda rep: _structured(8), iterations=iterations)
-        b = bounded_error_search(
-            noisy, rng, lambda rep: _structured(8), iterations=iterations, rho=5
-        )
+        a = grover_run(_structured(8), exact, iterations, rng)
+        b = grover_run(_structured(8), noisy, iterations, rng, rho=5)
         exact_hits += int(a.verified)
         noisy_hits += int(b.verified)
     assert abs(noisy_hits - exact_hits) / 2000 <= 0.1
@@ -216,14 +203,7 @@ def test_bounded_error_ledger_records_rho_times_cost():
     truth[2] = True
     oracle = OracleSpec(8, truth, evaluation_cost=7, error_prob=0.2)
     ledger = ResourceLedger()
-    bounded_error_search(
-        oracle,
-        np.random.default_rng(0),
-        lambda rep: _structured(8),
-        iterations=2,
-        rho=3,
-        ledger=ledger,
-    )
+    grover_run(_structured(8), oracle, 2, np.random.default_rng(0), ledger, rho=3)
     assert ledger.hash_eval_units == 2 * 3 * 7
 
 

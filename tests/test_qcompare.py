@@ -8,7 +8,6 @@ from qstrings.qcompare import (
     compare_bsearch,
     compare_grover,
     compare_params,
-    comp_pairs,
 )
 from qstrings.resources import (
     ResourceLedger,
@@ -21,13 +20,6 @@ from qstrings.strings_core import BitString, compare_classical
 def _params(p, k, epsilon=0.5):
     return HashParams(p=p, epsilon=epsilon, delta=k, max_len=k,
                       r=universe_size(k, k, epsilon))
-
-
-def test_comp_pairs_examples():
-    assert comp_pairs(0, 5, 1, 2) == 1
-    assert comp_pairs(1, 3, 1, 3) == 0
-    assert comp_pairs(0, 4, 0, 2) == 0
-    assert comp_pairs(0, 2, 0, 4) == 1
 
 
 def test_access_element_structured():
@@ -49,7 +41,7 @@ def test_access_element_dense_matches_structured():
     u = BitString.from_text("101")
     v = BitString.from_text("111")
     state = build_compare_state(u, v)
-    dense = state.symbol_copy("dense").state
+    dense = state.symbol_copy("dense")
     struct = state.symbol_copy("structured")
     for i in range(3):
         assert access_element(dense, i, ("u", "v")) == access_element(struct, i, ("u", "v"))
@@ -222,6 +214,28 @@ def test_compare_bsearch_agreement_random_pairs():
         result = compare_bsearch(u, v, params, rng)
         agree += int(result.verdict == compare_classical(u, v))
     assert agree / 400 >= 0.8
+
+
+def test_compare_grover_dense_and_structured_runs_agree():
+    # same seed, same pair: the two backends must give the same whole run
+    def run(u, v, trial, mode):
+        r = compare_grover(u, v, np.random.default_rng((151, trial)), mode=mode)
+        return (r.verdict, r.first_difference, r.phases, r.copies_used, r.records,
+                r.ledger.counters())
+
+    pair_rng = np.random.default_rng(149)
+    for trial in range(60):
+        u = BitString.from_bits(pair_rng.integers(0, 2, int(pair_rng.integers(1, 9))))
+        v = BitString.from_bits(pair_rng.integers(0, 2, int(pair_rng.integers(1, 9))))
+        assert run(u, v, trial, "structured") == run(u, v, trial, "dense"), (str(u), str(v))
+
+
+def test_compare_bsearch_unknown_mode_rejected():
+    u = BitString.from_text("1")
+    v = BitString.from_text("0")
+    params = _params(3, k=1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        compare_bsearch(u, v, params, np.random.default_rng(0), mode="bogus")
 
 
 def test_empty_string_edge():

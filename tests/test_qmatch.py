@@ -7,7 +7,6 @@ from qstrings import qmatch
 from qstrings.fingerprint import HashParams, HashValue, rolling_hash, universe_size
 from qstrings.qmatch import (
     MatchResult,
-    equality_oracle_f,
     hash_equality_eval,
     inner_eval_gate_cost,
     inner_schedule,
@@ -114,18 +113,6 @@ def test_structured_copy_expansion_matches_dense_copy():
     structured = spec.make_copy("structured")
     reduced = project_flag_minus(dense.state, "xi")
     assert np.allclose(reduced, expand_structured(structured).amps)
-
-
-def test_equality_oracle_f_surface():
-    inst = MatchInstance(BitString.from_text("010101"), BitString.from_text("010"))
-    params = _params(7, delta=4, max_len=3)
-    spec = prepare_match_state(inst, params)
-    rng = np.random.default_rng(5)
-    # windows 0 and 2 are occurrences: identical strings hash equal, so f = 1 always
-    for i in (0, 2):
-        assert equality_oracle_f(i, spec, rng) == 1
-    with pytest.raises(IndexError):
-        equality_oracle_f(99, spec, rng)
 
 
 def test_match_unique_small_monte_carlo():

@@ -23,33 +23,33 @@ from qstrings.resources import (
 def test_charge_examples():
     ledger = ResourceLedger()
     assert ledger.counters() == {k: 0 for k in ledger.counters()}  # fresh all-zero
-    charge(ledger, "diffusion", 5)
+    charge(ledger, "diffusion_units", 5)
     assert ledger.diffusion_units == 5
-    charge(ledger, "diffusion", 3)
-    charge(ledger, "diffusion", 4)
+    charge(ledger, "diffusion_units", 3)
+    charge(ledger, "diffusion_units", 4)
     other = ResourceLedger()
-    charge(other, "diffusion", 12)
+    charge(other, "diffusion_units", 12)
     assert ledger.diffusion_units == other.diffusion_units  # additivity
     with pytest.raises(ValueError):
-        charge(ledger, "diffusion", -1)
+        charge(ledger, "diffusion_units", -1)
     with pytest.raises(ValueError):
         charge(ledger, "teleportation", 1)
 
 
 def test_gate_units_total_composition():
     ledger = ResourceLedger()
-    charge(ledger, "diffusion", 10)
-    charge(ledger, "oracle_query", 4)
-    charge(ledger, "access", 6)
-    charge(ledger, "hash_eval", 30)
-    charge(ledger, "inner_iterations", 99)  # diagnostic count, priced via hash_eval
+    charge(ledger, "diffusion_units", 10)
+    charge(ledger, "oracle_queries", 4)
+    charge(ledger, "access_units", 6)
+    charge(ledger, "hash_eval_units", 30)
+    charge(ledger, "inner_grover_iterations", 99)  # diagnostic count, priced via hash_eval_units
     assert ledger.gate_units_total == 10 + 4 + 6 + 30
 
 
 def test_phase_breakdown():
     ledger = ResourceLedger()
     before = ledger.snapshot()
-    charge(ledger, "access", 3)
+    charge(ledger, "access_units", 3)
     ledger.close_phase("readout", before)
     label, delta = ledger.phase_breakdown[0]
     assert label == "readout" and delta["access_units"] == 3

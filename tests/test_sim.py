@@ -18,6 +18,7 @@ from qstrings.sim import (
     prepare_minus,
     prepare_uniform,
     project_flag_minus,
+    search_state,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -308,3 +309,22 @@ def test_dump_state(tmp_path):
     dump_state(state, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("0,") and len(lines) == 2
+
+
+def test_search_state_backends_agree():
+    layout = RegisterLayout(
+        [Register("idx", 2, "index"), Register("h", 3, "data", depends_on="idx")]
+    )
+    table = np.array([5, 2, 7, 0])
+    structured = search_state("structured", layout, 3, {"h": table})
+    dense = search_state("dense", layout, 3, {"h": table})
+    assert structured.index_width == dense.index_width == 2
+    reduced = project_flag_minus(dense.state, "xi")
+    assert np.allclose(reduced, expand_structured(structured).amps)
+    for i in range(4):
+        assert dense.values_at(i, ("h",)) == structured.values_at(i, ("h",)) == (table[i],)
+    with pytest.raises(ValueError):
+        search_state("bogus", layout, 3, {"h": table})
+    for mode in ("structured", "dense"):
+        with pytest.raises(ValueError):
+            search_state(mode, layout, 5, {"h": table})  # 2 index qubits cannot cover 5
