@@ -33,6 +33,14 @@ def _parse_bits(value: str, ascii_mode: bool) -> BitString:
     return BitString.from_ascii(value) if ascii_mode else BitString.from_text(value)
 
 
+def _parse_ints(flag: str, value: str) -> list[int]:
+    """A comma-separated list of integers; an empty or non-integer field is an error."""
+    try:
+        return [int(field) for field in value.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {value!r}") from None
+
+
 def _emit(lines: list[str], csv_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if csv_path:
@@ -149,10 +157,7 @@ def _cmd_compare(args, argv) -> int:
 
 
 def _cmd_min_find(args, argv) -> int:
-    values = [int(x) for x in args.values.split(",") if x != ""]
-    if not values:
-        print("--values must list at least one integer", file=sys.stderr)
-        return 2
+    values = _parse_ints("--values", args.values)
     domain = len(values)
     width = max(1, resources.index_width(domain))
     layout = RegisterLayout([Register("idx", width, "index")])
@@ -168,7 +173,7 @@ def _cmd_min_find(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
-    grid = tuple(int(x) for x in args.grid.split(","))
+    grid = tuple(_parse_ints("--grid", args.grid))
     config = resources.SweepConfig(
         algo=args.algo.replace("-", "_"),
         grid=grid,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -25,6 +26,9 @@ SIEVE_R_CAP = 2_000_000
 UNIVERSE_R_CAP = 2**34
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11)
+# (i, p) pairs the batched step of prime_pi handles per numpy pass.
+_PI_CHUNK = 1 << 14
+_NEWTON_STEPS = 8
 
 
 class UniverseSizeError(ValueError):
@@ -48,30 +52,150 @@ def _sieve_upper_bound(r: int) -> int:
     return int(r * (x + math.log(x))) + 1
 
 
+def _sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """int64 array of the primes in [lo, hi), in increasing order."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(hi - lo, dtype=bool)
+    base = _sieve_segment(2, math.isqrt(hi - 1) + 1)
+    # Primes that strike the segment often are crossed off by slices; the
+    # rest, each striking a few times at most, all at once by index.
+    split = int(np.searchsorted(base, (hi - lo) // 64 + 1))
+    for q in base[:split].tolist():
+        start = max(q * q, -(-lo // q) * q)
+        flags[start - lo :: q] = False
+    qs = base[split:]
+    first = np.maximum(qs * qs, -(-lo // qs) * qs)
+    hits = np.maximum(0, (hi - 1 - first) // qs + 1)
+    step = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
+    flags[np.repeat(first - lo, hits) + step * np.repeat(qs, hits)] = False
+    return np.flatnonzero(flags).astype(np.int64) + lo
+
+
 @lru_cache(maxsize=8)
-def first_r_primes(r: int, cap: int = SIEVE_R_CAP) -> tuple[int, ...]:
-    """The first r primes, in increasing order, via an Eratosthenes sieve."""
+def first_r_primes(r: int, cap: int = SIEVE_R_CAP) -> np.ndarray:
+    """The first r primes, in increasing order, as a read-only int64 array."""
     if r < 1:
         raise ValueError("r must be positive")
     if r > cap:
         raise UniverseSizeError(f"universe of {r} primes exceeds sieve cap {cap}")
-    bound = _sieve_upper_bound(r)
-    flags = np.ones(bound, dtype=bool)
-    flags[:2] = False
-    for q in range(2, math.isqrt(bound - 1) + 1):
-        if flags[q]:
-            flags[q * q :: q] = False
-    primes = np.flatnonzero(flags)
-    if len(primes) < r:  # bound shortfall cannot happen for r >= 6, but be safe
-        return first_r_primes.__wrapped__(r + max(16, r // 4), cap=max(cap, r * 2))[:r]
-    return tuple(int(q) for q in primes[:r])
+    primes = _sieve_segment(2, _sieve_upper_bound(r))[:r]
+    primes.flags.writeable = False
+    return primes
+
+
+def _icbrt(x: int) -> int:
+    """Largest c with c^3 <= x, for x >= 0."""
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
+def prime_pi(x: int) -> int:
+    """Number of primes <= x, by Lucy_Hedgehog's method in int64 numpy.
+
+    S(v) starts as the count of 2..v and, after sieving by every prime up
+    to sqrt(v), equals pi(v).  Sieving by p lowers S(v) for v >= p^2 by
+    S(v // p) - S(p - 1).  Only the values x // i are ever needed: `small`
+    holds S(v) for v <= sqrt(x) and `large[i]` holds S(x // i).
+    """
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    quot = np.zeros(r + 1, dtype=np.int64)
+    quot[1:] = x // np.arange(1, r + 1, dtype=np.int64)
+    large = quot - 1
+    small = np.arange(r + 1, dtype=np.int64) - 1
+    primes = _sieve_segment(2, r + 1)
+    cube = _icbrt(x)
+    for p in primes[primes <= cube].tolist():
+        sp = int(small[p - 1])
+        top = min(r, x // (p * p))
+        mid = min(top, r // p)
+        # S(x // (i p)) is large[i p] while i p <= r, else small[(x // i) // p]
+        large[1 : mid + 1] -= large[p : mid * p + 1 : p] - sp
+        large[mid + 1 : top + 1] -= small[quot[mid + 1 : top + 1] // p] - sp
+        if p * p <= r:
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+    _sieve_large_primes(x, primes[primes > cube], quot, small, large)
+    return int(large[1])
+
+
+def _sieve_large_primes(
+    x: int, ps: np.ndarray, quot: np.ndarray, small: np.ndarray, large: np.ndarray
+) -> None:
+    """Apply every prime in (cbrt x, sqrt x] to `large` in one batch.
+
+    Each value these primes read is already final: `small` stops changing
+    once p^2 > sqrt(x), and S(x // j) for j >= p is lowered only by primes
+    q <= sqrt(x / p) < p.  Prime p lowers large[i] for i <= x // p^2, all
+    below cbrt(x) and so never read here, so the order of updates is free.
+    """
+    if ps.size == 0:
+        return
+    r = small.size - 1
+    # row i - 1 pairs i with the primes p in ps where i p^2 <= x
+    counts = np.searchsorted(ps * ps, quot[1 : x // int(ps[0]) ** 2 + 1], side="right")
+    sp_sums = np.concatenate(([0], np.cumsum(small[ps - 1])))
+    large[1 : counts.size + 1] += sp_sums[counts]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for a in range(0, int(ends[-1]), _PI_CHUNK):
+        pos = np.arange(a, min(a + _PI_CHUNK, int(ends[-1])), dtype=np.int64)
+        row = np.searchsorted(ends, pos, side="right")
+        p = ps[pos - starts[row]]
+        i = row + 1
+        j = i * p
+        vals = large[np.minimum(j, r)]
+        beyond = j > r
+        vals[beyond] = small[quot[i[beyond]] // p[beyond]]
+        heads = np.flatnonzero(np.diff(row, prepend=-1))
+        large[i[heads]] -= np.add.reduceat(vals, heads)
+
+
+def _prime_estimate(i: int) -> int:
+    """x near li^-1(i), by float Newton steps; it only places the sieve window."""
+    x = max(2.0, i * math.log(max(i, 2)))
+    for _ in range(_NEWTON_STEPS):
+        step = (float(mpmath.li(x)) - i) * math.log(x)
+        x = max(2.0, x - step)
+        if abs(step) < 1:
+            break
+    return int(x)
 
 
 def nth_prime(i: int) -> int:
-    """The i-th prime (1-indexed)."""
+    """The i-th prime (1-indexed), exactly.
+
+    Counts pi(x) at an estimate x of the i-th prime, then sieves windows
+    forward or backward from x until the i-th prime is reached.
+    """
     if i < 1:
         raise ValueError("prime index must be positive")
-    return int(sympy.prime(i))
+    x = _prime_estimate(i)
+    count = prime_pi(x)  # primes <= x
+    while True:
+        gap = abs(i - count)
+        width = int((gap + 2 * math.isqrt(gap) + 16) * math.log(x + 2))
+        if count >= i:
+            lo = max(0, x + 1 - width)
+            found = _sieve_segment(lo, x + 1)
+            need = count - i + 1
+            if found.size >= need:
+                return int(found[found.size - need])
+            count -= found.size
+            x = lo - 1
+        else:
+            found = _sieve_segment(x + 1, x + 1 + width)
+            need = i - count
+            if found.size >= need:
+                return int(found[need - 1])
+            count += found.size
+            x += width
 
 
 @dataclass(frozen=True)
@@ -111,7 +235,7 @@ def choose_prime(
         raise UniverseSizeError(f"universe of {r} primes exceeds cap {UNIVERSE_R_CAP}")
     index = int(rng.integers(1, r + 1))
     if r <= SIEVE_R_CAP:
-        p = first_r_primes(r)[index - 1]
+        p = int(first_r_primes(r)[index - 1])
     else:
         p = nth_prime(index)
     return HashParams(p=p, epsilon=epsilon, delta=delta, r=r, max_len=max_len)

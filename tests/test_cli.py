@@ -234,6 +234,21 @@ def test_epsilon_out_of_range_rejected(capsys, epsilon):
     assert "--epsilon" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["min-find", "--values", "3,,1"], "--values"),
+        (["min-find", "--values", ""], "--values"),
+        (["min-find", "--values", "3,1,"], "--values"),
+        (["sweep", "--algo", "match", "--grid", "64,abc"], "--grid"),
+    ],
+)
+def test_malformed_integer_list_rejected(capsys, command, flag):
+    code, out, err = run_cli(command + ["--seed", "1"], capsys)
+    _assert_usage_error(code, err)
+    assert flag in err and "invalid literal" not in err and out == ""
+
+
 def test_sweep_pattern_longer_than_text_rejected(capsys):
     code, out, err = run_cli(
         ["sweep", "--algo", "match", "--grid", "8", "--m", "9", "--seed", "1"], capsys

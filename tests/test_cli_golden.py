@@ -84,6 +84,13 @@ GOLDEN = [
         0,
         "7cb27f9cad3dbaef9b087d9249bf63307f3417a2c1d52b48c8c385aee16b5c55",
     ),
+    (
+        # r = 167,772,160 lies past the sieve cap: an nth-prime lookup
+        "primes-nth-prime",
+        ["primes", "--delta", "4096", "--max-len", "4096", "--epsilon", "0.1", "--seed", "7"],
+        0,
+        "0f9fbb839475802915242007e1a5a0bc8b286925ff097995f4ccf5394805a151",
+    ),
 ]
 
 

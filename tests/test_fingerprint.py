@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,9 +21,16 @@ any_prime = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 127, *WIDE_PRIMES])
 
 
 def test_first_r_primes_examples():
-    assert fp.first_r_primes(5) == (2, 3, 5, 7, 11)
-    assert fp.first_r_primes(1) == (2,)
+    assert fp.first_r_primes(5).tolist() == [2, 3, 5, 7, 11]
+    assert fp.first_r_primes(1).tolist() == [2]
     assert fp.first_r_primes(25)[-1] == 97
+
+
+def test_first_r_primes_cached_array_is_read_only():
+    primes = fp.first_r_primes(30)
+    assert primes.dtype == np.int64 and primes.size == 30
+    with pytest.raises(ValueError):
+        primes[0] = 4
 
 
 def test_first_r_primes_cap():
@@ -34,6 +42,105 @@ def test_nth_prime_matches_sieve():
     primes = fp.first_r_primes(100)
     for i in (1, 2, 10, 57, 100):
         assert fp.nth_prime(i) == primes[i - 1]
+
+
+PLAIN_LIMIT = 10**6
+
+
+@functools.cache
+def _plain_sieve() -> np.ndarray:
+    """Primality flags of 0..PLAIN_LIMIT from a textbook Eratosthenes sieve."""
+    flags = np.ones(PLAIN_LIMIT + 1, dtype=bool)
+    flags[:2] = False
+    for q in range(2, math.isqrt(PLAIN_LIMIT) + 1):
+        if flags[q]:
+            flags[q * q :: q] = False
+    return flags
+
+
+def test_prime_pi_edge_cases():
+    pi = np.cumsum(_plain_sieve())
+    cubes = [q**3 + d for q in range(2, 100) for d in (-1, 0, 1)]
+    squares = [q * q for q in fp.first_r_primes(168).tolist()]  # primes below 1000
+    for x in [0, 1, 2, 3, 4, 7, 8, 9, 97, 7919, 999_983, *cubes, *squares]:
+        assert fp.prime_pi(x) == int(pi[x]), x
+    assert fp.prime_pi(-5) == 0
+
+
+@settings(max_examples=150)
+@given(st.integers(0, PLAIN_LIMIT))
+def test_prime_pi_matches_plain_sieve(x):
+    assert fp.prime_pi(x) == int(np.count_nonzero(_plain_sieve()[: x + 1]))
+
+
+def test_prime_pi_known_values():
+    assert fp.prime_pi(10**9) == 50_847_534
+    assert fp.prime_pi(10**10) == 455_052_511
+
+
+@given(st.integers(-3, PLAIN_LIMIT), st.integers(0, 5000))
+def test_sieve_segment_matches_plain_sieve(lo, width):
+    hi = min(lo + width, PLAIN_LIMIT + 1)
+    got = fp._sieve_segment(lo, hi)
+    assert got.dtype == np.int64
+    want = np.flatnonzero(_plain_sieve()[max(lo, 0) : max(hi, 0)]) + max(lo, 0)
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 2 * 10**5))
+def test_nth_prime_matches_sympy(i):
+    assert fp.nth_prime(i) == int(sympy.prime(i))
+
+
+@pytest.mark.parametrize(
+    "i, p",
+    [(10**6, 15_485_863), (10**7, 179_424_673), (10**8, 2_038_074_743),
+     (10**9, 22_801_763_489)],
+)
+def test_nth_prime_pinned_powers_of_ten(i, p):
+    assert fp.nth_prime(i) == p
+
+
+# The nth-prime draws of the benchmark's match_long (five ops and the
+# warm-up op) and compare_bsearch (eight ops and the warm-up op).
+BENCHMARK_DRAWS = [
+    (4_960_608, 85_309_591), (5_438_643, 94_063_451), (6_743_534, 118_172_231),
+    (4_678_804, 80_171_717), (6_326_399, 110_429_681), (4_653_879, 79_716_979),
+    (79_387_890, 1_598_646_209), (87_038_202, 1_761_155_729), (107_921_238, 2_208_202_631),
+    (74_877_992, 1_503_205_021), (101_245_554, 2_064_785_351), (138_505_450, 2_870_399_611),
+    (121_494_003, 2_501_097_383), (130_499_647, 2_696_298_433), (74_479_109, 1_494_773_191),
+]
+
+
+def test_nth_prime_benchmark_draws():
+    for i, p in BENCHMARK_DRAWS:
+        assert fp.nth_prime(i) == p, i
+
+
+@pytest.mark.parametrize(
+    "i, estimate",
+    [
+        (1, 2),  # the estimate is the prime itself: one step back
+        (500, 3571),  # p(500): one step back
+        (500, 3572),
+        (500, 10_000),  # far above: back over many primes
+        (500, 3570),  # just below: one step forward
+        (500, 0),  # far below, and ln(x) undersizes the window: several windows
+        (1000, 1),
+        (10**5, 2_000_000),
+        (10**5, 1_000_000),
+    ],
+)
+def test_nth_prime_walk_from_any_estimate(monkeypatch, i, estimate):
+    # the estimate only places the sieve window; it never decides the answer
+    monkeypatch.setattr(fp, "_prime_estimate", lambda _i: estimate)
+    assert fp.nth_prime(i) == int(sympy.prime(i))
+
+
+def test_nth_prime_rejects_nonpositive_index():
+    with pytest.raises(ValueError):
+        fp.nth_prime(0)
 
 
 def test_universe_size_examples():

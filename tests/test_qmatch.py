@@ -234,6 +234,28 @@ def test_backend_fuzz_random_instances():
         assert res_s.ledger.counters() == res_d.ledger.counters()
 
 
+def test_match_dense_and_structured_whole_runs_agree():
+    # same seed, same instance, prime draw included: the two backends must
+    # give the same whole run
+    def run(inst, trial, mode):
+        rng = np.random.default_rng((779, trial))
+        params = match_params(inst, 0.1, rng)
+        r = match_search(inst, params, rng, mode=mode)
+        return (params.p, r.position, r.measured_index, r.hash_verified, r.exactly_verified,
+                r.copies_used, r.ledger.counters(), r.ledger.qubits_total)
+
+    inst_rng = np.random.default_rng(780)
+    for trial in range(60):
+        n = int(inst_rng.integers(4, 12))
+        m = int(inst_rng.integers(1, 4))
+        inst = MatchInstance(
+            BitString.from_bits(inst_rng.integers(0, 2, n)),
+            BitString.from_bits(inst_rng.integers(0, 2, m)),
+        )
+        assert run(inst, trial, "structured") == run(inst, trial, "dense"), (
+            str(inst.text), str(inst.pattern))
+
+
 def test_run_is_deterministic_given_seed():
     inst = MatchInstance(BitString.from_text("0110100110"), BitString.from_text("101"))
     params = _params(13, delta=8, max_len=3)
