@@ -116,8 +116,7 @@ def _cmd_match(args, argv) -> int:
     inst_pattern = _parse_bits(args.pattern, args.ascii)
     inst = MatchInstance(inst_text, inst_pattern)
     if args.mode == "structured" and inst.n > STRUCTURED_TEXT_CAP:
-        print(f"text length {inst.n} exceeds structured-mode cap {STRUCTURED_TEXT_CAP}", file=sys.stderr)
-        return 2
+        raise ValueError(f"text length {inst.n} exceeds structured-mode cap {STRUCTURED_TEXT_CAP}")
     if args.mode == "dense":
         width = (
             max(1, resources.index_width(inst.num_windows))
@@ -125,11 +124,9 @@ def _cmd_match(args, argv) -> int:
             + 1
         )
         if width > DENSE_WIDTH_CAP:
-            print(
-                f"dense mode would need {width} qubits, above the {DENSE_WIDTH_CAP}-qubit cap",
-                file=sys.stderr,
+            raise ValueError(
+                f"dense mode would need {width} qubits, above the {DENSE_WIDTH_CAP}-qubit cap"
             )
-            return 2
         if args.dump_state:
             rng = np.random.default_rng((args.seed, 0))
             params = qmatch.match_params(inst, args.epsilon, rng)

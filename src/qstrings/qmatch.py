@@ -358,35 +358,36 @@ def match_search(
     )
 
 
-def _occurrence_starts(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(bits, len(w))
-    return np.flatnonzero((windows == w).all(axis=1))
-
-
 def random_single_occurrence(
     n: int, m: int, rng: np.random.Generator, max_rounds: int = 500
 ) -> tuple[MatchInstance, int]:
     """Random instance whose pattern occurs exactly once; returns (inst, d).
 
-    Plants a random pattern at a random position, then destroys any other
-    occurrence by flipping one of its bits outside the planted window
-    (re-scanning, since a flip can spawn new occurrences elsewhere).
+    Plants a random pattern at a random position d0, then destroys every
+    other occurrence, leftmost first, by flipping one of its bits outside
+    the planted window.  A flip at position j can only create occurrences
+    starting in [j - m + 1, j], and none other than d0 starts before the
+    destroyed one at `bad`, so the next search resumes at bad - m + 1
+    instead of rescanning the text.  Text and pattern are held as bytes
+    of 0/1 values and searched with `bytearray.find`.
     """
     for _ in range(max_rounds):
         bits = rng.integers(0, 2, n)
         d0 = int(rng.integers(0, n - m + 1))
-        w = rng.integers(0, 2, m)
-        bits[d0 : d0 + m] = w
+        word = rng.integers(0, 2, m).astype(np.uint8).tobytes()
+        text = bytearray(bits.astype(np.uint8).tobytes())
+        text[d0 : d0 + m] = word
+        start = 0
         for _ in range(4 * n):
-            occ = _occurrence_starts(bits, w)
-            if occ.size == 1:
-                return (
-                    MatchInstance(BitString.from_bits(bits), BitString.from_bits(w)),
-                    d0 + 1,
-                )
-            bad = int(next(i for i in occ if i != d0))
+            bad = text.find(word, start)
+            if bad == d0:
+                bad = text.find(word, d0 + 1)
+            if bad == -1:
+                inst = MatchInstance(BitString(tuple(text)), BitString(tuple(word)))
+                return inst, d0 + 1
             spots = [j for j in range(bad, bad + m) if not d0 <= j < d0 + m]
-            bits[spots[int(rng.integers(0, len(spots)))]] ^= 1
+            text[spots[int(rng.integers(0, len(spots)))]] ^= 1
+            start = max(0, bad - m + 1)
     raise RuntimeError("failed to construct a single-occurrence instance")
 
 

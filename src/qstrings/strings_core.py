@@ -19,7 +19,11 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            ok = {0, 1}.issuperset(self.bits)
+        except TypeError:  # an unhashable element such as [1]
+            ok = False
+        if not ok:
             raise ValueError("bits must be 0 or 1")
 
     @classmethod

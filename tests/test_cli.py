@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qstrings
 from qstrings import qcompare, qmatch
 from qstrings.cli import main
 from qstrings.crosscheck import run_crosscheck
@@ -23,6 +29,21 @@ def test_primes_row(capsys):
     assert lines[1] == "r,p,epsilon,delta,max_len"
     r, p, eps, delta, max_len = lines[2].split(",")
     assert (r, eps, delta, max_len) == ("24", "0.5", "4", "3")
+
+
+def test_module_entry_point_matches_main(capsys):
+    args = ["primes", "--delta", "29", "--max-len", "4", "--epsilon", "0.1", "--seed", "42"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(qstrings.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstrings", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_match_found_and_exit_codes(capsys):
@@ -74,7 +95,7 @@ def test_match_dense_width_guard(capsys):
          "--seed", "1", "--mode", "dense"],
         capsys,
     )
-    assert code == 2
+    _assert_usage_error(code, err)
     assert "qubits" in err and "24" in err
 
 
@@ -83,7 +104,7 @@ def test_match_structured_size_guard(capsys):
     code, _, err = run_cli(
         ["match", "--text", big, "--pattern", "01", "--seed", "1"], capsys
     )
-    assert code == 2
+    _assert_usage_error(code, err)
     assert "cap" in err
 
 

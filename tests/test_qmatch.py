@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstrings import qmatch
 from qstrings.fingerprint import HashParams, HashValue, rolling_hash, universe_size
@@ -270,6 +272,61 @@ def test_random_single_occurrence_generator():
     for n, m in ((16, 2), (32, 4), (256, 8), (1024, 8)):
         inst, d = qmatch.random_single_occurrence(n, m, rng)
         assert naive_match_all(inst) == {d}
+
+
+def _rescan_single_occurrence(n, m, rng, max_rounds=500):
+    """Reference builder: rescans the whole text after every flip."""
+    for _ in range(max_rounds):
+        bits = rng.integers(0, 2, n)
+        d0 = int(rng.integers(0, n - m + 1))
+        w = rng.integers(0, 2, m)
+        bits[d0 : d0 + m] = w
+        for _ in range(4 * n):
+            windows = np.lib.stride_tricks.sliding_window_view(bits, m)
+            occ = np.flatnonzero((windows == w).all(axis=1))
+            if occ.size == 1:
+                return (
+                    MatchInstance(BitString.from_bits(bits), BitString.from_bits(w)),
+                    d0 + 1,
+                )
+            bad = int(next(i for i in occ if i != d0))
+            spots = [j for j in range(bad, bad + m) if not d0 <= j < d0 + m]
+            bits[spots[int(rng.integers(0, len(spots)))]] ^= 1
+    raise RuntimeError("failed to construct a single-occurrence instance")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_random_single_occurrence_matches_rescan_reference(data, n, seed):
+    m = data.draw(
+        st.one_of(st.just(1), st.just(n), st.integers(1, min(n, 12)), st.integers(1, n))
+    )
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    inst, d = qmatch.random_single_occurrence(n, m, rng)
+    assert (inst, d) == _rescan_single_occurrence(n, m, ref_rng)
+    assert naive_match_all(inst) == {d}
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n, seed", [(11, 148), (14, 40), (16, 60)])
+def test_random_single_occurrence_exhausted_rounds(n, seed):
+    # with m = 2 these draws keep spawning occurrences for all 4n flips
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.raises(RuntimeError):
+        qmatch.random_single_occurrence(n, 2, rng, max_rounds=1)
+    with pytest.raises(RuntimeError):
+        _rescan_single_occurrence(n, 2, ref_rng, max_rounds=1)
+    assert rng.random() == ref_rng.random()
+
+
+def test_random_single_occurrence_pinned_long_text():
+    rng = np.random.default_rng(2024)
+    inst, d = qmatch.random_single_occurrence(2**16, 8, rng)
+    assert d == 34476 and inst.pattern.bits == (0, 0, 1, 1, 1, 1, 0, 0)
+    digest = hashlib.sha256(bytes(inst.text.bits)).hexdigest()
+    assert digest == "fd7cc2b86b3793bf34c848dd1e9684969d287198bbbe4896dfef748f0e19f665"
+    assert naive_match_all(inst) == {d}
+    assert rng.random() == 0.635809147666554
 
 
 def test_random_multi_occurrence_generator():

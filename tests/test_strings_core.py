@@ -105,6 +105,42 @@ def test_bad_inputs_rejected():
         MatchInstance(BitString.from_text("0"), BitString.from_text("01"))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: np.array(b, dtype=np.int8),
+        lambda b: np.array(b, dtype=np.uint8),
+        lambda b: np.array(b, dtype=np.int64),
+        lambda b: np.array(b, dtype=bool),
+        lambda b: np.array(b, dtype=np.float64),
+        list,
+        lambda b: (x for x in b),
+    ],
+)
+def test_from_bits_gives_tuple_of_python_ints(make):
+    raw = [1, 0, 0, 1, 1, 0, 1]
+    expected = tuple(int(x) for x in make(raw))  # the element-wise conversion
+    bits = BitString.from_bits(make(raw)).bits
+    assert bits == expected == tuple(raw)
+    assert all(type(x) is int for x in bits)
+    assert BitString.from_bits(make([])).bits == ()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "x", float("nan"), [1]])
+def test_constructor_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        BitString((0, bad, 1))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0, 2], [-1], ["x"], [float("nan")], np.array([0, 2]), np.array([1, -1], dtype=np.int8)],
+)
+def test_from_bits_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        BitString.from_bits(bad)
+
+
 def test_instance_window_and_counts():
     inst = MatchInstance(BitString.from_text("010101"), BitString.from_text("010"))
     assert (inst.n, inst.m, inst.num_windows) == (6, 3, 4)
