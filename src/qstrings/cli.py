@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -104,13 +103,6 @@ def _compare_trial(args: tuple) -> str:
     )
 
 
-def _pool_map(worker, jobs_list, jobs: int) -> list[str]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, jobs_list))
-    return [worker(j) for j in jobs_list]
-
-
 def _cmd_match(args, argv) -> int:
     inst_text = _parse_bits(args.text, args.ascii)
     inst_pattern = _parse_bits(args.pattern, args.ascii)
@@ -136,7 +128,7 @@ def _cmd_match(args, argv) -> int:
         (str(inst_text), str(inst_pattern), args.epsilon, args.seed, t, args.mode)
         for t in range(args.trials)
     ]
-    rows = _pool_map(_match_trial, trials, args.jobs)
+    rows = resources.pool_map(_match_trial, trials, args.jobs)
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
     any_verified = any(row.split(",")[4] == "1" for row in rows)
     return 0 if any_verified else 1
@@ -148,7 +140,7 @@ def _cmd_compare(args, argv) -> int:
     trials = [
         (str(u), str(v), args.algo, args.epsilon, args.seed, t) for t in range(args.trials)
     ]
-    rows = _pool_map(_compare_trial, trials, args.jobs)
+    rows = resources.pool_map(_compare_trial, trials, args.jobs)
     _emit([_flag_echo(argv), COMPARE_HEADER, *rows], args.csv)
     return 0
 
@@ -212,8 +204,16 @@ def _cmd_primes(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting, so
+    `main` reports it on one line; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qstrings",
         description=(
             "Simulate hash-fingerprinted quantum string matching and comparison, "
@@ -290,11 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         _check_args(args)
         return args.func(args, argv)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except (ValueError, IndexError, OSError, RuntimeError) as exc:
         # RuntimeError covers CopiesExhausted and failed instance construction;
         # exit code 1 stays reserved for failed verification

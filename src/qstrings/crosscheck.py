@@ -1,7 +1,7 @@
 """Backend-equivalence battery over tiny instances.
 
 Runs every search step (oracle phase + diffusion) of the matching and
-comparison algorithms in both backends with shared query patterns and
+comparison algorithms in both backends with shared marked-index sets and
 compares amplitudes after each step: the dense state, with its phase
 flag projected out, must equal the expanded structured state to within
 1e-9, and the two ledgers must agree exactly.  Binary-search comparator
@@ -90,9 +90,9 @@ def _step_battery(
     max_dev, worst_idx = _deviation(dense_search, structured)
     rho = oracle.amplification(iterations)
     for step in range(iterations):
-        pattern = oracle.query_pattern(rng, rho)
-        dense_search.apply_phase_pattern(pattern)
-        structured.apply_phase_pattern(pattern)
+        marked = oracle.query_pattern(rng, rho)
+        dense_search.apply_phase_pattern(marked)
+        structured.apply_phase_pattern(marked)
         dense_search.diffuse()
         structured.diffuse()
         for led, search in ((led_dense, dense_search), (led_struct, structured)):

@@ -11,6 +11,7 @@ equal; only the converse is probabilistic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,12 @@ def universe_size(delta: int, max_len: int, epsilon: float) -> int:
         raise ValueError("epsilon must be in (0, 1)")
     if delta < 1 or max_len < 1:
         raise ValueError("delta and max_len must be positive")
-    return math.ceil(delta * max_len / epsilon)
+    try:
+        return math.ceil(delta * max_len / epsilon)
+    except OverflowError:
+        raise UniverseSizeError(
+            f"universe of over ~{sys.float_info.max:.1e} primes exceeds cap {UNIVERSE_R_CAP}"
+        ) from None
 
 
 def _sieve_upper_bound(r: int) -> int:
@@ -232,7 +238,7 @@ def choose_prime(
     """
     r = universe_size(delta, max_len, epsilon)
     if r > UNIVERSE_R_CAP:
-        raise UniverseSizeError(f"universe of {r} primes exceeds cap {UNIVERSE_R_CAP}")
+        raise UniverseSizeError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
     index = int(rng.integers(1, r + 1))
     if r <= SIEVE_R_CAP:
         p = int(first_r_primes(r)[index - 1])

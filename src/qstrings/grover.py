@@ -6,9 +6,9 @@ schedule for unknown target counts (2^j iterations on repetition j,
 first verified hit wins), and threshold-descent minimum finding.
 
 Noisy oracles are modeled stochastically: each query samples a fresh
-marked-index pattern from the oracle's per-index evaluation error,
-post-amplification.  Exact oracles always use their truth pattern, so
-their trajectories are fully deterministic given the measurement rng.
+set of marked indices from the oracle's per-index evaluation error,
+post-amplification.  Exact oracles always mark their targets, so their
+trajectories are fully deterministic given the measurement rng.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ class OracleSpec:
     single evaluation disagrees with the truth; `one_sided` marks
     witness-verified evaluators whose errors can only report false
     targets, which the amplifier suppresses exponentially.
+
+    Indices that can answer wrongly are grouped once into classes of
+    equal evaluation error, so one query costs O(classes + marked
+    indices) instead of O(domain).
     """
 
     def __init__(
@@ -77,6 +81,8 @@ class OracleSpec:
         if truth[domain_size:].any():
             raise ValueError("padding indices must be non-targets")
         self.truth = truth
+        self.targets = np.flatnonzero(truth)
+        self.targets.flags.writeable = False
         self.evaluation_cost = evaluation_cost
         self.error_prob = error_prob
         self.one_sided = one_sided
@@ -85,12 +91,30 @@ class OracleSpec:
             probs = np.asarray(eval_error_probs, dtype=float)
             if probs.shape != (self.padded,):
                 raise ValueError("eval_error_probs must cover the padded domain")
-            self.eval_error_probs = probs
+            if not np.all((probs >= 0) & (probs <= 1)):
+                raise ValueError("eval_error_probs must lie in [0, 1]")
         elif error_prob > 0:
-            self.eval_error_probs = np.full(self.padded, error_prob)
+            probs = np.full(self.padded, error_prob)
         else:
-            self.eval_error_probs = None
-        self._query_errors: dict[int, np.ndarray | None] = {}
+            probs = None
+        # class c holds _members[_starts[c] : _starts[c] + _sizes[c]]
+        self._class_errors: np.ndarray | None = None
+        if probs is not None:
+            live = probs > 0
+            if one_sided:
+                live &= ~truth
+            index = np.flatnonzero(live)
+            errors, inverse, counts = np.unique(
+                probs[index], return_inverse=True, return_counts=True
+            )
+            # stable, so members stay in index order; a small unsigned key
+            # lets numpy radix-sort it
+            key = inverse.astype(np.min_scalar_type(errors.size))
+            self._members = index[np.argsort(key, kind="stable")]
+            self._starts = np.cumsum(counts) - counts
+            self._sizes = counts
+            self._class_errors = errors
+        self._query_errors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def amplification(self, iterations: int) -> int:
         """Evaluations per query so the query error is <= 1/(10*iterations)."""
@@ -102,39 +126,76 @@ class OracleSpec:
             rho += 1  # odd majority, no ties
         return rho
 
-    def query_error(self, rho: int) -> np.ndarray | None:
-        """Per-index probability the amplified query output is wrong.
+    def query_error(self, rho: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per error class: the probability q that one amplified query
+        output is wrong, and the probability (1-q)^n that none of the
+        class's n indices is.  None for an exact oracle.
 
         Computed once per rho and shared by every later query; callers
-        must not modify the returned array.
+        must not modify the returned arrays.
         """
+        if self._class_errors is None:
+            return None
         if rho not in self._query_errors:
-            self._query_errors[rho] = self._amplified_error(rho)
+            e = self._class_errors
+            if self.one_sided:
+                wrong = e**rho
+            else:
+                wrong = np.zeros_like(e)
+                for i in range((rho + 1) // 2, rho + 1):
+                    wrong += math.comb(rho, i) * e**i * (1 - e) ** (rho - i)
+            with np.errstate(divide="ignore"):
+                none_wrong = np.exp(self._sizes * np.log1p(-wrong))
+            self._query_errors[rho] = (wrong, none_wrong)
         return self._query_errors[rho]
 
-    def _amplified_error(self, rho: int) -> np.ndarray | None:
-        if self.eval_error_probs is None:
-            return None
-        e = self.eval_error_probs
-        if self.one_sided:
-            return np.where(self.truth, 0.0, e**rho)
-        wrong = np.zeros_like(e)
-        for i in range((rho + 1) // 2, rho + 1):
-            wrong += math.comb(rho, i) * e**i * (1 - e) ** (rho - i)
-        return wrong
-
     def query_pattern(self, rng: np.random.Generator, rho: int) -> np.ndarray:
-        """Sample the marked-index pattern seen by one query."""
+        """Sorted int64 indices marked by one query.
+
+        Every index answers wrongly, independently, with its class's
+        amplified error.  Per class one uniform draw gives the number
+        of wrong answers (by the binomial inverse cdf, 0 whenever it
+        lies below (1-q)^n), then that many distinct members are drawn.
+        The marked set is targets | wrong for a one-sided oracle and
+        targets ^ wrong otherwise.  Exact oracles return `targets`, which
+        callers must not modify.
+        """
         err = self.query_error(rho)
         if err is None:
-            return self.truth
-        flips = rng.random(self.padded) < err
-        if self.one_sided:
-            return self.truth | flips
-        return self.truth ^ flips
+            return self.targets
+        wrong, none_wrong = err
+        u = rng.random(wrong.size)
+        flipped = np.flatnonzero(u >= none_wrong)
+        if flipped.size == 0:
+            return self.targets
+        flips = []
+        for c in flipped:
+            size = int(self._sizes[c])
+            count = _binomial_count(float(u[c]), size, float(wrong[c]), float(none_wrong[c]))
+            flips.append(self._members[self._starts[c] + rng.choice(size, count, replace=False)])
+        marked, seen = np.unique(np.concatenate([self.targets, *flips]), return_counts=True)
+        return marked if self.one_sided else marked[seen == 1]
 
     def truth_at(self, index: int) -> int:
         return int(self.truth[index])
+
+
+def _binomial_count(u: float, n: int, q: float, p0: float) -> int:
+    """Inverse cdf of Binomial(n, q) at u, for u >= p0 = (1-q)^n.
+
+    The smallest k >= 1 with u < P(X <= k); terms are summed in log
+    space so a vanishing p0 cannot stall the walk.
+    """
+    if q >= 1.0:
+        return n
+    log_ratio = math.log(q) - math.log1p(-q)
+    log_pmf = n * math.log1p(-q)
+    cdf, k = p0, 0
+    while u >= cdf and k < n:
+        log_pmf += math.log((n - k) / (k + 1)) + log_ratio
+        k += 1
+        cdf += math.exp(log_pmf)
+    return k
 
 
 @dataclass
@@ -172,8 +233,7 @@ def grover_run(
     rho = oracle.amplification(iterations) if rho is None else rho
     width = search.index_width
     for _ in range(iterations):
-        pattern = oracle.query_pattern(rng, rho)
-        search.apply_phase_pattern(pattern)
+        search.apply_phase_pattern(oracle.query_pattern(rng, rho))
         search.diffuse()
         charge(ledger, "oracle_queries", 1)
         charge(ledger, "hash_eval_units", rho * oracle.evaluation_cost)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -259,17 +260,27 @@ def _sweep_point(args: tuple) -> dict:
     }
 
 
+def pool_map(worker: Callable, tasks: Sequence, jobs: int) -> list:
+    """`worker` applied to each task, results in task order.
+
+    Runs in min(jobs, len(tasks), os.cpu_count()) worker processes, or
+    in this process when that is one: an executor starts every worker on
+    its first submit, so `jobs` alone must not size it.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks))
+
+
 def run_sweep(config: SweepConfig) -> list[dict]:
     """One aggregated row per grid point; optionally written as CSV."""
     jobs = [
         (config.algo, x, config.m, config.epsilon, config.trials, config.seed, config.backend)
         for x in config.grid
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(job) for job in jobs]
+    rows = pool_map(_sweep_point, jobs, config.jobs)
     if config.output_path:
         with open(config.output_path, "w", encoding="ascii", newline="") as fh:
             fh.write(sweep_csv(rows))

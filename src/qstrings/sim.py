@@ -4,9 +4,11 @@ DenseState holds the full 2^q amplitude vector and evolves under the
 four-gate set {H, X, Z, CNOT}, phase oracles, and index-register
 diffusion.  StructuredState exploits the shape shared by every state in
 this package: a superposition over an index register whose other
-registers hold deterministic functions of the index.  It stores one
-amplitude per (padded) index and the function tables ("bindings"), so
-the two backends must agree amplitude-for-amplitude after expansion.
+registers hold deterministic functions of the index.  It stores the
+function tables ("bindings") and the index amplitudes as one amplitude
+shared by every never-marked index plus sorted exception indices with
+their own amplitudes, so a search step costs O(exceptions); the two
+backends must agree amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
@@ -282,6 +284,11 @@ class StructuredState:
     Bindings map every padded index value to the content of the
     corresponding data register; padding entries carry whatever sentinel
     the caller installed.  A new state is the uniform superposition.
+
+    Phase flips and reflections about the mean keep every amplitude real
+    and keep all never-marked indices equal, so the state is one shared
+    base amplitude plus sorted exception indices with their own
+    amplitudes.  Each step costs O(exceptions), not O(domain).
     """
 
     def __init__(
@@ -309,35 +316,89 @@ class StructuredState:
             if table.max(initial=0) >= (1 << r.width):
                 raise ValueError(f"binding for {r.name!r} overflows its register width")
             self.bindings[r.name] = table
-        self.amps = np.full(self.size, 1.0 / math.sqrt(self.size), dtype=complex)
+        self._base = 1.0 / math.sqrt(self.size)
+        self._index = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0)
         self.check_norm()
 
+    @property
+    def amps(self) -> np.ndarray:
+        """The full amplitude vector, built on each read; read-only."""
+        out = np.full(self.size, self._base)
+        out[self._index] = self._values
+        out.flags.writeable = False
+        return out
+
     def check_norm(self) -> None:
-        norm = float(np.vdot(self.amps, self.amps).real)
+        rest = self.size - self._index.size
+        norm = self._base * self._base * rest + float(np.dot(self._values, self._values))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
-    def apply_phase_pattern(self, pattern: np.ndarray) -> "StructuredState":
-        hit = _pattern_over_index(pattern, self.size)
-        self.amps[hit] = -self.amps[hit]
+    def apply_phase_pattern(self, marked: np.ndarray) -> "StructuredState":
+        """Negate the amplitudes at `marked`, sorted distinct indices.
+
+        An index marked for the first time leaves the base and becomes
+        an exception holding the base amplitude before it is negated.
+        """
+        if self._index.size == 0:
+            # no exception to look up (`take` needs one); the index array is
+            # replaced, never written, so `marked` can be shared
+            self._index = marked
+            self._values = np.full(marked.size, -self._base)
+            return self
+        pos = np.searchsorted(self._index, marked)
+        known = self._index.take(pos, mode="clip") == marked
+        if not known.all():
+            new = marked[~known]
+            index = np.concatenate((self._index, new))
+            order = np.argsort(index)
+            self._index = index[order]
+            self._values = np.concatenate((self._values, np.full(new.size, self._base)))[order]
+            pos = np.searchsorted(self._index, marked)
+        self._values[pos] *= -1.0
         return self
 
     def diffuse(self) -> "StructuredState":
-        # in place, like apply_phase_pattern: reusing the buffer keeps it in cache
-        np.subtract(2.0 * self.amps.mean(), self.amps, out=self.amps)
+        rest = self.size - self._index.size
+        mean = (self._base * rest + float(self._values.sum())) / self.size
+        self._base = 2.0 * mean - self._base
+        np.subtract(2.0 * mean, self._values, out=self._values)
         self.check_norm()
         return self
 
     def measure_index(self, rng: np.random.Generator) -> int:
-        probs = np.abs(self.amps) ** 2
-        probs /= probs.sum()
-        outcome = int(rng.choice(self.size, p=probs))
-        self.amps = np.zeros_like(self.amps)
-        self.amps[outcome] = 1.0
+        """Sample an index from the Born distribution and collapse onto it.
+
+        One `rng.random()` is inverted through the cdf in index order,
+        the draw `rng.choice(size, p=probs)` makes, so both backends pick
+        the same index from the same generator state.  The cdf runs over
+        alternating segments: the base run before each exception, then
+        the exception itself, then the run after the last one.
+        """
+        starts = np.concatenate(([0], self._index + 1))
+        ends = np.concatenate((self._index, [self.size]))
+        base_prob = self._base * self._base
+        mass = np.empty(2 * self._index.size + 1)
+        mass[0::2] = (ends - starts) * base_prob
+        mass[1::2] = self._values * self._values
+        cdf = np.cumsum(mass)
+        target = rng.random() * cdf[-1]
+        # u * total can round up to the total: stay on a segment with mass
+        seg = min(int(np.searchsorted(cdf, target, side="right")), int(np.flatnonzero(mass)[-1]))
+        if seg % 2:
+            outcome = int(self._index[seg // 2])
+        else:
+            run = seg // 2
+            offset = int((target - (cdf[seg - 1] if seg else 0.0)) / base_prob)
+            outcome = int(starts[run]) + min(offset, int(ends[run] - starts[run]) - 1)
+        self._base = 0.0
+        self._index = np.array([outcome], dtype=np.int64)
+        self._values = np.ones(1)
         return outcome
 
     def index_probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        return self.amps**2
 
     @property
     def index_width(self) -> int:
@@ -377,7 +438,10 @@ class DenseSearchState:
     def index_width(self) -> int:
         return self.state.layout.width(self.index_register)
 
-    def apply_phase_pattern(self, pattern: np.ndarray) -> None:
+    def apply_phase_pattern(self, marked: np.ndarray) -> None:
+        """Flip the phase of the index values in `marked`."""
+        pattern = np.zeros(self.size, dtype=bool)
+        pattern[marked] = True
         phase_oracle(self.state, pattern, self.index_register, ancilla=self.flag_register)
 
     def diffuse(self) -> None:
@@ -458,12 +522,11 @@ def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> Den
     layout = RegisterLayout(regs)
     if layout.total_width > cap:
         raise ValueError(f"expansion of {layout.total_width} qubits exceeds cap {cap}")
+    basis = np.arange(state.size, dtype=np.int64) << layout.offset(state.index_register)
+    for name, table in state.bindings.items():
+        basis |= table << layout.offset(name)
     amps = np.zeros(1 << layout.total_width, dtype=complex)
-    for a in range(state.size):
-        basis = a << layout.offset(state.index_register)
-        for name, table in state.bindings.items():
-            basis |= int(table[a]) << layout.offset(name)
-        amps[basis] = state.amps[a]
+    amps[basis] = state.amps
     return DenseState(layout, amps)
 
 
@@ -471,4 +534,4 @@ def dump_state(state: DenseState, path: str) -> None:
     """Write `basis_index,re,im` lines for debugging."""
     with open(path, "w", encoding="ascii") as fh:
         for i, amp in enumerate(state.amps):
-            fh.write(f"{i},{amp.real!r},{amp.imag!r}\n")
+            fh.write(f"{i},{float(amp.real)!r},{float(amp.imag)!r}\n")

@@ -43,7 +43,16 @@ class BitString:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        return cls(tuple(int(b) for b in bits))
+        """Bits from any iterable of 0/1 values, such as an int, bool or
+        float array; a value that int() would change is rejected."""
+        values = tuple(bits)
+        try:
+            out = tuple(int(b) for b in values)
+        except (TypeError, ValueError):  # such as [1], "x" or NaN
+            raise ValueError("bits must be 0 or 1") from None
+        if out != values:  # such as 0.5, which int() truncates to 0
+            raise ValueError("bits must be 0 or 1")
+        return cls(out)
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -70,7 +70,7 @@ def test_criterion_1_grover_exactness():
                 prepare_minus(state, "xi")
                 search = DenseSearchState(state, "idx", "xi")
                 for _ in range(iterations):
-                    search.apply_phase_pattern(oracle.truth)
+                    search.apply_phase_pattern(oracle.targets)
                     search.diffuse()
                 got = float(search.index_probabilities()[:targets].sum())
                 expected = success_probability(domain, targets, iterations)

@@ -11,6 +11,7 @@ from qstrings import qcompare, qmatch
 from qstrings.cli import main
 from qstrings.crosscheck import run_crosscheck
 from qstrings.grover import CopiesExhausted
+from qstrings.strings_core import BitString, MatchInstance
 
 
 def run_cli(args, capsys):
@@ -110,14 +111,23 @@ def test_match_structured_size_guard(capsys):
 
 def test_match_dense_dump_state(tmp_path, capsys):
     dump = tmp_path / "state.csv"
+    # eight trials, so exit 0 does not rest on one draw of a search that
+    # fails with probability 1/4
     code, _, _ = run_cli(
-        ["match", "--text", "0101", "--pattern", "01", "--seed", "2",
+        ["match", "--text", "0101", "--pattern", "01", "--seed", "2", "--trials", "8",
          "--mode", "dense", "--dump-state", str(dump)],
         capsys,
     )
     assert code == 0
-    lines = dump.read_text().strip().splitlines()
-    assert all(len(line.split(",")) == 3 for line in lines)
+    rows = [line.split(",") for line in dump.read_text().splitlines()]
+    assert all(len(row) == 3 for row in rows)
+    parsed = [(int(i), float(re), float(im)) for i, re, im in rows]
+    # the dumped state is trial 0's: index, window-hash and flag registers
+    inst = MatchInstance(BitString.from_text("0101"), BitString.from_text("01"))
+    params = qmatch.match_params(inst, 0.1, np.random.default_rng((2, 0)))
+    assert len(parsed) == 2 ** (2 + params.width + 1)
+    assert [i for i, _, _ in parsed] == list(range(len(parsed)))
+    assert abs(sum(re * re + im * im for _, re, im in parsed) - 1.0) < 1e-9
 
 
 def test_match_ascii_and_file_input(tmp_path, capsys):
@@ -138,6 +148,40 @@ def test_usage_errors(capsys):
     assert run_cli(["compare", "--u", "01", "--v", "01", "--algo", "grover"],
                    capsys)[0] == 2  # seed is mandatory
     assert run_cli(["nonsense"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--u", "01", "--v", "10"],  # --algo and --seed missing
+        ["match", "--text", "01", "--pattern", "0", "--seed", "x"],
+        ["sweep", "--algo", "foo", "--grid", "16", "--seed", "1"],
+        ["primes", "--delta", "4", "--max-len", "3", "--seed", "1", "--bogus"],
+        ["nonsense"],
+        [],
+    ],
+)
+def test_argument_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    _assert_usage_error(code, err)
+    assert "usage:" not in err and out == ""
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(["compare", "--help"], capsys)
+    assert code == 0 and out.startswith("usage: qstrings compare") and err == ""
+
+
+@pytest.mark.parametrize(
+    "epsilon, count", [("1e-300", "~1.2e+301"), ("1e-320", "over ~1.8e+308")]
+)
+def test_huge_universe_reported_in_short_form(capsys, epsilon, count):
+    code, out, err = run_cli(
+        ["primes", "--delta", "4", "--max-len", "3", "--epsilon", epsilon, "--seed", "1"],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert err == f"error: universe of {count} primes exceeds cap 17179869184\n"
 
 
 def test_compare_csv(capsys):
@@ -198,8 +242,11 @@ def test_crosscheck_cli(capsys):
 def test_crosscheck_fault_injection():
     def perturb(name, structured):
         if name.startswith("compare_grover k4"):
-            structured.amps[0] += 1e-6
-            structured.amps /= np.sqrt(np.sum(np.abs(structured.amps) ** 2))
+            # nudge the amplitude shared by every never-marked index
+            structured._base += 1e-6
+            norm = np.sqrt(np.sum(structured.amps**2))
+            structured._base /= norm
+            structured._values /= norm
 
     report = run_crosscheck(1, perturb=perturb)
     assert not report.passed

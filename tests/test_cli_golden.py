@@ -17,14 +17,14 @@ GOLDEN = [
         "match-structured",
         ["match", "--text", "0110010110", "--pattern", "011", "--seed", "9", "--trials", "5"],
         0,
-        "f197a30f6cf17960d078570058c4317eb9b9193e09fd20bc960515c6c33ec4dd",
+        "0fb247bdee8ddb91e2036479697d4abb42d25574d799ce6e0e5e38dbc1ebe7bc",
     ),
     (
         "match-dense",
         ["match", "--text", "010110", "--pattern", "10", "--mode", "dense", "--seed", "4",
          "--trials", "3"],
         0,
-        "6c933deb2979bc086083f5defd16342fa0c9a0c07110be797128e82fb02967ff",
+        "8376368a2985005eeb7d87bf9e0644710639af75e0d26c313ba5f5e94c760d1a",
     ),
     (
         "compare-bsearch",
@@ -50,7 +50,7 @@ GOLDEN = [
         "sweep-match",
         ["sweep", "--algo", "match", "--grid", "16,32", "--m", "4", "--trials", "2", "--seed", "5"],
         0,
-        "ad743c0dbbc01609b7f3ec403734729c415013d96434355ef4ddb999d8b2f49f",
+        "1b199d8d1c2be657b1e3f88a8a2b1fac956fda558b51652007fcd77384ff0665",
     ),
     (
         "sweep-compare-grover-dense",
@@ -76,7 +76,7 @@ GOLDEN = [
         "crosscheck",
         ["crosscheck", "--seed", "1"],
         0,
-        "f34608159b86440632659d98739bdd7a29806cc09c51d708516fd35532ddc88f",
+        "cfdd496a7cc192c637d5cbe511c7495f94f89c2125dcc040a25fa29bb3a50eb7",
     ),
     (
         "primes",

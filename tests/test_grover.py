@@ -198,6 +198,81 @@ def test_bounded_error_success_close_to_exact():
     assert abs(noisy_hits - exact_hits) / 2000 <= 0.1
 
 
+def _amplified_error(e, rho, one_sided):
+    """Probability that rho evaluations, each wrong with probability e,
+    give a wrong query output (any wrong for one-sided, majority otherwise)."""
+    if one_sided:
+        return e**rho
+    return sum(math.comb(rho, i) * e**i * (1 - e) ** (rho - i) for i in range((rho + 1) // 2, rho + 1))
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+def test_query_pattern_marks_each_index_at_its_amplified_error(one_sided):
+    # mixed per-index errors: zeros, classes of several sizes, an error
+    # above 1/2, and targets with and without evaluation error
+    errors = np.array(
+        [0.0, 0.3, 0.3, 0.05, 0.6, 0.3, 0.0, 0.05, 0.3, 0.3, 0.6, 0.3, 0.05, 0.0, 0.05, 0.6]
+    )
+    truth = np.zeros(16, dtype=bool)
+    truth[[2, 9, 13]] = True
+    rho, queries = 3, 100_000
+    oracle = OracleSpec(16, truth, eval_error_probs=errors, one_sided=one_sided)
+    wrong = _amplified_error(errors, rho, one_sided)
+    if one_sided:
+        wrong[truth] = 0.0  # a witness-verified target is never missed
+    expected = np.where(truth, 1 - wrong, wrong)
+    rng = np.random.default_rng(2024)
+    marked = [oracle.query_pattern(rng, rho) for _ in range(queries)]
+    for m in marked[:2000]:
+        assert m.dtype == np.int64 and np.all(np.diff(m) > 0)
+    counts = np.bincount(np.concatenate(marked), minlength=16)
+    sigma = np.sqrt(expected * (1 - expected) / queries)
+    assert np.all(np.abs(counts / queries - expected) <= 4 * sigma)
+    assert counts[0] == counts[6] == 0  # zero-error non-targets are never marked
+    assert counts[13] == queries  # a zero-error target is always marked
+    # the marked-set size is a sum of independent Bernoulli(expected) terms
+    sizes = np.array([m.size for m in marked])
+    var = float(np.sum(expected * (1 - expected)))
+    kappa4 = float(np.sum(expected * (1 - expected) * (1 - 6 * expected * (1 - expected))))
+    assert abs(sizes.mean() - expected.sum()) <= 4 * math.sqrt(var / queries)
+    assert abs(sizes.var() - var) <= 4 * math.sqrt((kappa4 + 2 * var**2) / queries)
+
+
+def test_exact_query_pattern_is_the_targets_and_draws_nothing():
+    truth = np.zeros(8, dtype=bool)
+    truth[[1, 6]] = True
+    oracle = OracleSpec(8, truth)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert oracle.query_pattern(rng, 1).tolist() == [1, 6]
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError):
+        oracle.query_pattern(rng, 1)[0] = 0  # shared with every query
+
+
+@pytest.mark.parametrize("rho, expected_rho", [(None, 3), (3, 3), (5, 5)])
+def test_grover_run_ledger_for_noisy_oracle(rho, expected_rho):
+    truth = np.zeros(32, dtype=bool)
+    truth[[5, 17]] = True
+    errors = np.where(truth, 0.0, 0.2)
+    errors[20:] = 0.1
+    oracle = OracleSpec(
+        32, truth, evaluation_cost=11, error_prob=0.2, eval_error_probs=errors,
+        one_sided=True, inner_iterations_per_eval=6,
+    )
+    ledger = ResourceLedger()
+    grover_run(_structured(32), oracle, 4, np.random.default_rng(5), ledger, rho=rho)
+    expected = {
+        "diffusion_units": 4 * 5,
+        "oracle_queries": 4,
+        "inner_grover_iterations": 4 * expected_rho * 6,
+        "access_units": 0,
+        "hash_eval_units": 4 * expected_rho * 11,
+    }
+    assert ledger.counters() == expected
+    assert ledger.phase_breakdown == [("grover_run[4]", expected)]
+
+
 def test_bounded_error_ledger_records_rho_times_cost():
     truth = np.zeros(8, dtype=bool)
     truth[2] = True

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qstrings import resources
+from qstrings.cli import main
 from qstrings.fingerprint import hash_width, nth_prime, universe_size
 from qstrings.resources import (
     ANCILLA_COMPARE_BSEARCH,
@@ -12,6 +14,7 @@ from qstrings.resources import (
     fit_loglog_slope,
     index_width,
     nominal_hash_width,
+    pool_map,
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
     qubit_count_match,
@@ -161,3 +164,60 @@ def test_backend_ledgers_identical_in_sweep():
                               backend="dense"))
     for key in ("diffusion_units", "oracle_queries", "hash_eval_units", "gate_units_total"):
         assert s[0][key] == d[0][key]
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker process is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(resources, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(resources.os, "cpu_count", lambda: 4)
+    return _RecordingExecutor.sizes
+
+
+@pytest.mark.parametrize(
+    "jobs, tasks, workers",
+    [(10**6, 3, [3]), (10**6, 10, [4]), (2, 10, [2]), (1, 10, []), (8, 1, []), (8, 0, [])],
+)
+def test_pool_map_clamps_workers(recording_pool, jobs, tasks, workers):
+    assert pool_map(str, list(range(tasks)), jobs) == [str(t) for t in range(tasks)]
+    assert recording_pool == workers
+
+
+def test_pool_map_without_cpu_count_runs_in_process(recording_pool, monkeypatch):
+    monkeypatch.setattr(resources.os, "cpu_count", lambda: None)
+    assert pool_map(str, [1, 2, 3], 8) == ["1", "2", "3"]
+    assert recording_pool == []
+
+
+def test_sweep_jobs_clamped(recording_pool):
+    config = SweepConfig(algo="match", grid=(16, 32), m=4, trials=1, seed=1, jobs=10**6)
+    assert run_sweep(config) == run_sweep(SweepConfig(**{**config.__dict__, "jobs": 1}))
+    assert recording_pool == [2]
+
+
+def test_cli_jobs_clamped_to_trials(recording_pool, capsys):
+    args = ["match", "--text", "0110010110", "--pattern", "011", "--seed", "3", "--trials", "3"]
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "1000000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == serial.splitlines()[1:]
+    assert recording_pool == [3]

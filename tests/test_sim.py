@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -238,11 +239,80 @@ def test_structured_phase_and_diffuse_match_dense():
     struct = StructuredState(layout, 4)
     dense = prepare_uniform(DenseState(RegisterLayout([Register("idx", 2, "index")])), "idx")
     pattern = np.array([0, 0, 1, 0], dtype=bool)
-    struct.apply_phase_pattern(pattern)
+    struct.apply_phase_pattern(np.flatnonzero(pattern))
     phase_oracle(dense, pattern, "idx")
     struct.diffuse()
     diffusion(dense, "idx")
     assert np.allclose(struct.amps, dense.amps)
+
+
+def _reference_step(amps: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """One search step on the full amplitude vector, as the dense-array
+    structured state did it: negate the marked amplitudes, then reflect
+    every amplitude about the mean."""
+    hit = np.zeros(amps.size, dtype=bool)
+    hit[marked] = True
+    amps = amps.copy()
+    amps[hit] = -amps[hit]
+    return 2.0 * amps.mean() - amps
+
+
+def _reference_measure(amps: np.ndarray, rng: np.random.Generator) -> int:
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum()
+    return int(rng.choice(amps.size, p=probs))
+
+
+def _marked_sequences(size: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """Explicit marked-index sequences: fixed targets, targets plus sparse
+    flips, fresh random sets, none, and every index."""
+    targets = np.sort(rng.choice(size, max(1, size // 8), replace=False))
+    flips = [np.sort(rng.choice(size, 2, replace=False)) for _ in range(8)]
+    return [
+        [targets] * 8,
+        [np.union1d(targets, f) if k % 3 == 0 else targets for k, f in enumerate(flips)],
+        [np.sort(rng.choice(size, int(rng.integers(0, size + 1)), replace=False)) for _ in range(8)],
+        [np.empty(0, dtype=np.int64), targets, np.arange(size), np.empty(0, dtype=np.int64)],
+    ]
+
+
+@pytest.mark.parametrize("size", [2, 4, 16, 256])
+def test_structured_transitions_match_dense_reference(size):
+    layout = RegisterLayout([Register("idx", (size - 1).bit_length(), "index")])
+    rng = np.random.default_rng(size)
+    for sequence in _marked_sequences(size, rng):
+        state = StructuredState(layout, size)
+        reference = np.full(size, 1 / math.sqrt(size))
+        for marked in sequence:
+            state.apply_phase_pattern(marked)
+            state.diffuse()
+            reference = _reference_step(reference, marked)
+            assert np.max(np.abs(state.amps - reference)) < 1e-12
+        for seed in range(40):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = copy.deepcopy(state).measure_index(got_rng)
+            assert got == _reference_measure(reference, want_rng)
+            assert got_rng.random() == want_rng.random()  # one draw each
+
+
+def test_structured_measure_with_zero_base_amplitude():
+    # one target in four, one iteration: every other amplitude is exactly 0
+    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    state.apply_phase_pattern(np.array([2]))
+    state.diffuse()
+    assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]
+    rng = np.random.default_rng(0)
+    assert [copy.deepcopy(state).measure_index(rng) for _ in range(50)] == [2] * 50
+    assert state.measure_index(rng) == 2
+    assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]  # collapsed onto the outcome
+
+
+def test_structured_amps_is_a_read_only_copy():
+    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    with pytest.raises(ValueError):
+        state.amps[0] = 1.0
+    with pytest.raises(AttributeError):
+        state.amps = np.zeros(4)
 
 
 def test_structured_norm_and_binding_validation():

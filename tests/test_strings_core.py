@@ -134,7 +134,11 @@ def test_constructor_rejects_non_bits(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [[0, 2], [-1], ["x"], [float("nan")], np.array([0, 2]), np.array([1, -1], dtype=np.int8)],
+    [
+        [0, 2], [-1], ["x"], ["1"], [float("nan")], [0.5], [1, 0.999], [[1]],
+        np.array([0, 2]), np.array([1, -1], dtype=np.int8), np.array([0.7]),
+        np.array([1.0, 0.5]),
+    ],
 )
 def test_from_bits_rejects_non_bits(bad):
     with pytest.raises(ValueError):
