@@ -22,7 +22,6 @@ MATCH_HEADER = "trial,seed,result_d,hash_verified,exact_verified,copies_used,qub
 COMPARE_HEADER = "trial,seed,verdict,expected,a0,phases,qubits,gate_units"
 MINFIND_HEADER = "trial,found_index,phases,iterations"
 PRIMES_HEADER = "r,p,epsilon,delta,max_len"
-STRUCTURED_TEXT_CAP = 1 << 16
 
 
 def _parse_bits(value: str, ascii_mode: bool) -> BitString:
@@ -107,8 +106,9 @@ def _cmd_match(args, argv) -> int:
     inst_text = _parse_bits(args.text, args.ascii)
     inst_pattern = _parse_bits(args.pattern, args.ascii)
     inst = MatchInstance(inst_text, inst_pattern)
-    if args.mode == "structured" and inst.n > STRUCTURED_TEXT_CAP:
-        raise ValueError(f"text length {inst.n} exceeds structured-mode cap {STRUCTURED_TEXT_CAP}")
+    cap = resources.STRUCTURED_TEXT_CAP
+    if args.mode == "structured" and inst.n > cap:
+        raise ValueError(f"text length {inst.n} exceeds structured-mode cap {cap}")
     if args.mode == "dense":
         width = (
             max(1, resources.index_width(inst.num_windows))
@@ -146,8 +146,11 @@ def _cmd_compare(args, argv) -> int:
 
 
 def _cmd_min_find(args, argv) -> int:
-    values = _parse_ints("--values", args.values)
-    domain = len(values)
+    try:
+        values = np.array(_parse_ints("--values", args.values), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("--values must fit in int64") from None
+    domain = values.size
     width = max(1, resources.index_width(domain))
     layout = RegisterLayout([Register("idx", width, "index")])
     rows = []
@@ -276,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args) -> None:
     """Reject flag values no subcommand can run with."""
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     if getattr(args, "trials", 1) < 1:
         raise ValueError("--trials must be at least 1")
     if getattr(args, "jobs", 1) < 1:

@@ -5,17 +5,18 @@ bounded-error oracle by rho independent re-evaluations), the doubling
 schedule for unknown target counts (2^j iterations on repetition j,
 first verified hit wins), and threshold-descent minimum finding.
 
-Noisy oracles are modeled stochastically: each query samples a fresh
-set of marked indices from the oracle's per-index evaluation error,
-post-amplification.  Exact oracles always mark their targets, so their
-trajectories are fully deterministic given the measurement rng.
+Oracles are bool truth arrays.  Noisy ones are one-sided, like the
+hash-equality oracle whose "differs" verdict carries a verified witness:
+each query wrongly marks a fresh sample of non-targets, drawn per error
+class at its amplified error.  Exact oracles mark their targets, so
+their trajectories are deterministic given the measurement rng.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,41 +44,33 @@ def success_probability(domain: int, targets: int, iterations: int) -> float:
 
 
 class OracleSpec:
-    """A predicate over a search domain with its cost and error model.
+    """Exact ground truth over a search domain with its cost and one-sided
+    error model.
 
-    `predicate` is exact ground truth, total on [0, padded) and 0 on
-    padding.  `eval_error_probs` gives the per-index probability that a
-    single evaluation disagrees with the truth; `one_sided` marks
-    witness-verified evaluators whose errors can only report false
-    targets, which the amplifier suppresses exponentially.
-
-    Indices that can answer wrongly are grouped once into classes of
-    equal evaluation error, so one query costs O(classes + marked
-    indices) instead of O(domain).
+    `truth` is a bool array over the padded domain, False on padding.  An
+    evaluation may miss the witness that rules a non-target out, so only
+    non-targets are ever wrongly marked.  `error_classes=(labels, errors)`
+    gives index a the single-evaluation error errors[labels[a]]; without
+    it, `error_prob` > 0 applies to every non-target.  Non-targets are
+    grouped once into classes of equal positive error (ascending, members
+    in index order), so a query costs O(classes + marked indices).
     """
 
     def __init__(
         self,
         domain_size: int,
-        predicate: Callable[[int], int] | np.ndarray,
+        truth: np.ndarray,
         evaluation_cost: int = 1,
         error_prob: float = 0.0,
-        eval_error_probs: np.ndarray | None = None,
-        one_sided: bool = False,
+        error_classes: tuple[np.ndarray, np.ndarray] | None = None,
         inner_iterations_per_eval: int = 0,
     ):
         if not 0 <= error_prob < 0.5:
             raise ValueError("declared error probability must lie in [0, 1/2)")
         self.domain_size = domain_size
         self.padded = padded_size(domain_size)
-        if isinstance(predicate, np.ndarray):
-            truth = predicate.astype(bool)
-            if truth.size != self.padded:
-                raise ValueError("truth vector must cover the padded domain")
-        else:
-            truth = np.fromiter(
-                (bool(predicate(a)) for a in range(self.padded)), bool, self.padded
-            )
+        if truth.dtype != bool or truth.shape != (self.padded,):
+            raise ValueError("truth must be a bool array over the padded domain")
         if truth[domain_size:].any():
             raise ValueError("padding indices must be non-targets")
         self.truth = truth
@@ -85,35 +78,30 @@ class OracleSpec:
         self.targets.flags.writeable = False
         self.evaluation_cost = evaluation_cost
         self.error_prob = error_prob
-        self.one_sided = one_sided
         self.inner_iterations_per_eval = inner_iterations_per_eval
-        if eval_error_probs is not None:
-            probs = np.asarray(eval_error_probs, dtype=float)
-            if probs.shape != (self.padded,):
-                raise ValueError("eval_error_probs must cover the padded domain")
-            if not np.all((probs >= 0) & (probs <= 1)):
-                raise ValueError("eval_error_probs must lie in [0, 1]")
-        elif error_prob > 0:
-            probs = np.full(self.padded, error_prob)
-        else:
-            probs = None
+        if error_classes is None and error_prob > 0:
+            error_classes = (np.zeros(self.padded, dtype=np.uint8), np.array([error_prob]))
         # class c holds _members[_starts[c] : _starts[c] + _sizes[c]]
         self._class_errors: np.ndarray | None = None
-        if probs is not None:
-            live = probs > 0
-            if one_sided:
-                live &= ~truth
-            index = np.flatnonzero(live)
-            errors, inverse, counts = np.unique(
-                probs[index], return_inverse=True, return_counts=True
-            )
-            # stable, so members stay in index order; a small unsigned key
-            # lets numpy radix-sort it
-            key = inverse.astype(np.min_scalar_type(errors.size))
+        if error_classes is not None:
+            labels, errors = error_classes[0], np.asarray(error_classes[1], dtype=float)
+            if (labels.shape != (self.padded,) or labels.dtype.kind not in "iu"
+                    or labels.min() < 0 or labels.max() >= errors.size
+                    or not np.all((errors >= 0) & (errors <= 1))):
+                raise ValueError("error_classes must map the padded domain to errors in [0, 1]")
+            # rank[label]: position of the label's error among the distinct
+            # errors, ascending, so a zero error has rank 0; a small
+            # unsigned key lets numpy radix-sort
+            values, rank = np.unique(errors, return_inverse=True)
+            key = rank.astype(np.min_scalar_type(values.size))[labels]
+            index = np.flatnonzero(~truth & (key >= int(values[0] == 0)))
+            key = key[index]
+            counts = np.bincount(key, minlength=values.size)
+            used = counts > 0
             self._members = index[np.argsort(key, kind="stable")]
-            self._starts = np.cumsum(counts) - counts
-            self._sizes = counts
-            self._class_errors = errors
+            self._sizes = counts[used]
+            self._starts = np.cumsum(self._sizes) - self._sizes
+            self._class_errors = values[used]
         self._query_errors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def amplification(self, iterations: int) -> int:
@@ -121,15 +109,13 @@ class OracleSpec:
         if self.error_prob <= 0:
             return 1
         rho = math.ceil(math.log(10 * max(1, iterations)) / math.log(1 / self.error_prob))
-        rho = max(1, rho)
-        if not self.one_sided and rho % 2 == 0:
-            rho += 1  # odd majority, no ties
-        return rho
+        return max(1, rho)
 
     def query_error(self, rho: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per error class: the probability q that one amplified query
-        output is wrong, and the probability (1-q)^n that none of the
-        class's n indices is.  None for an exact oracle.
+        """Per error class: the probability q = e^rho that all rho
+        evaluations of a member miss its witness, and the probability
+        (1-q)^n that none of the class's n members is wrongly marked.
+        None for an exact oracle.
 
         Computed once per rho and shared by every later query; callers
         must not modify the returned arrays.
@@ -137,28 +123,22 @@ class OracleSpec:
         if self._class_errors is None:
             return None
         if rho not in self._query_errors:
-            e = self._class_errors
-            if self.one_sided:
-                wrong = e**rho
-            else:
-                wrong = np.zeros_like(e)
-                for i in range((rho + 1) // 2, rho + 1):
-                    wrong += math.comb(rho, i) * e**i * (1 - e) ** (rho - i)
+            wrong = self._class_errors**rho
             with np.errstate(divide="ignore"):
                 none_wrong = np.exp(self._sizes * np.log1p(-wrong))
             self._query_errors[rho] = (wrong, none_wrong)
         return self._query_errors[rho]
 
     def query_pattern(self, rng: np.random.Generator, rho: int) -> np.ndarray:
-        """Sorted int64 indices marked by one query.
+        """Sorted int64 indices marked by one query: the targets plus the
+        wrongly marked non-targets.
 
-        Every index answers wrongly, independently, with its class's
-        amplified error.  Per class one uniform draw gives the number
-        of wrong answers (by the binomial inverse cdf, 0 whenever it
-        lies below (1-q)^n), then that many distinct members are drawn.
-        The marked set is targets | wrong for a one-sided oracle and
-        targets ^ wrong otherwise.  Exact oracles return `targets`, which
-        callers must not modify.
+        Every class member is wrongly marked, independently, with its
+        class's amplified error.  Per class one uniform draw gives the
+        number of wrong answers (by the binomial inverse cdf, 0 whenever
+        it lies below (1-q)^n), then that many distinct members are
+        drawn.  Exact oracles return `targets`, which callers must not
+        modify.
         """
         err = self.query_error(rho)
         if err is None:
@@ -173,11 +153,7 @@ class OracleSpec:
             size = int(self._sizes[c])
             count = _binomial_count(float(u[c]), size, float(wrong[c]), float(none_wrong[c]))
             flips.append(self._members[self._starts[c] + rng.choice(size, count, replace=False)])
-        marked, seen = np.unique(np.concatenate([self.targets, *flips]), return_counts=True)
-        return marked if self.one_sided else marked[seen == 1]
-
-    def truth_at(self, index: int) -> int:
-        return int(self.truth[index])
+        return np.sort(np.concatenate([self.targets, *flips]))  # all disjoint
 
 
 def _binomial_count(u: float, n: int, q: float, p0: float) -> int:
@@ -243,7 +219,7 @@ def grover_run(
     ledger.close_phase(f"grover_run[{iterations}]", before)
     return GroverOutcome(
         found_index=found,
-        predicate_value_at_found=oracle.truth_at(found),
+        predicate_value_at_found=int(oracle.truth[found]),
         iterations_used=iterations,
     )
 
@@ -299,7 +275,7 @@ def bbht_search(
 
 
 def durr_hoyer_min(
-    keys: Callable[[int], object] | Sequence,
+    keys: np.ndarray,
     domain: int,
     rng: np.random.Generator,
     state_factory: Callable[[int, int], SearchState],
@@ -307,7 +283,7 @@ def durr_hoyer_min(
     initial_key: object | None = None,
     on_phase: Callable[[int, int | None, object], None] | None = None,
 ) -> tuple[int | None, int, int]:
-    """Threshold-descent minimum finding.
+    """Threshold-descent minimum finding over a 1-D numeric key array.
 
     Each phase searches for an index with key strictly below the current
     threshold (ties never improve) and adopts any verified hit; the run
@@ -317,11 +293,13 @@ def durr_hoyer_min(
     `initial_key` given, the threshold starts above every real key and
     the estimate is None if no phase ever improved on it.
     """
-    key_of = keys if callable(keys) else (lambda a, _seq=tuple(keys): _seq[a])
+    keys = np.asarray(keys)
+    if keys.shape != (domain,) or keys.dtype.kind not in "iuf":
+        raise ValueError(f"keys must be a 1-D numeric array of length {domain}")
     ledger = ledger if ledger is not None else ResourceLedger()
     if initial_key is None:
         best_index: int | None = int(rng.integers(0, domain))
-        best_key = key_of(best_index)
+        best_key = keys[best_index]
     else:
         best_index = None
         best_key = initial_key
@@ -330,10 +308,8 @@ def durr_hoyer_min(
     total_iterations = 0
     phases = 0
     for phase in range(phase_cap):
-        threshold = best_key
         truth = np.zeros(padded_size(domain), dtype=bool)
-        for a in range(domain):
-            truth[a] = key_of(a) < threshold
+        truth[:domain] = keys < best_key
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(
@@ -349,7 +325,7 @@ def durr_hoyer_min(
                 on_phase(phase, None, best_key)
             break
         best_index = outcome.found_index
-        best_key = key_of(best_index)
+        best_key = keys[best_index]
         if on_phase is not None:
             on_phase(phase, best_index, best_key)
     return best_index, phases, total_iterations

@@ -1,13 +1,13 @@
 """Two lexicographic string comparators over the first k = min(|u|, |v|) symbols.
 
 The search comparator runs threshold-descent minimum finding over the
-pairs (1 - [u_a != v_a], a), so the minimum key names the first
-differing position; a sentinel threshold above every real key encodes
-"no differing position found yet".  The binary-search comparator keeps
-prefix hashes of both strings bound to a position register and locates
-the first hash-unequal prefix with exactly ceil(log2 k) quantum
-equality tests, then reads the symbol pair at the candidate position to
-settle the verdict.  Length cases are decided classically in both.
+ranks of the pairs (1 - [u_a != v_a], a), so the minimum key names the
+first differing position; a sentinel threshold above every real rank
+encodes "no differing position found yet".  The binary-search
+comparator keeps prefix hashes of both strings bound to a position
+register and locates the first hash-unequal prefix with exactly
+ceil(log2 k) quantum equality tests, then reads the symbol pair at the
+candidate position to settle the verdict.  Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .sim import Register, RegisterLayout, SearchState, padded_size, search_stat
 from .strings_core import BitString
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseRecord:
     """Running-best snapshot after one minimum-finding phase."""
 
@@ -184,9 +184,9 @@ def compare_grover(
     ledger.qubits_total = qubit_count_compare_grover(k)
     state = build_compare_state(u, v)
     differs = state.u_bits[:k] != state.v_bits[:k]
-
-    def key_of(a: int) -> tuple[int, int]:
-        return (int(not differs[a]), a)
+    # rank of the pair (1 - [u_a != v_a], a): differing positions first,
+    # each group in position order; 2k lies above every rank
+    rank = np.where(differs, 0, k) + np.arange(k)
 
     log_k = max(1, index_width(k))
     budget = {"used": 0}
@@ -200,20 +200,20 @@ def compare_grover(
 
     records: list[PhaseRecord] = []
 
-    def on_phase(phase: int, found: int | None, new_key) -> None:
+    def on_phase(phase: int, found: int | None, _key) -> None:
         if found is not None:
-            records.append(PhaseRecord(phi=new_key[0], psi=new_key[1], phase=phase))
+            records.append(PhaseRecord(phi=int(not differs[found]), psi=found, phase=phase))
 
     best, phases, _ = durr_hoyer_min(
-        key_of,
+        rank,
         k,
         rng,
         factory,
         ledger,
-        initial_key=(1, k),
+        initial_key=2 * k,
         on_phase=on_phase,
     )
-    if best is None or key_of(best)[0] == 1:
+    if best is None or not differs[best]:
         # No differing position was adopted: equal within the compared
         # prefix, so string length decides.
         verdict = _length_verdict(u, v)

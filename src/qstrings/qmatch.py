@@ -179,19 +179,20 @@ class MatchStateSpec:
     def oracle(self) -> OracleSpec:
         """Window-hash-equality oracle with its one-sided error model."""
         bit_domain = padded_size(self.params.width)
-        table = np.asarray(miss_probability_table(bit_domain))
         diffs = self.window_hash_table ^ self.pattern_hash.residue
         t_counts = np.bitwise_count(diffs)
         truth = t_counts == 0
         truth[self.num_windows :] = False  # sentinel never equals the pattern hash
-        eval_miss = np.where(truth, 0.0, table[np.minimum(t_counts, bit_domain)])
+        # error class = differing-bit count t, with miss probability miss[t]
         return OracleSpec(
             self.num_windows,
             truth,
             evaluation_cost=inner_eval_gate_cost(bit_domain),
             error_prob=worst_eval_miss(bit_domain),
-            eval_error_probs=eval_miss,
-            one_sided=True,
+            error_classes=(
+                np.minimum(t_counts, bit_domain),
+                np.asarray(miss_probability_table(bit_domain)),
+            ),
             inner_iterations_per_eval=sum(inner_schedule(bit_domain)),
         )
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,6 +31,9 @@ ANCILLA_MATCH = 7
 ANCILLA_COMPARE_BSEARCH = 7
 ANCILLA_COMPARE_GROVER = 2
 
+# Largest structured-mode match text, and largest sweep n or k.
+STRUCTURED_TEXT_CAP = 1 << 16
+
 _COUNTERS = (
     "diffusion_units",
     "oracle_queries",
@@ -37,6 +42,7 @@ _COUNTERS = (
     "hash_eval_units",
 )
 _GATE_COUNTERS = tuple(c for c in _COUNTERS if c != "inner_grover_iterations")
+_COUNTER_VALUES = operator.attrgetter(*_COUNTERS)
 
 CSV_HEADER = ",".join(
     ("algo", "n", "m", "k", "epsilon", "seed", "trials", "success_rate", "qubits")
@@ -55,7 +61,8 @@ class ResourceLedger:
     inner_grover_iterations: int = 0
     access_units: int = 0
     hash_eval_units: int = 0
-    phase_breakdown: list[tuple[str, dict[str, int]]] = field(default_factory=list)
+    # (interned label, counter deltas in _COUNTERS order) per closed phase
+    phase_breakdown: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTERS}
@@ -64,12 +71,13 @@ class ResourceLedger:
     def gate_units_total(self) -> int:
         return sum(getattr(self, name) for name in _GATE_COUNTERS)
 
-    def snapshot(self) -> dict[str, int]:
-        return self.counters()
+    def snapshot(self) -> tuple[int, ...]:
+        """Counter values in _COUNTERS order, for a later close_phase."""
+        return _COUNTER_VALUES(self)
 
-    def close_phase(self, label: str, before: dict[str, int]) -> None:
-        delta = {k: v - before[k] for k, v in self.counters().items()}
-        self.phase_breakdown.append((label, delta))
+    def close_phase(self, label: str, before: tuple[int, ...]) -> None:
+        delta = tuple(map(operator.sub, _COUNTER_VALUES(self), before))
+        self.phase_breakdown.append((sys.intern(label), delta))
 
 
 def charge(ledger: ResourceLedger, counter: str, amount: int | float) -> ResourceLedger:
@@ -183,6 +191,8 @@ class SweepConfig:
             raise ValueError("sweep grid must be non-empty")
         if min(self.grid) < 1:
             raise ValueError("sweep grid values must be positive")
+        if max(self.grid) > STRUCTURED_TEXT_CAP:
+            raise ValueError(f"sweep grid values must be at most 2^16 = {STRUCTURED_TEXT_CAP}")
         if self.algo == "match" and not 1 <= self.m <= min(self.grid):
             raise ValueError(
                 f"match sweep needs 1 <= m <= n for every grid value, got m={self.m}"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -182,30 +182,22 @@ def prepare_minus(state: DenseState, register: str) -> DenseState:
     return state
 
 
-def _pattern_over_index(
-    predicate: Callable[[int], int] | np.ndarray, domain: int
-) -> np.ndarray:
-    if isinstance(predicate, np.ndarray):
-        if predicate.size != domain:
-            raise ValueError("pattern length does not match index domain")
-        return predicate.astype(bool)
-    return np.fromiter((bool(predicate(a)) for a in range(domain)), dtype=bool, count=domain)
-
-
 def phase_oracle(
     state: DenseState,
-    predicate: Callable[[int], int] | np.ndarray,
+    pattern: np.ndarray,
     index_register: str = "idx",
     ancilla: str | None = None,
 ) -> DenseState:
-    """Multiply the amplitude of index value a by (-1)^predicate(a).
+    """Multiply the amplitude of index value a by -1 where pattern[a] is True.
 
-    With `ancilla` given (a flag qubit prepared in |->), the oracle is
+    `pattern` is a bool array over the index register's values.  With
+    `ancilla` given (a flag qubit prepared in |->), the oracle is
     realized as the XOR permutation on that qubit, which kicks the phase
     back onto the index register; without it the phase is applied
     directly.  Both act identically on |-> ancillas.
     """
-    pattern = _pattern_over_index(predicate, 1 << state.layout.width(index_register))
+    if pattern.dtype != bool or pattern.shape != (1 << state.layout.width(index_register),):
+        raise ValueError("pattern must be a bool array over the index register's values")
     values = state.register_values(index_register)
     hit = pattern[values]
     if ancilla is None:
@@ -278,6 +270,12 @@ def project_flag_minus(state: DenseState, flag_register: str) -> np.ndarray:
     return reduced
 
 
+def _check_index_array(marked: np.ndarray) -> None:
+    # both backends refuse a bool mask, which only one would read as a mask
+    if marked.dtype.kind not in "iu":
+        raise ValueError(f"marked must be an integer index array, got dtype {marked.dtype}")
+
+
 class StructuredState:
     """Amplitudes over a padded index domain plus classical binding tables.
 
@@ -341,6 +339,7 @@ class StructuredState:
         An index marked for the first time leaves the base and becomes
         an exception holding the base amplitude before it is negated.
         """
+        _check_index_array(marked)
         if self._index.size == 0:
             # no exception to look up (`take` needs one); the index array is
             # replaced, never written, so `marked` can be shared
@@ -440,6 +439,7 @@ class DenseSearchState:
 
     def apply_phase_pattern(self, marked: np.ndarray) -> None:
         """Flip the phase of the index values in `marked`."""
+        _check_index_array(marked)
         pattern = np.zeros(self.size, dtype=bool)
         pattern[marked] = True
         phase_oracle(self.state, pattern, self.index_register, ancilla=self.flag_register)

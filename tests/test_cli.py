@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qstrings
 from qstrings import qcompare, qmatch
@@ -315,6 +318,99 @@ def test_malformed_integer_list_rejected(capsys, command, flag):
     code, out, err = run_cli(command + ["--seed", "1"], capsys)
     _assert_usage_error(code, err)
     assert flag in err and "invalid literal" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["match", "--text", "0101", "--pattern", "01"],
+        ["compare", "--u", "01", "--v", "00", "--algo", "grover"],
+        ["min-find", "--values", "3,1,2"],
+        ["sweep", "--algo", "match", "--grid", "16", "--m", "4"],
+        ["crosscheck"],
+        ["primes", "--delta", "4", "--max-len", "3"],
+    ],
+)
+def test_negative_seed_rejected(capsys, command):
+    code, out, err = run_cli(command + ["--seed", "-1"], capsys)
+    _assert_usage_error(code, err)
+    assert err == "error: --seed must be non-negative\n" and out == ""
+
+
+@pytest.mark.parametrize("grid", ["65537", "16,99999999999999999999999"])
+def test_sweep_grid_above_cap_rejected(capsys, grid):
+    code, out, err = run_cli(
+        ["sweep", "--algo", "match", "--grid", grid, "--m", "4", "--seed", "1"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert "65536" in err and "dimension" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "values, code", [("1,99999999999999999999999", 2), ("1,-9223372036854775809", 2),
+                     ("9223372036854775807,-9223372036854775808", 0)]
+)
+def test_min_find_values_must_fit_int64(capsys, values, code):
+    got, out, err = run_cli(["min-find", f"--values={values}", "--seed", "1", "--trials", "2"],
+                            capsys)
+    if code == 2:
+        _assert_usage_error(got, err)
+        assert err == "error: --values must fit in int64\n" and out == ""
+    else:
+        assert got == 0 and err == "" and len(out.splitlines()) == 4
+
+
+# Adversarial flag values: empty, negative, zero, not a number, an
+# overflowing float and integer, non-bits and a file that does not exist.
+_ADVERSARIAL = ["", "-1", "0", "nan", "1e400", "9" * 23, "0120", "@/nonexistent"]
+_SMALL = [t for t in _ADVERSARIAL if t != "9" * 23]  # never run 10^23 trials or jobs
+# subcommand -> flag -> valid values
+_ARGV_SPACE = {
+    "match": {"--text": ["0110010110"], "--pattern": ["011"], "--mode": ["structured", "dense"]},
+    "compare": {"--u": ["0110101"], "--v": ["0110111"], "--algo": ["grover", "bsearch"]},
+    "min-find": {"--values": ["5,3,8,1"]},
+    "sweep": {
+        "--algo": ["match", "compare-grover", "compare-bsearch"], "--grid": ["8,16"],
+        "--m": ["4"], "--mode": ["structured", "dense"],
+    },
+    "crosscheck": {},
+    "primes": {"--delta": ["4"], "--max-len": ["3"]},
+}
+_COUNTS = {"--trials": ["1", "2"], "--jobs": ["1", "2"]}
+
+
+@st.composite
+def _argv(draw, command):
+    """Valid flags for `command`, with up to two of them given a bad token."""
+    space = {**_ARGV_SPACE[command], "--seed": ["1"]}
+    if command != "crosscheck":
+        space["--epsilon"] = ["0.1", "0.5"]
+    if command not in ("crosscheck", "primes"):
+        space.update(_COUNTS)
+    bad = draw(st.sets(st.sampled_from(sorted(space)), max_size=2))
+    argv = [command]
+    for flag, valid in space.items():
+        tokens = valid if flag not in bad else _SMALL if flag in _COUNTS else _ADVERSARIAL
+        argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
+    # not for match: an ASCII-expanded dense match can reach the 24-qubit cap
+    if command == "compare" and draw(st.booleans()):
+        argv.append("--ascii")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_SPACE))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bad_input_fails_in_one_line(command, data):
+    argv = data.draw(_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
 
 
 def test_sweep_pattern_longer_than_text_rejected(capsys):

@@ -47,6 +47,22 @@ GOLDEN = [
         "e8a3c69f166725cce3d67b94950a9580057ba4ddc85b6337614ae2700866de4d",
     ),
     (
+        # negative and tied minima through the int64 key array
+        "min-find-negatives",
+        ["min-find", "--values=-3,7,-3,0,12,-9,-9,5", "--seed", "6", "--trials", "50"],
+        0,
+        "c56a75149a9d18eecd72aea0d49ed4bf3d2daa145bf8318834db582d454c8222",
+    ),
+    (
+        # 64-bit strings first differing at position 38, through the rank keys
+        "compare-grover-64",
+        ["compare", "--u", "1111000011100111101010011100010111110111110101100110000011101110",
+         "--v", "1111000011100111101010011100010111110011011100000011110011001001",
+         "--algo", "grover", "--seed", "5", "--trials", "8"],
+        0,
+        "9ca616b95c04efe623b0ee68e073a212b8d8ec39a3b98874e5f0a4cf7d68addb",
+    ),
+    (
         "sweep-match",
         ["sweep", "--algo", "match", "--grid", "16,32", "--m", "4", "--trials", "2", "--seed", "5"],
         0,

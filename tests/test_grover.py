@@ -14,6 +14,7 @@ from qstrings.grover import (
     optimal_iterations,
     success_probability,
 )
+from qstrings.qmatch import miss_probability_table
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
     DenseSearchState,
@@ -173,13 +174,11 @@ def test_padding_targets_rejected():
 def test_amplification_policy():
     exact = OracleSpec(8, np.zeros(8, dtype=bool))
     assert exact.amplification(64) == 1
-    noisy = OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.25, one_sided=True)
+    noisy = OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.25)
     # miss^rho <= 1/(10*j)
     for j in (1, 4, 64):
         rho = noisy.amplification(j)
         assert 0.25**rho <= 1 / (10 * j)
-    two_sided = OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.2)
-    assert two_sided.amplification(8) % 2 == 1
 
 
 def test_bounded_error_success_close_to_exact():
@@ -198,29 +197,18 @@ def test_bounded_error_success_close_to_exact():
     assert abs(noisy_hits - exact_hits) / 2000 <= 0.1
 
 
-def _amplified_error(e, rho, one_sided):
-    """Probability that rho evaluations, each wrong with probability e,
-    give a wrong query output (any wrong for one-sided, majority otherwise)."""
-    if one_sided:
-        return e**rho
-    return sum(math.comb(rho, i) * e**i * (1 - e) ** (rho - i) for i in range((rho + 1) // 2, rho + 1))
-
-
-@pytest.mark.parametrize("one_sided", [True, False])
-def test_query_pattern_marks_each_index_at_its_amplified_error(one_sided):
+def test_query_pattern_marks_each_index_at_its_amplified_error():
     # mixed per-index errors: zeros, classes of several sizes, an error
     # above 1/2, and targets with and without evaluation error
-    errors = np.array(
-        [0.0, 0.3, 0.3, 0.05, 0.6, 0.3, 0.0, 0.05, 0.3, 0.3, 0.6, 0.3, 0.05, 0.0, 0.05, 0.6]
-    )
+    errors = np.array([0.0, 0.3, 0.05, 0.6])
+    labels = np.array([0, 1, 1, 2, 3, 1, 0, 2, 1, 1, 3, 1, 2, 0, 2, 3])
     truth = np.zeros(16, dtype=bool)
     truth[[2, 9, 13]] = True
     rho, queries = 3, 100_000
-    oracle = OracleSpec(16, truth, eval_error_probs=errors, one_sided=one_sided)
-    wrong = _amplified_error(errors, rho, one_sided)
-    if one_sided:
-        wrong[truth] = 0.0  # a witness-verified target is never missed
-    expected = np.where(truth, 1 - wrong, wrong)
+    oracle = OracleSpec(16, truth, error_classes=(labels, errors))
+    # a wrong mark needs all rho evaluations to miss; a target is never missed
+    wrong = np.where(truth, 0.0, errors[labels] ** rho)
+    expected = np.where(truth, 1.0, wrong)
     rng = np.random.default_rng(2024)
     marked = [oracle.query_pattern(rng, rho) for _ in range(queries)]
     for m in marked[:2000]:
@@ -236,6 +224,59 @@ def test_query_pattern_marks_each_index_at_its_amplified_error(one_sided):
     kappa4 = float(np.sum(expected * (1 - expected) * (1 - 6 * expected * (1 - expected))))
     assert abs(sizes.mean() - expected.sum()) <= 4 * math.sqrt(var / queries)
     assert abs(sizes.var() - var) <= 4 * math.sqrt((kappa4 + 2 * var**2) / queries)
+
+
+def _reference_classes(truth, probs):
+    """Error classes grouped from per-index evaluation errors, as OracleSpec
+    built them when it took one error per index: non-targets with a
+    positive error, one class per distinct error in ascending order,
+    members in index order."""
+    index = np.flatnonzero((probs > 0) & ~truth)
+    errors, inverse, counts = np.unique(probs[index], return_inverse=True, return_counts=True)
+    members = index[np.argsort(inverse, kind="stable")]
+    return members, np.cumsum(counts) - counts, counts, errors
+
+
+def _error_class_cases():
+    rng = np.random.default_rng(17)
+    # repeated errors, zeros, non-monotone order and unused labels
+    table = np.array([0.3, 0.0, 0.05, 0.3, 0.9, 0.05, 0.0, 0.2])
+    labels = rng.choice([0, 1, 2, 3, 5, 6, 7], size=64)  # label 4 unused
+    yield table, labels, rng.random(64) < 0.2
+    # the match oracle's miss table at width 27: not monotone in t, and
+    # miss[8] is exactly 0
+    miss = np.asarray(miss_probability_table(32))
+    assert miss[8] == 0.0 and np.any(np.diff(miss[1:]) > 0)
+    t_counts = np.minimum(rng.binomial(40, 0.4, size=256), 32).astype(np.uint8)
+    yield miss, t_counts, rng.random(256) < 0.05
+    # every index a target, and no index with a positive error
+    yield np.array([0.25]), np.zeros(8, dtype=np.int64), np.ones(8, dtype=bool)
+    yield np.array([0.0, 0.0]), rng.integers(0, 2, 16), np.zeros(16, dtype=bool)
+
+
+@pytest.mark.parametrize("table, labels, truth", list(_error_class_cases()))
+def test_error_classes_match_per_index_grouping(table, labels, truth):
+    oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
+    members, starts, sizes, errors = _reference_classes(truth, table[labels])
+    assert np.array_equal(oracle._members, members)
+    assert np.array_equal(oracle._starts, starts)
+    assert np.array_equal(oracle._sizes, sizes)
+    assert np.array_equal(oracle._class_errors, errors)
+
+
+def test_error_classes_rejected_when_malformed():
+    truth = np.zeros(8, dtype=bool)
+    for labels, table in [
+        (np.zeros(4, dtype=np.int64), np.array([0.1])),  # does not cover the domain
+        (np.full(8, 0.0), np.array([0.1])),  # float labels
+        (np.full(8, 2), np.array([0.1, 0.2])),  # label past the table
+        (np.full(8, -1), np.array([0.1])),
+        (np.zeros(8, dtype=np.int64), np.array([1.5])),
+    ]:
+        with pytest.raises(ValueError):
+            OracleSpec(8, truth, error_classes=(labels, table))
+    with pytest.raises(ValueError):
+        OracleSpec(8, np.zeros(8, dtype=np.int64))  # truth must be bool
 
 
 def test_exact_query_pattern_is_the_targets_and_draws_nothing():
@@ -254,11 +295,11 @@ def test_exact_query_pattern_is_the_targets_and_draws_nothing():
 def test_grover_run_ledger_for_noisy_oracle(rho, expected_rho):
     truth = np.zeros(32, dtype=bool)
     truth[[5, 17]] = True
-    errors = np.where(truth, 0.0, 0.2)
-    errors[20:] = 0.1
+    labels = np.zeros(32, dtype=np.int64)
+    labels[20:] = 1
     oracle = OracleSpec(
-        32, truth, evaluation_cost=11, error_prob=0.2, eval_error_probs=errors,
-        one_sided=True, inner_iterations_per_eval=6,
+        32, truth, evaluation_cost=11, error_prob=0.2,
+        error_classes=(labels, np.array([0.2, 0.1])), inner_iterations_per_eval=6,
     )
     ledger = ResourceLedger()
     grover_run(_structured(32), oracle, 4, np.random.default_rng(5), ledger, rho=rho)
@@ -270,7 +311,7 @@ def test_grover_run_ledger_for_noisy_oracle(rho, expected_rho):
         "hash_eval_units": 4 * expected_rho * 11,
     }
     assert ledger.counters() == expected
-    assert ledger.phase_breakdown == [("grover_run[4]", expected)]
+    assert ledger.phase_breakdown == [("grover_run[4]", tuple(expected.values()))]
 
 
 def test_bounded_error_ledger_records_rho_times_cost():
@@ -325,11 +366,15 @@ def test_durr_hoyer_phase_cap():
 
 
 def test_durr_hoyer_sentinel_start():
-    # pair keys with a sentinel threshold no real key can beat
-    keys = [(1, 0), (1, 1), (1, 2)]
+    # ranks k + a of the pairs (1, a), k = 3, with a sentinel threshold no
+    # real key can beat: the rank of (1, 0)
+    keys = np.array([3, 4, 5])
     rng = np.random.default_rng(1)
-    found, _, _ = durr_hoyer_min(keys, 3, rng, _dh_factory(3), initial_key=(1, 0))
+    found, _, _ = durr_hoyer_min(keys, 3, rng, _dh_factory(3), initial_key=3)
     assert found is None
+    for bad in (np.array([[3, 4, 5]]), np.array([3, 4])):
+        with pytest.raises(ValueError):
+            durr_hoyer_min(bad, 3, rng, _dh_factory(3), initial_key=3)
 
 
 def test_oracle_error_bound_enforced():

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from qstrings import qcompare
 from qstrings.fingerprint import HashParams, universe_size
+from qstrings.grover import OracleSpec, bbht_search
 from qstrings.qcompare import (
+    PhaseRecord,
     access_element,
     build_compare_state,
     compare_bsearch,
@@ -122,6 +127,89 @@ def test_compare_grover_phase_records_monotone():
         result = compare_grover(u, v, trng)
         keys = [(rec.phi, rec.psi) for rec in result.records]
         assert all(keys[i + 1] < keys[i] for i in range(len(keys) - 1))
+
+
+def _reference_durr_hoyer_min(key_of, domain, rng, state_factory, ledger, initial_key, on_phase):
+    """Minimum finding over a key function, one key_of call per index and
+    phase: the form compare_grover used with tuple keys before it passed
+    ranks."""
+    best_index, best_key = None, initial_key
+    log_m = max(1, math.ceil(math.log2(max(2, domain))))
+    total_iterations = 0
+    phases = 0
+    for phase in range(3 * log_m):
+        threshold = best_key
+        truth = np.zeros(1 << max(1, (domain - 1).bit_length()), dtype=bool)
+        for a in range(domain):
+            truth[a] = key_of(a) < threshold
+        oracle = OracleSpec(domain, truth, evaluation_cost=1)
+        phases += 1
+        outcome = bbht_search(
+            oracle, rng, lambda rep, _phase=phase: state_factory(_phase, rep), ledger,
+            max_repetitions=log_m,
+        )
+        total_iterations += outcome.iterations_used
+        if outcome.found_index is None:
+            on_phase(phase, None, best_key)
+            break
+        best_index = outcome.found_index
+        best_key = key_of(best_index)
+        on_phase(phase, best_index, best_key)
+    return best_index, phases, total_iterations
+
+
+def _reference_compare_grover(u, v, rng):
+    """compare_grover's search over the keys (1 - [u_a != v_a], a)."""
+    k = min(len(u), len(v))
+    state = build_compare_state(u, v)
+    differs = state.u_bits[:k] != state.v_bits[:k]
+    ledger = ResourceLedger()
+    records = []
+
+    def on_phase(phase, found, key):
+        if found is not None:
+            records.append(PhaseRecord(phi=key[0], psi=key[1], phase=phase))
+
+    out = _reference_durr_hoyer_min(
+        lambda a: (int(not differs[a]), a), k, rng,
+        lambda _phase, _rep: state.symbol_copy("structured"), ledger, (1, k), on_phase,
+    )
+    best = out[0]
+    if best is not None and differs[best]:
+        access_element(state.symbol_copy("structured"), best, ("u", "v"), ledger, domain=k)
+    return out, tuple(records), ledger
+
+
+def test_compare_grover_rank_keys_match_tuple_reference(monkeypatch):
+    searches = []
+    real = qcompare.durr_hoyer_min
+
+    def recording(*args, **kwargs):
+        searches.append(real(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(qcompare, "durr_hoyer_min", recording)
+    differing = 0
+    for pair in range(60):
+        make = np.random.default_rng((61, pair))
+        k = int(make.integers(1, 41))
+        u = make.integers(0, 2, k + int(make.integers(0, 3)))
+        shared = int(make.integers(0, k + 1))  # shared == k: equal prefixes
+        v = np.concatenate((u[:shared], make.integers(0, 2, k + 1 - shared)))[: k + 1]
+        u, v = BitString.from_bits(u), BitString.from_bits(v)
+        rng, ref_rng = np.random.default_rng((62, pair)), np.random.default_rng((62, pair))
+        result = compare_grover(u, v, rng)
+        (best, phases, iterations), records, ledger = _reference_compare_grover(u, v, ref_rng)
+        assert searches[-1] == (best, phases, iterations)
+        assert result.phases == phases
+        assert result.records == records
+        if result.first_difference is not None:
+            differing += 1
+            assert result.first_difference == best + 1
+        assert result.ledger.counters() == ledger.counters()
+        assert result.ledger.phase_breakdown == ledger.phase_breakdown
+        assert rng.random() == ref_rng.random()
+    assert 0 < differing < 60
 
 
 def test_compare_bsearch_example():

@@ -54,8 +54,12 @@ def test_phase_breakdown():
     before = ledger.snapshot()
     charge(ledger, "access_units", 3)
     ledger.close_phase("readout", before)
-    label, delta = ledger.phase_breakdown[0]
-    assert label == "readout" and delta["access_units"] == 3
+    before = ledger.snapshot()
+    charge(ledger, "diffusion_units", 2)
+    ledger.close_phase("".join(["read", "out"]), before)
+    # deltas in counter order: diffusion, queries, inner iterations, access, hash
+    assert ledger.phase_breakdown == [("readout", (0, 0, 0, 3, 0)), ("readout", (2, 0, 0, 0, 0))]
+    assert ledger.phase_breakdown[0][0] is ledger.phase_breakdown[1][0]  # labels interned
 
 
 def test_index_width():

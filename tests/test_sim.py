@@ -83,9 +83,9 @@ def test_phase_oracle_identity_and_global_phase():
     layout = RegisterLayout([Register("idx", 2, "index")])
     state = prepare_uniform(DenseState(layout), "idx")
     before = state.amps.copy()
-    phase_oracle(state, lambda a: 0, "idx")
+    phase_oracle(state, np.zeros(4, dtype=bool), "idx")
     assert np.allclose(state.amps, before)
-    phase_oracle(state, lambda a: 1, "idx")
+    phase_oracle(state, np.ones(4, dtype=bool), "idx")
     assert np.allclose(state.amps, -before)
     assert np.allclose(np.abs(state.amps) ** 2, np.abs(before) ** 2)
 
@@ -93,7 +93,7 @@ def test_phase_oracle_identity_and_global_phase():
 def test_phase_oracle_marks_single_index():
     layout = RegisterLayout([Register("idx", 2, "index")])
     state = prepare_uniform(DenseState(layout), "idx")
-    phase_oracle(state, lambda a: int(a == 2), "idx")
+    phase_oracle(state, np.array([0, 0, 1, 0], dtype=bool), "idx")
     assert np.allclose(state.amps, [0.5, 0.5, -0.5, 0.5])
 
 
@@ -101,9 +101,17 @@ def test_phase_oracle_ancilla_kickback_equals_direct():
     layout = RegisterLayout([Register("idx", 2, "index"), Register("xi", 1, "flag")])
     state = prepare_uniform(DenseState(layout), "idx")
     prepare_minus(state, "xi")
-    phase_oracle(state, lambda a: int(a in (1, 2)), "idx", ancilla="xi")
+    phase_oracle(state, np.array([0, 1, 1, 0], dtype=bool), "idx", ancilla="xi")
     reduced = project_flag_minus(state, "xi")
     assert np.allclose(reduced, [0.5, -0.5, -0.5, 0.5])
+
+
+def test_phase_oracle_takes_only_a_bool_pattern_over_the_index():
+    layout = RegisterLayout([Register("idx", 2, "index")])
+    state = prepare_uniform(DenseState(layout), "idx")
+    for pattern in (np.array([0, 0, 1, 0]), np.zeros(8, dtype=bool)):
+        with pytest.raises(ValueError):
+            phase_oracle(state, pattern, "idx")
 
 
 def test_phase_oracle_is_involution():
@@ -398,3 +406,20 @@ def test_search_state_backends_agree():
     for mode in ("structured", "dense"):
         with pytest.raises(ValueError):
             search_state(mode, layout, 5, {"h": table})  # 2 index qubits cannot cover 5
+
+
+@pytest.mark.parametrize("mode", ["structured", "dense"])
+def test_phase_pattern_rejects_a_bool_mask(mode):
+    # a mask would be read as a mask by one backend and as 0/1 indices by
+    # the other; both refuse it and keep their state
+    layout = RegisterLayout([Register("idx", 2, "index")])
+    search = search_state(mode, layout, 4)
+    before = search.index_probabilities()
+    with pytest.raises(ValueError, match="integer index array"):
+        search.apply_phase_pattern(np.array([False, True, True, False]))
+    with pytest.raises(ValueError):
+        search.apply_phase_pattern(np.array([1.0, 2.0]))
+    assert np.allclose(search.index_probabilities(), before)
+    search.apply_phase_pattern(np.array([2], dtype=np.int64))
+    search.diffuse()
+    assert np.allclose(search.index_probabilities(), [0.0, 0.0, 1.0, 0.0])
