@@ -22,6 +22,8 @@ MATCH_HEADER = "trial,seed,result_d,hash_verified,exact_verified,copies_used,qub
 COMPARE_HEADER = "trial,seed,verdict,expected,a0,phases,qubits,gate_units"
 MINFIND_HEADER = "trial,found_index,phases,iterations"
 PRIMES_HEADER = "r,p,epsilon,delta,max_len"
+# Most trials (per invocation, or per sweep point) one run accepts.
+TRIALS_CAP = 10**6
 
 
 def _parse_bits(value: str, ascii_mode: bool) -> BitString:
@@ -166,10 +168,12 @@ def _cmd_min_find(args, argv) -> int:
 
 def _cmd_sweep(args, argv) -> int:
     grid = tuple(_parse_ints("--grid", args.grid))
+    if args.m is not None and args.algo != "match":
+        raise ValueError(f"--m applies only to --algo match, not {args.algo}")
     config = resources.SweepConfig(
         algo=args.algo.replace("-", "_"),
         grid=grid,
-        m=args.m,
+        m=resources.SweepConfig.m if args.m is None else args.m,
         epsilon=args.epsilon,
         trials=args.trials,
         seed=args.seed,
@@ -227,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials_default=1):
         p.add_argument("--seed", type=int, required=True, help="master seed; all randomness derives from it")
-        p.add_argument("--epsilon", type=float, default=0.1, help="hash error budget in (0,1)")
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--csv", default=None, help="write output CSV here instead of stdout")
+
+    def epsilon_and_jobs(p):
+        p.add_argument("--epsilon", type=float, default=0.1, help="hash error budget in (0,1)")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent trials/points")
 
     p = sub.add_parser("match", help="search for a pattern in a text")
@@ -239,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("dense", "structured"), default="structured")
     p.add_argument("--dump-state", default=None, help="dump the prepared dense state of trial 0")
     common(p)
+    epsilon_and_jobs(p)
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("compare", help="lexicographically compare two strings")
@@ -247,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ascii", action="store_true")
     p.add_argument("--algo", choices=("grover", "bsearch"), required=True)
     common(p)
+    epsilon_and_jobs(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("min-find", help="minimum finding over a value list")
@@ -257,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scaling regression over a parameter grid")
     p.add_argument("--algo", choices=("match", "compare-grover", "compare-bsearch"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated n (match) or k values")
-    p.add_argument("--m", type=int, default=8, help="pattern length for match sweeps")
+    p.add_argument("--m", type=int, help=f"pattern length, match sweeps only (default {resources.SweepConfig.m})")
     p.add_argument("--mode", choices=("dense", "structured"), default="structured")
     common(p, trials_default=20)
+    epsilon_and_jobs(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("crosscheck", help="dense/structured backend equivalence battery")
@@ -283,6 +292,8 @@ def _check_args(args) -> None:
         raise ValueError("--seed must be non-negative")
     if getattr(args, "trials", 1) < 1:
         raise ValueError("--trials must be at least 1")
+    if getattr(args, "trials", 1) > TRIALS_CAP:
+        raise ValueError(f"--trials must be at most {TRIALS_CAP}")
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be at least 1")
     epsilon = getattr(args, "epsilon", 0.5)

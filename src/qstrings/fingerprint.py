@@ -6,6 +6,10 @@ ceil(delta * max_len / epsilon) so that a run performing up to `delta`
 hash comparisons on strings up to `max_len` bits keeps its total
 false-equality probability at most epsilon.  Equal strings always hash
 equal; only the converse is probabilistic.
+
+The draw is the Karp-Rabin one: uniform integers in [2, p_r] until one
+is prime.  Only p_r, the r-th prime, is computed (once per universe, by
+`top_prime`); `first_r_primes` is the exact list it is tested against.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ import sympy
 
 from .strings_core import BitString, compare_classical
 
-# Largest universe the sieve-backed list operation will materialize.
-SIEVE_R_CAP = 2_000_000
-# Absolute universe cap for single-prime draws (nth-prime lookup).
+# Largest universe a prime draw accepts; p_r then lies below 2^39.
 UNIVERSE_R_CAP = 2**34
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11)
@@ -80,12 +82,10 @@ def _sieve_segment(lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def first_r_primes(r: int, cap: int = SIEVE_R_CAP) -> np.ndarray:
+def first_r_primes(r: int) -> np.ndarray:
     """The first r primes, in increasing order, as a read-only int64 array."""
     if r < 1:
         raise ValueError("r must be positive")
-    if r > cap:
-        raise UniverseSizeError(f"universe of {r} primes exceeds sieve cap {cap}")
     primes = _sieve_segment(2, _sieve_upper_bound(r))[:r]
     primes.flags.writeable = False
     return primes
@@ -204,6 +204,12 @@ def nth_prime(i: int) -> int:
             x += width
 
 
+@lru_cache(maxsize=64)
+def top_prime(r: int) -> int:
+    """p_r, the largest prime of a universe of r; one nth_prime count per universe."""
+    return nth_prime(r)
+
+
 @dataclass(frozen=True)
 class HashParams:
     """A sized prime universe together with the drawn modulus."""
@@ -231,20 +237,20 @@ class HashParams:
 def choose_prime(
     rng: np.random.Generator, delta: int, max_len: int, epsilon: float
 ) -> HashParams:
-    """Draw p uniformly from the first ceil(delta*max_len/epsilon) primes.
+    """Draw p uniformly from the first r = ceil(delta*max_len/epsilon) primes.
 
-    Deterministic given the generator state.  Universes beyond the sieve
-    cap fall back to an nth-prime lookup of a uniformly drawn index.
+    Uniform integers in [2, p_r] are drawn until one is prime; every prime
+    up to p_r is equally likely to be the first accepted.  A draw takes
+    about ln p_r candidates.  Deterministic given the generator state.
     """
     r = universe_size(delta, max_len, epsilon)
     if r > UNIVERSE_R_CAP:
         raise UniverseSizeError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
-    index = int(rng.integers(1, r + 1))
-    if r <= SIEVE_R_CAP:
-        p = int(first_r_primes(r)[index - 1])
-    else:
-        p = nth_prime(index)
-    return HashParams(p=p, epsilon=epsilon, delta=delta, r=r, max_len=max_len)
+    top = top_prime(r)
+    while True:
+        p = int(rng.integers(2, top + 1))
+        if sympy.isprime(p):
+            return HashParams(p=p, epsilon=epsilon, delta=delta, r=r, max_len=max_len)
 
 
 def hash_width(p: int) -> int:

@@ -101,7 +101,7 @@ def index_width(domain: int) -> int:
 def nominal_hash_width(delta: int, max_len: int, epsilon: float) -> int:
     """Register width of the largest prime in the sized universe."""
     r = fingerprint.universe_size(delta, max_len, epsilon)
-    return fingerprint.hash_width(fingerprint.nth_prime(r))
+    return fingerprint.hash_width(fingerprint.top_prime(r))
 
 
 def qubit_count_match(n: int, m: int, epsilon: float, p: int | None = None) -> int:

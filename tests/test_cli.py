@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qstrings
 from qstrings import qcompare, qmatch
-from qstrings.cli import main
+from qstrings.cli import TRIALS_CAP, main
 from qstrings.crosscheck import run_crosscheck
 from qstrings.grover import CopiesExhausted
 from qstrings.strings_core import BitString, MatchInstance
@@ -270,16 +270,17 @@ def _assert_usage_error(code, err):
     assert "Traceback" not in err
 
 
+# one valid invocation of each subcommand that reads --trials
+_TRIALS_COMMANDS = [
+    ["match", "--text", "0101", "--pattern", "01"],
+    ["compare", "--u", "01", "--v", "00", "--algo", "grover"],
+    ["min-find", "--values", "3,1,2"],
+    ["sweep", "--algo", "match", "--grid", "16", "--m", "4"],
+]
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["match", "--text", "0101", "--pattern", "01"],
-        ["compare", "--u", "01", "--v", "00", "--algo", "grover"],
-        ["min-find", "--values", "3,1,2"],
-        ["sweep", "--algo", "match", "--grid", "16", "--m", "4"],
-    ],
-)
+@pytest.mark.parametrize("command", _TRIALS_COMMANDS)
 def test_nonpositive_trials_rejected(capsys, command, trials):
     code, out, err = run_cli(command + ["--seed", "1", "--trials", trials], capsys)
     _assert_usage_error(code, err)
@@ -360,37 +361,74 @@ def test_min_find_values_must_fit_int64(capsys, values, code):
         assert got == 0 and err == "" and len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("flag", ["--epsilon=0.1", "--jobs=2"])
+def test_min_find_rejects_flags_it_does_not_read(capsys, flag):
+    code, out, err = run_cli(["min-find", "--values", "3,1,2", "--seed", "1", flag], capsys)
+    _assert_usage_error(code, err)
+    assert flag.split("=")[0] in err and out == ""
+
+
+@pytest.mark.parametrize("algo", ["compare-grover", "compare-bsearch"])
+def test_sweep_m_only_for_match(capsys, algo):
+    code, out, err = run_cli(
+        ["sweep", "--algo", algo, "--grid", "4", "--m", "7", "--seed", "1"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert err == f"error: --m applies only to --algo match, not {algo}\n" and out == ""
+
+
+def test_sweep_match_m_defaults_to_8(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "--algo", "match", "--grid", "16", "--seed", "1", "--trials", "1"], capsys
+    )
+    assert code == 0 and out.splitlines()[2].startswith("match,16,8,")
+
+
+@pytest.mark.parametrize("command", _TRIALS_COMMANDS)
+@pytest.mark.parametrize("trials", [str(TRIALS_CAP + 1), "9" * 23])
+def test_trials_above_cap_rejected(capsys, command, trials):
+    code, out, err = run_cli(command + ["--seed", "1", "--trials", trials], capsys)
+    _assert_usage_error(code, err)
+    assert err == f"error: --trials must be at most {TRIALS_CAP}\n" and out == ""
+
+
 # Adversarial flag values: empty, negative, zero, not a number, an
 # overflowing float and integer, non-bits and a file that does not exist.
 _ADVERSARIAL = ["", "-1", "0", "nan", "1e400", "9" * 23, "0120", "@/nonexistent"]
-_SMALL = [t for t in _ADVERSARIAL if t != "9" * 23]  # never run 10^23 trials or jobs
-# subcommand -> flag -> valid values
+_SMALL = [t for t in _ADVERSARIAL if t != "9" * 23]  # never start 10^23 workers
+_EPSILON = {"--epsilon": ["0.1", "0.5"]}
+_TRIALS = {"--trials": ["1", "2"]}
+_JOBS = {"--jobs": ["1", "2"]}
+# subcommand -> every flag it reads -> valid values
 _ARGV_SPACE = {
-    "match": {"--text": ["0110010110"], "--pattern": ["011"], "--mode": ["structured", "dense"]},
-    "compare": {"--u": ["0110101"], "--v": ["0110111"], "--algo": ["grover", "bsearch"]},
-    "min-find": {"--values": ["5,3,8,1"]},
+    "match": {
+        "--text": ["0110010110"], "--pattern": ["011"], "--mode": ["structured", "dense"],
+        **_EPSILON, **_TRIALS, **_JOBS,
+    },
+    "compare": {
+        "--u": ["0110101"], "--v": ["0110111"], "--algo": ["grover", "bsearch"],
+        **_EPSILON, **_TRIALS, **_JOBS,
+    },
+    "min-find": {"--values": ["5,3,8,1"], **_TRIALS},
     "sweep": {
         "--algo": ["match", "compare-grover", "compare-bsearch"], "--grid": ["8,16"],
-        "--m": ["4"], "--mode": ["structured", "dense"],
+        "--m": ["4"], "--mode": ["structured", "dense"], **_EPSILON, **_TRIALS, **_JOBS,
     },
     "crosscheck": {},
-    "primes": {"--delta": ["4"], "--max-len": ["3"]},
+    "primes": {"--delta": ["4"], "--max-len": ["3"], **_EPSILON},
 }
-_COUNTS = {"--trials": ["1", "2"], "--jobs": ["1", "2"]}
 
 
 @st.composite
 def _argv(draw, command):
     """Valid flags for `command`, with up to two of them given a bad token."""
     space = {**_ARGV_SPACE[command], "--seed": ["1"]}
-    if command != "crosscheck":
-        space["--epsilon"] = ["0.1", "0.5"]
-    if command not in ("crosscheck", "primes"):
-        space.update(_COUNTS)
     bad = draw(st.sets(st.sampled_from(sorted(space)), max_size=2))
     argv = [command]
     for flag, valid in space.items():
-        tokens = valid if flag not in bad else _SMALL if flag in _COUNTS else _ADVERSARIAL
+        if flag == "--m" and "--algo=match" not in argv:
+            continue  # --m applies to match sweeps only
+        tokens = valid if flag not in bad else _SMALL if flag == "--jobs" else _ADVERSARIAL
         argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
     # not for match: an ASCII-expanded dense match can reach the 24-qubit cap
     if command == "compare" and draw(st.booleans()):

@@ -17,21 +17,21 @@ GOLDEN = [
         "match-structured",
         ["match", "--text", "0110010110", "--pattern", "011", "--seed", "9", "--trials", "5"],
         0,
-        "0fb247bdee8ddb91e2036479697d4abb42d25574d799ce6e0e5e38dbc1ebe7bc",
+        "ffd7c5fafba80ef4278bcc8fb7fddb81c4e3a94ea185ff3e2098adb1f43a9090",
     ),
     (
         "match-dense",
         ["match", "--text", "010110", "--pattern", "10", "--mode", "dense", "--seed", "4",
          "--trials", "3"],
         0,
-        "8376368a2985005eeb7d87bf9e0644710639af75e0d26c313ba5f5e94c760d1a",
+        "2c6fe8c3da3993780a0676507c37a92329e30bf4f9697ceff7c3d50218597a9d",
     ),
     (
         "compare-bsearch",
         ["compare", "--u", "0110101", "--v", "0110111", "--algo", "bsearch", "--seed", "3",
          "--trials", "4"],
         0,
-        "6d2903bc85c51e8c7419008df2139fd598f1f08c13fac1f88fc71e02b8b66ab8",
+        "6712c3f3246ed3add6852d2b79433f84080deef14e450aa7d3abe988ea8f7b87",
     ),
     (
         "compare-grover",
@@ -66,7 +66,7 @@ GOLDEN = [
         "sweep-match",
         ["sweep", "--algo", "match", "--grid", "16,32", "--m", "4", "--trials", "2", "--seed", "5"],
         0,
-        "1b199d8d1c2be657b1e3f88a8a2b1fac956fda558b51652007fcd77384ff0665",
+        "f47d6ef9027e33390b4d066dd32636f6e1c59879f3e9d0758ae5550d03eef3d5",
     ),
     (
         "sweep-compare-grover-dense",
@@ -79,14 +79,14 @@ GOLDEN = [
         "sweep-compare-bsearch",
         ["sweep", "--algo", "compare-bsearch", "--grid", "8,16", "--trials", "2", "--seed", "5"],
         0,
-        "3fcb0d5fe425e6bb1ce5e7b9adf3272388f3a6e873df0fa7f36d92c1d4161951",
+        "83739fa711eb063509a5786d59306f4bfe25cb2372423ff631bd2d6d1a9f401a",
     ),
     (
         "sweep-compare-bsearch-dense",
         ["sweep", "--algo", "compare-bsearch", "--grid", "8,16", "--trials", "2", "--seed", "5",
          "--mode", "dense"],
         0,
-        "a8d2d2405dfe1f54924bcd66fa56b021a6b11e9815c31f4cc7d379356e3adcbe",
+        "7903af31440a6338288c2aa95b8a8e009af99bd89b2a3ab7184cffab35f66afe",
     ),
     (
         "crosscheck",
@@ -98,14 +98,14 @@ GOLDEN = [
         "primes",
         ["primes", "--delta", "4", "--max-len", "3", "--epsilon", "0.5", "--seed", "42"],
         0,
-        "7cb27f9cad3dbaef9b087d9249bf63307f3417a2c1d52b48c8c385aee16b5c55",
+        "1ae16a7d3c947074060e9bb2475a36c64a3e400a45812891652ef65b8b39bdb3",
     ),
     (
-        # r = 167,772,160 lies past the sieve cap: an nth-prime lookup
+        # r = 167,772,160: the largest universe the benchmark draws from
         "primes-nth-prime",
         ["primes", "--delta", "4096", "--max-len", "4096", "--epsilon", "0.1", "--seed", "7"],
         0,
-        "0f9fbb839475802915242007e1a5a0bc8b286925ff097995f4ccf5394805a151",
+        "fa4ba647b8274dc7c17d12739ae02c4e203c89789be2f13215b001287ece0b35",
     ),
 ]
 

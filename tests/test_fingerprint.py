@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -31,11 +32,6 @@ def test_first_r_primes_cached_array_is_read_only():
     assert primes.dtype == np.int64 and primes.size == 30
     with pytest.raises(ValueError):
         primes[0] = 4
-
-
-def test_first_r_primes_cap():
-    with pytest.raises(fp.UniverseSizeError):
-        fp.first_r_primes(10, cap=5)
 
 
 def test_nth_prime_matches_sieve():
@@ -160,11 +156,38 @@ def test_choose_prime_deterministic():
     assert a == b and a.r == 104
 
 
-def test_choose_prime_beyond_sieve_cap_uses_nth_prime(monkeypatch):
-    monkeypatch.setattr(fp, "SIEVE_R_CAP", 50)
-    params = fp.choose_prime(np.random.default_rng(3), delta=10, max_len=10, epsilon=0.5)
-    assert params.r == 200
-    assert params.p in fp.first_r_primes(200)
+@pytest.mark.parametrize("r", [1, 2, 6, 50, 1000])
+def test_choose_prime_uniform_over_first_r_primes(monkeypatch, r):
+    # r is set directly: an epsilon below 1 never sizes a universe of one prime
+    monkeypatch.setattr(fp, "universe_size", lambda *_: r)
+    rng = np.random.default_rng(2024 + r)
+    primes = fp.first_r_primes(r)
+    draws = np.array([fp.choose_prime(rng, 1, 1, 0.5).p for _ in range(50 * r)])
+    assert np.isin(draws, primes).all()
+    # chi-square goodness of fit against 50 expected draws per prime
+    observed = np.bincount(np.searchsorted(primes, draws), minlength=r)
+    stat = float(((observed - 50) ** 2).sum() / 50)
+    if r > 1:
+        p_value = float(mpmath.gammainc((r - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+        assert p_value > 1e-4, (r, stat, p_value)
+
+
+# (delta, max_len, r) of the universes the benchmark draws from at epsilon
+# 0.1: the smallest and largest match_sweep points (n = 64 and 4096,
+# m = 8), match_long and compare_bsearch.
+BENCHMARK_UNIVERSES = [
+    (57, 8, 4_560), (4089, 8, 327_120), (65_521, 16, 10_483_360), (4096, 4096, 167_772_160),
+]
+
+
+@pytest.mark.parametrize("delta, max_len, r", BENCHMARK_UNIVERSES)
+def test_choose_prime_benchmark_universes(delta, max_len, r):
+    top = fp.top_prime(r)
+    assert top == fp.nth_prime(r)
+    rng = np.random.default_rng(r)
+    for _ in range(50):
+        params = fp.choose_prime(rng, delta, max_len, 0.1)
+        assert params.r == r and params.p <= top and sympy.isprime(params.p), params
 
 
 def test_hash_width():
