@@ -24,6 +24,10 @@ MINFIND_HEADER = "trial,found_index,phases,iterations"
 PRIMES_HEADER = "r,p,epsilon,delta,max_len"
 # Most trials (per invocation, or per sweep point) one run accepts.
 TRIALS_CAP = 10**6
+# Hash error budget when --epsilon is not given.
+DEFAULT_EPSILON = 0.1
+# Comparator algos that draw no prime, so read no --epsilon.
+_NO_PRIME_ALGOS = ("grover", "compare-grover")
 
 
 def _parse_bits(value: str, ascii_mode: bool) -> BitString:
@@ -235,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="write output CSV here instead of stdout")
 
     def epsilon_and_jobs(p):
-        p.add_argument("--epsilon", type=float, default=0.1, help="hash error budget in (0,1)")
+        p.add_argument(
+            "--epsilon", type=float, default=None,
+            help=f"hash error budget in (0,1), default {DEFAULT_EPSILON}; not for grover algos",
+        )
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent trials/points")
 
     p = sub.add_parser("match", help="search for a pattern in a text")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primes", help="print the sized prime universe and drawn modulus")
     p.add_argument("--delta", type=int, required=True, help="planned number of hash comparisons")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_primes)
@@ -296,8 +303,12 @@ def _check_args(args) -> None:
         raise ValueError(f"--trials must be at most {TRIALS_CAP}")
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be at least 1")
-    epsilon = getattr(args, "epsilon", 0.5)
-    if not 0 < epsilon < 1:
+    epsilon = getattr(args, "epsilon", DEFAULT_EPSILON)
+    if epsilon is None:
+        args.epsilon = DEFAULT_EPSILON
+    elif getattr(args, "algo", None) in _NO_PRIME_ALGOS:
+        raise ValueError(f"--epsilon applies only to algos that draw a prime, not {args.algo}")
+    elif not 0 < epsilon < 1:
         raise ValueError("--epsilon must lie in (0, 1)")
 
 

@@ -296,6 +296,9 @@ _LIMB_BITS = 20
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Prefix sums add at most this many residues before reducing mod p.
 _CUMSUM_BLOCK = 1 << 20
+# Longest window whose exact value window_hashes builds in int64: every
+# such value and partial sum stays below 2^62, a bit clear of the sign.
+_EXACT_WINDOW_BITS = 62
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray | int, p: int) -> np.ndarray:
@@ -336,17 +339,48 @@ def prefix_hashes(u: BitString, p: int) -> np.ndarray:
     return out
 
 
+def _exact_windows(bits: np.ndarray, m: int) -> np.ndarray:
+    """Exact values sum_j bits[i+j] * 2^j of every length-m window, m <= 62.
+
+    Windows of length L are doubled to length 2L by one shifted add,
+    and the set bits of m are joined the same way, low bits first.
+    """
+    count = bits.size - m + 1
+    block, length = bits, 1  # block[i]: value of the length-`length` window at i
+    out, filled = None, 0
+    while True:
+        if m & length:
+            part = block[filled : filled + count]
+            out = part if out is None else out + (part << filled)
+            filled += length
+        if filled == m:
+            return out
+        k = block.size - length
+        block = block[:k] + (block[length : length + k] << length)
+        length *= 2
+
+
 def window_hashes(text: BitString, m: int, p: int) -> np.ndarray:
     """int64 residues of every length-m window of `text`, in one linear pass.
 
-    Window i (0-indexed start) satisfies
-    h(text[i+1 .. i+m]) = (pref[i+m] - pref[i]) * inv2^i mod p for odd p;
-    for p = 2 the hash of any window is simply its first bit.
+    For m <= _EXACT_WINDOW_BITS each window's exact value
+    sum_j text[i+1+j] * 2^j fits int64, so it is built directly (by
+    window doubling) and reduced by one `% p`; no prefix table, power
+    table or modular inverse is needed.  Longer windows overflow int64,
+    so they use prefix differences: window i (0-indexed start) satisfies
+    h(text[i+1 .. i+m]) = (pref[i+m] - pref[i]) * inv2^i mod p for odd
+    p, and for p = 2 the hash of any window is simply its first bit.
     """
     n = len(text)
     if not 1 <= m <= n:
         raise ValueError("window length out of range")
+    if not 2 <= p < _MULMOD_P_CAP:
+        raise ValueError(f"modulus {p} outside [2, 2^41) for int64 residue arithmetic")
     count = n - m + 1
+    if m <= _EXACT_WINDOW_BITS:
+        out = _exact_windows(np.asarray(text.bits, dtype=np.int64), m)
+        out %= p
+        return out
     if p == 2:
         return np.asarray(text.bits[:count], dtype=np.int64)
     pref = prefix_hashes(text, p)

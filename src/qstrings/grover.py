@@ -207,14 +207,15 @@ def grover_run(
     ledger = ledger if ledger is not None else ResourceLedger()
     before = ledger.snapshot()
     rho = oracle.amplification(iterations) if rho is None else rho
-    width = search.index_width
     for _ in range(iterations):
         search.apply_phase_pattern(oracle.query_pattern(rng, rho))
         search.diffuse()
-        charge(ledger, "oracle_queries", 1)
-        charge(ledger, "hash_eval_units", rho * oracle.evaluation_cost)
-        charge(ledger, "inner_grover_iterations", rho * oracle.inner_iterations_per_eval)
-        charge(ledger, "diffusion_units", width)
+    # every iteration costs the same, so the run is charged once
+    evaluations = iterations * rho
+    charge(ledger, "oracle_queries", iterations)
+    charge(ledger, "hash_eval_units", evaluations * oracle.evaluation_cost)
+    charge(ledger, "inner_grover_iterations", evaluations * oracle.inner_iterations_per_eval)
+    charge(ledger, "diffusion_units", iterations * search.index_width)
     found = search.measure_index(rng)
     ledger.close_phase(f"grover_run[{iterations}]", before)
     return GroverOutcome(

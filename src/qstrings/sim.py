@@ -340,6 +340,11 @@ class StructuredState:
         an exception holding the base amplitude before it is negated.
         """
         _check_index_array(marked)
+        if marked is self._index:
+            # the array an earlier first marking adopted (an exact query's
+            # shared targets): every exception is marked, none is new
+            np.negative(self._values, out=self._values)
+            return self
         if self._index.size == 0:
             # no exception to look up (`take` needs one); the index array is
             # replaced, never written, so `marked` can be shared

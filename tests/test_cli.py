@@ -377,6 +377,28 @@ def test_sweep_m_only_for_match(capsys, algo):
     assert err == f"error: --m applies only to --algo match, not {algo}\n" and out == ""
 
 
+@pytest.mark.parametrize("epsilon", ["0.1", "0.5"])
+def test_compare_grover_rejects_epsilon(capsys, epsilon):
+    code, out, err = run_cli(
+        ["compare", "--u", "0110", "--v", "0100", "--algo", "grover", "--seed", "3",
+         "--epsilon", epsilon], capsys
+    )
+    _assert_usage_error(code, err)
+    assert err == "error: --epsilon applies only to algos that draw a prime, not grover\n"
+    assert out == ""
+
+
+def test_sweep_compare_grover_rejects_epsilon(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--algo", "compare-grover", "--grid", "8", "--trials", "2", "--seed", "1",
+         "--epsilon", "0.1"], capsys
+    )
+    _assert_usage_error(code, err)
+    assert err == (
+        "error: --epsilon applies only to algos that draw a prime, not compare-grover\n"
+    ) and out == ""
+
+
 def test_sweep_match_m_defaults_to_8(capsys):
     code, out, _ = run_cli(
         ["sweep", "--algo", "match", "--grid", "16", "--seed", "1", "--trials", "1"], capsys
@@ -428,6 +450,8 @@ def _argv(draw, command):
     for flag, valid in space.items():
         if flag == "--m" and "--algo=match" not in argv:
             continue  # --m applies to match sweeps only
+        if flag == "--epsilon" and {"--algo=grover", "--algo=compare-grover"} & set(argv):
+            continue  # the grover comparator draws no prime
         tokens = valid if flag not in bad else _SMALL if flag == "--jobs" else _ADVERSARIAL
         argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
     # not for match: an ASCII-expanded dense match can reach the 24-qubit cap

@@ -236,35 +236,58 @@ def test_equal_strings_always_hash_equal(u, v, p):
         assert fp.rolling_hash(u, p).residue == fp.rolling_hash(v, p).residue
 
 
+def _assert_windows_match_direct(text, m, p):
+    hashes = fp.window_hashes(text, m, p)
+    assert hashes.dtype == np.int64
+    assert len(hashes) == len(text) - m + 1
+    for i in range(len(hashes)):
+        assert int(hashes[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+
+
+# m runs on both sides of the cut between exact window values and
+# prefix differences
 @settings(max_examples=80)
-@given(st.integers(1, 120), st.integers(1, 60), any_prime)
+@given(st.integers(1, 160), st.integers(1, 2 * fp._EXACT_WINDOW_BITS), any_prime)
 def test_window_hashes_match_direct(n, m, p):
     rng = np.random.default_rng(n * 31 + m)
     text = BitString.from_bits(rng.integers(0, 2, n))
-    m = min(m, n)
-    hashes = fp.window_hashes(text, m, p)
-    assert hashes.dtype == np.int64
-    assert len(hashes) == n - m + 1
-    for i in range(n - m + 1):
-        assert int(hashes[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+    _assert_windows_match_direct(text, min(m, n), p)
+
+
+@pytest.mark.parametrize("p", [2, WIDE_PRIMES[1]])
+@pytest.mark.parametrize("m", [1, 61, 62, 63, 64])
+def test_window_hashes_at_the_exact_value_cut(m, p):
+    assert fp._EXACT_WINDOW_BITS == 62
+    rng = np.random.default_rng(m)
+    for text in (BitString.from_bits([1] * 100), BitString.from_bits(rng.integers(0, 2, 100))):
+        _assert_windows_match_direct(text, m, p)
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_array_hashes_exact_across_sum_blocks(monkeypatch, p):
-    # Shrink the prefix-sum block so the carry between blocks is exercised.
+    # Shrink the prefix-sum block so the carry between blocks is exercised;
+    # windows longer than the exact-value cut read the prefix table.
     monkeypatch.setattr(fp, "_CUMSUM_BLOCK", 3)
     text = BitString.from_bits(np.random.default_rng(p % 1000).integers(0, 2, 90))
     prefixes = fp.prefix_hashes(text, p)
     for i in range(len(text) + 1):
         assert int(prefixes[i]) == fp.rolling_hash(text.substring(1, i), p).residue
-    windows = fp.window_hashes(text, 50, p)
+    m = fp._EXACT_WINDOW_BITS + 8
+    windows = fp.window_hashes(text, m, p)
     for i in range(len(windows)):
-        assert int(windows[i]) == fp.rolling_hash(text.substring(i + 1, i + 50), p).residue
+        assert int(windows[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
 
 
 def test_array_hashes_reject_modulus_beyond_int64_bound():
+    too_wide = int(sympy.nextprime(2**41))
     with pytest.raises(ValueError):
-        fp.prefix_hashes(BitString.from_text("1"), int(sympy.nextprime(2**41)))
+        fp.prefix_hashes(BitString.from_text("1"), too_wide)
+    text = BitString.from_text("0110")
+    for m in (1, 3):  # short windows never build a prefix table
+        with pytest.raises(ValueError, match="outside"):
+            fp.window_hashes(text, m, too_wide)
+        with pytest.raises(ValueError, match="outside"):
+            fp.window_hashes(text, m, 1)
 
 
 def test_collision_rate_bounded():

@@ -93,13 +93,23 @@ def test_grover_run_zero_iterations_uniform():
 
 
 def test_grover_run_charges_ledger():
-    ledger = ResourceLedger()
-    oracle = OracleSpec(8, np.array([0, 1] + [0] * 6, dtype=bool), evaluation_cost=7)
-    grover_run(_structured(8), oracle, 3, np.random.default_rng(1), ledger)
-    assert ledger.oracle_queries == 3
-    assert ledger.diffusion_units == 3 * 3  # width-3 index register
-    assert ledger.hash_eval_units == 3 * 7
-    assert ledger.phase_breakdown[-1][0] == "grover_run[3]"
+    oracle = OracleSpec(
+        8, np.array([0, 1] + [0] * 6, dtype=bool), evaluation_cost=7,
+        inner_iterations_per_eval=3,
+    )
+    for iterations, rho in ((3, None), (1, 4), (5, 2)):
+        ledger = ResourceLedger()
+        grover_run(_structured(8), oracle, iterations, np.random.default_rng(1), ledger, rho=rho)
+        evaluations = iterations * (rho or 1)
+        expected = {
+            "diffusion_units": iterations * 3,  # width-3 index register
+            "oracle_queries": iterations,
+            "inner_grover_iterations": evaluations * 3,
+            "access_units": 0,
+            "hash_eval_units": evaluations * 7,
+        }
+        assert ledger.counters() == expected
+        assert ledger.phase_breakdown == [(f"grover_run[{iterations}]", tuple(expected.values()))]
 
 
 def test_doubling_schedule():

@@ -303,6 +303,32 @@ def test_structured_transitions_match_dense_reference(size):
             assert got_rng.random() == want_rng.random()  # one draw each
 
 
+@pytest.mark.parametrize("flip_at", [None, 2])
+def test_phase_on_the_adopted_index_array_matches_a_fresh_copy_bit_for_bit(flip_at):
+    # an exact query returns the same read-only targets array every time;
+    # once a first marking adopts it, marking it again negates in place
+    targets = np.array([3, 9, 10])
+    targets.flags.writeable = False
+    flip = np.array([3, 5, 9, 10])
+    layout = RegisterLayout([Register("idx", 4, "index")])
+    shared, fresh = StructuredState(layout, 16), StructuredState(layout, 16)
+    for step in range(6):
+        flipped = step == flip_at
+        shared.apply_phase_pattern(flip if flipped else targets)
+        fresh.apply_phase_pattern(flip.copy() if flipped else targets.copy())
+        assert (shared.amps == fresh.amps).all()
+        shared.diffuse()
+        fresh.diffuse()
+        assert (shared.amps == fresh.amps).all()
+    if flip_at is None:
+        assert shared._index is targets  # every later marking took the early exit
+    for seed in range(20):
+        got, want = copy.deepcopy(shared), copy.deepcopy(fresh)
+        assert got.measure_index(np.random.default_rng(seed)) == want.measure_index(
+            np.random.default_rng(seed)
+        )
+
+
 def test_structured_measure_with_zero_base_amplitude():
     # one target in four, one iteration: every other amplitude is exactly 0
     state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
