@@ -59,8 +59,7 @@ def _flag_echo(argv: list[str]) -> str:
 
 
 def _match_trial(args: tuple) -> str:
-    text, pattern, epsilon, seed, trial, mode = args
-    inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
+    inst, epsilon, seed, trial, mode = args
     rng = np.random.default_rng((seed, trial))
     params = qmatch.match_params(inst, epsilon, rng)
     result = qmatch.match_search(inst, params, rng, mode=mode, seed=seed)
@@ -82,9 +81,7 @@ def _match_trial(args: tuple) -> str:
 
 
 def _compare_trial(args: tuple) -> str:
-    u_text, v_text, algo, epsilon, seed, trial = args
-    u = BitString.from_text(u_text)
-    v = BitString.from_text(v_text)
+    u, v, algo, epsilon, seed, trial = args
     rng = np.random.default_rng((seed, trial))
     expected = compare_classical(u, v)
     if algo == "grover":
@@ -130,10 +127,7 @@ def _cmd_match(args, argv) -> int:
             params = qmatch.match_params(inst, args.epsilon, rng)
             spec = qmatch.prepare_match_state(inst, params)
             dump_state(spec.make_copy("dense").state, args.dump_state)
-    trials = [
-        (str(inst_text), str(inst_pattern), args.epsilon, args.seed, t, args.mode)
-        for t in range(args.trials)
-    ]
+    trials = [(inst, args.epsilon, args.seed, t, args.mode) for t in range(args.trials)]
     rows = resources.pool_map(_match_trial, trials, args.jobs)
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
     any_verified = any(row.split(",")[4] == "1" for row in rows)
@@ -143,9 +137,7 @@ def _cmd_match(args, argv) -> int:
 def _cmd_compare(args, argv) -> int:
     u = _parse_bits(args.u, args.ascii)
     v = _parse_bits(args.v, args.ascii)
-    trials = [
-        (str(u), str(v), args.algo, args.epsilon, args.seed, t) for t in range(args.trials)
-    ]
+    trials = [(u, v, args.algo, args.epsilon, args.seed, t) for t in range(args.trials)]
     rows = resources.pool_map(_compare_trial, trials, args.jobs)
     _emit([_flag_echo(argv), COMPARE_HEADER, *rows], args.csv)
     return 0
@@ -322,8 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, IndexError, OSError, RuntimeError) as exc:
-        # RuntimeError covers CopiesExhausted and failed instance construction;
-        # exit code 1 stays reserved for failed verification
+        # RuntimeError covers failed instance construction; exit code 1
+        # stays reserved for failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

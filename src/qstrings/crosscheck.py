@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fingerprint import HashParams, universe_size
-from .grover import OracleSpec, doubling_schedule, optimal_iterations
+from .grover import OracleSpec, charge_iterations, doubling_schedule, optimal_iterations
 from .qcompare import access_element, build_compare_state
 from .qmatch import prepare_match_state
-from .resources import ResourceLedger, charge
+from .resources import ResourceLedger
 from .sim import expand_structured, project_flag_minus
 from .strings_core import BitString, MatchInstance
 
@@ -85,8 +85,6 @@ def _step_battery(
     perturb=None,
 ) -> InstanceReport:
     """Drive both backends through `iterations` shared search steps."""
-    led_dense = ResourceLedger()
-    led_struct = ResourceLedger()
     max_dev, worst_idx = _deviation(dense_search, structured)
     rho = oracle.amplification(iterations)
     for step in range(iterations):
@@ -95,15 +93,15 @@ def _step_battery(
         structured.apply_phase_pattern(marked)
         dense_search.diffuse()
         structured.diffuse()
-        for led, search in ((led_dense, dense_search), (led_struct, structured)):
-            charge(led, "oracle_queries", 1)
-            charge(led, "hash_eval_units", rho * oracle.evaluation_cost)
-            charge(led, "diffusion_units", search.index_width)
         if perturb is not None:
             perturb(name, structured)
         dev, idx = _deviation(dense_search, structured)
         if dev > max_dev:
             max_dev, worst_idx = dev, idx
+    led_dense = ResourceLedger()
+    led_struct = ResourceLedger()
+    charge_iterations(led_dense, dense_search, oracle, iterations, rho)
+    charge_iterations(led_struct, structured, oracle, iterations, rho)
     if led_dense.counters() != led_struct.counters():
         return InstanceReport(name, max_dev, False, "ledger mismatch between backends")
     if max_dev > TOLERANCE:

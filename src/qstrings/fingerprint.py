@@ -326,7 +326,7 @@ def prefix_hashes(u: BitString, p: int) -> np.ndarray:
     """int64 residues of all prefixes; element i is h_p(u[1..i]), element 0 is 0."""
     if not 2 <= p < _MULMOD_P_CAP:
         raise ValueError(f"modulus {p} outside [2, 2^41) for int64 residue arithmetic")
-    bits = np.asarray(u.bits, dtype=np.int64)
+    bits = u.array
     terms = bits * _power_table(2, bits.size, p)
     out = np.zeros(bits.size + 1, dtype=np.int64)
     carry = 0
@@ -378,11 +378,11 @@ def window_hashes(text: BitString, m: int, p: int) -> np.ndarray:
         raise ValueError(f"modulus {p} outside [2, 2^41) for int64 residue arithmetic")
     count = n - m + 1
     if m <= _EXACT_WINDOW_BITS:
-        out = _exact_windows(np.asarray(text.bits, dtype=np.int64), m)
+        out = _exact_windows(text.array.astype(np.int64), m)
         out %= p
         return out
     if p == 2:
-        return np.asarray(text.bits[:count], dtype=np.int64)
+        return text.array[:count].astype(np.int64)
     pref = prefix_hashes(text, p)
     diffs = (pref[m:] - pref[:count]) % p
     return _mulmod(diffs, _power_table((p + 1) // 2, count, p), p)

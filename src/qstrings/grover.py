@@ -24,10 +24,6 @@ from .resources import ResourceLedger, charge
 from .sim import SearchState, padded_size
 
 
-class CopiesExhausted(RuntimeError):
-    """A state factory ran out of fresh copies before the schedule ended."""
-
-
 def optimal_iterations(domain: int, targets: int) -> int:
     """floor((pi/4) * sqrt(M/t)), clamped to at least one iteration."""
     if targets == 0:
@@ -188,6 +184,22 @@ class GroverOutcome:
         return self.found_index is not None and self.predicate_value_at_found == 1
 
 
+def charge_iterations(
+    ledger: ResourceLedger,
+    search: SearchState,
+    oracle: OracleSpec,
+    iterations: int,
+    rho: int,
+) -> None:
+    """Charge `iterations` query-and-diffusion steps on `search`, each
+    query answered by `rho` evaluations of `oracle`."""
+    evaluations = iterations * rho
+    charge(ledger, "oracle_queries", iterations)
+    charge(ledger, "hash_eval_units", evaluations * oracle.evaluation_cost)
+    charge(ledger, "inner_grover_iterations", evaluations * oracle.inner_iterations_per_eval)
+    charge(ledger, "diffusion_units", iterations * search.index_width)
+
+
 def grover_run(
     search: SearchState,
     oracle: OracleSpec,
@@ -211,11 +223,7 @@ def grover_run(
         search.apply_phase_pattern(oracle.query_pattern(rng, rho))
         search.diffuse()
     # every iteration costs the same, so the run is charged once
-    evaluations = iterations * rho
-    charge(ledger, "oracle_queries", iterations)
-    charge(ledger, "hash_eval_units", evaluations * oracle.evaluation_cost)
-    charge(ledger, "inner_grover_iterations", evaluations * oracle.inner_iterations_per_eval)
-    charge(ledger, "diffusion_units", iterations * search.index_width)
+    charge_iterations(ledger, search, oracle, iterations, rho)
     found = search.measure_index(rng)
     ledger.close_phase(f"grover_run[{iterations}]", before)
     return GroverOutcome(
@@ -252,13 +260,7 @@ def bbht_search(
     total = 0
     schedule = doubling_schedule(oracle.domain_size, max_repetitions)
     for rep, iterations in enumerate(schedule):
-        try:
-            search = state_factory(rep)
-        except CopiesExhausted:
-            if rep == 0:
-                raise
-            break
-        outcome = grover_run(search, oracle, iterations, rng, ledger)
+        outcome = grover_run(state_factory(rep), oracle, iterations, rng, ledger)
         total += iterations
         if outcome.verified:
             return GroverOutcome(

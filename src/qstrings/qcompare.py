@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
-from .grover import CopiesExhausted, durr_hoyer_min
+from .grover import durr_hoyer_min
 from .qmatch import (
     hash_equality_eval,
     inner_eval_gate_cost,
@@ -131,8 +131,8 @@ def build_compare_state(
     padded = padded_size(k)
     u_bits = np.zeros(padded, dtype=np.int64)
     v_bits = np.zeros(padded, dtype=np.int64)
-    u_bits[:k] = u.bits[:k]
-    v_bits[:k] = v.bits[:k]
+    u_bits[:k] = u.array[:k]
+    v_bits[:k] = v.array[:k]
     prefix_u = prefix_v = None
     width = None
     if params is not None:
@@ -188,13 +188,9 @@ def compare_grover(
     # each group in position order; 2k lies above every rank
     rank = np.where(differs, 0, k) + np.arange(k)
 
-    log_k = max(1, index_width(k))
     budget = {"used": 0}
-    cap = 3 * log_k * log_k
 
     def factory(_phase: int, _rep: int):
-        if budget["used"] >= cap:
-            raise CopiesExhausted(f"all {cap} comparator copies consumed")
         budget["used"] += 1
         return state.symbol_copy(mode)
 

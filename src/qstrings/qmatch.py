@@ -22,7 +22,6 @@ import numpy as np
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
 from .grover import (
-    CopiesExhausted,
     OracleSpec,
     doubling_schedule,
     grover_run,
@@ -163,18 +162,6 @@ class MatchStateSpec:
         return search_state(
             mode, self.layout(), self.num_windows, {"whash": self.window_hash_table}
         )
-
-    def copy_factory(self, mode: str):
-        """Factory over the allotted copies; raises when they run out."""
-        budget = {"used": 0}
-
-        def factory(_rep: int):
-            if budget["used"] >= self.copies:
-                raise CopiesExhausted(f"all {self.copies} state copies consumed")
-            budget["used"] += 1
-            return self.make_copy(mode)
-
-        return factory
 
     def oracle(self) -> OracleSpec:
         """Window-hash-equality oracle with its one-sided error model."""
@@ -328,13 +315,11 @@ def match_search(
     ledger = ResourceLedger()
     ledger.qubits_total = spec.qubit_count
     oracle = spec.oracle()
-    factory = spec.copy_factory(mode)
     schedule = doubling_schedule(spec.num_windows, max_repetitions=spec.copies)
     measured = None
     hash_ok = False
     for rep, iterations in enumerate(schedule):
-        search = factory(rep)
-        outcome = grover_run(search, oracle, iterations, rng, ledger)
+        outcome = grover_run(spec.make_copy(mode), oracle, iterations, rng, ledger)
         measured = outcome.found_index
         hash_ok, exact_ok = _verify(inst, spec, measured)
         if exact_ok:
@@ -369,14 +354,13 @@ def random_single_occurrence(
     the planted window.  A flip at position j can only create occurrences
     starting in [j - m + 1, j], and none other than d0 starts before the
     destroyed one at `bad`, so the next search resumes at bad - m + 1
-    instead of rescanning the text.  Text and pattern are held as bytes
-    of 0/1 values and searched with `bytearray.find`.
+    instead of rescanning the text.  The text is edited in a bytearray
+    of its bits and searched with `bytearray.find`.
     """
     for _ in range(max_rounds):
-        bits = rng.integers(0, 2, n)
+        text = bytearray(BitString.from_bits(rng.integers(0, 2, n)).bits)
         d0 = int(rng.integers(0, n - m + 1))
-        word = rng.integers(0, 2, m).astype(np.uint8).tobytes()
-        text = bytearray(bits.astype(np.uint8).tobytes())
+        word = BitString.from_bits(rng.integers(0, 2, m)).bits
         text[d0 : d0 + m] = word
         start = 0
         for _ in range(4 * n):
@@ -384,7 +368,7 @@ def random_single_occurrence(
             if bad == d0:
                 bad = text.find(word, d0 + 1)
             if bad == -1:
-                inst = MatchInstance(BitString(tuple(text)), BitString(tuple(word)))
+                inst = MatchInstance(BitString(bytes(text)), BitString(word))
                 return inst, d0 + 1
             spots = [j for j in range(bad, bad + m) if not d0 <= j < d0 + m]
             text[spots[int(rng.integers(0, len(spots)))]] ^= 1

@@ -222,10 +222,8 @@ def _sweep_point(args: tuple) -> dict:
             ledger = result.ledger
         else:
             u = BitString.from_bits(rng.integers(0, 2, x))
-            v_bits = u.bits[: int(rng.integers(0, x + 1))] + tuple(
-                int(b) for b in rng.integers(0, 2, x)
-            )
-            v = BitString.from_bits(v_bits[:x])
+            shared = u.bits[: int(rng.integers(0, x + 1))]
+            v = BitString((shared + BitString.from_bits(rng.integers(0, 2, x)).bits)[:x])
             if algo == "compare_grover":
                 result = qcompare.compare_grover(u, v, rng, mode=backend)
                 ledger = result.ledger

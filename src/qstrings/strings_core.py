@@ -2,8 +2,10 @@
 
 Everything here is deterministic and serves as ground truth for the
 probabilistic quantum-simulation results elsewhere in the package.
-Public positions are 1-indexed (substring(i, j) means bits i..j inclusive);
-internal storage is a plain 0-indexed tuple.
+Public positions are 1-indexed (substring(i, j) means bits i..j inclusive).
+A BitString stores its bits as immutable `bytes`, one byte per bit, each
+0 or 1; `BitString.array` views them as a read-only uint8 array without
+copying.  This module is the only one that knows that format.
 """
 
 from __future__ import annotations
@@ -11,48 +13,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
+_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_DROP_DIGITS = str.maketrans("", "", "01")
+
 
 @dataclass(frozen=True)
 class BitString:
     """Immutable sequence of bits with 1-indexed substring views."""
 
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self) -> None:
-        try:
-            ok = {0, 1}.issuperset(self.bits)
-        except TypeError:  # an unhashable element such as [1]
-            ok = False
-        if not ok:
-            raise ValueError("bits must be 0 or 1")
+        if type(self.bits) is not bytes or self.bits.translate(None, b"\x00\x01"):
+            raise ValueError("bits must be bytes of 0 or 1")
+
+    @property
+    def array(self) -> np.ndarray:
+        """The bits as a read-only uint8 array sharing memory with `bits`."""
+        return np.frombuffer(self.bits, dtype=np.uint8)
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
         """Parse a string of '0'/'1' characters."""
-        if any(c not in "01" for c in text):
+        if text.translate(_DROP_DIGITS):
             raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(text.encode("ascii").translate(_ASCII_TO_BIT))
 
     @classmethod
     def from_ascii(cls, text: str) -> "BitString":
         """Bit-expand bytes most-significant-bit first."""
-        out: list[int] = []
-        for byte in text.encode("ascii"):
-            out.extend((byte >> (7 - i)) & 1 for i in range(8))
-        return cls(tuple(out))
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        return cls(np.unpackbits(data).tobytes())
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        """Bits from any iterable of 0/1 values, such as an int, bool or
-        float array; a value that int() would change is rejected."""
-        values = tuple(bits)
+    def from_bits(cls, bits: Iterable) -> "BitString":
+        """Bits from any iterable of values equal to 0 or 1, such as an int,
+        bool or float array; anything else, such as 0.5 or "1", is rejected."""
         try:
-            out = tuple(int(b) for b in values)
-        except (TypeError, ValueError):  # such as [1], "x" or NaN
-            raise ValueError("bits must be 0 or 1") from None
-        if out != values:  # such as 0.5, which int() truncates to 0
+            values = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+            ok = (
+                values.ndim == 1
+                and values.dtype.kind in "biufO"
+                and bool(np.all((values == 0) | (values == 1)))
+            )
+        except (TypeError, ValueError):  # such as a ragged [[1], 0]
+            ok = False
+        if not ok:
             raise ValueError("bits must be 0 or 1")
-        return cls(out)
+        return cls(values.astype(np.uint8).tobytes())
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -73,7 +84,7 @@ class BitString:
         return BitString(self.bits[i - 1 : j])
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self.bits.translate(_BIT_TO_ASCII).decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstrings
-from qstrings import qcompare, qmatch
+from qstrings import crosscheck as crosscheck_mod, qcompare, qmatch
 from qstrings.cli import TRIALS_CAP, main
 from qstrings.crosscheck import run_crosscheck
-from qstrings.grover import CopiesExhausted
+from qstrings.sim import StructuredState
 from qstrings.strings_core import BitString, MatchInstance
 
 
@@ -257,6 +257,23 @@ def test_crosscheck_fault_injection():
     assert bad and "basis index" in bad[0].detail
 
 
+def test_crosscheck_ledger_check_covers_inner_iterations(monkeypatch):
+    charge_iterations = crosscheck_mod.charge_iterations
+
+    def drop_inner_on_structured(ledger, search, oracle, iterations, rho):
+        charge_iterations(ledger, search, oracle, iterations, rho)
+        if isinstance(search, StructuredState):
+            ledger.inner_grover_iterations = 0
+
+    monkeypatch.setattr(crosscheck_mod, "charge_iterations", drop_inner_on_structured)
+    report = run_crosscheck(1)
+    bad = {r.name for r in report.instances if not r.passed}
+    # only the match oracles run inner Grover iterations
+    assert bad == {r.name for r in report.instances if r.name.startswith("match_")}
+    assert all(r.detail == "ledger mismatch between backends"
+               for r in report.instances if not r.passed)
+
+
 def test_crosscheck_reports_deviation_per_instance():
     report = run_crosscheck(2)
     assert len(report.instances) == 22
@@ -483,10 +500,7 @@ def test_sweep_pattern_longer_than_text_rejected(capsys):
     assert "m=9" in err and "high" not in err and out == ""
 
 
-@pytest.mark.parametrize(
-    "exc",
-    [RuntimeError("failed to construct an instance"), CopiesExhausted("all 3 copies consumed")],
-)
+@pytest.mark.parametrize("exc", [RuntimeError("failed to construct an instance")])
 def test_runtime_errors_exit_2(capsys, monkeypatch, exc):
     def fail(*_args, **_kwargs):
         raise exc

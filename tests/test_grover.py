@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qstrings.grover import (
-    CopiesExhausted,
     GroverOutcome,
     OracleSpec,
     bbht_search,
@@ -151,16 +150,6 @@ def test_bbht_returns_only_targets():
         outcome = bbht_search(oracle, rng, lambda rep: _structured(8))
         if outcome.found_index is not None:
             assert outcome.found_index in (1, 4, 6)
-
-
-def test_bbht_factory_exhaustion():
-    oracle = OracleSpec(8, np.zeros(8, dtype=bool))
-
-    def factory(rep):
-        raise CopiesExhausted("none")
-
-    with pytest.raises(CopiesExhausted):
-        bbht_search(oracle, np.random.default_rng(0), factory)
 
 
 def test_padding_never_verified():

@@ -322,8 +322,8 @@ def test_random_single_occurrence_exhausted_rounds(n, seed):
 def test_random_single_occurrence_pinned_long_text():
     rng = np.random.default_rng(2024)
     inst, d = qmatch.random_single_occurrence(2**16, 8, rng)
-    assert d == 34476 and inst.pattern.bits == (0, 0, 1, 1, 1, 1, 0, 0)
-    digest = hashlib.sha256(bytes(inst.text.bits)).hexdigest()
+    assert d == 34476 and inst.pattern.bits == bytes((0, 0, 1, 1, 1, 1, 0, 0))
+    digest = hashlib.sha256(inst.text.bits).hexdigest()
     assert digest == "fd7cc2b86b3793bf34c848dd1e9684969d287198bbbe4896dfef748f0e19f665"
     assert naive_match_all(inst) == {d}
     assert rng.random() == 0.635809147666554

@@ -95,8 +95,9 @@ def test_ascii_expansion_msb_first():
 
 
 def test_bad_inputs_rejected():
-    with pytest.raises(ValueError):
-        BitString.from_text("012")
+    for bad in ("012", "0 1", "１", "0b1", "\x00"):
+        with pytest.raises(ValueError, match="not a bit string"):
+            BitString.from_text(bad)
     with pytest.raises(ValueError):
         BitString.from_bits([0, 2])
     with pytest.raises(ValueError):
@@ -115,21 +116,51 @@ def test_bad_inputs_rejected():
         lambda b: np.array(b, dtype=np.float64),
         list,
         lambda b: (x for x in b),
+        lambda b: [True if x else 0.0 for x in b],
+        bytes,
     ],
 )
 def test_from_bits_gives_tuple_of_python_ints(make):
     raw = [1, 0, 0, 1, 1, 0, 1]
-    expected = tuple(int(x) for x in make(raw))  # the element-wise conversion
     bits = BitString.from_bits(make(raw)).bits
-    assert bits == expected == tuple(raw)
-    assert all(type(x) is int for x in bits)
-    assert BitString.from_bits(make([])).bits == ()
+    assert type(bits) is bytes and bits == bytes(raw)
+    assert list(bits) == raw and all(type(x) is int for x in bits)
+    assert BitString.from_bits(make([])).bits == b""
 
 
-@pytest.mark.parametrize("bad", [2, -1, 0.5, "x", float("nan"), [1]])
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "x", float("nan"), [1], 255, ord("1"), ord("x")])
 def test_constructor_rejects_non_bits(bad):
     with pytest.raises(ValueError):
         BitString((0, bad, 1))
+    if isinstance(bad, int) and 0 <= bad < 256:  # as a byte, in the form the constructor takes
+        with pytest.raises(ValueError):
+            BitString(bytes((0, bad, 1)))
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [(1.0, 0.0, True), (0, 1), [0, 1], bytearray(b"\x01"), memoryview(b"\x01"),
+     np.array([0, 1], dtype=np.uint8), b"\x00\x02", b"01"],
+)
+def test_constructor_takes_only_bytes_of_0_1(bits):
+    with pytest.raises(ValueError):
+        BitString(bits)
+
+
+def test_array_is_a_read_only_view_of_the_bits():
+    u = BitString(b"\x01\x00\x01\x01")
+    assert u.array.dtype == np.uint8 and u.array.tolist() == [1, 0, 1, 1]
+    assert np.shares_memory(u.array, np.frombuffer(u.bits, dtype=np.uint8))
+    assert not u.array.flags.writeable
+    with pytest.raises(ValueError):
+        u.array[0] = 0
+    assert u.substring(2, 3).array.tolist() == [0, 1]
+
+
+@given(st.text(alphabet="01", max_size=40))
+def test_text_round_trip(s):
+    u = BitString.from_text(s)
+    assert str(u) == s and u.bits == bytes(int(c) for c in s)
 
 
 @pytest.mark.parametrize(
