@@ -12,12 +12,18 @@ JSON file: the git revision, a digest of the sources under `src/`, the
 machine (cores, CPU, Python, numpy, sympy), every metric each run
 printed, per seed the four workloads' result digests, and the Tier-1
 summary line and wall time.  End-to-end metrics are the median over the
-`--trace 0` seeds, with every sample.
+`--trace 0` seeds, with every sample.  The Tier-1 time is also given
+host-scaled, as the benchmark scales its host times: times the
+benchmark's reference probe time over the median of its host-speed
+probe (`perfbench/worker.py`), run just before and just after the suite.
 
 `--compare A B` prints each metric of A and B with B's change relative
 to A, and a loud DIGEST CHANGED line for every workload and seed whose
 result digest differs; it exits 1 when one does, since equal digests
-mean the same answers at the same simulated cost.
+mean the same answers at the same simulated cost.  It warns when a
+workload's `host_probe_ms` differs by more than 25 % between the two
+records: the host ran at another speed, and unscaled times do not
+compare.  These are report lines; no gate depends on them.
 
 Standard library only, so it runs on any tree the benchmark runs on.
 """
@@ -46,6 +52,15 @@ WORKLOAD_HEADER = re.compile(r"^== (\w+)$")
 METRIC_LINE = re.compile(r"^  (\S+)\s+(\S+) (\S+)")
 DIGEST_LINE = re.compile(r"^  result digest sha256:([0-9a-f]+)$")
 TIER1_SUMMARY = re.compile(r"^=*\s*(\d+ passed.*?)\s*=*$")
+# Beyond this relative change in host_probe_ms two records' hosts differ.
+HOST_DRIFT = 0.25
+PROBES = 9
+PROBE_SCRIPT = (
+    "import json, statistics, sys; sys.path.insert(0, 'perfbench'); import worker; "
+    f"worker.probe(); times = [worker.probe() for _ in range({PROBES})]; "
+    "print(json.dumps({'probe_ms': [1e3 * t for t in times], "
+    "'probe_ref_ms': 1e3 * worker.PROBE_REF_S}))"
+)
 
 
 class RecordError(Exception):
@@ -99,21 +114,40 @@ def run_perfbench(root: Path, seed: int, trace: int) -> dict:
     return {"seed": seed, "metrics": metrics, "digests": digests}
 
 
+def run_probe(root: Path) -> dict:
+    """PROBES timings of the benchmark's host-speed probe in ms, and its reference."""
+    proc = subprocess.run([sys.executable, "-c", PROBE_SCRIPT], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RecordError(f"host-speed probe exited {proc.returncode}:\n{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
 def run_tier1(root: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     print(f"record: tier-1 suite in {root}", file=sys.stderr, flush=True)
+    before = run_probe(root)
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
+    after = run_probe(root)
     summary = next(
         (m.group(1) for line in reversed(proc.stdout.splitlines())
          if (m := TIER1_SUMMARY.match(line.strip()))),
         None,
     )
-    return {"seconds": round(seconds, 2), "exit_code": proc.returncode, "summary": summary}
+    probe_ms = statistics.median(before["probe_ms"] + after["probe_ms"])
+    return {
+        "seconds": round(seconds, 2),
+        "exit_code": proc.returncode,
+        "summary": summary,
+        "probe_ms": round(probe_ms, 4),
+        "probe_ref_ms": before["probe_ref_ms"],
+        "scaled_seconds": round(seconds * before["probe_ref_ms"] / probe_ms, 2),
+    }
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -210,7 +244,22 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     ta, tb = a.get("tier1", {}), b.get("tier1", {})
     lines.append(f"tier-1: {ta.get('summary')} in {ta.get('seconds')} s -> "
                  f"{tb.get('summary')} in {tb.get('seconds')} s")
+    lines.append(f"tier-1 host-scaled: {_scaled_tier1(ta)} -> {_scaled_tier1(tb)}")
+    probes_a, probes_b = a.get("host_probe_ms", {}), b.get("host_probe_ms", {})
+    for workload in sorted(set(probes_a) & set(probes_b)):
+        pa, pb = probes_a[workload], probes_b[workload]
+        if abs(pb - pa) > HOST_DRIFT * pa:
+            lines.append(f"warning: {workload} host_probe_ms {pa:.4g} -> {pb:.4g} ms "
+                         f"({(pb - pa) / pa:+.0%}): the hosts ran at different speeds, "
+                         "so compare host-scaled times only")
     return lines, changed
+
+
+def _scaled_tier1(tier1: dict) -> str:
+    if "scaled_seconds" not in tier1:
+        return "n/a (no probe around the suite)"
+    return (f"{tier1['scaled_seconds']} s (probe {tier1['probe_ms']} ms, "
+            f"reference {tier1['probe_ref_ms']:.4g} ms)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .resources import ResourceLedger, charge
+# `charge` is unused here but stays importable as `grover.charge`, a name
+# perfbench/tracer.py patches
+from .resources import ResourceLedger, charge  # noqa: F401
 from .sim import SearchState, padded_size
 
 
@@ -37,6 +40,24 @@ def success_probability(domain: int, targets: int, iterations: int) -> float:
     """Closed-form sin^2((2j+1) * asin(sqrt(t/M))) for exact oracles."""
     theta = math.asin(math.sqrt(targets / domain))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+_BAD_ERROR_CLASSES = "error_classes must map the padded domain to errors in [0, 1]"
+
+
+@lru_cache(maxsize=64)
+def _ranked_errors(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct errors ascending; each error's rank among them, as a
+    small unsigned key that numpy radix-sorts; and the rank of the first
+    positive error (a zero error has rank 0).  Read-only: every oracle
+    over the same error table shares them."""
+    table = np.asarray(errors, dtype=float)
+    if not np.all((table >= 0) & (table <= 1)):
+        raise ValueError(_BAD_ERROR_CLASSES)
+    values, rank = np.unique(table, return_inverse=True)
+    rank = rank.astype(np.min_scalar_type(values.size))
+    values.flags.writeable = rank.flags.writeable = False
+    return values, rank, int(values[0] == 0)
 
 
 class OracleSpec:
@@ -76,25 +97,24 @@ class OracleSpec:
         self.error_prob = error_prob
         self.inner_iterations_per_eval = inner_iterations_per_eval
         if error_classes is None and error_prob > 0:
-            error_classes = (np.zeros(self.padded, dtype=np.uint8), np.array([error_prob]))
+            error_classes = (np.zeros(self.padded, dtype=np.uint8), (error_prob,))
         # class c holds _members[_starts[c] : _starts[c] + _sizes[c]]
         self._class_errors: np.ndarray | None = None
         if error_classes is not None:
-            labels, errors = error_classes[0], np.asarray(error_classes[1], dtype=float)
+            labels, errors = error_classes
+            if type(errors) is not tuple:
+                errors = tuple(np.asarray(errors, dtype=float).tolist())
             if (labels.shape != (self.padded,) or labels.dtype.kind not in "iu"
-                    or labels.min() < 0 or labels.max() >= errors.size
-                    or not np.all((errors >= 0) & (errors <= 1))):
-                raise ValueError("error_classes must map the padded domain to errors in [0, 1]")
-            # rank[label]: position of the label's error among the distinct
-            # errors, ascending, so a zero error has rank 0; a small
-            # unsigned key lets numpy radix-sort
-            values, rank = np.unique(errors, return_inverse=True)
-            key = rank.astype(np.min_scalar_type(values.size))[labels]
-            index = np.flatnonzero(~truth & (key >= int(values[0] == 0)))
-            key = key[index]
+                    or (labels.dtype.kind == "i" and labels.min() < 0)
+                    or labels.max() >= len(errors)):
+                raise ValueError(_BAD_ERROR_CLASSES)
+            values, rank, first_positive = _ranked_errors(errors)
+            key = rank.take(labels)
+            index = (~truth & (key >= first_positive)).nonzero()[0]
+            key = key.take(index)
             counts = np.bincount(key, minlength=values.size)
             used = counts > 0
-            self._members = index[np.argsort(key, kind="stable")]
+            self._members = index.take(key.argsort(kind="stable"))
             self._sizes = counts[used]
             self._starts = np.cumsum(self._sizes) - self._sizes
             self._class_errors = values[used]
@@ -141,11 +161,11 @@ class OracleSpec:
             return self.targets
         wrong, none_wrong = err
         u = rng.random(wrong.size)
-        flipped = np.flatnonzero(u >= none_wrong)
-        if flipped.size == 0:
+        flipped = u >= none_wrong
+        if not np.count_nonzero(flipped):
             return self.targets
         flips = []
-        for c in flipped:
+        for c in np.flatnonzero(flipped):
             size = int(self._sizes[c])
             count = _binomial_count(float(u[c]), size, float(wrong[c]), float(none_wrong[c]))
             flips.append(self._members[self._starts[c] + rng.choice(size, count, replace=False)])
@@ -192,12 +212,18 @@ def charge_iterations(
     rho: int,
 ) -> None:
     """Charge `iterations` query-and-diffusion steps on `search`, each
-    query answered by `rho` evaluations of `oracle`."""
+    query answered by `rho` evaluations of `oracle`, as one checked add
+    of the four counters."""
     evaluations = iterations * rho
-    charge(ledger, "oracle_queries", iterations)
-    charge(ledger, "hash_eval_units", evaluations * oracle.evaluation_cost)
-    charge(ledger, "inner_grover_iterations", evaluations * oracle.inner_iterations_per_eval)
-    charge(ledger, "diffusion_units", iterations * search.index_width)
+    hash_units = evaluations * oracle.evaluation_cost
+    inner = evaluations * oracle.inner_iterations_per_eval
+    diffusion = iterations * search.index_width
+    if min(iterations, hash_units, inner, diffusion) < 0:
+        raise ValueError("charge amount must be non-negative")
+    ledger.oracle_queries += iterations
+    ledger.hash_eval_units += hash_units
+    ledger.inner_grover_iterations += inner
+    ledger.diffusion_units += diffusion
 
 
 def grover_run(

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
 from .grover import durr_hoyer_min
-from .qmatch import (
-    hash_equality_eval,
-    inner_eval_gate_cost,
-    inner_schedule,
-    miss_probability_table,
-    worst_eval_miss,
-)
+from .qmatch import hash_equality_eval, worst_eval_miss
 from .resources import (
     ResourceLedger,
     charge,
@@ -34,7 +29,15 @@ from .resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
-from .sim import Register, RegisterLayout, SearchState, padded_size, search_state
+from .sim import (
+    Register,
+    RegisterLayout,
+    SearchState,
+    StructuredState,
+    padded_size,
+    search_copy,
+    search_state,
+)
 from .strings_core import BitString
 
 
@@ -83,7 +86,9 @@ class CompareInstanceState:
     For the search comparator the data registers hold the symbol pair
     (u_a, v_a); for the binary-search comparator they hold the prefix
     hash pair of length a+1.  Padding entries bind equal sentinels so a
-    padded index can never look like a differing position.
+    padded index can never look like a differing position.  The symbol
+    tables are read-only, and every symbol copy comes from one structured
+    template that validated them once.
     """
 
     k: int
@@ -110,11 +115,15 @@ class CompareInstanceState:
             ]
         )
 
+    @cached_property
+    def _symbol_template(self) -> StructuredState:
+        return search_state(
+            "structured", self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits}
+        )
+
     def symbol_copy(self, mode: str) -> SearchState:
         """One fresh uniform search state over positions with (u_a, v_a) bound."""
-        return search_state(
-            mode, self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits}
-        )
+        return search_copy(mode, self._symbol_template)
 
     def hash_pair(self, prefix_len: int) -> tuple[HashValue, HashValue]:
         return (
@@ -133,6 +142,7 @@ def build_compare_state(
     v_bits = np.zeros(padded, dtype=np.int64)
     u_bits[:k] = u.array[:k]
     v_bits[:k] = v.array[:k]
+    u_bits.flags.writeable = v_bits.flags.writeable = False
     prefix_u = prefix_v = None
     width = None
     if params is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +35,15 @@ from .resources import (
     qubit_count_match,
     qubit_count_match_unique,
 )
-from .sim import Register, RegisterLayout, SearchState, padded_size, search_state
+from .sim import (
+    Register,
+    RegisterLayout,
+    SearchState,
+    StructuredState,
+    padded_size,
+    search_copy,
+    search_state,
+)
 from .strings_core import BitString, MatchInstance
 
 
@@ -73,6 +81,16 @@ def inner_eval_gate_cost(bit_domain: int) -> int:
     """Gate units of one coherent evaluation: per iteration, a diffusion
     over the bit-position register plus one bit-compare query."""
     return sum(inner_schedule(bit_domain)) * (index_width(bit_domain) + 1)
+
+
+@lru_cache(maxsize=32)
+def _evaluation_constants(bit_domain: int) -> tuple[int, float, int]:
+    """Gate units, worst miss and inner iterations of one evaluation."""
+    return (
+        inner_eval_gate_cost(bit_domain),
+        worst_eval_miss(bit_domain),
+        sum(inner_schedule(bit_domain)),
+    )
 
 
 def hash_equality_eval(
@@ -122,7 +140,9 @@ class MatchStateSpec:
     One copy per doubling repetition, each a uniform superposition over
     the padded window-index domain with the window-hash register bound
     to the index.  Padding indices bind the bitwise complement of the
-    pattern hash, so they can never be judged equal.
+    pattern hash, so they can never be judged equal.  The table is
+    read-only, and every copy comes from one structured template that
+    validated it once.
     """
 
     instance: MatchInstance
@@ -157,30 +177,32 @@ class MatchStateSpec:
             ]
         )
 
+    @cached_property
+    def _template(self) -> StructuredState:
+        return search_state(
+            "structured", self.layout(), self.num_windows, {"whash": self.window_hash_table}
+        )
+
     def make_copy(self, mode: str) -> SearchState:
         """One fresh uniform search state."""
-        return search_state(
-            mode, self.layout(), self.num_windows, {"whash": self.window_hash_table}
-        )
+        return search_copy(mode, self._template)
 
     def oracle(self) -> OracleSpec:
         """Window-hash-equality oracle with its one-sided error model."""
         bit_domain = padded_size(self.params.width)
-        diffs = self.window_hash_table ^ self.pattern_hash.residue
-        t_counts = np.bitwise_count(diffs)
+        evaluation_cost, error_prob, inner_iterations = _evaluation_constants(bit_domain)
+        # t <= width <= bit_domain: every residue, the sentinel too, has width bits
+        t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash.residue)
         truth = t_counts == 0
         truth[self.num_windows :] = False  # sentinel never equals the pattern hash
         # error class = differing-bit count t, with miss probability miss[t]
         return OracleSpec(
             self.num_windows,
             truth,
-            evaluation_cost=inner_eval_gate_cost(bit_domain),
-            error_prob=worst_eval_miss(bit_domain),
-            error_classes=(
-                np.minimum(t_counts, bit_domain),
-                np.asarray(miss_probability_table(bit_domain)),
-            ),
-            inner_iterations_per_eval=sum(inner_schedule(bit_domain)),
+            evaluation_cost=evaluation_cost,
+            error_prob=error_prob,
+            error_classes=(t_counts, miss_probability_table(bit_domain)),
+            inner_iterations_per_eval=inner_iterations,
         )
 
 
@@ -205,6 +227,7 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
     if sentinel == pattern_hash.residue:  # width-0 complement cannot happen, be safe
         sentinel ^= 1
     table[inst.num_windows :] = sentinel
+    table.flags.writeable = False
     copies = max(1, index_width(inst.num_windows))
     return MatchStateSpec(
         instance=inst,

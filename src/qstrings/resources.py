@@ -77,7 +77,15 @@ class ResourceLedger:
 
     def close_phase(self, label: str, before: tuple[int, ...]) -> None:
         delta = tuple(map(operator.sub, _COUNTER_VALUES(self), before))
-        self.phase_breakdown.append((sys.intern(label), delta))
+        self.phase_breakdown.append(_phase_record(label, delta))
+
+
+@lru_cache(maxsize=1024)
+def _phase_record(label: str, delta: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """One shared, immutable (interned label, delta) record per distinct
+    phase: Grover runs of one size charge equal deltas, so ledgers that
+    are kept refer to one copy instead of holding their own."""
+    return sys.intern(label), delta
 
 
 def charge(ledger: ResourceLedger, counter: str, amount: int | float) -> ResourceLedger:

@@ -5,18 +5,25 @@ four-gate set {H, X, Z, CNOT}, phase oracles, and index-register
 diffusion.  StructuredState exploits the shape shared by every state in
 this package: a superposition over an index register whose other
 registers hold deterministic functions of the index.  It stores the
-function tables ("bindings") and the index amplitudes as one amplitude
-shared by every never-marked index plus sorted exception indices with
-their own amplitudes, so a search step costs O(exceptions); the two
-backends must agree amplitude-for-amplitude after expansion.
+function tables ("bindings", validated once and read-only) and the index
+amplitudes in three parts: one base amplitude shared by every
+never-marked index; a group, the index array the first marking adopted,
+with one shared amplitude; and sorted exception indices with their own
+amplitudes.  A one-sided oracle marks every target in every query, so
+the targets share one amplitude for the whole run, the two-dimensional
+picture of multi-target search (Boyer, Brassard, Hoyer and Tapp, 1998).
+A query that marks exactly the group then costs O(1) scalar work, and
+any other step O(exceptions + marked).  The two backends must agree
+amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
 unbind the data (XOR the binding out), diffuse, and rebind; the
 structured backend gets the same effect for free.  DenseSearchState
-does that bookkeeping, and `search_state` is the one place that builds
-a fresh search state in either backend, so algorithm code never
-branches on which one it holds.
+does that bookkeeping, and `search_state` (with `search_copy` for
+repeated copies of one search space) is the one place that builds a
+fresh search state in either backend, so algorithm code never branches
+on which one it holds.
 
 Conventions: qubit 0 is the least-significant bit of the flat basis
 index, and each register occupies a contiguous run of qubits with its
@@ -26,7 +33,9 @@ own LSB first.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -276,17 +285,61 @@ def _check_index_array(marked: np.ndarray) -> None:
         raise ValueError(f"marked must be an integer index array, got dtype {marked.dtype}")
 
 
+# Up to this many cdf segments `measure_index` sums in Python floats; past
+# it, numpy's fixed cost per call is the smaller one.
+SCALAR_MEASURE_SEGMENTS = 64
+# shared empty arrays, never written: every write replaces a non-empty one
+_NO_INDEX = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0)
+_NO_INDEX.flags.writeable = _NO_VALUES.flags.writeable = False
+
+
+def _cdf_segment(
+    index: Sequence[int], mass: Sequence[float], cdf: Sequence[float], seg: int,
+    target: float, base_prob: float, size: int,
+) -> int:
+    """The basis index at `target` within cdf segment `seg`.
+
+    Segments alternate: the run of base-amplitude indices before index[j]
+    (each of probability `base_prob`), then index[j] itself, and finally
+    the run after the last one.  u times the total can round up to the
+    total, so the pick stays on the last segment with mass.
+    """
+    last = len(mass) - 1
+    while not mass[last]:
+        last -= 1
+    seg = min(seg, last)
+    run = seg // 2
+    if seg % 2:
+        return int(index[run])
+    start = int(index[run - 1]) + 1 if run else 0
+    end = int(index[run]) if run < len(index) else size
+    offset = int((target - (cdf[seg - 1] if seg else 0.0)) / base_prob)
+    return start + min(offset, end - start - 1)
+
+
 class StructuredState:
     """Amplitudes over a padded index domain plus classical binding tables.
 
     Bindings map every padded index value to the content of the
     corresponding data register; padding entries carry whatever sentinel
-    the caller installed.  A new state is the uniform superposition.
+    the caller installed.  They are validated once, held read-only, and
+    shared by every `copy`.  A new state is the uniform superposition.
 
     Phase flips and reflections about the mean keep every amplitude real
-    and keep all never-marked indices equal, so the state is one shared
-    base amplitude plus sorted exception indices with their own
-    amplitudes.  Each step costs O(exceptions), not O(domain).
+    and keep equal the amplitudes of indices marked by the same queries.
+    So the state is three things:
+
+    - the base amplitude, shared by every never-marked index;
+    - the group: the index array the first marking adopted, with one
+      shared amplitude.  A one-sided oracle marks every target in every
+      query, so its targets stay in the group for the whole run (the
+      two-dimensional picture of Boyer, Brassard, Hoyer and Tapp);
+    - sorted exception indices, disjoint from the group, each with its
+      own amplitude: indices marked by some queries but not by all.
+
+    A step that marks exactly the group costs O(1) scalar work; any other
+    step costs O(exceptions + marked).
     """
 
     def __init__(
@@ -313,37 +366,76 @@ class StructuredState:
                 raise ValueError(f"binding for {r.name!r} must cover the padded domain")
             if table.max(initial=0) >= (1 << r.width):
                 raise ValueError(f"binding for {r.name!r} overflows its register width")
+            if table.flags.writeable or not table.flags.owndata:
+                # writable here or through the array it views: keep a copy
+                table = table.copy()
+                table.flags.writeable = False
             self.bindings[r.name] = table
         self._base = 1.0 / math.sqrt(self.size)
-        self._index = np.empty(0, dtype=np.int64)
-        self._values = np.empty(0)
+        self._group = _NO_INDEX
+        self._group_amp = 0.0
+        self._index = _NO_INDEX
+        self._values = _NO_VALUES
         self.check_norm()
+
+    def copy(self) -> "StructuredState":
+        """An independent state equal to this one, sharing its validated
+        layout and read-only bindings."""
+        out = StructuredState.__new__(StructuredState)
+        out.__dict__ = self.__dict__.copy()
+        out.bindings = dict(self.bindings)
+        out._values = self._values.copy()
+        out.check_norm()
+        return out
 
     @property
     def amps(self) -> np.ndarray:
         """The full amplitude vector, built on each read; read-only."""
         out = np.full(self.size, self._base)
+        out[self._group] = self._group_amp
         out[self._index] = self._values
         out.flags.writeable = False
         return out
 
     def check_norm(self) -> None:
-        rest = self.size - self._index.size
-        norm = self._base * self._base * rest + float(np.dot(self._values, self._values))
+        group = self._group.size
+        rest = self.size - group - self._index.size
+        norm = self._base * self._base * rest + self._group_amp * self._group_amp * group
+        if self._index.size:
+            norm += float(np.dot(self._values, self._values))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
     def apply_phase_pattern(self, marked: np.ndarray) -> "StructuredState":
         """Negate the amplitudes at `marked`, sorted distinct indices.
 
-        An index marked for the first time leaves the base and becomes
-        an exception holding the base amplitude before it is negated.
+        While every index holds the base amplitude, `marked` is adopted as
+        the group, unmodified and uncopied: callers must not write an array
+        they pass.  Marking the group again, or a superset of it, negates
+        the group's one amplitude.  A marking that leaves out a group
+        member dissolves the group into the exceptions.  A marked index
+        outside the group that was never marked before leaves the base and
+        becomes an exception holding the base amplitude before it is
+        negated.
         """
         _check_index_array(marked)
-        if marked is self._index:
-            # the array an earlier first marking adopted (an exact query's
-            # shared targets): every exception is marked, none is new
-            np.negative(self._values, out=self._values)
+        if marked is self._group:
+            # an exact query's shared targets: every marked index is in the group
+            self._group_amp = -self._group_amp
+            return self
+        if self._group.size == 0 and self._index.size == 0:
+            # every amplitude is the base: adopt the marking as the group
+            self._group = marked
+            self._group_amp = -self._base
+            return self
+        if self._group.size:
+            pos = np.searchsorted(marked, self._group)
+            if marked.size and (marked.take(pos, mode="clip") == self._group).all():
+                self._group_amp = -self._group_amp
+                marked = np.delete(marked, pos)
+            else:
+                self._dissolve_group()
+        if marked.size == 0:
             return self
         if self._index.size == 0:
             # no exception to look up (`take` needs one); the index array is
@@ -354,20 +446,34 @@ class StructuredState:
         pos = np.searchsorted(self._index, marked)
         known = self._index.take(pos, mode="clip") == marked
         if not known.all():
-            new = marked[~known]
-            index = np.concatenate((self._index, new))
-            order = np.argsort(index)
-            self._index = index[order]
-            self._values = np.concatenate((self._values, np.full(new.size, self._base)))[order]
+            self._merge(marked[~known], np.full(int((~known).sum()), self._base))
             pos = np.searchsorted(self._index, marked)
         self._values[pos] *= -1.0
         return self
 
+    def _merge(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Add exceptions at `index`, none of them an exception yet."""
+        index = np.concatenate((self._index, index))
+        order = np.argsort(index)
+        self._index = index[order]
+        self._values = np.concatenate((self._values, values))[order]
+
+    def _dissolve_group(self) -> None:
+        self._merge(self._group, np.full(self._group.size, self._group_amp))
+        self._group = _NO_INDEX
+        self._group_amp = 0.0
+
     def diffuse(self) -> "StructuredState":
-        rest = self.size - self._index.size
-        mean = (self._base * rest + float(self._values.sum())) / self.size
-        self._base = 2.0 * mean - self._base
-        np.subtract(2.0 * mean, self._values, out=self._values)
+        group = self._group.size
+        rest = self.size - group - self._index.size
+        total = self._base * rest + self._group_amp * group
+        if self._index.size:
+            total += float(self._values.sum())
+        twice_mean = 2.0 * (total / self.size)
+        self._base = twice_mean - self._base
+        self._group_amp = twice_mean - self._group_amp
+        if self._index.size:
+            np.subtract(twice_mean, self._values, out=self._values)
         self.check_norm()
         return self
 
@@ -377,28 +483,50 @@ class StructuredState:
         One `rng.random()` is inverted through the cdf in index order,
         the draw `rng.choice(size, p=probs)` makes, so both backends pick
         the same index from the same generator state.  The cdf runs over
-        alternating segments: the base run before each exception, then
-        the exception itself, then the run after the last one.
+        alternating segments: the base run before each index off the base
+        (group or exception), then that index itself, then the run after
+        the last one.  Up to SCALAR_MEASURE_SEGMENTS segments it is summed
+        in Python floats, left to right as `np.cumsum` adds, and searched
+        with `bisect_right` as `searchsorted(side="right")` does, so both
+        paths pick the same index from the same draw.
         """
-        starts = np.concatenate(([0], self._index + 1))
-        ends = np.concatenate((self._index, [self.size]))
         base_prob = self._base * self._base
-        mass = np.empty(2 * self._index.size + 1)
-        mass[0::2] = (ends - starts) * base_prob
-        mass[1::2] = self._values * self._values
-        cdf = np.cumsum(mass)
-        target = rng.random() * cdf[-1]
-        # u * total can round up to the total: stay on a segment with mass
-        seg = min(int(np.searchsorted(cdf, target, side="right")), int(np.flatnonzero(mass)[-1]))
-        if seg % 2:
-            outcome = int(self._index[seg // 2])
+        segments = 2 * (self._group.size + self._index.size) + 1
+        if segments <= SCALAR_MEASURE_SEGMENTS:
+            index = self._group.tolist() + self._index.tolist()
+            values = [self._group_amp] * self._group.size + self._values.tolist()
+            if self._group.size and self._index.size:
+                order = sorted(range(len(index)), key=index.__getitem__)
+                index = [index[k] for k in order]
+                values = [values[k] for k in order]
+            mass, start = [], 0
+            for i, value in zip(index, values):
+                mass += ((i - start) * base_prob, value * value)
+                start = i + 1
+            mass.append((self.size - start) * base_prob)
+            cdf = list(accumulate(mass))
+            target = rng.random() * cdf[-1]
+            seg = bisect_right(cdf, target)
         else:
-            run = seg // 2
-            offset = int((target - (cdf[seg - 1] if seg else 0.0)) / base_prob)
-            outcome = int(starts[run]) + min(offset, int(ends[run] - starts[run]) - 1)
+            index = np.concatenate((self._group, self._index))
+            values = np.concatenate((np.full(self._group.size, self._group_amp), self._values))
+            order = np.argsort(index)
+            index, values = index[order], values[order]
+            starts = np.concatenate(([0], index + 1))
+            ends = np.concatenate((index, [self.size]))
+            mass = np.empty(segments)
+            mass[0::2] = (ends - starts) * base_prob
+            mass[1::2] = values * values
+            cdf = np.cumsum(mass)
+            target = rng.random() * cdf[-1]
+            seg = int(np.searchsorted(cdf, target, side="right"))
+        outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
+        # collapsed: the outcome alone, a group of one, holds amplitude 1
         self._base = 0.0
-        self._index = np.array([outcome], dtype=np.int64)
-        self._values = np.ones(1)
+        self._group = np.array([outcome], dtype=np.int64)
+        self._group_amp = 1.0
+        self._index = _NO_INDEX
+        self._values = _NO_VALUES
         return outcome
 
     def index_probabilities(self) -> np.ndarray:
@@ -515,6 +643,16 @@ def search_state(
         bind_data(state, name, table)
     prepare_minus(state, "xi")
     return DenseSearchState(state, index, "xi", data_tables=bindings)
+
+
+def search_copy(mode: str, template: StructuredState) -> SearchState:
+    """A fresh uniform search state over the layout and bindings of
+    `template`, a structured state that is never evolved: in the
+    structured backend a copy of it, so its bindings are validated once
+    for every copy; in the dense backend a state built from them."""
+    if mode == "structured":
+        return template.copy()
+    return search_state(mode, template.layout, template.domain_size, template.bindings)
 
 
 def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> DenseState:

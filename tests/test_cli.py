@@ -245,11 +245,14 @@ def test_crosscheck_cli(capsys):
 def test_crosscheck_fault_injection():
     def perturb(name, structured):
         if name.startswith("compare_grover k4"):
-            # nudge the amplitude shared by every never-marked index
+            # nudge the amplitude shared by every never-marked index, then
+            # renormalize every stored amplitude: base, group and exceptions
             structured._base += 1e-6
             norm = np.sqrt(np.sum(structured.amps**2))
             structured._base /= norm
+            structured._group_amp /= norm
             structured._values /= norm
+            structured.check_norm()
 
     report = run_crosscheck(1, perturb=perturb)
     assert not report.passed

@@ -7,6 +7,7 @@ from qstrings.grover import (
     GroverOutcome,
     OracleSpec,
     bbht_search,
+    charge_iterations,
     doubling_schedule,
     durr_hoyer_min,
     grover_run,
@@ -271,6 +272,9 @@ def test_error_classes_rejected_when_malformed():
         (np.full(8, 2), np.array([0.1, 0.2])),  # label past the table
         (np.full(8, -1), np.array([0.1])),
         (np.zeros(8, dtype=np.int64), np.array([1.5])),
+        (np.full(8, 2, dtype=np.uint8), (0.1, 0.2)),  # unsigned label past the table
+        (np.zeros(8, dtype=np.uint8), (0.1, -0.5)),  # a bad error in a tuple table
+        (np.zeros(8, dtype=np.uint8), ()),
     ]:
         with pytest.raises(ValueError):
             OracleSpec(8, truth, error_classes=(labels, table))
@@ -311,6 +315,22 @@ def test_grover_run_ledger_for_noisy_oracle(rho, expected_rho):
     }
     assert ledger.counters() == expected
     assert ledger.phase_breakdown == [("grover_run[4]", tuple(expected.values()))]
+
+
+def test_charge_iterations_refuses_a_negative_amount():
+    truth = np.zeros(8, dtype=bool)
+    truth[2] = True
+    ledger = ResourceLedger()
+    charge_iterations(ledger, _structured(8), OracleSpec(8, truth, evaluation_cost=3), 2, 1)
+    assert ledger.counters()["hash_eval_units"] == 6
+    with pytest.raises(ValueError, match="non-negative"):
+        charge_iterations(ledger, _structured(8), OracleSpec(8, truth, evaluation_cost=-1), 2, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        charge_iterations(ledger, _structured(8), OracleSpec(8, truth), -1, 1)
+    # a refused charge adds nothing
+    assert ledger.counters() == {"diffusion_units": 6, "oracle_queries": 2,
+                                 "inner_grover_iterations": 0, "access_units": 0,
+                                 "hash_eval_units": 6}
 
 
 def test_bounded_error_ledger_records_rho_times_cost():

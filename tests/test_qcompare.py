@@ -52,6 +52,17 @@ def test_access_element_dense_matches_structured():
         assert access_element(dense, i, ("u", "v")) == access_element(struct, i, ("u", "v"))
 
 
+def test_symbol_copies_share_read_only_bindings_and_evolve_independently():
+    state = build_compare_state(BitString.from_text("10110"), BitString.from_text("10011"))
+    with pytest.raises(ValueError):
+        state.u_bits[0] = 1
+    a, b = state.symbol_copy("structured"), state.symbol_copy("structured")
+    assert a.bindings["u"] is b.bindings["u"] is state.u_bits
+    a.apply_phase_pattern(np.array([2, 3]))
+    a.diffuse()
+    assert np.allclose(b.amps, np.full(8, 1 / math.sqrt(8)))
+
+
 def test_compare_grover_example_agreement():
     u = BitString.from_text("101")
     v = BitString.from_text("111")

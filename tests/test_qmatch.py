@@ -117,6 +117,30 @@ def test_structured_copy_expansion_matches_dense_copy():
     assert np.allclose(reduced, expand_structured(structured).amps)
 
 
+def test_copies_of_one_spec_evolve_independently():
+    inst = MatchInstance(BitString.from_text("0110100110"), BitString.from_text("101"))
+    spec = prepare_match_state(inst, _params(7, delta=8, max_len=3))
+    oracle = spec.oracle()
+    with pytest.raises(ValueError):
+        spec.window_hash_table[0] = 0  # validated once, so never written after
+    a, b = spec.make_copy("structured"), spec.make_copy("structured")
+    assert a is not b and not a.bindings["whash"].flags.writeable
+    uniform = b.amps
+    for _ in range(2):
+        a.apply_phase_pattern(oracle.targets)
+        a.diffuse()
+    assert np.array_equal(b.amps, uniform)
+    b.apply_phase_pattern(oracle.targets)
+    b.diffuse()
+    stepped = b.amps
+    assert not np.array_equal(a.amps, stepped)
+    a.measure_index(np.random.default_rng(1))
+    assert np.array_equal(b.amps, stepped)
+    assert np.array_equal(spec.make_copy("structured").amps, uniform)
+    dense = spec.make_copy("dense")
+    assert np.allclose(dense.index_probabilities(), uniform**2)
+
+
 def test_match_unique_small_monte_carlo():
     inst = MatchInstance(BitString.from_text("0010"), BitString.from_text("1"))
     rng = np.random.default_rng(17)

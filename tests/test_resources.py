@@ -62,6 +62,19 @@ def test_phase_breakdown():
     assert ledger.phase_breakdown[0][0] is ledger.phase_breakdown[1][0]  # labels interned
 
 
+def test_equal_phases_share_one_record():
+    # kept ledgers refer to one record per distinct phase, not a copy each
+    ledgers = [ResourceLedger(), ResourceLedger()]
+    for ledger in ledgers:
+        for amount in (7, 7, 9):
+            before = ledger.snapshot()
+            charge(ledger, "oracle_queries", amount)
+            ledger.close_phase(f"grover_run[{amount}]", before)
+    a, b = (ledger.phase_breakdown for ledger in ledgers)
+    assert a == b == [("grover_run[7]", (0, 7, 0, 0, 0))] * 2 + [("grover_run[9]", (0, 9, 0, 0, 0))]
+    assert a[0] is a[1] is b[0] and a[2] is b[2] and a[0] is not a[2]
+
+
 def test_index_width():
     assert index_width(1) == 0
     assert index_width(2) == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qstrings import sim
 from qstrings.sim import (
     DenseState,
     Register,
@@ -273,12 +274,18 @@ def _reference_measure(amps: np.ndarray, rng: np.random.Generator) -> int:
 
 def _marked_sequences(size: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
     """Explicit marked-index sequences: fixed targets, targets plus sparse
-    flips, fresh random sets, none, and every index."""
+    flips, exact steps after flips, fresh random sets, none, and every
+    index."""
     targets = np.sort(rng.choice(size, max(1, size // 8), replace=False))
     flips = [np.sort(rng.choice(size, 2, replace=False)) for _ in range(8)]
     return [
         [targets] * 8,
         [np.union1d(targets, f) if k % 3 == 0 else targets for k, f in enumerate(flips)],
+        # flip then exact: the same targets array again after each flip
+        [targets, np.union1d(targets, flips[0]), targets, targets,
+         np.union1d(targets, flips[1]), np.union1d(targets, flips[2]), targets],
+        # a marking without every target, then the targets again
+        [targets, targets[1:], targets, np.union1d(targets[:-1], flips[3]), targets],
         [np.sort(rng.choice(size, int(rng.integers(0, size + 1)), replace=False)) for _ in range(8)],
         [np.empty(0, dtype=np.int64), targets, np.arange(size), np.empty(0, dtype=np.int64)],
     ]
@@ -320,13 +327,79 @@ def test_phase_on_the_adopted_index_array_matches_a_fresh_copy_bit_for_bit(flip_
         shared.diffuse()
         fresh.diffuse()
         assert (shared.amps == fresh.amps).all()
-    if flip_at is None:
-        assert shared._index is targets  # every later marking took the early exit
+    # the first marking adopted the targets as the group, and a flip (a
+    # superset of the targets) kept it, so every exact step stayed scalar
+    assert shared._group is targets
     for seed in range(20):
         got, want = copy.deepcopy(shared), copy.deepcopy(fresh)
         assert got.measure_index(np.random.default_rng(seed)) == want.measure_index(
             np.random.default_rng(seed)
         )
+
+
+class _Draw:
+    """A stand-in generator whose every `random()` returns `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+def _measure_paths(state: StructuredState, u: float, monkeypatch) -> list[int]:
+    """The index each measurement path picks from the draw u: the default
+    path, then the Python-float path and the numpy path forced."""
+    picks = []
+    for cutoff in (sim.SCALAR_MEASURE_SEGMENTS, 10**9, 0):
+        monkeypatch.setattr(sim, "SCALAR_MEASURE_SEGMENTS", cutoff)
+        draw = _Draw(u)
+        picks.append(copy.deepcopy(state).measure_index(draw))
+        assert draw.draws == 1
+    monkeypatch.undo()
+    return picks
+
+
+def _special_state(size: int, group: int, exceptions: int) -> StructuredState:
+    """A state off the base at `group` targets and `exceptions` more indices."""
+    layout = RegisterLayout([Register("idx", (size - 1).bit_length(), "index")])
+    state = StructuredState(layout, size)
+    index = np.arange(0, 2 * (group + exceptions), 2)
+    targets, flips = index[:group], index[group:]
+    for marked in (targets, np.union1d(targets, flips), targets):
+        state.apply_phase_pattern(marked)
+        state.diffuse()
+    assert state._group is targets and state._index.size == exceptions
+    return state
+
+
+@pytest.mark.parametrize("group, exceptions", [(31, 0), (32, 0), (20, 11), (20, 12), (1, 0)])
+def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, monkeypatch):
+    # 2 * specials + 1 segments: 63 and 65 sit either side of the cutoff
+    state = _special_state(256, group, exceptions)
+    probs = state.index_probabilities()
+    cdf = np.cumsum(probs)
+    # draws at every segment boundary and just either side of it, and u = 1,
+    # where u times the total equals the total
+    bounds = cdf / cdf[-1]
+    draws = np.concatenate((np.linspace(0, 1, 101), bounds, np.nextafter(bounds, 0), [1.0]))
+    for u in draws.clip(0, 1):
+        picks = _measure_paths(state, float(u), monkeypatch)
+        assert picks[0] == picks[1] == picks[2]
+        assert probs[picks[0]] > 0
+
+
+def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
+    # one target in four after one iteration: the base runs carry no mass,
+    # so u = 1 must fall back onto the target, not the empty last run
+    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    state.apply_phase_pattern(np.array([2]))
+    state.diffuse()
+    assert state._base == 0.0
+    for u in (0.0, 0.25, 0.5, np.nextafter(1.0, 0), 1.0):
+        assert _measure_paths(state, float(u), monkeypatch) == [2, 2, 2]
 
 
 def test_structured_measure_with_zero_base_amplitude():
@@ -339,6 +412,48 @@ def test_structured_measure_with_zero_base_amplitude():
     assert [copy.deepcopy(state).measure_index(rng) for _ in range(50)] == [2] * 50
     assert state.measure_index(rng) == 2
     assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]  # collapsed onto the outcome
+
+
+def test_copy_evolves_independently_over_read_only_bindings():
+    layout = RegisterLayout(
+        [Register("idx", 3, "index"), Register("h", 3, "data", depends_on="idx")]
+    )
+    table = np.array([5, 1, 0, 7, 2, 2, 6, 3], dtype=np.int64)
+    template = StructuredState(layout, 8, bindings={"h": table})
+    table[0] = 4  # the caller's array was copied, not shared
+    assert template.values_at(0, ("h",)) == (5,)
+    view = table.view()
+    view.flags.writeable = False
+    table[0] = 5
+    viewing = StructuredState(layout, 8, bindings={"h": view})
+    table[0] = 4  # nor a read-only view of a writable array
+    assert viewing.values_at(0, ("h",)) == (5,)
+    binding = template.bindings["h"]
+    with pytest.raises(ValueError):
+        binding[0] = 7
+    a, b = template.copy(), template.copy()
+    targets = np.array([3])
+    a.apply_phase_pattern(targets)
+    a.diffuse()
+    assert np.array_equal(b.amps, template.amps)  # untouched by a's step
+    b.apply_phase_pattern(np.array([1, 3, 6]))
+    b.diffuse()
+    assert a.measure_index(np.random.default_rng(0)) == 3
+    assert np.allclose(template.amps, np.full(8, 1 / math.sqrt(8)))
+    assert np.count_nonzero(b.amps) == 8  # a's collapse left b alone
+    a.bindings["h"] = np.zeros(8, dtype=np.int64)
+    assert b.bindings["h"] is binding and template.bindings["h"] is binding
+    # a copy of an evolved state holds its own exception amplitudes
+    b.apply_phase_pattern(np.array([1, 3]))
+    c = b.copy()
+    stepped = b.amps
+    c.apply_phase_pattern(np.array([1, 3, 6]))  # in place: exceptions only
+    c.diffuse()
+    assert np.array_equal(b.amps, stepped)
+    # every copy checks its norm
+    template._base += 0.1
+    with pytest.raises(ValueError, match="norm"):
+        template.copy()
 
 
 def test_structured_amps_is_a_read_only_copy():
