@@ -58,13 +58,14 @@ def _flag_echo(argv: list[str]) -> str:
     return "# qstrings " + " ".join(argv)
 
 
-def _match_trial(args: tuple) -> str:
+def _match_trial(args: tuple) -> tuple[str, bool]:
+    """One trial's CSV row, and whether it found an exactly verified match."""
     inst, epsilon, seed, trial, mode = args
     rng = np.random.default_rng((seed, trial))
     params = qmatch.match_params(inst, epsilon, rng)
-    result = qmatch.match_search(inst, params, rng, mode=mode, seed=seed)
+    result = qmatch.match_search(inst, params, rng, mode=mode)
     ledger = result.ledger
-    return ",".join(
+    row = ",".join(
         str(x)
         for x in (
             trial,
@@ -78,6 +79,7 @@ def _match_trial(args: tuple) -> str:
             ledger.inner_grover_iterations,
         )
     )
+    return row, result.exactly_verified
 
 
 def _compare_trial(args: tuple) -> str:
@@ -128,10 +130,9 @@ def _cmd_match(args, argv) -> int:
             spec = qmatch.prepare_match_state(inst, params)
             dump_state(spec.make_copy("dense").state, args.dump_state)
     trials = [(inst, args.epsilon, args.seed, t, args.mode) for t in range(args.trials)]
-    rows = resources.pool_map(_match_trial, trials, args.jobs)
+    rows, verified = zip(*resources.pool_map(_match_trial, trials, args.jobs))
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
-    any_verified = any(row.split(",")[4] == "1" for row in rows)
-    return 0 if any_verified else 1
+    return 0 if any(verified) else 1
 
 
 def _cmd_compare(args, argv) -> int:
@@ -177,12 +178,7 @@ def _cmd_sweep(args, argv) -> int:
         jobs=args.jobs,
     )
     rows = resources.run_sweep(config)
-    text = resources.sweep_csv(rows, comment="qstrings " + " ".join(argv))
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit([_flag_echo(argv), *resources.sweep_csv(rows).splitlines()], args.csv)
     return 0
 
 

@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fingerprint import HashParams, universe_size
-from .grover import OracleSpec, charge_iterations, doubling_schedule, optimal_iterations
+from .grover import (
+    OracleSpec,
+    amplification,
+    charge_iterations,
+    doubling_schedule,
+    optimal_iterations,
+)
 from .qcompare import access_element, build_compare_state
 from .qmatch import prepare_match_state
 from .resources import ResourceLedger
-from .sim import expand_structured, project_flag_minus
+from .sim import expand_structured, padded_size, project_flag_minus
 from .strings_core import BitString, MatchInstance
 
 TOLERANCE = 1e-9
@@ -86,7 +92,7 @@ def _step_battery(
 ) -> InstanceReport:
     """Drive both backends through `iterations` shared search steps."""
     max_dev, worst_idx = _deviation(dense_search, structured)
-    rho = oracle.amplification(iterations)
+    rho = amplification(oracle.error_prob, iterations)
     for step in range(iterations):
         marked = oracle.query_pattern(rng, rho)
         dense_search.apply_phase_pattern(marked)
@@ -195,7 +201,7 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
     ]
     for name, text, pattern, p in unique_cases:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
-        iters = optimal_iterations(1 << max(1, (inst.num_windows - 1).bit_length()), 1)
+        iters = optimal_iterations(padded_size(inst.num_windows), 1)
         report.instances.append(
             _match_instance(name, text, pattern, p, [iters], rng, perturb)
         )

@@ -42,6 +42,14 @@ def success_probability(domain: int, targets: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+def amplification(error: float, steps: int) -> int:
+    """Evaluations per query so that a query whose single evaluation errs
+    with probability `error` errs with probability at most 1/(10*steps)."""
+    if error <= 0:
+        return 1
+    return max(1, math.ceil(math.log(10 * max(1, steps)) / math.log(1 / error)))
+
+
 _BAD_ERROR_CLASSES = "error_classes must map the padded domain to errors in [0, 1]"
 
 
@@ -119,13 +127,6 @@ class OracleSpec:
             self._starts = np.cumsum(self._sizes) - self._sizes
             self._class_errors = values[used]
         self._query_errors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def amplification(self, iterations: int) -> int:
-        """Evaluations per query so the query error is <= 1/(10*iterations)."""
-        if self.error_prob <= 0:
-            return 1
-        rho = math.ceil(math.log(10 * max(1, iterations)) / math.log(1 / self.error_prob))
-        return max(1, rho)
 
     def query_error(self, rho: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Per error class: the probability q = e^rho that all rho
@@ -244,7 +245,7 @@ def grover_run(
     """
     ledger = ledger if ledger is not None else ResourceLedger()
     before = ledger.snapshot()
-    rho = oracle.amplification(iterations) if rho is None else rho
+    rho = amplification(oracle.error_prob, iterations) if rho is None else rho
     for _ in range(iterations):
         search.apply_phase_pattern(oracle.query_pattern(rng, rho))
         search.diffuse()

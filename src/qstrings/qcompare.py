@@ -12,7 +12,6 @@ candidate position to settle the verdict.  Length cases are decided classically 
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
-from .grover import durr_hoyer_min
+from .grover import amplification, durr_hoyer_min
 from .qmatch import hash_equality_eval, worst_eval_miss
 from .resources import (
     ResourceLedger,
@@ -255,8 +254,7 @@ def compare_bsearch(
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
     state = build_compare_state(u, v, params)
     log_k = index_width(k)
-    bit_domain = padded_size(params.width)
-    rho = _bsearch_amplification(log_k, bit_domain)
+    rho = amplification(worst_eval_miss(padded_size(params.width)), log_k)
 
     # lo: longest prefix believed hash-equal; hi: candidate first difference.
     # A reported inequality carries a verified differing bit, so it always
@@ -285,13 +283,6 @@ def compare_bsearch(
         return CompareResult(verdict, None, tests, tests, tests, (), ledger)
     verdict = -1 if u_bit < v_bit else 1
     return CompareResult(verdict, a0, tests, tests, tests, (), ledger)
-
-
-def _bsearch_amplification(log_k: int, bit_domain: int) -> int:
-    worst = worst_eval_miss(bit_domain)
-    if worst <= 0:
-        return 1
-    return max(1, math.ceil(math.log(10 * max(1, log_k)) / math.log(1 / worst)))
 
 
 def _amplified_equality_test(

@@ -149,25 +149,14 @@ class MatchStateSpec:
     params: HashParams
     pattern_hash: HashValue
     window_hash_table: np.ndarray  # padded domain -> residue
-    copies: int
 
     @property
     def num_windows(self) -> int:
         return self.instance.num_windows
 
     @property
-    def padded_windows(self) -> int:
-        return padded_size(self.num_windows)
-
-    @property
     def index_register_width(self) -> int:
         return max(1, index_width(self.num_windows))
-
-    @property
-    def qubit_count(self) -> int:
-        return qubit_count_match(
-            self.instance.n, self.instance.m, self.params.epsilon, p=self.params.p
-        )
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout(
@@ -228,13 +217,8 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
         sentinel ^= 1
     table[inst.num_windows :] = sentinel
     table.flags.writeable = False
-    copies = max(1, index_width(inst.num_windows))
     return MatchStateSpec(
-        instance=inst,
-        params=params,
-        pattern_hash=pattern_hash,
-        window_hash_table=table,
-        copies=copies,
+        instance=inst, params=params, pattern_hash=pattern_hash, window_hash_table=table
     )
 
 
@@ -252,7 +236,6 @@ class MatchResult:
     exactly_verified: bool
     copies_used: int
     ledger: ResourceLedger
-    seed: object = None
 
     def __post_init__(self) -> None:
         if self.exactly_verified and self.position is None:
@@ -268,22 +251,40 @@ def _verify(inst: MatchInstance, spec: MatchStateSpec, measured: int) -> tuple[b
     return hash_ok, exact_ok
 
 
-def _trivial_match(inst: MatchInstance, params: HashParams, seed) -> MatchResult:
-    # Single-window instance: the search domain has one element, so the
-    # quantum search degenerates to verifying window 1 directly.
+def _search(
+    inst: MatchInstance,
+    params: HashParams,
+    rng: np.random.Generator,
+    mode: str,
+    schedule: list[int],
+    qubits: int,
+) -> MatchResult:
+    """One fresh state copy and one Grover run per schedule entry; the
+    first measured index that passes the exact window comparison wins,
+    so a non-None position is always a true occurrence."""
     ledger = ResourceLedger()
-    ledger.qubits_total = qubit_count_match_unique(
-        inst.n, inst.m, params.epsilon, p=params.p
-    )
-    ok = inst.window(1).bits == inst.pattern.bits
+    ledger.qubits_total = qubits
+    if inst.num_windows == 1:
+        # Single-window instance: the search domain has one element, so the
+        # quantum search degenerates to verifying window 1 directly.
+        ok = inst.window(1).bits == inst.pattern.bits
+        return MatchResult(1 if ok else None, 0, ok, ok, 1, ledger)
+    spec = prepare_match_state(inst, params)
+    oracle = spec.oracle()
+    for rep, iterations in enumerate(schedule):
+        outcome = grover_run(spec.make_copy(mode), oracle, iterations, rng, ledger)
+        measured = outcome.found_index
+        hash_ok, exact_ok = _verify(inst, spec, measured)
+        if exact_ok:
+            break
+    # hash_verified without exact verification marks a fingerprint collision
     return MatchResult(
-        position=1 if ok else None,
-        measured_index=0,
-        hash_verified=ok,
-        exactly_verified=ok,
-        copies_used=1,
+        position=measured + 1 if exact_ok else None,
+        measured_index=measured,
+        hash_verified=hash_ok,
+        exactly_verified=exact_ok,
+        copies_used=rep + 1,
         ledger=ledger,
-        seed=seed,
     )
 
 
@@ -292,31 +293,11 @@ def match_unique(
     params: HashParams,
     rng: np.random.Generator,
     mode: str = "structured",
-    seed: object = None,
 ) -> MatchResult:
     """Single fixed-length search, calibrated for exactly one occurrence."""
-    if inst.num_windows == 1:
-        return _trivial_match(inst, params, seed)
-    spec = prepare_match_state(inst, params)
-    ledger = ResourceLedger()
-    ledger.qubits_total = qubit_count_match_unique(
-        inst.n, inst.m, params.epsilon, p=params.p
-    )
-    oracle = spec.oracle()
-    iterations = optimal_iterations(spec.padded_windows, 1)
-    search = spec.make_copy(mode)
-    outcome = grover_run(search, oracle, iterations, rng, ledger)
-    measured = outcome.found_index
-    hash_ok, exact_ok = _verify(inst, spec, measured)
-    return MatchResult(
-        position=measured + 1 if exact_ok else None,
-        measured_index=measured,
-        hash_verified=hash_ok,
-        exactly_verified=exact_ok,
-        copies_used=1,
-        ledger=ledger,
-        seed=seed,
-    )
+    schedule = [optimal_iterations(padded_size(inst.num_windows), 1)]
+    qubits = qubit_count_match_unique(inst.n, inst.m, params.epsilon, p=params.p)
+    return _search(inst, params, rng, mode, schedule, qubits)
 
 
 def match_search(
@@ -324,47 +305,13 @@ def match_search(
     params: HashParams,
     rng: np.random.Generator,
     mode: str = "structured",
-    seed: object = None,
 ) -> MatchResult:
-    """Doubling-schedule search handling any number of occurrences.
-
-    Consumes one fresh state copy per repetition; the first measured
-    index that passes the exact window comparison is returned, so a
-    non-None position is always a true occurrence.
-    """
-    if inst.num_windows == 1:
-        return _trivial_match(inst, params, seed)
-    spec = prepare_match_state(inst, params)
-    ledger = ResourceLedger()
-    ledger.qubits_total = spec.qubit_count
-    oracle = spec.oracle()
-    schedule = doubling_schedule(spec.num_windows, max_repetitions=spec.copies)
-    measured = None
-    hash_ok = False
-    for rep, iterations in enumerate(schedule):
-        outcome = grover_run(spec.make_copy(mode), oracle, iterations, rng, ledger)
-        measured = outcome.found_index
-        hash_ok, exact_ok = _verify(inst, spec, measured)
-        if exact_ok:
-            return MatchResult(
-                position=measured + 1,
-                measured_index=measured,
-                hash_verified=hash_ok,
-                exactly_verified=True,
-                copies_used=rep + 1,
-                ledger=ledger,
-                seed=seed,
-            )
-    # hash_verified without exact verification marks a fingerprint collision
-    return MatchResult(
-        position=None,
-        measured_index=measured,
-        hash_verified=hash_ok,
-        exactly_verified=False,
-        copies_used=len(schedule),
-        ledger=ledger,
-        seed=seed,
-    )
+    """Doubling-schedule search handling any number of occurrences, with
+    one state copy per index-register bit."""
+    copies = max(1, index_width(inst.num_windows))
+    schedule = doubling_schedule(inst.num_windows, max_repetitions=copies)
+    qubits = qubit_count_match(inst.n, inst.m, params.epsilon, p=params.p)
+    return _search(inst, params, rng, mode, schedule, qubits)
 
 
 def random_single_occurrence(
@@ -398,18 +345,3 @@ def random_single_occurrence(
             start = max(0, bad - m + 1)
     raise RuntimeError("failed to construct a single-occurrence instance")
 
-
-def random_multi_occurrence(
-    n: int, m: int, count: int, rng: np.random.Generator, max_tries: int = 100_000
-) -> tuple[MatchInstance, set[int]]:
-    """Random instance with exactly `count` occurrences."""
-    from .strings_core import naive_match_all
-
-    for _ in range(max_tries):
-        text = BitString.from_bits(rng.integers(0, 2, n))
-        start = int(rng.integers(1, n - m + 2))
-        inst = MatchInstance(text, text.substring(start, start + m - 1))
-        occurrences = naive_match_all(inst)
-        if len(occurrences) == count:
-            return inst, occurrences
-    raise RuntimeError(f"no instance with {count} occurrences found")

@@ -112,6 +112,13 @@ def nominal_hash_width(delta: int, max_len: int, epsilon: float) -> int:
     return fingerprint.hash_width(fingerprint.top_prime(r))
 
 
+def _hash_register_width(delta: int, max_len: int, epsilon: float, p: int | None) -> int:
+    """Hash register width: that of modulus `p` when given, else the nominal one."""
+    if p is not None:
+        return fingerprint.hash_width(p)
+    return nominal_hash_width(delta, max_len, epsilon)
+
+
 def qubit_count_match(n: int, m: int, epsilon: float, p: int | None = None) -> int:
     """Exact qubit count of the full multi-copy matching layout.
 
@@ -122,11 +129,7 @@ def qubit_count_match(n: int, m: int, epsilon: float, p: int | None = None) -> i
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     num_windows = n - m + 1
-    lp = (
-        fingerprint.hash_width(p)
-        if p is not None
-        else nominal_hash_width(num_windows, m, epsilon)
-    )
+    lp = _hash_register_width(num_windows, m, epsilon, p)
     ln = index_width(num_windows)
     copies = max(1, ln)
     return lp + copies * (ln + lp) + ANCILLA_MATCH
@@ -138,11 +141,7 @@ def qubit_count_match_unique(n: int, m: int, epsilon: float, p: int | None = Non
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     num_windows = n - m + 1
-    lp = (
-        fingerprint.hash_width(p)
-        if p is not None
-        else nominal_hash_width(num_windows, m, epsilon)
-    )
+    lp = _hash_register_width(num_windows, m, epsilon, p)
     return index_width(num_windows) + 2 * lp + ANCILLA_MATCH
 
 
@@ -150,7 +149,7 @@ def qubit_count_compare_bsearch(k: int, epsilon: float, p: int | None = None) ->
     """Exact qubit count of the prefix-hash binary-search comparator layout."""
     if k < 1:
         raise ValueError("k must be positive")
-    lp = fingerprint.hash_width(p) if p is not None else nominal_hash_width(k, k, epsilon)
+    lp = _hash_register_width(k, k, epsilon, p)
     lk = index_width(k)
     copies = max(1, lk)
     return copies * (lk + 2 * lp) + lk + 1 + ANCILLA_COMPARE_BSEARCH
@@ -189,7 +188,6 @@ class SweepConfig:
     trials: int = 20
     seed: int = 0
     backend: str = "structured"
-    output_path: str | None = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -291,23 +289,17 @@ def pool_map(worker: Callable, tasks: Sequence, jobs: int) -> list:
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """One aggregated row per grid point; optionally written as CSV."""
+    """One aggregated row per grid point."""
     jobs = [
         (config.algo, x, config.m, config.epsilon, config.trials, config.seed, config.backend)
         for x in config.grid
     ]
-    rows = pool_map(_sweep_point, jobs, config.jobs)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(sweep_csv(rows))
-    return rows
+    return pool_map(_sweep_point, jobs, config.jobs)
 
 
-def sweep_csv(rows: Iterable[dict], comment: str | None = None) -> str:
+def sweep_csv(rows: Iterable[dict]) -> str:
     """Render sweep rows under the fixed header."""
     buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
     buf.write(CSV_HEADER + "\n")
     writer = csv.DictWriter(buf, fieldnames=CSV_HEADER.split(","), lineterminator="\n")
     for row in rows:

@@ -11,6 +11,7 @@ copying.  This module is the only one that knows that format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -108,8 +109,9 @@ class MatchInstance:
     def m(self) -> int:
         return len(self.pattern)
 
-    @property
+    @cached_property
     def num_windows(self) -> int:
+        # computed once: the matcher reads it on every step of a run
         return self.n - self.m + 1
 
     def window(self, d: int) -> BitString:

@@ -1,0 +1,91 @@
+"""Helpers only the tests use: a classical prefix-hash comparator, a
+collision-rate Monte Carlo and a multi-occurrence instance generator."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
+from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
+
+
+def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:
+    """Binary search for the longest hash-equal prefix length.
+
+    Returns (lcp_estimate, hash_pair_comparisons).  The comparison count is
+    exactly ceil(log2(k+1)) for k = min(|u|, |v|) > 0, and 0 for k = 0.
+    """
+    k = min(len(u), len(v))
+    if k == 0:
+        return 0, 0
+    hu = prefix_hashes(u, p)
+    hv = prefix_hashes(v, p)
+    lo, hi = 0, k
+    comparisons = math.ceil(math.log2(k + 1))
+    for _ in range(comparisons):
+        # re-test the endpoint once the bracket closes, keeping the
+        # comparison count a function of k alone
+        mid = (lo + hi + 1) // 2 if lo < hi else lo
+        if hu[mid] == hv[mid]:
+            lo = max(lo, mid)
+        else:
+            hi = mid - 1
+    return lo, comparisons
+
+
+def compare_by_hash_bsearch_classical(
+    u: BitString, v: BitString, params: HashParams
+) -> int:
+    """Lexicographic verdict from prefix-hash binary search.
+
+    Agrees with compare_classical with probability at least 1 - epsilon
+    for correctly sized params; equal strings are always reported equal.
+    """
+    bound = math.ceil(math.log2(min(len(u), len(v)))) + 1 if min(len(u), len(v)) else 0
+    if params.delta < bound:
+        raise ValueError("params sized for fewer comparisons than the search performs")
+    x, _ = lcp_by_prefix_hashes(u, v, params.p)
+    t = x + 1
+    if t <= len(u) and t <= len(v):
+        return -1 if u.bits[x] < v.bits[x] else 1
+    if len(u) == len(v):
+        return 0
+    return -1 if len(u) < len(v) else 1
+
+
+def monte_carlo_collision_rate(
+    rng: np.random.Generator,
+    pairs: int,
+    max_len: int,
+    epsilon: float,
+    delta: int = 1,
+) -> float:
+    """Empirical rate of h_p(u) = h_p(v) over random unequal pairs, fresh p each."""
+    collisions = 0
+    for _ in range(pairs):
+        lu = int(rng.integers(1, max_len + 1))
+        lv = int(rng.integers(1, max_len + 1))
+        u = BitString.from_bits(rng.integers(0, 2, lu))
+        v = BitString.from_bits(rng.integers(0, 2, lv))
+        if compare_classical(u, v) == 0:
+            continue
+        params = choose_prime(rng, delta=delta, max_len=max(lu, lv), epsilon=epsilon)
+        if rolling_hash(u, params.p).residue == rolling_hash(v, params.p).residue:
+            collisions += 1
+    return collisions / pairs
+
+
+def random_multi_occurrence(
+    n: int, m: int, count: int, rng: np.random.Generator, max_tries: int = 100_000
+) -> tuple[MatchInstance, set[int]]:
+    """Random instance with exactly `count` occurrences."""
+    for _ in range(max_tries):
+        text = BitString.from_bits(rng.integers(0, 2, n))
+        start = int(rng.integers(1, n - m + 2))
+        inst = MatchInstance(text, text.substring(start, start + m - 1))
+        occurrences = naive_match_all(inst)
+        if len(occurrences) == count:
+            return inst, occurrences
+    raise RuntimeError(f"no instance with {count} occurrences found")

@@ -36,6 +36,7 @@ from qstrings.sim import (
     prepare_uniform,
 )
 from qstrings.strings_core import BitString, compare_classical
+from support import monte_carlo_collision_rate, random_multi_occurrence
 
 
 def _check(criterion: str, condition: bool, detail: str) -> None:
@@ -130,7 +131,7 @@ def test_criterion_4_multi_target_matching():
     hits = 0
     for trial in range(trials):
         rng = np.random.default_rng((2027, trial))
-        inst, occurrences = qmatch.random_multi_occurrence(64, 4, 3, rng)
+        inst, occurrences = random_multi_occurrence(64, 4, 3, rng)
         params = qmatch.match_params(inst, 0.1, rng)
         result = qmatch.match_search(inst, params, rng)
         hits += int(result.position in occurrences)
@@ -145,7 +146,7 @@ def test_criterion_4_multi_target_matching():
 
 def test_criterion_5_fingerprint_soundness():
     rng = np.random.default_rng(47)
-    rate = fp.monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25)
+    rate = monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25)
     mismatches = 0
     for trial in range(200):
         trng = np.random.default_rng((48, trial))

@@ -9,6 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from qstrings import fingerprint as fp
 from qstrings.strings_core import BitString, compare_classical
+from support import (
+    compare_by_hash_bsearch_classical,
+    lcp_by_prefix_hashes,
+    monte_carlo_collision_rate,
+)
 
 bits = st.lists(st.integers(0, 1), max_size=16).map(BitString.from_bits)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 127])
@@ -205,11 +210,11 @@ def test_rolling_hash_examples():
     assert fp.rolling_hash(BitString.from_text("000"), 7).residue == 0
 
 
-def test_hash_value_bits_lsb_first():
-    hv = fp.HashValue(residue=3, width=3)
-    assert hv.bits_lsb_first() == (1, 1, 0)
-    with pytest.raises(ValueError):
-        fp.HashValue(residue=8, width=3)
+def test_hash_value_rejects_residue_past_its_width():
+    assert fp.HashValue(residue=7, width=3).residue == 7
+    for residue in (8, -1):
+        with pytest.raises(ValueError):
+            fp.HashValue(residue=residue, width=3)
 
 
 def test_prefix_hashes_examples():
@@ -292,14 +297,14 @@ def test_array_hashes_reject_modulus_beyond_int64_bound():
 
 def test_collision_rate_bounded():
     rng = np.random.default_rng(11)
-    rate = fp.monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25)
+    rate = monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25)
     assert rate <= 0.25
 
 
 def test_collision_rate_scales_with_delta():
     # sizing for delta planned comparisons bounds each one by epsilon/delta
     rng = np.random.default_rng(12)
-    rate = fp.monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25, delta=4)
+    rate = monte_carlo_collision_rate(rng, pairs=1000, max_len=16, epsilon=0.25, delta=4)
     assert rate <= 0.25 / 4
 
 
@@ -309,7 +314,7 @@ def test_lcp_bsearch_comparison_count():
         k = int(rng.integers(1, 33))
         u = BitString.from_bits(rng.integers(0, 2, k))
         v = BitString.from_bits(rng.integers(0, 2, k))
-        _, comparisons = fp.lcp_by_prefix_hashes(u, v, 101)
+        _, comparisons = lcp_by_prefix_hashes(u, v, 101)
         assert comparisons == math.ceil(math.log2(k + 1))
         assert comparisons <= math.ceil(math.log2(k)) + 1 if k > 1 else comparisons <= 1
 
@@ -324,7 +329,7 @@ def test_compare_bsearch_classical_example():
     rng = np.random.default_rng(0)
     u, v = BitString.from_text("011"), BitString.from_text("010")
     params = _sized_params(u, v, 0.25, rng)
-    assert fp.compare_by_hash_bsearch_classical(u, v, params) == 1
+    assert compare_by_hash_bsearch_classical(u, v, params) == 1
 
 
 def test_compare_bsearch_classical_equal_strings_exact():
@@ -333,7 +338,7 @@ def test_compare_bsearch_classical_equal_strings_exact():
         k = int(rng.integers(1, 17))
         u = BitString.from_bits(rng.integers(0, 2, k))
         params = _sized_params(u, u, 0.25, rng)
-        assert fp.compare_by_hash_bsearch_classical(u, u, params) == 0
+        assert compare_by_hash_bsearch_classical(u, u, params) == 0
 
 
 def test_compare_bsearch_classical_monte_carlo():
@@ -348,7 +353,7 @@ def test_compare_bsearch_classical_monte_carlo():
             continue
         total += 1
         params = _sized_params(u, v, 0.25, rng)
-        if fp.compare_by_hash_bsearch_classical(u, v, params) != compare_classical(u, v):
+        if compare_by_hash_bsearch_classical(u, v, params) != compare_classical(u, v):
             errors += 1
     assert errors / total <= 0.25
 
@@ -357,7 +362,7 @@ def test_undersized_delta_rejected():
     u = BitString.from_bits([0, 1] * 16)
     params = fp.HashParams(p=3, epsilon=0.5, delta=1, max_len=32, r=64)
     with pytest.raises(ValueError):
-        fp.compare_by_hash_bsearch_classical(u, u, params)
+        compare_by_hash_bsearch_classical(u, u, params)
 
 
 def test_hash_params_validation():

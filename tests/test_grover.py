@@ -6,6 +6,7 @@ import pytest
 from qstrings.grover import (
     GroverOutcome,
     OracleSpec,
+    amplification,
     bbht_search,
     charge_iterations,
     doubling_schedule,
@@ -14,7 +15,7 @@ from qstrings.grover import (
     optimal_iterations,
     success_probability,
 )
-from qstrings.qmatch import miss_probability_table
+from qstrings.qmatch import miss_probability_table, worst_eval_miss
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
     DenseSearchState,
@@ -172,13 +173,40 @@ def test_padding_targets_rejected():
 
 
 def test_amplification_policy():
-    exact = OracleSpec(8, np.zeros(8, dtype=bool))
-    assert exact.amplification(64) == 1
-    noisy = OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.25)
+    assert amplification(0.0, 64) == 1
     # miss^rho <= 1/(10*j)
     for j in (1, 4, 64):
-        rho = noisy.amplification(j)
+        rho = amplification(0.25, j)
         assert 0.25**rho <= 1 / (10 * j)
+
+
+# AMPLIFICATION[d - 2][s - 1]: evaluations per query for bit domain d in
+# 2..64 and s in 1..16 steps, recorded from the binary-search comparator's
+# rule before it shared the oracle's.
+AMPLIFICATION = [
+    "2222223333333333", "1122222222222222", "2333334444444444", "3444555555556666",
+    "2222233333333333", "2233333333333444", "1222222222222222", "2333444444444445",
+    "3444555555556666", "2333444444444455", "2222333333333333", "2233333333444444",
+    "3344444555555555", "3444555555556666", "3344444455555555", "2333333344444444",
+    "2223333333333333", "2223333333333333", "1222222222333333", "2223333333333333",
+    "2333334444444444", "2233333333444444", "2222333333333333", "2222333333333333",
+    "2223333333333333", "2333333344444444", "2333333444444444", "2233333333333444",
+    "2223333333333333", "2222333333333333", "2233333333444444", "2333334444444444",
+    "2333333344444444", "2233333333333334", "2223333333333333", "2233333333333444",
+    "2333333444444444", "2333333444444444", "2233333334444444", "2223333333333333",
+    "2223333333333333", "2333333344444444", "2333334444444444", "2333333444444444",
+    "2233333333444444", "2223333333333333", "2233333333444444", "2333333444444444",
+    "2333334444444444", "2333333344444444", "2233333333334444", "2233333333334444",
+    "2333333344444444", "2333334444444444", "2333333444444444", "2233333334444444",
+    "2233333333333444", "2233333334444444", "2333333444444444", "2333334444444444",
+    "2333333444444444", "2233333334444444", "2233333333444444",
+]
+
+
+def test_amplification_rule_is_pinned_over_bit_domains_and_steps():
+    for d, row in enumerate(AMPLIFICATION, start=2):
+        error = worst_eval_miss(d)
+        assert [amplification(error, s) for s in range(1, 17)] == [int(c) for c in row], d
 
 
 def test_bounded_error_success_close_to_exact():

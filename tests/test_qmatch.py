@@ -22,6 +22,7 @@ from qstrings.qmatch import (
 from qstrings.resources import qubit_count_match, qubit_count_match_unique
 from qstrings.sim import expand_structured
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
+from support import random_multi_occurrence
 
 
 def _params(p, delta, max_len, epsilon=0.5):
@@ -87,9 +88,8 @@ def test_prepare_match_state_layout():
     inst = MatchInstance(BitString.from_text("010101"), BitString.from_text("010"))
     params = _params(7, delta=4, max_len=3)
     spec = prepare_match_state(inst, params)
-    assert spec.copies == 2
     assert spec.index_register_width == 2
-    assert spec.padded_windows == 4
+    assert spec.window_hash_table.shape == (4,)  # the padded window domain
     assert spec.window_hash_table[0] == rolling_hash(inst.text.substring(1, 3), 7).residue
 
 
@@ -170,6 +170,56 @@ def test_match_unique_ledger_qubit_formula():
     result = match_unique(inst, params, np.random.default_rng(2))
     assert result.ledger.qubits_total == qubit_count_match_unique(8, 3, params.epsilon, p=13)
     assert result.ledger.qubits_total == 3 + 2 * 4 + 7
+
+
+# (text, pattern, epsilon, seed, (position, measured_index, hash_verified,
+# exactly_verified, copies_used, ledger counters in ResourceLedger.counters()
+# order, qubits_total)), recorded from match_unique before it shared
+# match_search's driver.  Both backends give the same run.
+MATCH_UNIQUE_RUNS = [
+    ("010000", "00", 0.1, 100, (None, 5, False, False, 1, (6, 2, 60, 0, 240), 26)),
+    ("1110010", "001", 0.5, 101, (4, 3, True, True, 1, (6, 2, 60, 0, 240), 24)),
+    ("00001111", "0", 0.9, 102, (None, 4, False, False, 1, (6, 2, 42, 0, 126), 18)),
+    ("01100001", "000", 0.1, 103, (None, 6, False, False, 1, (6, 2, 60, 0, 240), 26)),
+    ("111000010", "1011", 0.5, 104, (None, 5, False, False, 1, (6, 2, 60, 0, 240), 22)),
+    ("1000110000", "00", 0.9, 105, (8, 7, True, True, 1, (12, 3, 90, 0, 360), 25)),
+    ("1010011001", "10011", 0.1, 106, (3, 2, True, True, 1, (6, 2, 90, 0, 450), 32)),
+    ("00001010000", "100", 0.5, 107, (7, 6, True, True, 1, (12, 3, 90, 0, 360), 27)),
+    ("111100100010", "0000", 0.9, 108, (None, 3, False, False, 1, (12, 3, 42, 0, 84), 13)),
+    ("110101010111", "010101", 0.1, 109, (None, 7, False, False, 1, (6, 2, 90, 0, 450), 32)),
+    ("0010110110101", "11", 0.5, 110, (None, 6, False, False, 1, (12, 3, 90, 0, 360), 23)),
+    ("00011010000101", "000", 0.9, 111, (None, 15, False, False, 1, (12, 3, 90, 0, 360), 25)),
+    ("00010001001110", "0100111", 0.1, 112, (7, 6, True, True, 1, (6, 2, 90, 0, 450), 32)),
+    ("110001100000011", "0000", 0.5, 113, (None, 2, False, False, 1, (12, 3, 90, 0, 360), 23)),
+    ("0000111011100111", "101", 0.9, 114, (7, 6, True, True, 1, (12, 3, 90, 0, 360), 21)),
+    ("1001010001101001", "01001", 0.1, 115, (12, 11, True, True, 1, (12, 3, 180, 0, 900), 33)),
+    ("10000", "01001", 0.5, 116, (None, 0, False, False, 1, (0, 0, 0, 0, 0), 13)),
+    ("000", "111", 0.9, 117, (None, 0, False, False, 1, (0, 0, 0, 0, 0), 9)),
+    ("011111000101", "1", 0.1, 118, (5, 4, True, True, 1, (12, 3, 180, 0, 900), 29)),
+    ("1001011110010000", "00100000", 0.5, 119, (None, 2, False, False, 1, (12, 3, 180, 0, 900), 29)),
+    # fingerprint collisions: hash-verified, not exactly verified
+    ("1111110000", "00001", 0.9, 224, (None, 4, True, False, 1, (6, 2, 42, 0, 126), 18)),
+    ("010000011", "10011", 0.9, 287, (None, 1, True, False, 1, (6, 2, 28, 0, 56), 12)),
+]
+
+
+@pytest.mark.parametrize("mode", ["structured", "dense"])
+def test_match_unique_runs_are_pinned(mode):
+    for text, pattern, epsilon, seed, expected in MATCH_UNIQUE_RUNS:
+        inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
+        rng = np.random.default_rng(seed)
+        params = match_params(inst, epsilon, rng)
+        result = match_unique(inst, params, rng, mode=mode)
+        got = (
+            result.position,
+            result.measured_index,
+            result.hash_verified,
+            result.exactly_verified,
+            result.copies_used,
+            tuple(result.ledger.counters().values()),
+            result.ledger.qubits_total,
+        )
+        assert got == expected, (text, pattern, seed)
 
 
 def test_match_search_ledger_qubit_formula():
@@ -355,7 +405,7 @@ def test_random_single_occurrence_pinned_long_text():
 
 def test_random_multi_occurrence_generator():
     rng = np.random.default_rng(53)
-    inst, occ = qmatch.random_multi_occurrence(64, 4, 3, rng)
+    inst, occ = random_multi_occurrence(64, 4, 3, rng)
     assert naive_match_all(inst) == occ and len(occ) == 3
 
 

@@ -136,20 +136,15 @@ def test_sweep_config_validation():
         SweepConfig(algo="match", grid=(8,), trials=0)
 
 
-def test_run_sweep_match_rows(tmp_path):
-    out = tmp_path / "sweep.csv"
-    config = SweepConfig(
-        algo="match", grid=(16, 32), m=4, epsilon=0.1, trials=3, seed=5,
-        output_path=str(out),
-    )
+def test_run_sweep_match_rows():
+    config = SweepConfig(algo="match", grid=(16, 32), m=4, epsilon=0.1, trials=3, seed=5)
     rows = run_sweep(config)
     assert len(rows) == 2
     for row, n in zip(rows, (16, 32)):
         assert row["qubits"] == qubit_count_match(n, 4, 0.1)
         assert row["oracle_queries"] > 0
         assert 0 <= row["success_rate"] <= 1
-    text = out.read_text()
-    assert text.splitlines()[0] == CSV_HEADER
+    assert sweep_csv(rows).splitlines()[0] == CSV_HEADER
 
 
 def test_run_sweep_compare_rows():
