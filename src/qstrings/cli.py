@@ -15,7 +15,14 @@ import numpy as np
 from . import crosscheck as crosscheck_mod
 from . import fingerprint, qcompare, qmatch, resources
 from .grover import durr_hoyer_min
-from .sim import DENSE_WIDTH_CAP, Register, RegisterLayout, StructuredState, dump_state
+from .sim import (
+    DENSE_WIDTH_CAP,
+    DenseSearchState,
+    Register,
+    RegisterLayout,
+    StructuredState,
+    dump_state,
+)
 from .strings_core import BitString, MatchInstance, compare_classical
 
 MATCH_HEADER = "trial,seed,result_d,hash_verified,exact_verified,copies_used,qubits,gate_units,inner_iters"
@@ -28,6 +35,8 @@ TRIALS_CAP = 10**6
 DEFAULT_EPSILON = 0.1
 # Comparator algos that draw no prime, so read no --epsilon.
 _NO_PRIME_ALGOS = ("grover", "compare-grover")
+# The state class each --mode choice names.
+BACKENDS = {"dense": DenseSearchState, "structured": StructuredState}
 
 
 def _parse_bits(value: str, ascii_mode: bool) -> BitString:
@@ -60,10 +69,10 @@ def _flag_echo(argv: list[str]) -> str:
 
 def _match_trial(args: tuple) -> tuple[str, bool]:
     """One trial's CSV row, and whether it found an exactly verified match."""
-    inst, epsilon, seed, trial, mode = args
+    inst, epsilon, seed, trial, backend = args
     rng = np.random.default_rng((seed, trial))
     params = qmatch.match_params(inst, epsilon, rng)
-    result = qmatch.match_search(inst, params, rng, mode=mode)
+    result = qmatch.match_search(inst, params, rng, backend=backend)
     ledger = result.ledger
     row = ",".join(
         str(x)
@@ -111,10 +120,13 @@ def _cmd_match(args, argv) -> int:
     inst_text = _parse_bits(args.text, args.ascii)
     inst_pattern = _parse_bits(args.pattern, args.ascii)
     inst = MatchInstance(inst_text, inst_pattern)
+    backend = BACKENDS[args.mode]
     cap = resources.STRUCTURED_TEXT_CAP
-    if args.mode == "structured" and inst.n > cap:
+    if backend is StructuredState and inst.n > cap:
         raise ValueError(f"text length {inst.n} exceeds structured-mode cap {cap}")
-    if args.mode == "dense":
+    if args.dump_state and backend is not DenseSearchState:
+        raise ValueError("--dump-state applies only to --mode dense")
+    if backend is DenseSearchState:
         width = (
             max(1, resources.index_width(inst.num_windows))
             + resources.nominal_hash_width(inst.num_windows, inst.m, args.epsilon)
@@ -128,8 +140,8 @@ def _cmd_match(args, argv) -> int:
             rng = np.random.default_rng((args.seed, 0))
             params = qmatch.match_params(inst, args.epsilon, rng)
             spec = qmatch.prepare_match_state(inst, params)
-            dump_state(spec.make_copy("dense").state, args.dump_state)
-    trials = [(inst, args.epsilon, args.seed, t, args.mode) for t in range(args.trials)]
+            dump_state(spec.make_copy(DenseSearchState).state, args.dump_state)
+    trials = [(inst, args.epsilon, args.seed, t, backend) for t in range(args.trials)]
     rows, verified = zip(*resources.pool_map(_match_trial, trials, args.jobs))
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
     return 0 if any(verified) else 1
@@ -156,7 +168,7 @@ def _cmd_min_find(args, argv) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng((args.seed, trial))
         found, phases, iterations = durr_hoyer_min(
-            values, domain, rng, lambda _p, _r: StructuredState(layout, domain)
+            values, domain, rng, lambda: StructuredState(layout, domain)
         )
         rows.append(f"{trial},{found},{phases},{iterations}")
     _emit([_flag_echo(argv), MINFIND_HEADER, *rows], args.csv)
@@ -174,7 +186,7 @@ def _cmd_sweep(args, argv) -> int:
         epsilon=args.epsilon,
         trials=args.trials,
         seed=args.seed,
-        backend=args.mode,
+        backend=BACKENDS[args.mode],
         jobs=args.jobs,
     )
     rows = resources.run_sweep(config)
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True, help="bit string, or @path to read a file")
     p.add_argument("--pattern", required=True)
     p.add_argument("--ascii", action="store_true", help="bit-expand ASCII input, MSB first")
-    p.add_argument("--mode", choices=("dense", "structured"), default="structured")
+    p.add_argument("--mode", choices=tuple(BACKENDS), default="structured")
     p.add_argument("--dump-state", default=None, help="dump the prepared dense state of trial 0")
     common(p)
     epsilon_and_jobs(p)
@@ -261,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("match", "compare-grover", "compare-bsearch"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated n (match) or k values")
     p.add_argument("--m", type=int, help=f"pattern length, match sweeps only (default {resources.SweepConfig.m})")
-    p.add_argument("--mode", choices=("dense", "structured"), default="structured")
+    p.add_argument("--mode", choices=tuple(BACKENDS), default="structured")
     common(p, trials_default=20)
     epsilon_and_jobs(p)
     p.set_defaults(func=_cmd_sweep)

@@ -26,7 +26,13 @@ from .grover import (
 from .qcompare import access_element, build_compare_state
 from .qmatch import prepare_match_state
 from .resources import ResourceLedger
-from .sim import expand_structured, padded_size, project_flag_minus
+from .sim import (
+    DenseSearchState,
+    StructuredState,
+    expand_structured,
+    padded_size,
+    project_flag_minus,
+)
 from .strings_core import BitString, MatchInstance
 
 TOLERANCE = 1e-9
@@ -74,7 +80,7 @@ def _small_params(num_comparisons: int, max_len: int, p: int) -> HashParams:
 
 
 def _deviation(dense_search, structured) -> tuple[float, int]:
-    reduced = project_flag_minus(dense_search.state, "xi")
+    reduced = project_flag_minus(dense_search.state, dense_search.flag_register)
     expanded = expand_structured(structured)
     diff = np.abs(reduced - expanded.amps)
     worst = int(np.argmax(diff))
@@ -124,8 +130,8 @@ def _match_instance(name, text, pattern, p, schedule, rng, perturb) -> InstanceR
     oracle = spec.oracle()
     reports = []
     for rep_iters in schedule:
-        dense_search = spec.make_copy("dense")
-        structured = spec.make_copy("structured")
+        dense_search = spec.make_copy(DenseSearchState)
+        structured = spec.make_copy(StructuredState)
         reports.append(
             _step_battery(name, dense_search, structured, oracle, rep_iters, rng, perturb)
         )
@@ -146,8 +152,8 @@ def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceRepo
     truth[:k] = differs
     oracle = OracleSpec(k, truth, evaluation_cost=1)
     iterations = optimal_iterations(state.padded, max(1, int(truth.sum())))
-    dense_search = state.symbol_copy("dense")
-    structured = state.symbol_copy("structured")
+    dense_search = state.symbol_copy(DenseSearchState)
+    structured = state.symbol_copy(StructuredState)
     return _step_battery(name, dense_search, structured, oracle, iterations, rng, perturb)
 
 
@@ -157,10 +163,10 @@ def _compare_bsearch_instance(name, u_text, v_text, p, perturb) -> InstanceRepor
     k = min(len(u), len(v))
     params = _small_params(k, k, p)
     state = build_compare_state(u, v, params)
-    structured = state.symbol_copy("structured")
+    structured = state.symbol_copy(StructuredState)
     if perturb is not None:
         perturb(name, structured)
-    dense_search = state.symbol_copy("dense")
+    dense_search = state.symbol_copy(DenseSearchState)
     max_dev, worst_idx = _deviation(dense_search, structured)
     if max_dev > TOLERANCE:
         return InstanceReport(
@@ -168,8 +174,8 @@ def _compare_bsearch_instance(name, u_text, v_text, p, perturb) -> InstanceRepor
         )
     led_dense = ResourceLedger()
     led_struct = ResourceLedger()
-    dense_readout = state.symbol_copy("dense")
-    struct_readout = state.symbol_copy("structured")
+    dense_readout = state.symbol_copy(DenseSearchState)
+    struct_readout = state.symbol_copy(StructuredState)
     for i in range(k):
         dense_vals = access_element(dense_readout, i, ("u", "v"), led_dense, domain=k)
         struct_vals = access_element(struct_readout, i, ("u", "v"), led_struct, domain=k)

@@ -271,7 +271,7 @@ def doubling_schedule(domain: int, max_repetitions: int | None = None) -> list[i
 def bbht_search(
     oracle: OracleSpec,
     rng: np.random.Generator,
-    state_factory: Callable[[int], SearchState],
+    state_factory: Callable[[], SearchState],
     ledger: ResourceLedger | None = None,
     max_repetitions: int | None = None,
 ) -> GroverOutcome:
@@ -287,7 +287,7 @@ def bbht_search(
     total = 0
     schedule = doubling_schedule(oracle.domain_size, max_repetitions)
     for rep, iterations in enumerate(schedule):
-        outcome = grover_run(state_factory(rep), oracle, iterations, rng, ledger)
+        outcome = grover_run(state_factory(), oracle, iterations, rng, ledger)
         total += iterations
         if outcome.verified:
             return GroverOutcome(
@@ -308,7 +308,7 @@ def durr_hoyer_min(
     keys: np.ndarray,
     domain: int,
     rng: np.random.Generator,
-    state_factory: Callable[[int, int], SearchState],
+    state_factory: Callable[[], SearchState],
     ledger: ResourceLedger | None = None,
     initial_key: object | None = None,
     on_phase: Callable[[int, int | None, object], None] | None = None,
@@ -342,13 +342,7 @@ def durr_hoyer_min(
         truth[:domain] = keys < best_key
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
-        outcome = bbht_search(
-            oracle,
-            rng,
-            lambda rep, _phase=phase: state_factory(_phase, rep),
-            ledger,
-            max_repetitions=log_m,
-        )
+        outcome = bbht_search(oracle, rng, state_factory, ledger, max_repetitions=log_m)
         total_iterations += outcome.iterations_used
         if outcome.found_index is None:
             if on_phase is not None:

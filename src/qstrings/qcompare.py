@@ -28,15 +28,7 @@ from .resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
-from .sim import (
-    Register,
-    RegisterLayout,
-    SearchState,
-    StructuredState,
-    padded_size,
-    search_copy,
-    search_state,
-)
+from .sim import Register, RegisterLayout, SearchState, StructuredState, padded_size
 from .strings_core import BitString
 
 
@@ -116,13 +108,11 @@ class CompareInstanceState:
 
     @cached_property
     def _symbol_template(self) -> StructuredState:
-        return search_state(
-            "structured", self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits}
-        )
+        return StructuredState(self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits})
 
-    def symbol_copy(self, mode: str) -> SearchState:
+    def symbol_copy(self, backend: type[SearchState] = StructuredState) -> SearchState:
         """One fresh uniform search state over positions with (u_a, v_a) bound."""
-        return search_copy(mode, self._symbol_template)
+        return backend.like(self._symbol_template)
 
     def hash_pair(self, prefix_len: int) -> tuple[HashValue, HashValue]:
         return (
@@ -181,7 +171,7 @@ def compare_grover(
     u: BitString,
     v: BitString,
     rng: np.random.Generator,
-    mode: str = "structured",
+    backend: type[SearchState] = StructuredState,
 ) -> CompareResult:
     """Minimum-finding comparator; agrees with the classical order with
     probability at least 1/2 (exactly 0 on equal prefixes of equal-length
@@ -197,11 +187,12 @@ def compare_grover(
     # each group in position order; 2k lies above every rank
     rank = np.where(differs, 0, k) + np.arange(k)
 
-    budget = {"used": 0}
+    copies = 0
 
-    def factory(_phase: int, _rep: int):
-        budget["used"] += 1
-        return state.symbol_copy(mode)
+    def factory() -> SearchState:
+        nonlocal copies
+        copies += 1
+        return state.symbol_copy(backend)
 
     records: list[PhaseRecord] = []
 
@@ -222,11 +213,11 @@ def compare_grover(
         # No differing position was adopted: equal within the compared
         # prefix, so string length decides.
         verdict = _length_verdict(u, v)
-        return CompareResult(verdict, None, phases, 0, budget["used"], tuple(records), ledger)
-    readout = state.symbol_copy(mode)
+        return CompareResult(verdict, None, phases, 0, copies, tuple(records), ledger)
+    readout = state.symbol_copy(backend)
     u_bit, v_bit = access_element(readout, best, ("u", "v"), ledger, domain=k)
     verdict = -1 if u_bit < v_bit else 1
-    return CompareResult(verdict, best + 1, phases, 0, budget["used"] + 1, tuple(records), ledger)
+    return CompareResult(verdict, best + 1, phases, 0, copies + 1, tuple(records), ledger)
 
 
 def compare_bsearch(
@@ -234,7 +225,7 @@ def compare_bsearch(
     v: BitString,
     params: HashParams,
     rng: np.random.Generator,
-    mode: str = "structured",
+    backend: type[SearchState] = StructuredState,
 ) -> CompareResult:
     """Prefix-hash binary-search comparator.
 
@@ -266,7 +257,7 @@ def compare_bsearch(
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
         charge(ledger, "access_units", index_width(k))  # swap-to-front fetch of mid
         href, hcand = state.hash_pair(mid)
-        equal = _amplified_equality_test(href, hcand, rho, rng, mode, ledger)
+        equal = _amplified_equality_test(href, hcand, rho, rng, backend, ledger)
         tests += 1
         if equal:
             if mid < hi:
@@ -274,7 +265,7 @@ def compare_bsearch(
         else:
             hi = mid
     a0 = hi
-    readout = state.symbol_copy(mode)
+    readout = state.symbol_copy(backend)
     u_bit, v_bit = access_element(readout, a0 - 1, ("u", "v"), ledger, domain=k)
     if u_bit == v_bit:
         # The candidate position does not actually differ: equal within
@@ -290,12 +281,12 @@ def _amplified_equality_test(
     hcand: HashValue,
     rho: int,
     rng: np.random.Generator,
-    mode: str,
+    backend: type[SearchState],
     ledger: ResourceLedger,
 ) -> bool:
     """rho-fold equality evaluation; any verified differing bit settles it."""
     equal = True
     for _ in range(rho):
-        if hash_equality_eval(href, hcand, rng, mode, ledger) == 0:
+        if hash_equality_eval(href, hcand, rng, backend, ledger) == 0:
             equal = False
     return equal

@@ -35,15 +35,7 @@ from .resources import (
     qubit_count_match,
     qubit_count_match_unique,
 )
-from .sim import (
-    Register,
-    RegisterLayout,
-    SearchState,
-    StructuredState,
-    padded_size,
-    search_copy,
-    search_state,
-)
+from .sim import Register, RegisterLayout, SearchState, StructuredState, padded_size
 from .strings_core import BitString, MatchInstance
 
 
@@ -97,16 +89,16 @@ def hash_equality_eval(
     reference: HashValue,
     candidate: HashValue,
     rng: np.random.Generator,
-    mode: str = "structured",
+    backend: type[SearchState] = StructuredState,
     ledger: ResourceLedger | None = None,
 ) -> int:
     """One equality evaluation: 1 if the hashes are judged equal, else 0.
 
     Runs the inner schedule searching bit positions where the two
-    residues differ; any verified differing bit settles inequality.  In
-    dense mode the search actually evolves a small statevector; in
-    structured mode the measured outcome is sampled from the closed-form
-    distribution of the same circuit.
+    residues differ; any verified differing bit settles inequality.
+    With the StructuredState backend the measured outcome is sampled from
+    the closed-form distribution of the circuit; any other backend class
+    evolves its own search state over the bit positions.
     """
     if reference.width != candidate.width:
         raise ValueError("hash widths differ")
@@ -116,7 +108,7 @@ def hash_equality_eval(
     if ledger is not None:
         charge(ledger, "inner_grover_iterations", sum(inner_schedule(domain)))
         charge(ledger, "hash_eval_units", inner_eval_gate_cost(domain))
-    if mode == "structured":
+    if backend is StructuredState:
         for iterations in inner_schedule(domain):
             if t and rng.random() < success_probability(domain, t, iterations):
                 return 0
@@ -127,7 +119,7 @@ def hash_equality_eval(
     oracle = OracleSpec(domain, truth, evaluation_cost=1)
     layout = RegisterLayout([Register("bit", max(1, index_width(domain)), "index")])
     for iterations in inner_schedule(domain):
-        outcome = grover_run(search_state(mode, layout, domain), oracle, iterations, rng)
+        outcome = grover_run(backend(layout, domain), oracle, iterations, rng)
         if outcome.verified:
             return 0
     return 1
@@ -168,13 +160,11 @@ class MatchStateSpec:
 
     @cached_property
     def _template(self) -> StructuredState:
-        return search_state(
-            "structured", self.layout(), self.num_windows, {"whash": self.window_hash_table}
-        )
+        return StructuredState(self.layout(), self.num_windows, {"whash": self.window_hash_table})
 
-    def make_copy(self, mode: str) -> SearchState:
+    def make_copy(self, backend: type[SearchState] = StructuredState) -> SearchState:
         """One fresh uniform search state."""
-        return search_copy(mode, self._template)
+        return backend.like(self._template)
 
     def oracle(self) -> OracleSpec:
         """Window-hash-equality oracle with its one-sided error model."""
@@ -255,7 +245,7 @@ def _search(
     inst: MatchInstance,
     params: HashParams,
     rng: np.random.Generator,
-    mode: str,
+    backend: type[SearchState],
     schedule: list[int],
     qubits: int,
 ) -> MatchResult:
@@ -272,7 +262,7 @@ def _search(
     spec = prepare_match_state(inst, params)
     oracle = spec.oracle()
     for rep, iterations in enumerate(schedule):
-        outcome = grover_run(spec.make_copy(mode), oracle, iterations, rng, ledger)
+        outcome = grover_run(spec.make_copy(backend), oracle, iterations, rng, ledger)
         measured = outcome.found_index
         hash_ok, exact_ok = _verify(inst, spec, measured)
         if exact_ok:
@@ -292,26 +282,26 @@ def match_unique(
     inst: MatchInstance,
     params: HashParams,
     rng: np.random.Generator,
-    mode: str = "structured",
+    backend: type[SearchState] = StructuredState,
 ) -> MatchResult:
     """Single fixed-length search, calibrated for exactly one occurrence."""
     schedule = [optimal_iterations(padded_size(inst.num_windows), 1)]
     qubits = qubit_count_match_unique(inst.n, inst.m, params.epsilon, p=params.p)
-    return _search(inst, params, rng, mode, schedule, qubits)
+    return _search(inst, params, rng, backend, schedule, qubits)
 
 
 def match_search(
     inst: MatchInstance,
     params: HashParams,
     rng: np.random.Generator,
-    mode: str = "structured",
+    backend: type[SearchState] = StructuredState,
 ) -> MatchResult:
     """Doubling-schedule search handling any number of occurrences, with
     one state copy per index-register bit."""
     copies = max(1, index_width(inst.num_windows))
     schedule = doubling_schedule(inst.num_windows, max_repetitions=copies)
     qubits = qubit_count_match(inst.n, inst.m, params.epsilon, p=params.p)
-    return _search(inst, params, rng, mode, schedule, qubits)
+    return _search(inst, params, rng, backend, schedule, qubits)
 
 
 def random_single_occurrence(

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fingerprint
+from .sim import SearchState, StructuredState
 
 # Fixed ancilla allowances (phase-kickback flag, nested-search index and
 # verdict registers at desk scale).  Excluded from asymptotic checks.
@@ -187,7 +188,7 @@ class SweepConfig:
     epsilon: float = 0.1
     trials: int = 20
     seed: int = 0
-    backend: str = "structured"
+    backend: type[SearchState] = StructuredState
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -220,7 +221,7 @@ def _sweep_point(args: tuple) -> dict:
         if algo == "match":
             inst, d_true = qmatch.random_single_occurrence(x, m, rng)
             params = qmatch.match_params(inst, epsilon, rng)
-            result = qmatch.match_search(inst, params, rng, mode=backend)
+            result = qmatch.match_search(inst, params, rng, backend=backend)
             expected = qubit_count_match(x, m, epsilon, p=params.p)
             if result.ledger.qubits_total != expected:
                 raise AssertionError("ledger qubit count diverged from the layout formula")
@@ -231,13 +232,13 @@ def _sweep_point(args: tuple) -> dict:
             shared = u.bits[: int(rng.integers(0, x + 1))]
             v = BitString((shared + BitString.from_bits(rng.integers(0, 2, x)).bits)[:x])
             if algo == "compare_grover":
-                result = qcompare.compare_grover(u, v, rng, mode=backend)
+                result = qcompare.compare_grover(u, v, rng, backend=backend)
                 ledger = result.ledger
                 if ledger.qubits_total != qubit_count_compare_grover(min(len(u), len(v))):
                     raise AssertionError("ledger qubit count diverged from the layout formula")
             else:
                 params = qcompare.compare_params(u, v, epsilon, rng)
-                result = qcompare.compare_bsearch(u, v, params, rng, mode=backend)
+                result = qcompare.compare_bsearch(u, v, params, rng, backend=backend)
                 ledger = result.ledger
                 expected = qubit_count_compare_bsearch(
                     min(len(u), len(v)), epsilon, p=params.p

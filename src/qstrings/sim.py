@@ -20,10 +20,11 @@ Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
 unbind the data (XOR the binding out), diffuse, and rebind; the
 structured backend gets the same effect for free.  DenseSearchState
-does that bookkeeping, and `search_state` (with `search_copy` for
-repeated copies of one search space) is the one place that builds a
-fresh search state in either backend, so algorithm code never branches
-on which one it holds.
+does that bookkeeping.  The two search-state classes share one
+interface, and algorithm code takes the backend as a class:
+`backend(layout, domain_size, bindings)` builds a fresh uniform search
+state, and `backend.like(template)` one over the layout and bindings of
+a structured template validated once.
 
 Conventions: qubit 0 is the least-significant bit of the flat basis
 index, and each register occupies a contiguous run of qubits with its
@@ -279,6 +280,17 @@ def project_flag_minus(state: DenseState, flag_register: str) -> np.ndarray:
     return reduced
 
 
+def _index_register(layout: RegisterLayout, domain_size: int) -> str:
+    """Name of the one index register of a search layout, checked to
+    cover the padded domain."""
+    names = [r.name for r in layout.registers if r.role == "index"]
+    if len(names) != 1:
+        raise ValueError("a search layout has exactly one index register")
+    if (1 << layout.width(names[0])) != padded_size(domain_size):
+        raise ValueError("index register width does not cover the padded domain")
+    return names[0]
+
+
 def _check_index_array(marked: np.ndarray) -> None:
     # both backends refuse a bool mask, which only one would read as a mask
     if marked.dtype.kind not in "iu":
@@ -347,14 +359,11 @@ class StructuredState:
         layout: RegisterLayout,
         domain_size: int,
         bindings: Mapping[str, np.ndarray] | None = None,
-        index_register: str = "idx",
     ):
         self.layout = layout
         self.domain_size = domain_size
-        self.index_register = index_register
+        self.index_register = _index_register(layout, domain_size)
         self.size = padded_size(domain_size)
-        if (1 << layout.width(index_register)) != self.size:
-            raise ValueError("index register width does not cover the padded domain")
         self.bindings: dict[str, np.ndarray] = {}
         for r in layout.registers:
             if r.role != "data":
@@ -377,6 +386,13 @@ class StructuredState:
         self._index = _NO_INDEX
         self._values = _NO_VALUES
         self.check_norm()
+
+    @classmethod
+    def like(cls, template: "StructuredState") -> "StructuredState":
+        """A fresh uniform state over the layout and bindings of `template`,
+        a state that is never evolved: a copy of it, so its bindings are
+        validated once for every copy."""
+        return template.copy()
 
     def copy(self) -> "StructuredState":
         """An independent state equal to this one, sharing its validated
@@ -544,27 +560,41 @@ class StructuredState:
 
 
 class DenseSearchState:
-    """Adapter presenting a DenseState as a Grover search space.
+    """A DenseState presented as a Grover search space.
 
-    The phase oracle kicks back off the |-> flag register; diffusion
-    unbinds any data registers, reflects the index register, and rebinds,
-    so the index amplitudes evolve exactly as in the structured backend.
-    Index measurement samples the index marginal (consuming one draw,
-    keeping rng streams aligned across backends) and collapses.
+    A new state appends a phase-kickback flag register "xi" to the
+    layout, prepares the index uniformly, XORs in each binding table in
+    order, and puts the flag in |->.  The phase oracle kicks back off the
+    flag; diffusion unbinds the data registers, reflects the index
+    register, and rebinds, so the index amplitudes evolve exactly as in
+    the structured backend.  Index measurement samples the index
+    marginal (consuming one draw, keeping rng streams aligned across
+    backends) and collapses.
     """
+
+    flag_register = "xi"
 
     def __init__(
         self,
-        state: DenseState,
-        index_register: str = "idx",
-        flag_register: str | None = "xi",
-        data_tables: dict[str, np.ndarray] | None = None,
+        layout: RegisterLayout,
+        domain_size: int,
+        bindings: Mapping[str, np.ndarray] | None = None,
     ):
-        self.state = state
-        self.index_register = index_register
-        self.flag_register = flag_register
-        self.data_tables = data_tables or {}
-        self.size = 1 << state.layout.width(index_register)
+        self.index_register = _index_register(layout, domain_size)
+        self.size = padded_size(domain_size)
+        self.data_tables = bindings or {}
+        self.state = DenseState(
+            RegisterLayout([*layout.registers, Register(self.flag_register, 1, "flag")])
+        )
+        prepare_uniform(self.state, self.index_register)
+        for name, table in self.data_tables.items():
+            bind_data(self.state, name, table)
+        prepare_minus(self.state, self.flag_register)
+
+    @classmethod
+    def like(cls, template: StructuredState) -> "DenseSearchState":
+        """A fresh uniform state over the layout and bindings of `template`."""
+        return cls(template.layout, template.domain_size, template.bindings)
 
     @property
     def index_width(self) -> int:
@@ -613,46 +643,6 @@ class DenseSearchState:
 
 
 SearchState = StructuredState | DenseSearchState
-
-
-def search_state(
-    mode: str,
-    layout: RegisterLayout,
-    domain_size: int,
-    bindings: Mapping[str, np.ndarray] | None = None,
-) -> SearchState:
-    """A fresh uniform superposition over the index register of `layout`,
-    with each data register bound to its table.
-
-    `mode` names the backend: "structured" keeps one amplitude per index
-    value; "dense" appends a phase-kickback flag register "xi", prepares
-    the index uniformly, XORs in each table in order, and puts the flag
-    in |->.
-    """
-    index = next(r.name for r in layout.registers if r.role == "index")
-    if mode == "structured":
-        return StructuredState(layout, domain_size, bindings, index_register=index)
-    if mode != "dense":
-        raise ValueError(f"unknown mode {mode!r}")
-    if (1 << layout.width(index)) != padded_size(domain_size):
-        raise ValueError("index register width does not cover the padded domain")
-    bindings = bindings or {}
-    state = DenseState(RegisterLayout([*layout.registers, Register("xi", 1, "flag")]))
-    prepare_uniform(state, index)
-    for name, table in bindings.items():
-        bind_data(state, name, table)
-    prepare_minus(state, "xi")
-    return DenseSearchState(state, index, "xi", data_tables=bindings)
-
-
-def search_copy(mode: str, template: StructuredState) -> SearchState:
-    """A fresh uniform search state over the layout and bindings of
-    `template`, a structured state that is never evolved: in the
-    structured backend a copy of it, so its bindings are validated once
-    for every copy; in the dense backend a state built from them."""
-    if mode == "structured":
-        return template.copy()
-    return search_state(mode, template.layout, template.domain_size, template.bindings)
 
 
 def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> DenseState:

@@ -28,12 +28,9 @@ from qstrings.resources import (
 )
 from qstrings.sim import (
     DenseSearchState,
-    DenseState,
     Register,
     RegisterLayout,
     StructuredState,
-    prepare_minus,
-    prepare_uniform,
 )
 from qstrings.strings_core import BitString, compare_classical
 from support import monte_carlo_collision_rate, random_multi_occurrence
@@ -58,18 +55,13 @@ def test_criterion_1_grover_exactness():
     worst = 0.0
     for domain in (4, 8, 16, 32, 64):
         width = index_width(domain)
-        layout = RegisterLayout(
-            [Register("idx", width, "index"), Register("xi", 1, "flag")]
-        )
+        layout = RegisterLayout([Register("idx", width, "index")])
         for targets in range(1, 5):
             truth = np.zeros(domain, dtype=bool)
             truth[:targets] = True
             oracle = OracleSpec(domain, truth)
             for iterations in range(11):
-                state = DenseState(layout)
-                prepare_uniform(state, "idx")
-                prepare_minus(state, "xi")
-                search = DenseSearchState(state, "idx", "xi")
+                search = DenseSearchState(layout, domain)
                 for _ in range(iterations):
                     search.apply_phase_pattern(oracle.targets)
                     search.diffuse()
@@ -112,7 +104,7 @@ def test_criterion_3_matching_success_bound():
         rng = np.random.default_rng((2026, trial))
         inst, d = qmatch.random_single_occurrence(32, 4, rng)
         params = qmatch.match_params(inst, 0.1, rng)
-        result = qmatch.match_unique(inst, params, rng, mode="structured")
+        result = qmatch.match_unique(inst, params, rng, backend=StructuredState)
         pre_hits += int(result.measured_index == d - 1)
         if result.position is not None and result.position != d:
             unsound += 1
@@ -285,7 +277,7 @@ def test_criterion_8_bsearch_subpolynomial():
 def _dh_factory(domain: int):
     width = max(1, index_width(domain))
     layout = RegisterLayout([Register("idx", width, "index")])
-    return lambda phase, rep: StructuredState(layout, domain)
+    return lambda: StructuredState(layout, domain)
 
 
 def test_criterion_9_durr_hoyer():

@@ -13,7 +13,7 @@ import qstrings
 from qstrings import crosscheck as crosscheck_mod, qcompare, qmatch
 from qstrings.cli import TRIALS_CAP, main
 from qstrings.crosscheck import run_crosscheck
-from qstrings.sim import StructuredState
+from qstrings.sim import DenseSearchState, StructuredState
 from qstrings.strings_core import BitString, MatchInstance
 
 
@@ -131,6 +131,20 @@ def test_match_dense_dump_state(tmp_path, capsys):
     assert len(parsed) == 2 ** (2 + params.width + 1)
     assert [i for i, _, _ in parsed] == list(range(len(parsed)))
     assert abs(sum(re * re + im * im for _, re, im in parsed) - 1.0) < 1e-9
+
+
+def test_match_dump_state_needs_dense_mode(tmp_path, capsys):
+    # the structured backend has no statevector to dump: refuse the flag
+    # instead of running without writing the file
+    dump = tmp_path / "d.txt"
+    code, out, err = run_cli(
+        ["match", "--text", "0110010110", "--pattern", "011", "--seed", "1",
+         "--dump-state", str(dump)],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert "--dump-state" in err and "dense" in err
+    assert out == "" and not dump.exists()
 
 
 def test_match_ascii_and_file_input(tmp_path, capsys):
@@ -520,11 +534,11 @@ def test_runtime_errors_exit_2(capsys, monkeypatch, exc):
 def test_sweep_mode_reaches_comparators(tmp_path, monkeypatch, algo):
     name = algo.replace("-", "_")
     real = getattr(qcompare, name)
-    modes = []
+    backends = []
 
-    def spy(*args, mode="structured", **kwargs):
-        modes.append(mode)
-        return real(*args, mode=mode, **kwargs)
+    def spy(*args, backend=StructuredState, **kwargs):
+        backends.append(backend)
+        return real(*args, backend=backend, **kwargs)
 
     monkeypatch.setattr(qcompare, name, spy)
     out = tmp_path / "sweep.csv"
@@ -533,5 +547,5 @@ def test_sweep_mode_reaches_comparators(tmp_path, monkeypatch, algo):
          "--trials", "2", "--csv", str(out)]
     )
     assert code == 0
-    assert modes == ["dense", "dense"]
+    assert backends == [DenseSearchState, DenseSearchState]
     assert len(out.read_text().strip().splitlines()) == 3

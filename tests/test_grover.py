@@ -19,12 +19,9 @@ from qstrings.qmatch import miss_probability_table, worst_eval_miss
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
     DenseSearchState,
-    DenseState,
     Register,
     RegisterLayout,
     StructuredState,
-    prepare_minus,
-    prepare_uniform,
 )
 
 
@@ -36,11 +33,8 @@ def _structured(domain):
 
 def _dense(domain):
     width = max(1, (domain - 1).bit_length())
-    layout = RegisterLayout([Register("idx", width, "index"), Register("xi", 1, "flag")])
-    state = DenseState(layout)
-    prepare_uniform(state, "idx")
-    prepare_minus(state, "xi")
-    return DenseSearchState(state, "idx", "xi")
+    layout = RegisterLayout([Register("idx", width, "index")])
+    return DenseSearchState(layout, domain)
 
 
 def test_optimal_iterations_examples():
@@ -127,7 +121,7 @@ def test_bbht_verified_hit_rate():
     rng = np.random.default_rng(77)
     hits = 0
     for _ in range(2000):
-        outcome = bbht_search(oracle, rng, lambda rep: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8))
         if outcome.verified:
             assert outcome.found_index == 5
             hits += 1
@@ -138,7 +132,7 @@ def test_bbht_no_targets_never_returns():
     oracle = OracleSpec(8, np.zeros(8, dtype=bool))
     rng = np.random.default_rng(3)
     for _ in range(50):
-        outcome = bbht_search(oracle, rng, lambda rep: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8))
         assert outcome.found_index is None
         assert outcome.predicate_value_at_found == 0
 
@@ -149,7 +143,7 @@ def test_bbht_returns_only_targets():
     oracle = OracleSpec(8, truth)
     rng = np.random.default_rng(4)
     for _ in range(200):
-        outcome = bbht_search(oracle, rng, lambda rep: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8))
         if outcome.found_index is not None:
             assert outcome.found_index in (1, 4, 6)
 
@@ -160,7 +154,7 @@ def test_padding_never_verified():
     oracle = OracleSpec(5, truth)  # domain 5 padded to 8
     rng = np.random.default_rng(9)
     for _ in range(100):
-        outcome = bbht_search(oracle, rng, lambda rep: _structured(5))
+        outcome = bbht_search(oracle, rng, lambda: _structured(5))
         if outcome.found_index is not None:
             assert outcome.found_index < 5
 
@@ -371,7 +365,7 @@ def test_bounded_error_ledger_records_rho_times_cost():
 
 
 def _dh_factory(domain):
-    def factory(phase, rep):
+    def factory():
         return _structured(domain)
 
     return factory

@@ -19,6 +19,7 @@ from qstrings.resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
+from qstrings.sim import DenseSearchState, StructuredState
 from qstrings.strings_core import BitString, compare_classical
 
 
@@ -31,7 +32,7 @@ def test_access_element_structured():
     u = BitString.from_text("1011")
     v = BitString.from_text("1001")
     state = build_compare_state(u, v)
-    struct = state.symbol_copy("structured")
+    struct = state.symbol_copy(StructuredState)
     ledger = ResourceLedger()
     assert access_element(struct, 0, ("u", "v"), ledger, domain=4) == (1, 1)
     assert access_element(struct, 2, ("u", "v"), ledger, domain=4) == (1, 0)
@@ -46,8 +47,8 @@ def test_access_element_dense_matches_structured():
     u = BitString.from_text("101")
     v = BitString.from_text("111")
     state = build_compare_state(u, v)
-    dense = state.symbol_copy("dense")
-    struct = state.symbol_copy("structured")
+    dense = state.symbol_copy(DenseSearchState)
+    struct = state.symbol_copy(StructuredState)
     for i in range(3):
         assert access_element(dense, i, ("u", "v")) == access_element(struct, i, ("u", "v"))
 
@@ -56,7 +57,7 @@ def test_symbol_copies_share_read_only_bindings_and_evolve_independently():
     state = build_compare_state(BitString.from_text("10110"), BitString.from_text("10011"))
     with pytest.raises(ValueError):
         state.u_bits[0] = 1
-    a, b = state.symbol_copy("structured"), state.symbol_copy("structured")
+    a, b = state.symbol_copy(StructuredState), state.symbol_copy(StructuredState)
     assert a.bindings["u"] is b.bindings["u"] is state.u_bits
     a.apply_phase_pattern(np.array([2, 3]))
     a.diffuse()
@@ -156,7 +157,7 @@ def _reference_durr_hoyer_min(key_of, domain, rng, state_factory, ledger, initia
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(
-            oracle, rng, lambda rep, _phase=phase: state_factory(_phase, rep), ledger,
+            oracle, rng, state_factory, ledger,
             max_repetitions=log_m,
         )
         total_iterations += outcome.iterations_used
@@ -183,11 +184,11 @@ def _reference_compare_grover(u, v, rng):
 
     out = _reference_durr_hoyer_min(
         lambda a: (int(not differs[a]), a), k, rng,
-        lambda _phase, _rep: state.symbol_copy("structured"), ledger, (1, k), on_phase,
+        lambda: state.symbol_copy(StructuredState), ledger, (1, k), on_phase,
     )
     best = out[0]
     if best is not None and differs[best]:
-        access_element(state.symbol_copy("structured"), best, ("u", "v"), ledger, domain=k)
+        access_element(state.symbol_copy(StructuredState), best, ("u", "v"), ledger, domain=k)
     return out, tuple(records), ledger
 
 
@@ -317,8 +318,8 @@ def test_compare_bsearch_agreement_random_pairs():
 
 def test_compare_grover_dense_and_structured_runs_agree():
     # same seed, same pair: the two backends must give the same whole run
-    def run(u, v, trial, mode):
-        r = compare_grover(u, v, np.random.default_rng((151, trial)), mode=mode)
+    def run(u, v, trial, backend):
+        r = compare_grover(u, v, np.random.default_rng((151, trial)), backend=backend)
         return (r.verdict, r.first_difference, r.phases, r.copies_used, r.records,
                 r.ledger.counters())
 
@@ -326,15 +327,7 @@ def test_compare_grover_dense_and_structured_runs_agree():
     for trial in range(60):
         u = BitString.from_bits(pair_rng.integers(0, 2, int(pair_rng.integers(1, 9))))
         v = BitString.from_bits(pair_rng.integers(0, 2, int(pair_rng.integers(1, 9))))
-        assert run(u, v, trial, "structured") == run(u, v, trial, "dense"), (str(u), str(v))
-
-
-def test_compare_bsearch_unknown_mode_rejected():
-    u = BitString.from_text("1")
-    v = BitString.from_text("0")
-    params = _params(3, k=1)
-    with pytest.raises(ValueError, match="unknown mode"):
-        compare_bsearch(u, v, params, np.random.default_rng(0), mode="bogus")
+        assert run(u, v, trial, StructuredState) == run(u, v, trial, DenseSearchState), (str(u), str(v))
 
 
 def test_empty_string_edge():

@@ -20,7 +20,7 @@ from qstrings.qmatch import (
     worst_eval_miss,
 )
 from qstrings.resources import qubit_count_match, qubit_count_match_unique
-from qstrings.sim import expand_structured
+from qstrings.sim import DenseSearchState, StructuredState, expand_structured
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
 from support import random_multi_occurrence
 
@@ -50,27 +50,27 @@ def test_miss_table_endpoints():
     assert table[4] == pytest.approx(0.0, abs=1e-12)  # all bits differ
 
 
-@pytest.mark.parametrize("mode", ["structured", "dense"])
-def test_equal_hashes_always_judged_equal(mode):
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
+def test_equal_hashes_always_judged_equal(backend):
     rng = np.random.default_rng(0)
     h = HashValue(5, 4)
     for _ in range(50):
-        assert hash_equality_eval(h, h, rng, mode) == 1
+        assert hash_equality_eval(h, h, rng, backend) == 1
 
 
 def test_one_differing_bit_of_four_found_with_certainty_dense():
     rng = np.random.default_rng(1)
     a, b = HashValue(0b1010, 4), HashValue(0b1000, 4)
     for _ in range(50):
-        assert hash_equality_eval(a, b, rng, "dense") == 0
+        assert hash_equality_eval(a, b, rng, DenseSearchState) == 0
 
 
 def test_all_bits_differing_found_with_certainty():
     rng = np.random.default_rng(2)
     a, b = HashValue(0b0000, 4), HashValue(0b1111, 4)
-    for mode in ("structured", "dense"):
+    for backend in (StructuredState, DenseSearchState):
         for _ in range(30):
-            assert hash_equality_eval(a, b, rng, mode) == 0
+            assert hash_equality_eval(a, b, rng, backend) == 0
 
 
 def test_eval_modes_agree_in_distribution():
@@ -78,10 +78,10 @@ def test_eval_modes_agree_in_distribution():
     a, b = HashValue(0b0011, 4), HashValue(0b0000, 4)
     trials = 4000
     rates = {}
-    for mode in ("structured", "dense"):
+    for backend in (StructuredState, DenseSearchState):
         rng = np.random.default_rng(99)
-        rates[mode] = sum(hash_equality_eval(a, b, rng, mode) for _ in range(trials)) / trials
-    assert abs(rates["structured"] - rates["dense"]) < 0.05
+        rates[backend] = sum(hash_equality_eval(a, b, rng, backend) for _ in range(trials)) / trials
+    assert abs(rates[StructuredState] - rates[DenseSearchState]) < 0.05
 
 
 def test_prepare_match_state_layout():
@@ -111,9 +111,9 @@ def test_structured_copy_expansion_matches_dense_copy():
     inst = MatchInstance(BitString.from_text("0101"), BitString.from_text("01"))
     params = _params(5, delta=3, max_len=2)
     spec = prepare_match_state(inst, params)
-    dense = spec.make_copy("dense")
-    structured = spec.make_copy("structured")
-    reduced = project_flag_minus(dense.state, "xi")
+    dense = spec.make_copy(DenseSearchState)
+    structured = spec.make_copy(StructuredState)
+    reduced = project_flag_minus(dense.state, dense.flag_register)
     assert np.allclose(reduced, expand_structured(structured).amps)
 
 
@@ -123,7 +123,7 @@ def test_copies_of_one_spec_evolve_independently():
     oracle = spec.oracle()
     with pytest.raises(ValueError):
         spec.window_hash_table[0] = 0  # validated once, so never written after
-    a, b = spec.make_copy("structured"), spec.make_copy("structured")
+    a, b = spec.make_copy(StructuredState), spec.make_copy(StructuredState)
     assert a is not b and not a.bindings["whash"].flags.writeable
     uniform = b.amps
     for _ in range(2):
@@ -136,8 +136,8 @@ def test_copies_of_one_spec_evolve_independently():
     assert not np.array_equal(a.amps, stepped)
     a.measure_index(np.random.default_rng(1))
     assert np.array_equal(b.amps, stepped)
-    assert np.array_equal(spec.make_copy("structured").amps, uniform)
-    dense = spec.make_copy("dense")
+    assert np.array_equal(spec.make_copy(StructuredState).amps, uniform)
+    dense = spec.make_copy(DenseSearchState)
     assert np.allclose(dense.index_probabilities(), uniform**2)
 
 
@@ -203,13 +203,13 @@ MATCH_UNIQUE_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["structured", "dense"])
-def test_match_unique_runs_are_pinned(mode):
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
+def test_match_unique_runs_are_pinned(backend):
     for text, pattern, epsilon, seed, expected in MATCH_UNIQUE_RUNS:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
         rng = np.random.default_rng(seed)
         params = match_params(inst, epsilon, rng)
-        result = match_unique(inst, params, rng, mode=mode)
+        result = match_unique(inst, params, rng, backend=backend)
         got = (
             result.position,
             result.measured_index,
@@ -280,8 +280,8 @@ def test_match_search_soundness():
 def test_backend_trajectories_and_ledgers_agree():
     inst = MatchInstance(BitString.from_text("01010101"), BitString.from_text("10"))
     params = _params(11, delta=7, max_len=2)
-    res_s = match_search(inst, params, np.random.default_rng(41), mode="structured")
-    res_d = match_search(inst, params, np.random.default_rng(41), mode="dense")
+    res_s = match_search(inst, params, np.random.default_rng(41), backend=StructuredState)
+    res_d = match_search(inst, params, np.random.default_rng(41), backend=DenseSearchState)
     assert res_s.position == res_d.position
     assert res_s.measured_index == res_d.measured_index
     assert res_s.ledger.counters() == res_d.ledger.counters()
@@ -303,7 +303,7 @@ def test_backend_fuzz_random_instances():
         )
         params = fp.choose_prime(rng, delta=inst.num_windows, max_len=m, epsilon=0.5)
         res_s = match_search(inst, params, np.random.default_rng((778, trial)))
-        res_d = match_search(inst, params, np.random.default_rng((778, trial)), mode="dense")
+        res_d = match_search(inst, params, np.random.default_rng((778, trial)), backend=DenseSearchState)
         assert res_s.position == res_d.position
         assert res_s.measured_index == res_d.measured_index
         assert res_s.copies_used == res_d.copies_used
@@ -313,10 +313,10 @@ def test_backend_fuzz_random_instances():
 def test_match_dense_and_structured_whole_runs_agree():
     # same seed, same instance, prime draw included: the two backends must
     # give the same whole run
-    def run(inst, trial, mode):
+    def run(inst, trial, backend):
         rng = np.random.default_rng((779, trial))
         params = match_params(inst, 0.1, rng)
-        r = match_search(inst, params, rng, mode=mode)
+        r = match_search(inst, params, rng, backend=backend)
         return (params.p, r.position, r.measured_index, r.hash_verified, r.exactly_verified,
                 r.copies_used, r.ledger.counters(), r.ledger.qubits_total)
 
@@ -328,7 +328,7 @@ def test_match_dense_and_structured_whole_runs_agree():
             BitString.from_bits(inst_rng.integers(0, 2, n)),
             BitString.from_bits(inst_rng.integers(0, 2, m)),
         )
-        assert run(inst, trial, "structured") == run(inst, trial, "dense"), (
+        assert run(inst, trial, StructuredState) == run(inst, trial, DenseSearchState), (
             str(inst.text), str(inst.pattern))
 
 

@@ -21,6 +21,7 @@ from qstrings.resources import (
     run_sweep,
     sweep_csv,
 )
+from qstrings.sim import DenseSearchState, StructuredState
 
 
 def test_charge_examples():
@@ -171,9 +172,9 @@ def test_sweep_parallel_matches_serial():
 
 def test_backend_ledgers_identical_in_sweep():
     s = run_sweep(SweepConfig(algo="match", grid=(16,), m=3, trials=2, seed=7,
-                              backend="structured"))
+                              backend=StructuredState))
     d = run_sweep(SweepConfig(algo="match", grid=(16,), m=3, trials=2, seed=7,
-                              backend="dense"))
+                              backend=DenseSearchState))
     for key in ("diffusion_units", "oracle_queries", "hash_eval_units", "gate_units_total"):
         assert s[0][key] == d[0][key]
 

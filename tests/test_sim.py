@@ -6,6 +6,7 @@ import pytest
 
 from qstrings import sim
 from qstrings.sim import (
+    DenseSearchState,
     DenseState,
     Register,
     RegisterLayout,
@@ -20,7 +21,6 @@ from qstrings.sim import (
     prepare_minus,
     prepare_uniform,
     project_flag_minus,
-    search_state,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -530,31 +530,63 @@ def test_dump_state(tmp_path):
     assert lines[0].startswith("0,") and len(lines) == 2
 
 
-def test_search_state_backends_agree():
-    layout = RegisterLayout(
+both_backends = pytest.mark.parametrize(
+    "backend", [StructuredState, DenseSearchState], ids=["structured", "dense"]
+)
+
+
+def _hash_layout():
+    return RegisterLayout(
         [Register("idx", 2, "index"), Register("h", 3, "data", depends_on="idx")]
     )
+
+
+def test_backends_share_one_constructor():
+    layout = _hash_layout()
     table = np.array([5, 2, 7, 0])
-    structured = search_state("structured", layout, 3, {"h": table})
-    dense = search_state("dense", layout, 3, {"h": table})
+    structured = StructuredState(layout, 3, {"h": table})
+    dense = DenseSearchState(layout, 3, {"h": table})
     assert structured.index_width == dense.index_width == 2
-    reduced = project_flag_minus(dense.state, "xi")
+    assert np.allclose(dense.index_probabilities(), structured.index_probabilities())
+    reduced = project_flag_minus(dense.state, dense.flag_register)
     assert np.allclose(reduced, expand_structured(structured).amps)
     for i in range(4):
         assert dense.values_at(i, ("h",)) == structured.values_at(i, ("h",)) == (table[i],)
-    with pytest.raises(ValueError):
-        search_state("bogus", layout, 3, {"h": table})
-    for mode in ("structured", "dense"):
-        with pytest.raises(ValueError):
-            search_state(mode, layout, 5, {"h": table})  # 2 index qubits cannot cover 5
+    for backend in (StructuredState, DenseSearchState):
+        with pytest.raises(ValueError, match="cover"):
+            backend(layout, 5, {"h": table})  # 2 index qubits cannot cover 5
 
 
-@pytest.mark.parametrize("mode", ["structured", "dense"])
-def test_phase_pattern_rejects_a_bool_mask(mode):
+@both_backends
+def test_like_gives_independent_uniform_states(backend):
+    table = np.array([5, 2, 7, 0])
+    template = StructuredState(_hash_layout(), 3, {"h": table})
+    a, b = backend.like(template), backend.like(template)
+    assert type(a) is type(b) is backend and a is not template and a is not b
+    uniform = np.full(4, 0.25)
+    assert np.allclose(a.index_probabilities(), uniform)
+    assert [b.values_at(i, ("h",)) for i in range(4)] == [(5,), (2,), (7,), (0,)]
+    a.apply_phase_pattern(np.array([1]))
+    a.diffuse()
+    assert np.allclose(a.index_probabilities(), [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(b.index_probabilities(), uniform)
+    assert np.allclose(template.index_probabilities(), uniform)
+
+
+@both_backends
+def test_search_layout_has_exactly_one_index_register(backend):
+    with pytest.raises(ValueError, match="one index register"):
+        backend(RegisterLayout([Register("q", 2, "ancilla")]), 4)
+    with pytest.raises(ValueError, match="one index register"):
+        backend(RegisterLayout([Register("a", 2, "index"), Register("b", 2, "index")]), 4)
+
+
+@both_backends
+def test_phase_pattern_rejects_a_bool_mask(backend):
     # a mask would be read as a mask by one backend and as 0/1 indices by
     # the other; both refuse it and keep their state
     layout = RegisterLayout([Register("idx", 2, "index")])
-    search = search_state(mode, layout, 4)
+    search = backend(layout, 4)
     before = search.index_probabilities()
     with pytest.raises(ValueError, match="integer index array"):
         search.apply_phase_pattern(np.array([False, True, True, False]))
