@@ -338,3 +338,149 @@ def test_empty_string_edge():
     assert compare_grover(empty, empty, rng).verdict == 0
     params = _params(5, k=2)
     assert compare_bsearch(empty, one, params, rng).verdict == -1
+
+
+# (ku, kv, first difference or None, epsilon, seed): u is random, v copies
+# u's first min(ku, kv) bits, flips the first difference and redraws what
+# follows it (see _compare_pair).  Dense runs cover k <= 11 only.
+COMPARE_CASES = [
+    (1, 1, 1, 0.1, 201),
+    (1, 1, None, 0.5, 202),
+    (2, 3, None, 0.25, 203),
+    (3, 2, 2, 0.1, 204),
+    (4, 4, 3, 0.5, 205),
+    (5, 5, None, 0.1, 206),
+    (6, 9, 6, 0.25, 207),
+    (7, 7, 1, 0.5, 208),
+    (8, 8, 8, 0.1, 209),
+    (9, 6, None, 0.25, 210),
+    (10, 10, 4, 0.1, 211),
+    (11, 11, None, 0.5, 212),
+    (11, 12, 11, 0.25, 213),
+    (33, 33, 17, 0.1, 214),
+    (64, 70, None, 0.25, 215),
+    (100, 100, None, 0.1, 216),
+    (129, 128, 1, 0.5, 217),
+    (200, 200, 150, 0.1, 218),
+    (256, 300, 255, 0.25, 219),
+    (300, 300, 299, 0.1, 220),
+]
+
+# (p or None, verdict, first_difference, phases, hash_comparisons,
+# copies_used, ledger counters in ResourceLedger.counters() order,
+# qubits_total, the generator's next random() after the run), one row
+# per case, recorded before the rho-fold equality test became one call.
+COMPARE_RUNS = {
+    ("grover", "structured"): [
+        (None, 0, None, 1, 0, 1, (1, 1, 0, 0, 1), 16, 0.5366333278673542),
+        (None, 0, None, 2, 0, 2, (2, 2, 0, 0, 2), 16, 0.815755133576451),
+        (None, -1, None, 3, 0, 3, (3, 3, 0, 0, 3), 16, 0.23097923943847576),
+        (None, 1, 2, 2, 0, 3, (2, 2, 0, 1, 2), 16, 0.6185953810840853),
+        (None, 0, None, 2, 0, 3, (8, 4, 0, 0, 4), 57, 0.1903906985834154),
+        (None, 0, None, 3, 0, 7, (39, 13, 0, 0, 13), 146, 0.8604788528960651),
+        (None, -1, None, 2, 0, 5, (30, 10, 0, 0, 10), 146, 0.4795159230367627),
+        (None, -1, 1, 3, 0, 8, (45, 15, 0, 3, 15), 146, 0.9457603147220145),
+        (None, 1, 8, 4, 0, 10, (54, 18, 0, 3, 18), 146, 0.34603335432472815),
+        (None, 1, None, 4, 0, 8, (42, 14, 0, 0, 14), 146, 0.809723018338809),
+        (None, -1, 4, 2, 0, 6, (40, 10, 0, 4, 10), 301, 0.9952068953773553),
+        (None, 0, None, 4, 0, 8, (56, 14, 0, 0, 14), 301, 0.23822085167947937),
+        (None, 1, 11, 5, 0, 10, (60, 15, 0, 4, 15), 301, 0.049766841677613805),
+        (None, 1, 17, 3, 0, 7, (102, 17, 0, 6, 17), 881, 0.9633667646237928),
+        (None, -1, None, 6, 0, 10, (132, 22, 0, 0, 22), 881, 0.32209063569141894),
+        (None, 0, None, 5, 0, 14, (469, 67, 0, 0, 67), 1342, 0.9304995804832804),
+        (None, -1, 1, 7, 0, 16, (469, 67, 0, 7, 67), 1342, 0.9408292886153033),
+        (None, 1, 150, 8, 0, 18, (560, 70, 0, 8, 70), 1941, 0.7316771455697028),
+        (None, -1, 255, 8, 0, 20, (496, 62, 0, 8, 62), 1941, 0.44429653766622423),
+        (None, -1, 299, 6, 0, 16, (684, 76, 0, 9, 76), 2696, 0.8603522057887947),
+    ],
+    ("grover", "dense"): [
+        (None, 0, None, 1, 0, 1, (1, 1, 0, 0, 1), 16, 0.5366333278673542),
+        (None, 0, None, 2, 0, 2, (2, 2, 0, 0, 2), 16, 0.815755133576451),
+        (None, -1, None, 3, 0, 3, (3, 3, 0, 0, 3), 16, 0.23097923943847576),
+        (None, 1, 2, 2, 0, 3, (2, 2, 0, 1, 2), 16, 0.6185953810840853),
+        (None, 0, None, 2, 0, 3, (8, 4, 0, 0, 4), 57, 0.1903906985834154),
+        (None, 0, None, 3, 0, 7, (39, 13, 0, 0, 13), 146, 0.8604788528960651),
+        (None, -1, None, 2, 0, 5, (30, 10, 0, 0, 10), 146, 0.4795159230367627),
+        (None, -1, 1, 3, 0, 8, (45, 15, 0, 3, 15), 146, 0.9457603147220145),
+        (None, 1, 8, 4, 0, 10, (54, 18, 0, 3, 18), 146, 0.34603335432472815),
+        (None, 1, None, 4, 0, 8, (42, 14, 0, 0, 14), 146, 0.809723018338809),
+        (None, -1, 4, 2, 0, 6, (40, 10, 0, 4, 10), 301, 0.9952068953773553),
+        (None, 0, None, 4, 0, 8, (56, 14, 0, 0, 14), 301, 0.23822085167947937),
+        (None, 1, 11, 5, 0, 10, (60, 15, 0, 4, 15), 301, 0.049766841677613805),
+    ],
+    ("bsearch", "structured"): [
+        (29, -1, 1, 0, 0, 0, (0, 0, 0, 0, 0), 18, 0.5366333278673542),
+        (2, 0, None, 0, 0, 0, (0, 0, 0, 0, 0), 10, 0.443655907974409),
+        (19, -1, None, 1, 1, 1, (0, 0, 15, 2, 60), 20, 0.08744487235742626),
+        (83, 1, 2, 1, 1, 1, (0, 0, 15, 2, 60), 24, 0.201697595768344),
+        (31, 1, 3, 2, 2, 2, (0, 0, 60, 6, 240), 34, 0.13521806600135755),
+        (1579, 0, None, 3, 3, 3, (0, 0, 180, 12, 900), 86, 0.3218525024234009),
+        (659, 1, 6, 3, 3, 3, (0, 0, 180, 12, 900), 80, 0.5754378204739157),
+        (109, -1, 1, 3, 3, 3, (0, 0, 90, 12, 360), 62, 0.9107359957257065),
+        (53, 1, 8, 3, 3, 3, (0, 0, 90, 12, 360), 56, 0.1387807034803612),
+        (701, 1, None, 3, 3, 3, (0, 0, 180, 12, 900), 80, 0.015554432061231305),
+        (3539, -1, 4, 4, 4, 4, (0, 0, 240, 20, 1200), 124, 0.43693134692092306),
+        (739, 0, None, 4, 4, 4, (0, 0, 240, 20, 1200), 108, 0.7864192775469916),
+        (1487, 1, 11, 4, 4, 4, (0, 0, 240, 20, 1200), 116, 0.4045101542081371),
+        (223, 1, 17, 6, 6, 6, (0, 0, 180, 42, 720), 146, 0.7793391150390931),
+        (164431, -1, None, 6, 6, 6, (0, 0, 558, 42, 3348), 266, 0.04594512917235738),
+        (41479, 0, None, 7, 7, 7, (0, 0, 420, 56, 2100), 288, 0.1017327564806878),
+        (69029, -1, 1, 7, 7, 7, (0, 0, 651, 56, 3906), 302, 0.8061759807679142),
+        (1200799, 1, 150, 8, 8, 8, (0, 0, 744, 72, 4464), 416, 0.42456226010376397),
+        (3624811, -1, 255, 8, 8, 8, (0, 0, 744, 72, 4464), 432, 0.47048057382463715),
+        (12477391, -1, 299, 9, 9, 9, (0, 0, 837, 90, 5022), 530, 0.31077035260824115),
+    ],
+    ("bsearch", "dense"): [
+        (29, -1, 1, 0, 0, 0, (0, 0, 0, 0, 0), 18, 0.5366333278673542),
+        (2, 0, None, 0, 0, 0, (0, 0, 0, 0, 0), 10, 0.443655907974409),
+        (19, -1, None, 1, 1, 1, (0, 0, 15, 2, 60), 20, 0.6182494391315174),
+        (83, 1, 2, 1, 1, 1, (0, 0, 15, 2, 60), 24, 0.7635376850713563),
+        (31, 1, 3, 2, 2, 2, (0, 0, 60, 6, 240), 34, 0.8564519629435836),
+        (1579, 0, None, 3, 3, 3, (0, 0, 180, 12, 900), 86, 0.5550057854448134),
+        (659, 1, 6, 3, 3, 3, (0, 0, 180, 12, 900), 80, 0.30970505427697703),
+        (109, -1, 1, 3, 3, 3, (0, 0, 90, 12, 360), 62, 0.9107359957257065),
+        (53, 1, 8, 3, 3, 3, (0, 0, 90, 12, 360), 56, 0.8150749333726061),
+        (701, 1, None, 3, 3, 3, (0, 0, 180, 12, 900), 80, 0.8137258167859861),
+        (3539, -1, 4, 4, 4, 4, (0, 0, 240, 20, 1200), 124, 0.8699324686918725),
+        (739, 0, None, 4, 4, 4, (0, 0, 240, 20, 1200), 108, 0.4531924597444502),
+        (1487, 1, 11, 4, 4, 4, (0, 0, 240, 20, 1200), 116, 0.8713860809298071),
+    ],
+}
+
+
+def _compare_pair(ku, kv, first_difference, seed):
+    make = np.random.default_rng((7, seed))
+    u = make.integers(0, 2, ku)
+    v = np.concatenate((u, make.integers(0, 2, max(0, kv - ku))))[:kv]
+    if first_difference is not None:
+        v[first_difference - 1] ^= 1
+        v[first_difference:] = make.integers(0, 2, kv - first_difference)
+    return BitString.from_bits(u), BitString.from_bits(v)
+
+
+@pytest.mark.parametrize("name, backend_id", list(COMPARE_RUNS))
+def test_compare_runs_are_pinned(name, backend_id):
+    backend = {"structured": StructuredState, "dense": DenseSearchState}[backend_id]
+    cases = [c for c in COMPARE_CASES if backend_id == "structured" or min(c[:2]) <= 11]
+    assert len(cases) == len(COMPARE_RUNS[name, backend_id])
+    for case, expected in zip(cases, COMPARE_RUNS[name, backend_id]):
+        ku, kv, first_difference, epsilon, seed = case
+        u, v = _compare_pair(ku, kv, first_difference, seed)
+        rng = np.random.default_rng(seed)
+        if name == "bsearch":
+            params = compare_params(u, v, epsilon, rng)
+            result, p = compare_bsearch(u, v, params, rng, backend=backend), params.p
+        else:
+            result, p = compare_grover(u, v, rng, backend=backend), None
+        got = (
+            p,
+            result.verdict,
+            result.first_difference,
+            result.phases,
+            result.hash_comparisons,
+            result.copies_used,
+            tuple(result.ledger.counters().values()),
+            result.ledger.qubits_total,
+            rng.random(),
+        )
+        assert got == expected, case
