@@ -157,12 +157,9 @@ def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceRepo
     return _step_battery(name, dense_search, structured, oracle, iterations, rng, perturb)
 
 
-def _compare_bsearch_instance(name, u_text, v_text, p, perturb) -> InstanceReport:
-    u = BitString.from_text(u_text)
-    v = BitString.from_text(v_text)
-    k = min(len(u), len(v))
-    params = _small_params(k, k, p)
-    state = build_compare_state(u, v, params)
+def _compare_bsearch_instance(name, u_text, v_text, perturb) -> InstanceReport:
+    state = build_compare_state(BitString.from_text(u_text), BitString.from_text(v_text))
+    k = state.k
     structured = state.symbol_copy(StructuredState)
     if perturb is not None:
         perturb(name, structured)
@@ -234,13 +231,14 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
     for name, u_text, v_text in grover_cases:
         report.instances.append(_compare_grover_instance(name, u_text, v_text, rng, perturb))
 
+    # the p in a bsearch name is a label only: the battery checks symbol access
     bsearch_cases = [
-        ("compare_bsearch k4 p5", "0110", "0100", 5),
-        ("compare_bsearch k6 p7", "011010", "011011", 7),
-        ("compare_bsearch k8 p13", "01101001", "01101001", 13),
-        ("compare_bsearch k5 p11", "10010", "10110", 11),
+        ("compare_bsearch k4 p5", "0110", "0100"),
+        ("compare_bsearch k6 p7", "011010", "011011"),
+        ("compare_bsearch k8 p13", "01101001", "01101001"),
+        ("compare_bsearch k5 p11", "10010", "10110"),
     ]
-    for name, u_text, v_text, p in bsearch_cases:
-        report.instances.append(_compare_bsearch_instance(name, u_text, v_text, p, perturb))
+    for name, u_text, v_text in bsearch_cases:
+        report.instances.append(_compare_bsearch_instance(name, u_text, v_text, perturb))
 
     return report

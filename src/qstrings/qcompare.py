@@ -4,10 +4,11 @@ The search comparator runs threshold-descent minimum finding over the
 ranks of the pairs (1 - [u_a != v_a], a), so the minimum key names the
 first differing position; a sentinel threshold above every real rank
 encodes "no differing position found yet".  The binary-search
-comparator keeps prefix hashes of both strings bound to a position
-register and locates the first hash-unequal prefix with exactly
-ceil(log2 k) quantum equality tests, then reads the symbol pair at the
-candidate position to settle the verdict.  Length cases are decided classically in both.
+comparator fingerprints every prefix of both strings, fetches the hash
+pair of each probed prefix at ceil(log2 k) access units, and locates the
+first hash-unequal prefix with exactly ceil(log2 k) rho-fold quantum
+equality tests, then reads the symbol pair at the candidate position to
+settle the verdict.  Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import fingerprint
 from .fingerprint import HashParams, HashValue
 from .grover import amplification, durr_hoyer_min
-from .qmatch import hash_equality_eval, worst_eval_miss
+from .qmatch import evaluation_constants, hash_equality_eval
 from .resources import (
     ResourceLedger,
     charge,
@@ -72,22 +73,18 @@ def _length_verdict(u: BitString, v: BitString) -> int:
 
 @dataclass(frozen=True)
 class CompareInstanceState:
-    """Bindings and copy budget for one comparator run.
+    """Symbol tables for one comparator run.
 
-    For the search comparator the data registers hold the symbol pair
-    (u_a, v_a); for the binary-search comparator they hold the prefix
-    hash pair of length a+1.  Padding entries bind equal sentinels so a
-    padded index can never look like a differing position.  The symbol
-    tables are read-only, and every symbol copy comes from one structured
-    template that validated them once.
+    The data registers hold the symbol pair (u_a, v_a) at index a.
+    Padding entries bind equal sentinels so a padded index can never look
+    like a differing position.  The symbol tables are read-only, and every
+    symbol copy comes from one structured template that validated them
+    once.
     """
 
     k: int
     u_bits: np.ndarray
     v_bits: np.ndarray
-    prefix_u: np.ndarray | None = None
-    prefix_v: np.ndarray | None = None
-    hash_width: int | None = None
 
     @property
     def padded(self) -> int:
@@ -114,17 +111,9 @@ class CompareInstanceState:
         """One fresh uniform search state over positions with (u_a, v_a) bound."""
         return backend.like(self._symbol_template)
 
-    def hash_pair(self, prefix_len: int) -> tuple[HashValue, HashValue]:
-        return (
-            HashValue(int(self.prefix_u[prefix_len]), self.hash_width),
-            HashValue(int(self.prefix_v[prefix_len]), self.hash_width),
-        )
 
-
-def build_compare_state(
-    u: BitString, v: BitString, params: HashParams | None = None
-) -> CompareInstanceState:
-    """Bind symbols (and with params, prefix-hash pairs) over the padded domain."""
+def build_compare_state(u: BitString, v: BitString) -> CompareInstanceState:
+    """Bind the symbol pairs over the padded domain."""
     k = min(len(u), len(v))
     padded = padded_size(k)
     u_bits = np.zeros(padded, dtype=np.int64)
@@ -132,38 +121,23 @@ def build_compare_state(
     u_bits[:k] = u.array[:k]
     v_bits[:k] = v.array[:k]
     u_bits.flags.writeable = v_bits.flags.writeable = False
-    prefix_u = prefix_v = None
-    width = None
-    if params is not None:
-        width = params.width
-        prefix_u = fingerprint.prefix_hashes(u, params.p)
-        prefix_v = fingerprint.prefix_hashes(v, params.p)
-    return CompareInstanceState(
-        k=k,
-        u_bits=u_bits,
-        v_bits=v_bits,
-        prefix_u=prefix_u,
-        prefix_v=prefix_v,
-        hash_width=width,
-    )
+    return CompareInstanceState(k=k, u_bits=u_bits, v_bits=v_bits)
 
 
 def access_element(
     state: SearchState,
     i: int,
     registers: tuple[str, ...],
-    ledger: ResourceLedger | None = None,
-    domain: int | None = None,
+    ledger: ResourceLedger,
+    domain: int,
 ) -> tuple[int, ...]:
-    """Bound data values at index i, charged at ceil(log2 k) units per access.
+    """Bound data values at index i, charged at ceil(log2 domain) units.
 
     The swap-to-front access trick costs the same for every index, so the
     charge is uniform and independent of i.
     """
     values = state.values_at(i, registers)
-    if ledger is not None:
-        size = domain if domain is not None else state.size
-        charge(ledger, "access_units", index_width(size))
+    charge(ledger, "access_units", index_width(domain))
     return values
 
 
@@ -243,23 +217,24 @@ def compare_bsearch(
     if params.delta < k:
         raise ValueError("hash parameters sized for fewer comparisons than k")
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
-    state = build_compare_state(u, v, params)
+    state = build_compare_state(u, v)
+    prefix_u = fingerprint.prefix_hashes(u, params.p)
+    prefix_v = fingerprint.prefix_hashes(v, params.p)
+    width = params.width
     log_k = index_width(k)
-    rho = amplification(worst_eval_miss(padded_size(params.width)), log_k)
+    rho = amplification(evaluation_constants(padded_size(width)).worst_miss, log_k)
 
     # lo: longest prefix believed hash-equal; hi: candidate first difference.
     # A reported inequality carries a verified differing bit, so it always
     # wins; once the bracket closes, the remaining budget re-tests the
     # candidate, keeping the comparison count exact.
     lo, hi = 0, k
-    tests = 0
     for _ in range(log_k):
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
-        charge(ledger, "access_units", index_width(k))  # swap-to-front fetch of mid
-        href, hcand = state.hash_pair(mid)
-        equal = _amplified_equality_test(href, hcand, rho, rng, backend, ledger)
-        tests += 1
-        if equal:
+        charge(ledger, "access_units", log_k)  # swap-to-front fetch of mid
+        href = HashValue(int(prefix_u[mid]), width)
+        hcand = HashValue(int(prefix_v[mid]), width)
+        if hash_equality_eval(href, hcand, rho, rng, backend, ledger):
             if mid < hi:
                 lo = mid
         else:
@@ -271,22 +246,7 @@ def compare_bsearch(
         # The candidate position does not actually differ: equal within
         # the compared prefix, so string length decides.
         verdict = _length_verdict(u, v)
-        return CompareResult(verdict, None, tests, tests, tests, (), ledger)
+        return CompareResult(verdict, None, log_k, log_k, log_k, (), ledger)
     verdict = -1 if u_bit < v_bit else 1
-    return CompareResult(verdict, a0, tests, tests, tests, (), ledger)
+    return CompareResult(verdict, a0, log_k, log_k, log_k, (), ledger)
 
-
-def _amplified_equality_test(
-    href: HashValue,
-    hcand: HashValue,
-    rho: int,
-    rng: np.random.Generator,
-    backend: type[SearchState],
-    ledger: ResourceLedger,
-) -> bool:
-    """rho-fold equality evaluation; any verified differing bit settles it."""
-    equal = True
-    for _ in range(rho):
-        if hash_equality_eval(href, hcand, rng, backend, ledger) == 0:
-            equal = False
-    return equal

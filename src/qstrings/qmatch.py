@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,66 +64,72 @@ def miss_probability_table(bit_domain: int) -> tuple[float, ...]:
     return tuple(table)
 
 
-def worst_eval_miss(bit_domain: int) -> float:
-    """Largest single-evaluation miss over all differing-bit counts."""
-    table = miss_probability_table(bit_domain)
-    return max(table[1:]) if bit_domain >= 1 else 0.0
+class Evaluation(NamedTuple):
+    """Cost and error of one coherent equality evaluation."""
 
-
-def inner_eval_gate_cost(bit_domain: int) -> int:
-    """Gate units of one coherent evaluation: per iteration, a diffusion
-    over the bit-position register plus one bit-compare query."""
-    return sum(inner_schedule(bit_domain)) * (index_width(bit_domain) + 1)
+    gate_units: int  # per iteration: a diffusion over the bit positions and one bit compare
+    worst_miss: float  # largest miss over all differing-bit counts
+    inner_iterations: int
 
 
 @lru_cache(maxsize=32)
-def _evaluation_constants(bit_domain: int) -> tuple[int, float, int]:
-    """Gate units, worst miss and inner iterations of one evaluation."""
-    return (
-        inner_eval_gate_cost(bit_domain),
-        worst_eval_miss(bit_domain),
-        sum(inner_schedule(bit_domain)),
+def evaluation_constants(bit_domain: int) -> Evaluation:
+    """The record of one evaluation over `bit_domain` bit positions."""
+    iterations = sum(inner_schedule(bit_domain))
+    return Evaluation(
+        gate_units=iterations * (index_width(bit_domain) + 1),
+        worst_miss=max(miss_probability_table(bit_domain)[1:]),
+        inner_iterations=iterations,
     )
 
 
 def hash_equality_eval(
     reference: HashValue,
     candidate: HashValue,
+    rho: int,
     rng: np.random.Generator,
-    backend: type[SearchState] = StructuredState,
-    ledger: ResourceLedger | None = None,
-) -> int:
-    """One equality evaluation: 1 if the hashes are judged equal, else 0.
+    backend: type[SearchState],
+    ledger: ResourceLedger,
+) -> bool:
+    """rho-fold equality test: True if the hashes are judged equal.
 
-    Runs the inner schedule searching bit positions where the two
-    residues differ; any verified differing bit settles inequality.
-    With the StructuredState backend the measured outcome is sampled from
-    the closed-form distribution of the circuit; any other backend class
-    evolves its own search state over the bit positions.
+    Each of the rho independent evaluations runs the inner schedule
+    searching bit positions where the two residues differ, and stops at
+    its first verified differing bit; any such bit settles inequality,
+    but every evaluation runs even after one has found a bit.  With the
+    StructuredState backend the measured outcome is sampled from the
+    closed-form distribution of the circuit, with no draw when the
+    residues are equal; any other backend class evolves its own search
+    state over the bit positions.
     """
     if reference.width != candidate.width:
         raise ValueError("hash widths differ")
     domain = padded_size(reference.width)
+    evaluation = evaluation_constants(domain)
+    charge(ledger, "inner_grover_iterations", rho * evaluation.inner_iterations)
+    charge(ledger, "hash_eval_units", rho * evaluation.gate_units)
+    schedule = inner_schedule(domain)
     diff = reference.residue ^ candidate.residue
-    t = bin(diff).count("1")
-    if ledger is not None:
-        charge(ledger, "inner_grover_iterations", sum(inner_schedule(domain)))
-        charge(ledger, "hash_eval_units", inner_eval_gate_cost(domain))
     if backend is StructuredState:
-        for iterations in inner_schedule(domain):
-            if t and rng.random() < success_probability(domain, t, iterations):
-                return 0
-        return 1
-    truth = np.array(
-        [(diff >> j) & 1 == 1 if j < reference.width else False for j in range(domain)]
-    )
-    oracle = OracleSpec(domain, truth, evaluation_cost=1)
-    layout = RegisterLayout([Register("bit", max(1, index_width(domain)), "index")])
-    for iterations in inner_schedule(domain):
-        outcome = grover_run(backend(layout, domain), oracle, iterations, rng)
-        if outcome.verified:
-            return 0
-    return 1
+        t = bin(diff).count("1")
+        if t == 0:
+            return True  # no differing bit exists, so nothing is drawn
+        hits = [success_probability(domain, t, iterations) for iterations in schedule]
+        finds = [any(rng.random() < hit for hit in hits) for _ in range(rho)]
+    else:
+        truth = np.array(
+            [(diff >> j) & 1 == 1 if j < reference.width else False for j in range(domain)]
+        )
+        oracle = OracleSpec(domain, truth, evaluation_cost=1)
+        layout = RegisterLayout([Register("bit", max(1, index_width(domain)), "index")])
+        finds = [
+            any(
+                grover_run(backend(layout, domain), oracle, iterations, rng).verified
+                for iterations in schedule
+            )
+            for _ in range(rho)
+        ]
+    return not any(finds)
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ class MatchStateSpec:
     def oracle(self) -> OracleSpec:
         """Window-hash-equality oracle with its one-sided error model."""
         bit_domain = padded_size(self.params.width)
-        evaluation_cost, error_prob, inner_iterations = _evaluation_constants(bit_domain)
+        evaluation = evaluation_constants(bit_domain)
         # t <= width <= bit_domain: every residue, the sentinel too, has width bits
         t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash.residue)
         truth = t_counts == 0
@@ -178,10 +185,10 @@ class MatchStateSpec:
         return OracleSpec(
             self.num_windows,
             truth,
-            evaluation_cost=evaluation_cost,
-            error_prob=error_prob,
+            evaluation_cost=evaluation.gate_units,
+            error_prob=evaluation.worst_miss,
             error_classes=(t_counts, miss_probability_table(bit_domain)),
-            inner_iterations_per_eval=inner_iterations,
+            inner_iterations_per_eval=evaluation.inner_iterations,
         )
 
 
@@ -203,8 +210,6 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
     table = np.zeros(padded, dtype=np.int64)
     table[: inst.num_windows] = fingerprint.window_hashes(inst.text, inst.m, params.p)
     sentinel = (~pattern_hash.residue) & ((1 << params.width) - 1)
-    if sentinel == pattern_hash.residue:  # width-0 complement cannot happen, be safe
-        sentinel ^= 1
     table[inst.num_windows :] = sentinel
     table.flags.writeable = False
     return MatchStateSpec(

@@ -645,7 +645,7 @@ class DenseSearchState:
 SearchState = StructuredState | DenseSearchState
 
 
-def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> DenseState:
+def expand_structured(state: StructuredState) -> DenseState:
     """Dense state with amplitude of |a>|f1(a)>... equal to the structured amplitude.
 
     Covers the index and data registers of the layout; ancilla and flag
@@ -653,8 +653,10 @@ def expand_structured(state: StructuredState, cap: int = DENSE_WIDTH_CAP) -> Den
     """
     regs = [r for r in state.layout.registers if r.role in ("index", "data")]
     layout = RegisterLayout(regs)
-    if layout.total_width > cap:
-        raise ValueError(f"expansion of {layout.total_width} qubits exceeds cap {cap}")
+    if layout.total_width > DENSE_WIDTH_CAP:
+        raise ValueError(
+            f"expansion of {layout.total_width} qubits exceeds cap {DENSE_WIDTH_CAP}"
+        )
     basis = np.arange(state.size, dtype=np.int64) << layout.offset(state.index_register)
     for name, table in state.bindings.items():
         basis |= table << layout.offset(name)

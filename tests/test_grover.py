@@ -15,7 +15,7 @@ from qstrings.grover import (
     optimal_iterations,
     success_probability,
 )
-from qstrings.qmatch import miss_probability_table, worst_eval_miss
+from qstrings.qmatch import evaluation_constants, miss_probability_table
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
     DenseSearchState,
@@ -199,7 +199,7 @@ AMPLIFICATION = [
 
 def test_amplification_rule_is_pinned_over_bit_domains_and_steps():
     for d, row in enumerate(AMPLIFICATION, start=2):
-        error = worst_eval_miss(d)
+        error = evaluation_constants(d).worst_miss
         assert [amplification(error, s) for s in range(1, 17)] == [int(c) for c in row], d
 
 

@@ -40,7 +40,7 @@ def test_access_element_structured():
     # uniform charge per access: ceil(log2 4) each
     assert ledger.access_units == 3 * 2
     with pytest.raises(IndexError):
-        access_element(struct, 99, ("u",))
+        access_element(struct, 99, ("u",), ledger, domain=4)
 
 
 def test_access_element_dense_matches_structured():
@@ -49,8 +49,12 @@ def test_access_element_dense_matches_structured():
     state = build_compare_state(u, v)
     dense = state.symbol_copy(DenseSearchState)
     struct = state.symbol_copy(StructuredState)
+    dense_ledger, struct_ledger = ResourceLedger(), ResourceLedger()
     for i in range(3):
-        assert access_element(dense, i, ("u", "v")) == access_element(struct, i, ("u", "v"))
+        assert access_element(dense, i, ("u", "v"), dense_ledger, domain=3) == access_element(
+            struct, i, ("u", "v"), struct_ledger, domain=3
+        )
+    assert dense_ledger.access_units == struct_ledger.access_units == 3 * 2
 
 
 def test_symbol_copies_share_read_only_bindings_and_evolve_independently():

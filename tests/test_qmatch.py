@@ -9,17 +9,16 @@ from qstrings import qmatch
 from qstrings.fingerprint import HashParams, HashValue, rolling_hash, universe_size
 from qstrings.qmatch import (
     MatchResult,
+    evaluation_constants,
     hash_equality_eval,
-    inner_eval_gate_cost,
     inner_schedule,
     match_params,
     match_search,
     match_unique,
     miss_probability_table,
     prepare_match_state,
-    worst_eval_miss,
 )
-from qstrings.resources import qubit_count_match, qubit_count_match_unique
+from qstrings.resources import ResourceLedger, qubit_count_match, qubit_count_match_unique
 from qstrings.sim import DenseSearchState, StructuredState, expand_structured
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
 from support import random_multi_occurrence
@@ -40,7 +39,7 @@ def test_inner_schedule_shape():
 @pytest.mark.parametrize("domain", [1, 2, 4, 8, 16, 32, 64, 128])
 def test_worst_eval_miss_below_one_third(domain):
     # exhaustive over every possible differing-bit count
-    assert worst_eval_miss(domain) <= 1 / 3 + 1e-12
+    assert evaluation_constants(domain).worst_miss <= 1 / 3 + 1e-12
 
 
 def test_miss_table_endpoints():
@@ -55,14 +54,18 @@ def test_equal_hashes_always_judged_equal(backend):
     rng = np.random.default_rng(0)
     h = HashValue(5, 4)
     for _ in range(50):
-        assert hash_equality_eval(h, h, rng, backend) == 1
+        assert hash_equality_eval(h, h, 1, rng, backend, ResourceLedger()) == 1
+    # no differing bit: the structured backend has nothing to draw
+    assert hash_equality_eval(h, h, 4, rng, backend, ResourceLedger())
+    if backend is StructuredState:
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_one_differing_bit_of_four_found_with_certainty_dense():
     rng = np.random.default_rng(1)
     a, b = HashValue(0b1010, 4), HashValue(0b1000, 4)
     for _ in range(50):
-        assert hash_equality_eval(a, b, rng, DenseSearchState) == 0
+        assert hash_equality_eval(a, b, 1, rng, DenseSearchState, ResourceLedger()) == 0
 
 
 def test_all_bits_differing_found_with_certainty():
@@ -70,7 +73,22 @@ def test_all_bits_differing_found_with_certainty():
     a, b = HashValue(0b0000, 4), HashValue(0b1111, 4)
     for backend in (StructuredState, DenseSearchState):
         for _ in range(30):
-            assert hash_equality_eval(a, b, rng, backend) == 0
+            assert hash_equality_eval(a, b, 1, rng, backend, ResourceLedger()) == 0
+
+
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
+def test_rho_fold_test_runs_every_evaluation(backend):
+    # one rho-fold test draws and charges as rho single evaluations do
+    a, b = HashValue(0b0011, 4), HashValue(0b0000, 4)
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ledger, ref_ledger = ResourceLedger(), ResourceLedger()
+        equal = hash_equality_eval(a, b, 3, rng, backend, ledger)
+        singles = [hash_equality_eval(a, b, 1, ref_rng, backend, ref_ledger) for _ in range(3)]
+        assert equal == all(singles)
+        assert ledger.counters() == ref_ledger.counters()
+        assert ledger.hash_eval_units == 3 * evaluation_constants(4).gate_units
+        assert rng.random() == ref_rng.random()
 
 
 def test_eval_modes_agree_in_distribution():
@@ -80,7 +98,9 @@ def test_eval_modes_agree_in_distribution():
     rates = {}
     for backend in (StructuredState, DenseSearchState):
         rng = np.random.default_rng(99)
-        rates[backend] = sum(hash_equality_eval(a, b, rng, backend) for _ in range(trials)) / trials
+        rates[backend] = sum(
+            hash_equality_eval(a, b, 1, rng, backend, ResourceLedger()) for _ in range(trials)
+        ) / trials
     assert abs(rates[StructuredState] - rates[DenseSearchState]) < 0.05
 
 
@@ -410,8 +430,6 @@ def test_random_multi_occurrence_generator():
 
 
 def test_match_result_validation():
-    from qstrings.resources import ResourceLedger
-
     with pytest.raises(ValueError):
         MatchResult(
             position=None,
@@ -425,5 +443,5 @@ def test_match_result_validation():
 
 def test_inner_eval_gate_cost():
     # schedule [1,2,4] over a width-2 bit register: 7 iterations x (2+1)
-    assert inner_eval_gate_cost(4) == 7 * 3
-    assert inner_eval_gate_cost(16) == 15 * 5
+    assert evaluation_constants(4).gate_units == 7 * 3
+    assert evaluation_constants(16).gate_units == 15 * 5

@@ -219,12 +219,13 @@ def test_expand_structured_hash_table():
 
 
 def test_expand_structured_cap():
+    # 25 qubits, one above the dense cap: refused before anything is allocated
     layout = RegisterLayout(
-        [Register("idx", 4, "index"), Register("h", 10, "data", depends_on="idx")]
+        [Register("idx", 4, "index"), Register("h", 21, "data", depends_on="idx")]
     )
     state = StructuredState(layout, 16, bindings={"h": np.zeros(16, dtype=np.int64)})
-    with pytest.raises(ValueError):
-        expand_structured(state, cap=8)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        expand_structured(state)
 
 
 def test_bind_data_roundtrip():
