@@ -18,10 +18,9 @@ from .grover import durr_hoyer_min
 from .sim import (
     DENSE_WIDTH_CAP,
     DenseSearchState,
-    Register,
-    RegisterLayout,
     StructuredState,
     dump_state,
+    search_layout,
 )
 from .strings_core import BitString, MatchInstance, compare_classical
 
@@ -127,11 +126,8 @@ def _cmd_match(args, argv) -> int:
     if args.dump_state and backend is not DenseSearchState:
         raise ValueError("--dump-state applies only to --mode dense")
     if backend is DenseSearchState:
-        width = (
-            max(1, resources.index_width(inst.num_windows))
-            + resources.nominal_hash_width(inst.num_windows, inst.m, args.epsilon)
-            + 1
-        )
+        whash = resources.nominal_hash_width(inst.num_windows, inst.m, args.epsilon)
+        width = search_layout(inst.num_windows, whash=whash).total_width + 1  # phase flag
         if width > DENSE_WIDTH_CAP:
             raise ValueError(
                 f"dense mode would need {width} qubits, above the {DENSE_WIDTH_CAP}-qubit cap"
@@ -162,8 +158,7 @@ def _cmd_min_find(args, argv) -> int:
     except OverflowError:
         raise ValueError("--values must fit in int64") from None
     domain = values.size
-    width = max(1, resources.index_width(domain))
-    layout = RegisterLayout([Register("idx", width, "index")])
+    layout = search_layout(domain)
     rows = []
     for trial in range(args.trials):
         rng = np.random.default_rng((args.seed, trial))

@@ -145,25 +145,24 @@ def _match_instance(name, text, pattern, p, schedule, rng, perturb) -> InstanceR
 def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceReport:
     u = BitString.from_text(u_text)
     v = BitString.from_text(v_text)
-    state = build_compare_state(u, v)
-    k = state.k
-    differs = state.u_bits[: k] != state.v_bits[: k]
-    truth = np.zeros(state.padded, dtype=bool)
-    truth[:k] = differs
+    template = build_compare_state(u, v)
+    k = template.domain_size
+    truth = np.zeros(template.size, dtype=bool)
+    truth[:k] = u.array[:k] != v.array[:k]
     oracle = OracleSpec(k, truth, evaluation_cost=1)
-    iterations = optimal_iterations(state.padded, max(1, int(truth.sum())))
-    dense_search = state.symbol_copy(DenseSearchState)
-    structured = state.symbol_copy(StructuredState)
+    iterations = optimal_iterations(template.size, max(1, int(truth.sum())))
+    dense_search = DenseSearchState.like(template)
+    structured = StructuredState.like(template)
     return _step_battery(name, dense_search, structured, oracle, iterations, rng, perturb)
 
 
 def _compare_bsearch_instance(name, u_text, v_text, perturb) -> InstanceReport:
-    state = build_compare_state(BitString.from_text(u_text), BitString.from_text(v_text))
-    k = state.k
-    structured = state.symbol_copy(StructuredState)
+    template = build_compare_state(BitString.from_text(u_text), BitString.from_text(v_text))
+    k = template.domain_size
+    structured = StructuredState.like(template)
     if perturb is not None:
         perturb(name, structured)
-    dense_search = state.symbol_copy(DenseSearchState)
+    dense_search = DenseSearchState.like(template)
     max_dev, worst_idx = _deviation(dense_search, structured)
     if max_dev > TOLERANCE:
         return InstanceReport(
@@ -171,8 +170,8 @@ def _compare_bsearch_instance(name, u_text, v_text, perturb) -> InstanceReport:
         )
     led_dense = ResourceLedger()
     led_struct = ResourceLedger()
-    dense_readout = state.symbol_copy(DenseSearchState)
-    struct_readout = state.symbol_copy(StructuredState)
+    dense_readout = DenseSearchState.like(template)
+    struct_readout = StructuredState.like(template)
     for i in range(k):
         dense_vals = access_element(dense_readout, i, ("u", "v"), led_dense, domain=k)
         struct_vals = access_element(struct_readout, i, ("u", "v"), led_struct, domain=k)

@@ -14,7 +14,6 @@ settle the verdict.  Length cases are decided classically in both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
-from .sim import Register, RegisterLayout, SearchState, StructuredState, padded_size
+from .sim import SearchState, StructuredState, padded_size, search_layout
 from .strings_core import BitString
 
 
@@ -71,57 +70,17 @@ def _length_verdict(u: BitString, v: BitString) -> int:
     return -1 if len(u) < len(v) else 1
 
 
-@dataclass(frozen=True)
-class CompareInstanceState:
-    """Symbol tables for one comparator run.
-
-    The data registers hold the symbol pair (u_a, v_a) at index a.
-    Padding entries bind equal sentinels so a padded index can never look
-    like a differing position.  The symbol tables are read-only, and every
-    symbol copy comes from one structured template that validated them
-    once.
-    """
-
-    k: int
-    u_bits: np.ndarray
-    v_bits: np.ndarray
-
-    @property
-    def padded(self) -> int:
-        return padded_size(self.k)
-
-    @property
-    def index_register_width(self) -> int:
-        return max(1, index_width(self.k))
-
-    def symbol_layout(self) -> RegisterLayout:
-        return RegisterLayout(
-            [
-                Register("idx", self.index_register_width, "index"),
-                Register("u", 1, "data", depends_on="idx"),
-                Register("v", 1, "data", depends_on="idx"),
-            ]
-        )
-
-    @cached_property
-    def _symbol_template(self) -> StructuredState:
-        return StructuredState(self.symbol_layout(), self.k, {"u": self.u_bits, "v": self.v_bits})
-
-    def symbol_copy(self, backend: type[SearchState] = StructuredState) -> SearchState:
-        """One fresh uniform search state over positions with (u_a, v_a) bound."""
-        return backend.like(self._symbol_template)
-
-
-def build_compare_state(u: BitString, v: BitString) -> CompareInstanceState:
-    """Bind the symbol pairs over the padded domain."""
+def build_compare_state(u: BitString, v: BitString) -> StructuredState:
+    """The validated template of every comparator search state: positions
+    a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
+    entries bind equal zeros, so a padded index can never look like a
+    differing position."""
     k = min(len(u), len(v))
-    padded = padded_size(k)
-    u_bits = np.zeros(padded, dtype=np.int64)
-    v_bits = np.zeros(padded, dtype=np.int64)
+    u_bits = np.zeros(padded_size(k), dtype=np.int64)
+    v_bits = np.zeros(padded_size(k), dtype=np.int64)
     u_bits[:k] = u.array[:k]
     v_bits[:k] = v.array[:k]
-    u_bits.flags.writeable = v_bits.flags.writeable = False
-    return CompareInstanceState(k=k, u_bits=u_bits, v_bits=v_bits)
+    return StructuredState(search_layout(k, u=1, v=1), k, {"u": u_bits, "v": v_bits})
 
 
 def access_element(
@@ -155,8 +114,8 @@ def compare_grover(
     if k == 0:
         return CompareResult(_length_verdict(u, v), None, 0, 0, 0, (), ledger)
     ledger.qubits_total = qubit_count_compare_grover(k)
-    state = build_compare_state(u, v)
-    differs = state.u_bits[:k] != state.v_bits[:k]
+    template = build_compare_state(u, v)
+    differs = u.array[:k] != v.array[:k]
     # rank of the pair (1 - [u_a != v_a], a): differing positions first,
     # each group in position order; 2k lies above every rank
     rank = np.where(differs, 0, k) + np.arange(k)
@@ -166,7 +125,7 @@ def compare_grover(
     def factory() -> SearchState:
         nonlocal copies
         copies += 1
-        return state.symbol_copy(backend)
+        return backend.like(template)
 
     records: list[PhaseRecord] = []
 
@@ -188,7 +147,7 @@ def compare_grover(
         # prefix, so string length decides.
         verdict = _length_verdict(u, v)
         return CompareResult(verdict, None, phases, 0, copies, tuple(records), ledger)
-    readout = state.symbol_copy(backend)
+    readout = backend.like(template)
     u_bit, v_bit = access_element(readout, best, ("u", "v"), ledger, domain=k)
     verdict = -1 if u_bit < v_bit else 1
     return CompareResult(verdict, best + 1, phases, 0, copies + 1, tuple(records), ledger)
@@ -217,7 +176,7 @@ def compare_bsearch(
     if params.delta < k:
         raise ValueError("hash parameters sized for fewer comparisons than k")
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
-    state = build_compare_state(u, v)
+    template = build_compare_state(u, v)
     prefix_u = fingerprint.prefix_hashes(u, params.p)
     prefix_v = fingerprint.prefix_hashes(v, params.p)
     width = params.width
@@ -240,7 +199,7 @@ def compare_bsearch(
         else:
             hi = mid
     a0 = hi
-    readout = state.symbol_copy(backend)
+    readout = backend.like(template)
     u_bit, v_bit = access_element(readout, a0 - 1, ("u", "v"), ledger, domain=k)
     if u_bit == v_bit:
         # The candidate position does not actually differ: equal within

@@ -36,7 +36,7 @@ from .resources import (
     qubit_count_match,
     qubit_count_match_unique,
 )
-from .sim import Register, RegisterLayout, SearchState, StructuredState, padded_size
+from .sim import SearchState, StructuredState, padded_size, search_layout
 from .strings_core import BitString, MatchInstance
 
 
@@ -121,7 +121,7 @@ def hash_equality_eval(
             [(diff >> j) & 1 == 1 if j < reference.width else False for j in range(domain)]
         )
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
-        layout = RegisterLayout([Register("bit", max(1, index_width(domain)), "index")])
+        layout = search_layout(domain)
         finds = [
             any(
                 grover_run(backend(layout, domain), oracle, iterations, rng).verified
@@ -153,21 +153,10 @@ class MatchStateSpec:
     def num_windows(self) -> int:
         return self.instance.num_windows
 
-    @property
-    def index_register_width(self) -> int:
-        return max(1, index_width(self.num_windows))
-
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout(
-            [
-                Register("idx", self.index_register_width, "index"),
-                Register("whash", self.params.width, "data", depends_on="idx"),
-            ]
-        )
-
     @cached_property
     def _template(self) -> StructuredState:
-        return StructuredState(self.layout(), self.num_windows, {"whash": self.window_hash_table})
+        layout = search_layout(self.num_windows, whash=self.params.width)
+        return StructuredState(layout, self.num_windows, {"whash": self.window_hash_table})
 
     def make_copy(self, backend: type[SearchState] = StructuredState) -> SearchState:
         """One fresh uniform search state."""

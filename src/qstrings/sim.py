@@ -24,7 +24,9 @@ does that bookkeeping.  The two search-state classes share one
 interface, and algorithm code takes the backend as a class:
 `backend(layout, domain_size, bindings)` builds a fresh uniform search
 state, and `backend.like(template)` one over the layout and bindings of
-a structured template validated once.
+a structured template validated once.  `search_layout(domain_size,
+**data_widths)` builds every search layout: one index register "idx"
+over the padded domain and the data registers bound to it.
 
 Conventions: qubit 0 is the least-significant bit of the flat basis
 index, and each register occupies a contiguous run of qubits with its
@@ -118,6 +120,14 @@ def padded_size(domain: int) -> int:
     if domain < 1:
         raise ValueError("domain must be positive")
     return 1 << max(1, (domain - 1).bit_length())
+
+
+def search_layout(domain_size: int, **data_widths: int) -> RegisterLayout:
+    """An index register "idx" over the padded domain, then one data
+    register of each given width, bound to it, in keyword order."""
+    index = Register("idx", padded_size(domain_size).bit_length() - 1, "index")
+    data = [Register(name, w, "data", depends_on="idx") for name, w in data_widths.items()]
+    return RegisterLayout([index, *data])
 
 
 class DenseState:
@@ -251,17 +261,6 @@ def bind_data(state: DenseState, data_register: str, table: np.ndarray) -> Dense
     return state
 
 
-def measure(state: DenseState, rng: np.random.Generator) -> dict[str, int]:
-    """Sample all registers from the Born distribution and collapse."""
-    probs = np.abs(state.amps) ** 2
-    probs /= probs.sum()
-    outcome = int(rng.choice(state.amps.size, p=probs))
-    collapsed = np.zeros_like(state.amps)
-    collapsed[outcome] = 1.0
-    state.amps = collapsed
-    return {r.name: int(state.layout.extract(r.name, outcome)) for r in state.layout.registers}
-
-
 def project_flag_minus(state: DenseState, flag_register: str) -> np.ndarray:
     """Amplitudes over the remaining registers given the flag sits in |->.
 
@@ -289,6 +288,30 @@ def _index_register(layout: RegisterLayout, domain_size: int) -> str:
     if (1 << layout.width(names[0])) != padded_size(domain_size):
         raise ValueError("index register width does not cover the padded domain")
     return names[0]
+
+
+def _validated_bindings(
+    layout: RegisterLayout, size: int, bindings: Mapping[str, np.ndarray] | None
+) -> dict[str, np.ndarray]:
+    """One read-only int64 table over the `size` padded indices per data
+    register, in layout order, each checked to fit its register."""
+    tables = {}
+    for r in layout.registers:
+        if r.role != "data":
+            continue
+        if bindings is None or r.name not in bindings:
+            raise ValueError(f"missing binding for data register {r.name!r}")
+        table = np.asarray(bindings[r.name], dtype=np.int64)
+        if table.shape != (size,):
+            raise ValueError(f"binding for {r.name!r} must cover the padded domain")
+        if table.max(initial=0) >= (1 << r.width):
+            raise ValueError(f"binding for {r.name!r} overflows its register width")
+        if table.flags.writeable or not table.flags.owndata:
+            # writable here or through the array it views: keep a copy
+            table = table.copy()
+            table.flags.writeable = False
+        tables[r.name] = table
+    return tables
 
 
 def _check_index_array(marked: np.ndarray) -> None:
@@ -364,22 +387,7 @@ class StructuredState:
         self.domain_size = domain_size
         self.index_register = _index_register(layout, domain_size)
         self.size = padded_size(domain_size)
-        self.bindings: dict[str, np.ndarray] = {}
-        for r in layout.registers:
-            if r.role != "data":
-                continue
-            if bindings is None or r.name not in bindings:
-                raise ValueError(f"missing binding for data register {r.name!r}")
-            table = np.asarray(bindings[r.name], dtype=np.int64)
-            if table.shape != (self.size,):
-                raise ValueError(f"binding for {r.name!r} must cover the padded domain")
-            if table.max(initial=0) >= (1 << r.width):
-                raise ValueError(f"binding for {r.name!r} overflows its register width")
-            if table.flags.writeable or not table.flags.owndata:
-                # writable here or through the array it views: keep a copy
-                table = table.copy()
-                table.flags.writeable = False
-            self.bindings[r.name] = table
+        self.bindings = _validated_bindings(layout, self.size, bindings)
         self._base = 1.0 / math.sqrt(self.size)
         self._group = _NO_INDEX
         self._group_amp = 0.0
@@ -582,7 +590,7 @@ class DenseSearchState:
     ):
         self.index_register = _index_register(layout, domain_size)
         self.size = padded_size(domain_size)
-        self.data_tables = bindings or {}
+        self.data_tables = _validated_bindings(layout, self.size, bindings)
         self.state = DenseState(
             RegisterLayout([*layout.registers, Register(self.flag_register, 1, "flag")])
         )

@@ -103,6 +103,19 @@ def test_match_dense_width_guard(capsys):
     assert "qubits" in err and "24" in err
 
 
+def test_match_dense_width_guard_boundary(capsys):
+    # 65 windows: a 7-bit index, a 17-bit nominal hash and the phase flag.
+    # One bit less of text needs exactly the 24-qubit cap; it is not run,
+    # since it would allocate 2^24 amplitudes.
+    code, _, err = run_cli(
+        ["match", "--text", "0" * 80, "--pattern", "1" * 16,
+         "--seed", "1", "--mode", "dense"],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert "would need 25 qubits" in err
+
+
 def test_match_structured_size_guard(capsys):
     big = "01" * 40000
     code, _, err = run_cli(

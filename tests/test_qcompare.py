@@ -31,8 +31,8 @@ def _params(p, k, epsilon=0.5):
 def test_access_element_structured():
     u = BitString.from_text("1011")
     v = BitString.from_text("1001")
-    state = build_compare_state(u, v)
-    struct = state.symbol_copy(StructuredState)
+    template = build_compare_state(u, v)
+    struct = StructuredState.like(template)
     ledger = ResourceLedger()
     assert access_element(struct, 0, ("u", "v"), ledger, domain=4) == (1, 1)
     assert access_element(struct, 2, ("u", "v"), ledger, domain=4) == (1, 0)
@@ -46,9 +46,9 @@ def test_access_element_structured():
 def test_access_element_dense_matches_structured():
     u = BitString.from_text("101")
     v = BitString.from_text("111")
-    state = build_compare_state(u, v)
-    dense = state.symbol_copy(DenseSearchState)
-    struct = state.symbol_copy(StructuredState)
+    template = build_compare_state(u, v)
+    dense = DenseSearchState.like(template)
+    struct = StructuredState.like(template)
     dense_ledger, struct_ledger = ResourceLedger(), ResourceLedger()
     for i in range(3):
         assert access_element(dense, i, ("u", "v"), dense_ledger, domain=3) == access_element(
@@ -58,11 +58,14 @@ def test_access_element_dense_matches_structured():
 
 
 def test_symbol_copies_share_read_only_bindings_and_evolve_independently():
-    state = build_compare_state(BitString.from_text("10110"), BitString.from_text("10011"))
-    with pytest.raises(ValueError):
-        state.u_bits[0] = 1
-    a, b = state.symbol_copy(StructuredState), state.symbol_copy(StructuredState)
-    assert a.bindings["u"] is b.bindings["u"] is state.u_bits
+    template = build_compare_state(BitString.from_text("10110"), BitString.from_text("10011"))
+    a, b = StructuredState.like(template), StructuredState.like(template)
+    dense = DenseSearchState.like(template)
+    for name in ("u", "v"):
+        table = template.bindings[name]
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert a.bindings[name] is b.bindings[name] is dense.data_tables[name] is table
     a.apply_phase_pattern(np.array([2, 3]))
     a.diffuse()
     assert np.allclose(b.amps, np.full(8, 1 / math.sqrt(8)))
@@ -177,8 +180,8 @@ def _reference_durr_hoyer_min(key_of, domain, rng, state_factory, ledger, initia
 def _reference_compare_grover(u, v, rng):
     """compare_grover's search over the keys (1 - [u_a != v_a], a)."""
     k = min(len(u), len(v))
-    state = build_compare_state(u, v)
-    differs = state.u_bits[:k] != state.v_bits[:k]
+    template = build_compare_state(u, v)
+    differs = u.array[:k] != v.array[:k]
     ledger = ResourceLedger()
     records = []
 
@@ -188,11 +191,11 @@ def _reference_compare_grover(u, v, rng):
 
     out = _reference_durr_hoyer_min(
         lambda a: (int(not differs[a]), a), k, rng,
-        lambda: state.symbol_copy(StructuredState), ledger, (1, k), on_phase,
+        lambda: StructuredState.like(template), ledger, (1, k), on_phase,
     )
     best = out[0]
     if best is not None and differs[best]:
-        access_element(state.symbol_copy(StructuredState), best, ("u", "v"), ledger, domain=k)
+        access_element(StructuredState.like(template), best, ("u", "v"), ledger, domain=k)
     return out, tuple(records), ledger
 
 

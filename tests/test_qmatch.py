@@ -108,7 +108,7 @@ def test_prepare_match_state_layout():
     inst = MatchInstance(BitString.from_text("010101"), BitString.from_text("010"))
     params = _params(7, delta=4, max_len=3)
     spec = prepare_match_state(inst, params)
-    assert spec.index_register_width == 2
+    assert spec.make_copy().index_width == 2
     assert spec.window_hash_table.shape == (4,)  # the padded window domain
     assert spec.window_hash_table[0] == rolling_hash(inst.text.substring(1, 3), 7).residue
 

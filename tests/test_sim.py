@@ -16,7 +16,6 @@ from qstrings.sim import (
     diffusion,
     dump_state,
     expand_structured,
-    measure,
     phase_oracle,
     prepare_minus,
     prepare_uniform,
@@ -153,43 +152,6 @@ def test_diffusion_acts_per_sector():
     diffusion(state, "idx")
     # sector d=0: amplitudes (a, 0) -> mean SQ2/2; sector d=1: (0, a)
     assert np.allclose(state.amps, [0, SQ2, SQ2, 0])
-
-
-def test_measure_deterministic_and_distribution():
-    layout = RegisterLayout([Register("q", 1, "index")])
-    amps = np.zeros(2)
-    amps[1] = 1.0
-    assert measure(DenseState(layout, amps), np.random.default_rng(0)) == {"q": 1}
-
-    layout = RegisterLayout([Register("idx", 2, "index")])
-    rng = np.random.default_rng(123)
-    counts = np.zeros(4)
-    for _ in range(10_000):
-        state = prepare_uniform(DenseState(layout), "idx")
-        counts[measure(state, rng)["idx"]] += 1
-    assert np.all(np.abs(counts / 10_000 - 0.25) < 0.03)
-
-
-def test_measure_reproducible():
-    layout = RegisterLayout([Register("idx", 3, "index")])
-
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        return [
-            measure(prepare_uniform(DenseState(layout), "idx"), rng)["idx"]
-            for _ in range(20)
-        ]
-
-    assert run(7) == run(7)
-
-
-def test_measure_collapses():
-    layout = RegisterLayout([Register("idx", 2, "index")])
-    state = prepare_uniform(DenseState(layout), "idx")
-    rng = np.random.default_rng(5)
-    outcome = measure(state, rng)["idx"]
-    again = measure(state, rng)["idx"]
-    assert outcome == again
 
 
 def _structured_identity(width=1):
@@ -572,6 +534,31 @@ def test_like_gives_independent_uniform_states(backend):
     assert np.allclose(a.index_probabilities(), [0.0, 1.0, 0.0, 0.0])
     assert np.allclose(b.index_probabilities(), uniform)
     assert np.allclose(template.index_probabilities(), uniform)
+
+
+@both_backends
+def test_both_backends_refuse_bad_bindings(backend):
+    layout = RegisterLayout(
+        [Register("idx", 2, "index"), Register("f", 2, "data", depends_on="idx")]
+    )
+    with pytest.raises(ValueError, match="missing binding"):
+        backend(layout, 4)
+    with pytest.raises(ValueError, match="overflows"):
+        backend(layout, 4, {"f": [0, 1, 2, 7]})  # 7 needs 3 bits
+    with pytest.raises(ValueError, match="cover the padded domain"):
+        backend(layout, 4, {"f": [0, 1, 2]})
+
+
+def test_search_layout_pads_the_index_and_binds_data_in_order():
+    layout = sim.search_layout(5, u=1, whash=3)
+    assert [(r.name, r.width, r.role, r.depends_on) for r in layout.registers] == [
+        ("idx", 3, "index", None),
+        ("u", 1, "data", "idx"),
+        ("whash", 3, "data", "idx"),
+    ]
+    assert layout.total_width == 7
+    for domain, width in ((1, 1), (2, 1), (3, 2), (4, 2), (65, 7), (2**16, 16)):
+        assert sim.search_layout(domain).total_width == width
 
 
 @both_backends
