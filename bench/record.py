@@ -9,6 +9,7 @@ A record runs `perfbench/run.py --workload all` of the tree at --root
 and with `--trace 1` at seed 3, then times the Tier-1 suite
 (`python -m pytest -q`, sources from the tree's `src/`).  It writes one
 JSON file: the git revision, a digest of the sources under `src/`, the
+line count of each `src/qstrings/*.py` module and their total, the
 machine (cores, CPU, Python, numpy, sympy), every metric each run
 printed, per seed the four workloads' result digests, and the Tier-1
 summary line and wall time.  End-to-end metrics are the median over the
@@ -18,9 +19,11 @@ benchmark's reference probe time over the median of its host-speed
 probe (`perfbench/worker.py`), run just before and just after the suite.
 
 `--compare A B` prints each metric of A and B with B's change relative
-to A, and a loud DIGEST CHANGED line for every workload and seed whose
-result digest differs; it exits 1 when one does, since equal digests
-mean the same answers at the same simulated cost.  It warns when a
+to A, the source line total and each module whose count changed as
+A -> B ("n/a" for a record without line counts), and a loud DIGEST
+CHANGED line for every workload and seed whose result digest differs;
+it exits 1 when one does, since equal digests mean the same answers at
+the same simulated cost.  It warns when a
 workload's `host_probe_ms` differs by more than 25 % between the two
 records: the host ran at another speed, and unscaled times do not
 compare.  These are report lines; no gate depends on them.
@@ -167,6 +170,13 @@ def source_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def source_lines(root: Path) -> dict:
+    """Line count of each program module and their total."""
+    modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((root / "src" / "qstrings").glob("*.py"))}
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def _version(package: str) -> str | None:
     try:
         return importlib.metadata.version(package)
@@ -208,6 +218,7 @@ def record(root: Path, label: str) -> dict:
         "git_revision": _git(root, "rev-parse", "HEAD"),
         "git_dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
         "src_sha256": source_digest(root),
+        "src_lines": source_lines(root),
         "machine": machine(),
         "perfbench": {"seeds": list(SEEDS), "seconds": SECONDS, "traced_seed": SEEDS[0]},
         "host_probe_ms": {name.split(".")[0]: m["value"] for name, m in metrics.items()
@@ -241,6 +252,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         lines.append("no seed in common: result digests not compared")
     elif not changed:
         lines.append("result digests: all equal")
+    lines.extend(_source_line_report(a.get("src_lines"), b.get("src_lines")))
     ta, tb = a.get("tier1", {}), b.get("tier1", {})
     lines.append(f"tier-1: {ta.get('summary')} in {ta.get('seconds')} s -> "
                  f"{tb.get('summary')} in {tb.get('seconds')} s")
@@ -253,6 +265,19 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
                          f"({(pb - pa) / pa:+.0%}): the hosts ran at different speeds, "
                          "so compare host-scaled times only")
     return lines, changed
+
+
+def _source_line_report(la: dict | None, lb: dict | None) -> list[str]:
+    """The source line totals, then each module whose count changed."""
+    if la is None or lb is None:
+        total = ["n/a" if side is None else side["total"] for side in (la, lb)]
+        return [f"src lines: {total[0]} -> {total[1]}"]
+    lines = [f"src lines: {la['total']} -> {lb['total']} ({lb['total'] - la['total']:+d})"]
+    for name in sorted(set(la["modules"]) | set(lb["modules"])):
+        ma, mb = (side["modules"].get(name, "absent") for side in (la, lb))
+        if ma != mb:
+            lines.append(f"  {name:<20} {ma} -> {mb}")
+    return lines
 
 
 def _scaled_tier1(tier1: dict) -> str:

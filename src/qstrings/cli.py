@@ -162,10 +162,8 @@ def _cmd_min_find(args, argv) -> int:
     rows = []
     for trial in range(args.trials):
         rng = np.random.default_rng((args.seed, trial))
-        found, phases, iterations = durr_hoyer_min(
-            values, domain, rng, lambda: StructuredState(layout, domain)
-        )
-        rows.append(f"{trial},{found},{phases},{iterations}")
+        found = durr_hoyer_min(values, domain, rng, lambda: StructuredState(layout, domain))
+        rows.append(f"{trial},{found.index},{found.phases},{found.iterations}")
     _emit([_flag_echo(argv), MINFIND_HEADER, *rows], args.csv)
     return 0
 

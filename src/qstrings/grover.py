@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -193,16 +193,25 @@ def _binomial_count(u: float, n: int, q: float, p0: float) -> int:
 
 @dataclass
 class GroverOutcome:
-    """Result of one search: measured index plus run accounting."""
+    """Result of one search: measured index, whether the exact predicate
+    holds there, and run accounting."""
 
     found_index: int | None
-    predicate_value_at_found: int
+    verified: bool
     iterations_used: int
     copies_used: int = 1
 
-    @property
-    def verified(self) -> bool:
-        return self.found_index is not None and self.predicate_value_at_found == 1
+
+class MinResult(NamedTuple):
+    """Result of minimum finding: the argmin estimate, the phases run,
+    the Grover iterations and state copies they used over every phase,
+    and the (phase, index) of each improvement adopted, in order."""
+
+    index: int | None
+    phases: int
+    iterations: int
+    copies: int
+    adopted: tuple[tuple[int, int], ...]
 
 
 def charge_iterations(
@@ -255,7 +264,7 @@ def grover_run(
     ledger.close_phase(f"grover_run[{iterations}]", before)
     return GroverOutcome(
         found_index=found,
-        predicate_value_at_found=int(oracle.truth[found]),
+        verified=bool(oracle.truth[found]),
         iterations_used=iterations,
     )
 
@@ -292,13 +301,13 @@ def bbht_search(
         if outcome.verified:
             return GroverOutcome(
                 found_index=outcome.found_index,
-                predicate_value_at_found=1,
+                verified=True,
                 iterations_used=total,
                 copies_used=rep + 1,
             )
     return GroverOutcome(
         found_index=None,
-        predicate_value_at_found=0,
+        verified=False,
         iterations_used=total,
         copies_used=len(schedule),
     )
@@ -311,15 +320,13 @@ def durr_hoyer_min(
     state_factory: Callable[[], SearchState],
     ledger: ResourceLedger | None = None,
     initial_key: object | None = None,
-    on_phase: Callable[[int, int | None, object], None] | None = None,
-) -> tuple[int | None, int, int]:
+) -> MinResult:
     """Threshold-descent minimum finding over a 1-D numeric key array.
 
     Each phase searches for an index with key strictly below the current
     threshold (ties never improve) and adopts any verified hit; the run
     stops after 3 * ceil(log2 M) phases or when a phase finds nothing.
-    Returns (argmin_estimate, phases_used, total_grover_iterations); the
-    estimate is correct with probability at least 1/2.  With
+    The estimate is correct with probability at least 1/2.  With
     `initial_key` given, the threshold starts above every real key and
     the estimate is None if no phase ever improved on it.
     """
@@ -335,21 +342,19 @@ def durr_hoyer_min(
         best_key = initial_key
     log_m = max(1, math.ceil(math.log2(max(2, domain))))
     phase_cap = 3 * log_m
-    total_iterations = 0
-    phases = 0
+    iterations = copies = phases = 0
+    adopted = []
     for phase in range(phase_cap):
         truth = np.zeros(padded_size(domain), dtype=bool)
         truth[:domain] = keys < best_key
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(oracle, rng, state_factory, ledger, max_repetitions=log_m)
-        total_iterations += outcome.iterations_used
+        iterations += outcome.iterations_used
+        copies += outcome.copies_used
         if outcome.found_index is None:
-            if on_phase is not None:
-                on_phase(phase, None, best_key)
             break
         best_index = outcome.found_index
         best_key = keys[best_index]
-        if on_phase is not None:
-            on_phase(phase, best_index, best_key)
-    return best_index, phases, total_iterations
+        adopted.append((phase, best_index))
+    return MinResult(best_index, phases, iterations, copies, tuple(adopted))

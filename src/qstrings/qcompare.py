@@ -56,11 +56,12 @@ class CompareResult:
 
 def compare_params(
     u: BitString, v: BitString, epsilon: float, rng: np.random.Generator
-) -> HashParams:
-    """Hash parameters sized for one comparison per prefix position."""
+) -> HashParams | None:
+    """Hash parameters sized for one comparison per prefix position; None,
+    drawing no prime, when a string is empty and the lengths decide."""
     k = min(len(u), len(v))
-    if k < 1:
-        raise ValueError("both strings must be non-empty to size hash parameters")
+    if k == 0:
+        return None
     return fingerprint.choose_prime(rng, delta=k, max_len=k, epsilon=epsilon)
 
 
@@ -120,43 +121,27 @@ def compare_grover(
     # each group in position order; 2k lies above every rank
     rank = np.where(differs, 0, k) + np.arange(k)
 
-    copies = 0
-
-    def factory() -> SearchState:
-        nonlocal copies
-        copies += 1
-        return backend.like(template)
-
-    records: list[PhaseRecord] = []
-
-    def on_phase(phase: int, found: int | None, _key) -> None:
-        if found is not None:
-            records.append(PhaseRecord(phi=int(not differs[found]), psi=found, phase=phase))
-
-    best, phases, _ = durr_hoyer_min(
-        rank,
-        k,
-        rng,
-        factory,
-        ledger,
-        initial_key=2 * k,
-        on_phase=on_phase,
+    found = durr_hoyer_min(rank, k, rng, lambda: backend.like(template), ledger, initial_key=2 * k)
+    best, phases, copies = found.index, found.phases, found.copies
+    records = tuple(
+        PhaseRecord(phi=int(not differs[index]), psi=index, phase=phase)
+        for phase, index in found.adopted
     )
     if best is None or not differs[best]:
         # No differing position was adopted: equal within the compared
         # prefix, so string length decides.
         verdict = _length_verdict(u, v)
-        return CompareResult(verdict, None, phases, 0, copies, tuple(records), ledger)
+        return CompareResult(verdict, None, phases, 0, copies, records, ledger)
     readout = backend.like(template)
     u_bit, v_bit = access_element(readout, best, ("u", "v"), ledger, domain=k)
     verdict = -1 if u_bit < v_bit else 1
-    return CompareResult(verdict, best + 1, phases, 0, copies + 1, tuple(records), ledger)
+    return CompareResult(verdict, best + 1, phases, 0, copies + 1, records, ledger)
 
 
 def compare_bsearch(
     u: BitString,
     v: BitString,
-    params: HashParams,
+    params: HashParams | None,
     rng: np.random.Generator,
     backend: type[SearchState] = StructuredState,
 ) -> CompareResult:
@@ -167,13 +152,14 @@ def compare_bsearch(
     difference.  Each test's error is held below 1/(10 ceil(log2 k)) by
     independent re-evaluation, and a found differing hash bit is certain,
     so the verdict errs only through hash collisions (budget epsilon)
-    or a missed difference (budget 1/10 overall).
+    or a missed difference (budget 1/10 overall).  `params` is read only
+    when both strings are non-empty.
     """
     k = min(len(u), len(v))
     ledger = ResourceLedger()
     if k == 0:
         return CompareResult(_length_verdict(u, v), None, 0, 0, 0, (), ledger)
-    if params.delta < k:
+    if params is None or params.delta < k:
         raise ValueError("hash parameters sized for fewer comparisons than k")
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
     template = build_compare_state(u, v)

@@ -24,9 +24,14 @@ does that bookkeeping.  The two search-state classes share one
 interface, and algorithm code takes the backend as a class:
 `backend(layout, domain_size, bindings)` builds a fresh uniform search
 state, and `backend.like(template)` one over the layout and bindings of
-a structured template validated once.  `search_layout(domain_size,
-**data_widths)` builds every search layout: one index register "idx"
-over the padded domain and the data registers bound to it.
+a structured template validated once.
+
+A register layout is an ordered map from register name to width, such
+as `RegisterLayout(idx=3, whash=5)`.  `search_layout(domain_size,
+**data_widths)` builds every search layout: first the index register,
+found by its name "idx", over the padded domain, then the data
+registers bound to it.  Every register but "idx" holds data; the dense
+backend appends its phase flag "xi" as one more width.
 
 Conventions: qubit 0 is the least-significant bit of the flat basis
 index, and each register occupies a contiguous run of qubits with its
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -53,66 +57,29 @@ GATES_1Q: dict[str, np.ndarray] = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-ROLES = ("index", "data", "ancilla", "flag")
-
-
-@dataclass(frozen=True)
-class Register:
-    """A named run of qubits with a role tag.
-
-    Data registers declare the index register they depend on; their
-    evaluation map lives in the owning StructuredState (or is XORed into
-    a DenseState by bind_data).
-    """
-
-    name: str
-    width: int
-    role: str
-    depends_on: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown register role {self.role!r}")
-        if self.width < 1:
-            raise ValueError("register width must be at least 1")
-        if self.role == "data" and self.depends_on is None:
-            raise ValueError(f"data register {self.name!r} must declare its index register")
-
 
 class RegisterLayout:
-    """Ordered registers; total width is the sum of the widths."""
+    """Registers in order, each a name mapped to its width in qubits,
+    such as `RegisterLayout(idx=3, whash=5)`.  Each register occupies the
+    qubits after the one before it; the total width is the sum of the
+    widths."""
 
-    def __init__(self, registers: Sequence[Register]):
-        names = [r.name for r in registers]
-        if len(set(names)) != len(names):
-            raise ValueError("register names must be unique")
-        self.registers = tuple(registers)
-        self._by_name = {r.name: r for r in registers}
-        self._offsets: dict[str, int] = {}
-        off = 0
-        for r in registers:
-            self._offsets[r.name] = off
-            off += r.width
-        self.total_width = off
-        for r in registers:
-            if r.role == "data" and (
-                r.depends_on not in self._by_name
-                or self._by_name[r.depends_on].role != "index"
-            ):
-                raise ValueError(f"data register {r.name!r} depends on a non-index register")
-
-    def register(self, name: str) -> Register:
-        return self._by_name[name]
+    def __init__(self, **widths: int):
+        if min(widths.values(), default=1) < 1:
+            raise ValueError("register width must be at least 1")
+        self.widths = widths
+        self._offsets = dict(zip(widths, accumulate(widths.values(), initial=0)))
+        self.total_width = sum(widths.values())
 
     def offset(self, name: str) -> int:
         return self._offsets[name]
 
     def width(self, name: str) -> int:
-        return self._by_name[name].width
+        return self.widths[name]
 
     def extract(self, name: str, basis_index: int | np.ndarray):
         """Value of a register within a flat basis index (vectorized)."""
-        return (basis_index >> self._offsets[name]) & ((1 << self.width(name)) - 1)
+        return (basis_index >> self._offsets[name]) & ((1 << self.widths[name]) - 1)
 
 
 def padded_size(domain: int) -> int:
@@ -125,9 +92,7 @@ def padded_size(domain: int) -> int:
 def search_layout(domain_size: int, **data_widths: int) -> RegisterLayout:
     """An index register "idx" over the padded domain, then one data
     register of each given width, bound to it, in keyword order."""
-    index = Register("idx", padded_size(domain_size).bit_length() - 1, "index")
-    data = [Register(name, w, "data", depends_on="idx") for name, w in data_widths.items()]
-    return RegisterLayout([index, *data])
+    return RegisterLayout(idx=padded_size(domain_size).bit_length() - 1, **data_widths)
 
 
 class DenseState:
@@ -251,9 +216,9 @@ def diffusion(state: DenseState, index_register: str) -> DenseState:
 
 
 def bind_data(state: DenseState, data_register: str, table: np.ndarray) -> DenseState:
-    """XOR table[a] into a data register (self-inverse: also unbinds)."""
-    reg = state.layout.register(data_register)
-    values = state.register_values(reg.depends_on)
+    """XOR table[a], at index value a of "idx", into a data register
+    (self-inverse: also unbinds)."""
+    values = state.register_values("idx")
     shift = state.layout.offset(data_register)
     src = np.arange(state.amps.size) ^ (table[values].astype(np.int64) << shift)
     state.amps = state.amps[src]
@@ -279,38 +244,36 @@ def project_flag_minus(state: DenseState, flag_register: str) -> np.ndarray:
     return reduced
 
 
-def _index_register(layout: RegisterLayout, domain_size: int) -> str:
-    """Name of the one index register of a search layout, checked to
-    cover the padded domain."""
-    names = [r.name for r in layout.registers if r.role == "index"]
-    if len(names) != 1:
-        raise ValueError("a search layout has exactly one index register")
-    if (1 << layout.width(names[0])) != padded_size(domain_size):
+def _check_index_register(layout: RegisterLayout, domain_size: int) -> None:
+    """A search layout holds the index register "idx", covering the padded domain."""
+    if "idx" not in layout.widths:
+        raise ValueError("a search layout needs an index register 'idx'")
+    if (1 << layout.width("idx")) != padded_size(domain_size):
         raise ValueError("index register width does not cover the padded domain")
-    return names[0]
 
 
 def _validated_bindings(
     layout: RegisterLayout, size: int, bindings: Mapping[str, np.ndarray] | None
 ) -> dict[str, np.ndarray]:
     """One read-only int64 table over the `size` padded indices per data
-    register, in layout order, each checked to fit its register."""
+    register (every register but the index), in layout order, each
+    checked to fit its register."""
     tables = {}
-    for r in layout.registers:
-        if r.role != "data":
+    for name, width in layout.widths.items():
+        if name == "idx":
             continue
-        if bindings is None or r.name not in bindings:
-            raise ValueError(f"missing binding for data register {r.name!r}")
-        table = np.asarray(bindings[r.name], dtype=np.int64)
+        if bindings is None or name not in bindings:
+            raise ValueError(f"missing binding for data register {name!r}")
+        table = np.asarray(bindings[name], dtype=np.int64)
         if table.shape != (size,):
-            raise ValueError(f"binding for {r.name!r} must cover the padded domain")
-        if table.max(initial=0) >= (1 << r.width):
-            raise ValueError(f"binding for {r.name!r} overflows its register width")
+            raise ValueError(f"binding for {name!r} must cover the padded domain")
+        if table.max(initial=0) >= (1 << width):
+            raise ValueError(f"binding for {name!r} overflows its register width")
         if table.flags.writeable or not table.flags.owndata:
             # writable here or through the array it views: keep a copy
             table = table.copy()
             table.flags.writeable = False
-        tables[r.name] = table
+        tables[name] = table
     return tables
 
 
@@ -383,9 +346,9 @@ class StructuredState:
         domain_size: int,
         bindings: Mapping[str, np.ndarray] | None = None,
     ):
+        _check_index_register(layout, domain_size)
         self.layout = layout
         self.domain_size = domain_size
-        self.index_register = _index_register(layout, domain_size)
         self.size = padded_size(domain_size)
         self.bindings = _validated_bindings(layout, self.size, bindings)
         self._base = 1.0 / math.sqrt(self.size)
@@ -558,7 +521,7 @@ class StructuredState:
 
     @property
     def index_width(self) -> int:
-        return self.layout.width(self.index_register)
+        return self.layout.width("idx")
 
     def values_at(self, i: int, registers: Sequence[str]) -> tuple[int, ...]:
         """Bound data values at index value i, read from the binding tables."""
@@ -588,13 +551,13 @@ class DenseSearchState:
         domain_size: int,
         bindings: Mapping[str, np.ndarray] | None = None,
     ):
-        self.index_register = _index_register(layout, domain_size)
+        _check_index_register(layout, domain_size)
+        if self.flag_register in layout.widths:
+            raise ValueError(f"register name {self.flag_register!r} is taken by the phase flag")
         self.size = padded_size(domain_size)
         self.data_tables = _validated_bindings(layout, self.size, bindings)
-        self.state = DenseState(
-            RegisterLayout([*layout.registers, Register(self.flag_register, 1, "flag")])
-        )
-        prepare_uniform(self.state, self.index_register)
+        self.state = DenseState(RegisterLayout(**layout.widths, **{self.flag_register: 1}))
+        prepare_uniform(self.state, "idx")
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
         prepare_minus(self.state, self.flag_register)
@@ -606,32 +569,32 @@ class DenseSearchState:
 
     @property
     def index_width(self) -> int:
-        return self.state.layout.width(self.index_register)
+        return self.state.layout.width("idx")
 
     def apply_phase_pattern(self, marked: np.ndarray) -> None:
         """Flip the phase of the index values in `marked`."""
         _check_index_array(marked)
         pattern = np.zeros(self.size, dtype=bool)
         pattern[marked] = True
-        phase_oracle(self.state, pattern, self.index_register, ancilla=self.flag_register)
+        phase_oracle(self.state, pattern, "idx", ancilla=self.flag_register)
 
     def diffuse(self) -> None:
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
-        diffusion(self.state, self.index_register)
+        diffusion(self.state, "idx")
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
 
     def index_probabilities(self) -> np.ndarray:
         probs = np.abs(self.state.amps) ** 2
-        values = self.state.register_values(self.index_register)
+        values = self.state.register_values("idx")
         return np.bincount(values, weights=probs, minlength=self.size)
 
     def measure_index(self, rng: np.random.Generator) -> int:
         probs = self.index_probabilities()
         probs /= probs.sum()
         outcome = int(rng.choice(self.size, p=probs))
-        keep = self.state.register_values(self.index_register) == outcome
+        keep = self.state.register_values("idx") == outcome
         amps = np.where(keep, self.state.amps, 0.0)
         self.state.amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
         return outcome
@@ -642,7 +605,7 @@ class DenseSearchState:
         Read from the amplitude support, not from `data_tables`, so it
         shows what the evolved state actually holds.
         """
-        idx_values = self.state.register_values(self.index_register)
+        idx_values = self.state.register_values("idx")
         support = np.flatnonzero((np.abs(self.state.amps) > 0) & (idx_values == i))
         if support.size == 0:
             raise IndexError(f"index {i} has no amplitude support")
@@ -654,18 +617,14 @@ SearchState = StructuredState | DenseSearchState
 
 
 def expand_structured(state: StructuredState) -> DenseState:
-    """Dense state with amplitude of |a>|f1(a)>... equal to the structured amplitude.
-
-    Covers the index and data registers of the layout; ancilla and flag
-    registers are algorithm-managed and excluded from expansion.
-    """
-    regs = [r for r in state.layout.registers if r.role in ("index", "data")]
-    layout = RegisterLayout(regs)
+    """Dense state with amplitude of |a>|f1(a)>... equal to the structured
+    amplitude, over the structured state's own layout."""
+    layout = state.layout
     if layout.total_width > DENSE_WIDTH_CAP:
         raise ValueError(
             f"expansion of {layout.total_width} qubits exceeds cap {DENSE_WIDTH_CAP}"
         )
-    basis = np.arange(state.size, dtype=np.int64) << layout.offset(state.index_register)
+    basis = np.arange(state.size, dtype=np.int64) << layout.offset("idx")
     for name, table in state.bindings.items():
         basis |= table << layout.offset(name)
     amps = np.zeros(1 << layout.total_width, dtype=complex)

@@ -28,7 +28,6 @@ from qstrings.resources import (
 )
 from qstrings.sim import (
     DenseSearchState,
-    Register,
     RegisterLayout,
     StructuredState,
 )
@@ -55,7 +54,7 @@ def test_criterion_1_grover_exactness():
     worst = 0.0
     for domain in (4, 8, 16, 32, 64):
         width = index_width(domain)
-        layout = RegisterLayout([Register("idx", width, "index")])
+        layout = RegisterLayout(idx=width)
         for targets in range(1, 5):
             truth = np.zeros(domain, dtype=bool)
             truth[:targets] = True
@@ -276,7 +275,7 @@ def test_criterion_8_bsearch_subpolynomial():
 
 def _dh_factory(domain: int):
     width = max(1, index_width(domain))
-    layout = RegisterLayout([Register("idx", width, "index")])
+    layout = RegisterLayout(idx=width)
     return lambda: StructuredState(layout, domain)
 
 
@@ -288,7 +287,7 @@ def test_criterion_9_durr_hoyer():
             argmin = keys.index(min(keys))
             rng = np.random.default_rng((41, size) + perm)
             hits = sum(
-                durr_hoyer_min(keys, size, rng, _dh_factory(size))[0] == argmin
+                durr_hoyer_min(keys, size, rng, _dh_factory(size)).index == argmin
                 for _ in range(200)
             )
             worst_rate = min(worst_rate, hits / 200)
@@ -298,7 +297,7 @@ def test_criterion_9_durr_hoyer():
         for trial in range(200):
             rng = np.random.default_rng((43, domain, trial))
             keys = list(rng.permutation(domain))
-            total += durr_hoyer_min(keys, domain, rng, _dh_factory(domain))[2]
+            total += durr_hoyer_min(keys, domain, rng, _dh_factory(domain)).iterations
         cs[domain] = total / 200 / math.sqrt(domain)
     mean_c = sum(cs.values()) / len(cs)
     max_dev = max(abs(c - mean_c) / mean_c for c in cs.values())

@@ -123,3 +123,28 @@ def test_probe_script_runs_the_benchmark_probe():
     probe = record.run_probe(record.REPO)
     assert len(probe["probe_ms"]) == record.PROBES and min(probe["probe_ms"]) > 0
     assert probe["probe_ref_ms"] == 9.0
+
+
+def test_record_counts_source_lines_and_compare_prints_the_change(tmp_path):
+    module_dir = tmp_path / "src" / "qstrings"
+    module_dir.mkdir(parents=True)
+    (module_dir / "sim.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (module_dir / "cli.py").write_text("x = 1\n")
+    (tmp_path / "src" / "notes.txt").write_text("not a module\n")
+    before = record.source_lines(tmp_path)
+    assert before == {"total": 4, "modules": {"cli.py": 1, "sim.py": 3}}
+    (module_dir / "sim.py").write_text("a = 1\n")
+    (module_dir / "trace.py").write_text("t = 1\nu = 2\n")
+    after = record.source_lines(tmp_path)
+    assert after["total"] == 4
+    blank = {"metrics": {}, "digests": {}, "tier1": {}}
+    lines = record.compare({**blank, "src_lines": before}, {**blank, "src_lines": after})[0]
+    start = next(i for i, line in enumerate(lines) if line.startswith("src lines:"))
+    assert lines[start:start + 3] == [
+        "src lines: 4 -> 4 (+0)",
+        "  sim.py               3 -> 1",
+        "  trace.py             absent -> 2",
+    ]
+    old = record.compare(blank, {**blank, "src_lines": after})[0]
+    assert "src lines: n/a -> 4" in old
+    assert "src lines: n/a -> n/a" in record.compare(blank, blank)[0]

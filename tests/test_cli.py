@@ -238,6 +238,19 @@ def test_compare_grover_cli(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("u, v, verdict", [("", "01", -1), ("10", "", 1), ("", "", 0)])
+def test_compare_empty_string_gives_the_length_verdict_with_either_algo(capsys, u, v, verdict):
+    rows = []
+    for algo in ("grover", "bsearch"):
+        code, out, err = run_cli(
+            ["compare", "--u", u, "--v", v, "--algo", algo, "--seed", "1", "--trials", "2"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows.append(out.strip().splitlines()[2:])
+    assert rows[0] == rows[1] == [f"{t},1,{verdict},{verdict},,0,0,0" for t in range(2)]
+
+
 def test_min_find_csv(capsys):
     code, out, _ = run_cli(
         ["min-find", "--values", "3,1,2", "--seed", "9", "--trials", "5"], capsys

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qstrings.grover import (
-    GroverOutcome,
     OracleSpec,
     amplification,
     bbht_search,
@@ -19,7 +18,6 @@ from qstrings.qmatch import evaluation_constants, miss_probability_table
 from qstrings.resources import ResourceLedger
 from qstrings.sim import (
     DenseSearchState,
-    Register,
     RegisterLayout,
     StructuredState,
 )
@@ -27,13 +25,13 @@ from qstrings.sim import (
 
 def _structured(domain):
     width = max(1, (domain - 1).bit_length())
-    layout = RegisterLayout([Register("idx", width, "index")])
+    layout = RegisterLayout(idx=width)
     return StructuredState(layout, domain)
 
 
 def _dense(domain):
     width = max(1, (domain - 1).bit_length())
-    layout = RegisterLayout([Register("idx", width, "index")])
+    layout = RegisterLayout(idx=width)
     return DenseSearchState(layout, domain)
 
 
@@ -134,7 +132,7 @@ def test_bbht_no_targets_never_returns():
     for _ in range(50):
         outcome = bbht_search(oracle, rng, lambda: _structured(8))
         assert outcome.found_index is None
-        assert outcome.predicate_value_at_found == 0
+        assert outcome.verified is False
 
 
 def test_bbht_returns_only_targets():
@@ -375,7 +373,7 @@ def test_durr_hoyer_small_list():
     values = [3, 1, 2]
     rng = np.random.default_rng(31)
     hits = sum(
-        durr_hoyer_min(values, 3, rng, _dh_factory(3))[0] == 1 for _ in range(1000)
+        durr_hoyer_min(values, 3, rng, _dh_factory(3)).index == 1 for _ in range(1000)
     )
     assert hits / 1000 >= 0.5
 
@@ -384,16 +382,17 @@ def test_durr_hoyer_all_equal():
     values = [5, 5, 5, 5]
     rng = np.random.default_rng(8)
     for _ in range(50):
-        found, phases, _ = durr_hoyer_min(values, 4, rng, _dh_factory(4))
-        assert found in range(4)
-        assert phases == 1  # the first phase already finds nothing smaller
+        found = durr_hoyer_min(values, 4, rng, _dh_factory(4))
+        assert found.index in range(4)
+        assert found.phases == 1  # the first phase already finds nothing smaller
+        assert found.adopted == ()
 
 
 def test_durr_hoyer_identity_permutation():
     values = list(range(8))
     rng = np.random.default_rng(13)
     hits = sum(
-        durr_hoyer_min(values, 8, rng, _dh_factory(8))[0] == 0 for _ in range(1000)
+        durr_hoyer_min(values, 8, rng, _dh_factory(8)).index == 0 for _ in range(1000)
     )
     assert hits / 1000 >= 0.5
 
@@ -402,8 +401,8 @@ def test_durr_hoyer_phase_cap():
     values = list(range(16))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        _, phases, _ = durr_hoyer_min(values, 16, rng, _dh_factory(16))
-        assert phases <= 3 * math.ceil(math.log2(16))
+        found = durr_hoyer_min(values, 16, rng, _dh_factory(16))
+        assert found.phases <= 3 * math.ceil(math.log2(16))
 
 
 def test_durr_hoyer_sentinel_start():
@@ -411,11 +410,30 @@ def test_durr_hoyer_sentinel_start():
     # real key can beat: the rank of (1, 0)
     keys = np.array([3, 4, 5])
     rng = np.random.default_rng(1)
-    found, _, _ = durr_hoyer_min(keys, 3, rng, _dh_factory(3), initial_key=3)
-    assert found is None
+    assert durr_hoyer_min(keys, 3, rng, _dh_factory(3), initial_key=3).index is None
     for bad in (np.array([[3, 4, 5]]), np.array([3, 4])):
         with pytest.raises(ValueError):
             durr_hoyer_min(bad, 3, rng, _dh_factory(3), initial_key=3)
+
+
+def test_durr_hoyer_record_counts_copies_and_adoptions():
+    values = np.array([6, 2, 7, 4, 0, 5, 3, 1, 9, 8])
+    for seed in range(40):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return _structured(10)
+
+        found = durr_hoyer_min(values, 10, np.random.default_rng(seed), factory)
+        assert found.copies == len(calls)
+        assert 1 <= found.phases <= 3 * math.ceil(math.log2(10))
+        phases = [phase for phase, _ in found.adopted]
+        assert phases == sorted(set(phases)) and all(p < found.phases for p in phases)
+        keys = [values[index] for _, index in found.adopted]
+        assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+        if found.adopted:
+            assert found.index == found.adopted[-1][1]
 
 
 def test_oracle_error_bound_enforced():
@@ -424,6 +442,13 @@ def test_oracle_error_bound_enforced():
 
 
 def test_grover_outcome_verified_property():
-    assert GroverOutcome(3, 1, 2).verified
-    assert not GroverOutcome(None, 0, 2).verified
-    assert not GroverOutcome(3, 0, 2).verified
+    truth = np.zeros(8, dtype=bool)
+    truth[5] = True
+    oracle = OracleSpec(8, truth)
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(60):
+        outcome = grover_run(_structured(8), oracle, 1, rng)
+        assert outcome.verified is bool(truth[outcome.found_index])
+        seen.add(outcome.verified)
+    assert seen == {True, False}

@@ -219,7 +219,8 @@ def test_compare_grover_rank_keys_match_tuple_reference(monkeypatch):
         rng, ref_rng = np.random.default_rng((62, pair)), np.random.default_rng((62, pair))
         result = compare_grover(u, v, rng)
         (best, phases, iterations), records, ledger = _reference_compare_grover(u, v, ref_rng)
-        assert searches[-1] == (best, phases, iterations)
+        found = searches[-1]
+        assert (found.index, found.phases, found.iterations) == (best, phases, iterations)
         assert result.phases == phases
         assert result.records == records
         if result.first_difference is not None:

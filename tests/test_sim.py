@@ -8,7 +8,6 @@ from qstrings import sim
 from qstrings.sim import (
     DenseSearchState,
     DenseState,
-    Register,
     RegisterLayout,
     StructuredState,
     apply_gate,
@@ -26,7 +25,7 @@ SQ2 = 1 / math.sqrt(2)
 
 
 def _single_qubit():
-    return DenseState(RegisterLayout([Register("q", 1, "index")]))
+    return DenseState(RegisterLayout(q=1))
 
 
 def test_hadamard_on_zero():
@@ -51,7 +50,7 @@ def test_z_flips_one_component():
 
 def test_cnot_on_10():
     # qubit 0 is the LSB; |10> means qubit1=1, qubit0=0, i.e. basis index 2
-    layout = RegisterLayout([Register("r", 2, "index")])
+    layout = RegisterLayout(r=2)
     amps = np.zeros(4)
     amps[2] = 1.0
     state = DenseState(layout, amps)
@@ -73,14 +72,14 @@ def test_gate_validation():
 
 def test_prepare_uniform():
     for width in (1, 3):
-        layout = RegisterLayout([Register("idx", width, "index")])
+        layout = RegisterLayout(idx=width)
         state = prepare_uniform(DenseState(layout), "idx")
         assert np.allclose(state.amps, np.full(2**width, 2 ** (-width / 2)))
         assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) < 1e-12
 
 
 def test_phase_oracle_identity_and_global_phase():
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     state = prepare_uniform(DenseState(layout), "idx")
     before = state.amps.copy()
     phase_oracle(state, np.zeros(4, dtype=bool), "idx")
@@ -91,14 +90,14 @@ def test_phase_oracle_identity_and_global_phase():
 
 
 def test_phase_oracle_marks_single_index():
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     state = prepare_uniform(DenseState(layout), "idx")
     phase_oracle(state, np.array([0, 0, 1, 0], dtype=bool), "idx")
     assert np.allclose(state.amps, [0.5, 0.5, -0.5, 0.5])
 
 
 def test_phase_oracle_ancilla_kickback_equals_direct():
-    layout = RegisterLayout([Register("idx", 2, "index"), Register("xi", 1, "flag")])
+    layout = RegisterLayout(idx=2, xi=1)
     state = prepare_uniform(DenseState(layout), "idx")
     prepare_minus(state, "xi")
     phase_oracle(state, np.array([0, 1, 1, 0], dtype=bool), "idx", ancilla="xi")
@@ -107,7 +106,7 @@ def test_phase_oracle_ancilla_kickback_equals_direct():
 
 
 def test_phase_oracle_takes_only_a_bool_pattern_over_the_index():
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     state = prepare_uniform(DenseState(layout), "idx")
     for pattern in (np.array([0, 0, 1, 0]), np.zeros(8, dtype=bool)):
         with pytest.raises(ValueError):
@@ -115,7 +114,7 @@ def test_phase_oracle_takes_only_a_bool_pattern_over_the_index():
 
 
 def test_phase_oracle_is_involution():
-    layout = RegisterLayout([Register("idx", 3, "index")])
+    layout = RegisterLayout(idx=3)
     state = prepare_uniform(DenseState(layout), "idx")
     before = state.amps.copy()
     pattern = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=bool)
@@ -125,7 +124,7 @@ def test_phase_oracle_is_involution():
 
 
 def test_diffusion_examples():
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     state = prepare_uniform(DenseState(layout), "idx")
     before = state.amps.copy()
     diffusion(state, "idx")
@@ -142,9 +141,7 @@ def test_diffusion_examples():
 
 def test_diffusion_acts_per_sector():
     # entangled data register: diffusion touches only the index factor
-    layout = RegisterLayout(
-        [Register("idx", 1, "index"), Register("d", 1, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=1, d=1)
     amps = np.zeros(4)
     amps[0] = SQ2  # |idx=0, d=0>
     amps[3] = SQ2  # |idx=1, d=1>
@@ -155,9 +152,7 @@ def test_diffusion_acts_per_sector():
 
 
 def _structured_identity(width=1):
-    layout = RegisterLayout(
-        [Register("idx", width, "index"), Register("f", width, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=width, f=width)
     table = np.arange(2**width, dtype=np.int64)
     return StructuredState(layout, 2**width, bindings={"f": table})
 
@@ -169,9 +164,7 @@ def test_expand_structured_bell_like():
 
 
 def test_expand_structured_hash_table():
-    layout = RegisterLayout(
-        [Register("idx", 2, "index"), Register("h", 2, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=2, h=2)
     table = np.array([2, 0, 1, 2], dtype=np.int64)  # residues mod 3 of some windows
     state = StructuredState(layout, 4, bindings={"h": table})
     dense = expand_structured(state)
@@ -182,18 +175,14 @@ def test_expand_structured_hash_table():
 
 def test_expand_structured_cap():
     # 25 qubits, one above the dense cap: refused before anything is allocated
-    layout = RegisterLayout(
-        [Register("idx", 4, "index"), Register("h", 21, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=4, h=21)
     state = StructuredState(layout, 16, bindings={"h": np.zeros(16, dtype=np.int64)})
     with pytest.raises(ValueError, match="exceeds cap"):
         expand_structured(state)
 
 
 def test_bind_data_roundtrip():
-    layout = RegisterLayout(
-        [Register("idx", 2, "index"), Register("h", 3, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=2, h=3)
     table = np.array([5, 1, 0, 7], dtype=np.int64)
     state = prepare_uniform(DenseState(layout), "idx")
     before = state.amps.copy()
@@ -207,9 +196,9 @@ def test_bind_data_roundtrip():
 
 
 def test_structured_phase_and_diffuse_match_dense():
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     struct = StructuredState(layout, 4)
-    dense = prepare_uniform(DenseState(RegisterLayout([Register("idx", 2, "index")])), "idx")
+    dense = prepare_uniform(DenseState(RegisterLayout(idx=2)), "idx")
     pattern = np.array([0, 0, 1, 0], dtype=bool)
     struct.apply_phase_pattern(np.flatnonzero(pattern))
     phase_oracle(dense, pattern, "idx")
@@ -256,7 +245,7 @@ def _marked_sequences(size: int, rng: np.random.Generator) -> list[list[np.ndarr
 
 @pytest.mark.parametrize("size", [2, 4, 16, 256])
 def test_structured_transitions_match_dense_reference(size):
-    layout = RegisterLayout([Register("idx", (size - 1).bit_length(), "index")])
+    layout = RegisterLayout(idx=(size - 1).bit_length())
     rng = np.random.default_rng(size)
     for sequence in _marked_sequences(size, rng):
         state = StructuredState(layout, size)
@@ -280,7 +269,7 @@ def test_phase_on_the_adopted_index_array_matches_a_fresh_copy_bit_for_bit(flip_
     targets = np.array([3, 9, 10])
     targets.flags.writeable = False
     flip = np.array([3, 5, 9, 10])
-    layout = RegisterLayout([Register("idx", 4, "index")])
+    layout = RegisterLayout(idx=4)
     shared, fresh = StructuredState(layout, 16), StructuredState(layout, 16)
     for step in range(6):
         flipped = step == flip_at
@@ -327,7 +316,7 @@ def _measure_paths(state: StructuredState, u: float, monkeypatch) -> list[int]:
 
 def _special_state(size: int, group: int, exceptions: int) -> StructuredState:
     """A state off the base at `group` targets and `exceptions` more indices."""
-    layout = RegisterLayout([Register("idx", (size - 1).bit_length(), "index")])
+    layout = RegisterLayout(idx=(size - 1).bit_length())
     state = StructuredState(layout, size)
     index = np.arange(0, 2 * (group + exceptions), 2)
     targets, flips = index[:group], index[group:]
@@ -357,7 +346,7 @@ def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, mon
 def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
     # one target in four after one iteration: the base runs carry no mass,
     # so u = 1 must fall back onto the target, not the empty last run
-    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    state = StructuredState(RegisterLayout(idx=2), 4)
     state.apply_phase_pattern(np.array([2]))
     state.diffuse()
     assert state._base == 0.0
@@ -367,7 +356,7 @@ def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
 
 def test_structured_measure_with_zero_base_amplitude():
     # one target in four, one iteration: every other amplitude is exactly 0
-    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    state = StructuredState(RegisterLayout(idx=2), 4)
     state.apply_phase_pattern(np.array([2]))
     state.diffuse()
     assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]
@@ -378,9 +367,7 @@ def test_structured_measure_with_zero_base_amplitude():
 
 
 def test_copy_evolves_independently_over_read_only_bindings():
-    layout = RegisterLayout(
-        [Register("idx", 3, "index"), Register("h", 3, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=3, h=3)
     table = np.array([5, 1, 0, 7, 2, 2, 6, 3], dtype=np.int64)
     template = StructuredState(layout, 8, bindings={"h": table})
     table[0] = 4  # the caller's array was copied, not shared
@@ -420,7 +407,7 @@ def test_copy_evolves_independently_over_read_only_bindings():
 
 
 def test_structured_amps_is_a_read_only_copy():
-    state = StructuredState(RegisterLayout([Register("idx", 2, "index")]), 4)
+    state = StructuredState(RegisterLayout(idx=2), 4)
     with pytest.raises(ValueError):
         state.amps[0] = 1.0
     with pytest.raises(AttributeError):
@@ -428,9 +415,7 @@ def test_structured_amps_is_a_read_only_copy():
 
 
 def test_structured_norm_and_binding_validation():
-    layout = RegisterLayout(
-        [Register("idx", 1, "index"), Register("f", 1, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=1, f=1)
     with pytest.raises(ValueError):
         StructuredState(layout, 2)  # missing binding
     with pytest.raises(ValueError):
@@ -440,18 +425,19 @@ def test_structured_norm_and_binding_validation():
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        RegisterLayout([Register("a", 1, "index"), Register("a", 1, "flag")])
-    with pytest.raises(ValueError):
-        Register("d", 1, "data")  # data register without index dependency
-    with pytest.raises(ValueError):
-        Register("r", 0, "index")
-    with pytest.raises(ValueError):
-        RegisterLayout([Register("d", 1, "data", depends_on="missing")])
+    with pytest.raises(ValueError, match="at least 1"):
+        RegisterLayout(idx=2, r=0)
+    layout = RegisterLayout(idx=2, h=3, xi=1)
+    assert list(layout.widths.items()) == [("idx", 2), ("h", 3), ("xi", 1)]
+    assert [layout.offset(name) for name in layout.widths] == [0, 2, 5]
+    assert layout.total_width == 6
+    assert layout.extract("h", np.array([0b101110, 0b011101])).tolist() == [3, 7]
+    with pytest.raises(ValueError, match="taken by the phase flag"):
+        DenseSearchState(RegisterLayout(idx=2, xi=1), 4, {"xi": [0] * 4})
 
 
 def test_norm_guard():
-    layout = RegisterLayout([Register("idx", 1, "index")])
+    layout = RegisterLayout(idx=1)
     with pytest.raises(ValueError):
         DenseState(layout, np.array([1.0, 1.0]))
 
@@ -463,7 +449,7 @@ def test_gates_against_explicit_kron_matrices():
 
     eye = np.eye(2, dtype=complex)
     rng = np.random.default_rng(2025)
-    layout = RegisterLayout([Register("r", 3, "index")])
+    layout = RegisterLayout(r=3)
     for _ in range(30):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
@@ -485,7 +471,7 @@ def test_gates_against_explicit_kron_matrices():
 
 
 def test_dump_state(tmp_path):
-    layout = RegisterLayout([Register("idx", 1, "index")])
+    layout = RegisterLayout(idx=1)
     state = prepare_uniform(DenseState(layout), "idx")
     path = tmp_path / "state.csv"
     dump_state(state, str(path))
@@ -499,9 +485,7 @@ both_backends = pytest.mark.parametrize(
 
 
 def _hash_layout():
-    return RegisterLayout(
-        [Register("idx", 2, "index"), Register("h", 3, "data", depends_on="idx")]
-    )
+    return RegisterLayout(idx=2, h=3)
 
 
 def test_backends_share_one_constructor():
@@ -538,9 +522,7 @@ def test_like_gives_independent_uniform_states(backend):
 
 @both_backends
 def test_both_backends_refuse_bad_bindings(backend):
-    layout = RegisterLayout(
-        [Register("idx", 2, "index"), Register("f", 2, "data", depends_on="idx")]
-    )
+    layout = RegisterLayout(idx=2, f=2)
     with pytest.raises(ValueError, match="missing binding"):
         backend(layout, 4)
     with pytest.raises(ValueError, match="overflows"):
@@ -551,11 +533,7 @@ def test_both_backends_refuse_bad_bindings(backend):
 
 def test_search_layout_pads_the_index_and_binds_data_in_order():
     layout = sim.search_layout(5, u=1, whash=3)
-    assert [(r.name, r.width, r.role, r.depends_on) for r in layout.registers] == [
-        ("idx", 3, "index", None),
-        ("u", 1, "data", "idx"),
-        ("whash", 3, "data", "idx"),
-    ]
+    assert list(layout.widths.items()) == [("idx", 3), ("u", 1), ("whash", 3)]
     assert layout.total_width == 7
     for domain, width in ((1, 1), (2, 1), (3, 2), (4, 2), (65, 7), (2**16, 16)):
         assert sim.search_layout(domain).total_width == width
@@ -563,17 +541,16 @@ def test_search_layout_pads_the_index_and_binds_data_in_order():
 
 @both_backends
 def test_search_layout_has_exactly_one_index_register(backend):
-    with pytest.raises(ValueError, match="one index register"):
-        backend(RegisterLayout([Register("q", 2, "ancilla")]), 4)
-    with pytest.raises(ValueError, match="one index register"):
-        backend(RegisterLayout([Register("a", 2, "index"), Register("b", 2, "index")]), 4)
+    # a mapping holds "idx" at most once; a layout without it is refused
+    with pytest.raises(ValueError, match="needs an index register 'idx'"):
+        backend(RegisterLayout(q=2), 4)
 
 
 @both_backends
 def test_phase_pattern_rejects_a_bool_mask(backend):
     # a mask would be read as a mask by one backend and as 0/1 indices by
     # the other; both refuse it and keep their state
-    layout = RegisterLayout([Register("idx", 2, "index")])
+    layout = RegisterLayout(idx=2)
     search = backend(layout, 4)
     before = search.index_probabilities()
     with pytest.raises(ValueError, match="integer index array"):
