@@ -38,11 +38,16 @@ _NO_PRIME_ALGOS = ("grover", "compare-grover")
 BACKENDS = {"dense": DenseSearchState, "structured": StructuredState}
 
 
-def _parse_bits(value: str, ascii_mode: bool) -> BitString:
-    if value.startswith("@"):
-        with open(value[1:], encoding="ascii") as fh:
-            value = fh.read().strip()
-    return BitString.from_ascii(value) if ascii_mode else BitString.from_text(value)
+def _parse_bits(flag: str, value: str, ascii_mode: bool) -> BitString:
+    """The bits of `flag`'s value: the value itself, or the stripped text of
+    the file after a leading @."""
+    try:
+        if value.startswith("@"):
+            with open(value[1:], encoding="ascii") as fh:
+                value = fh.read().strip()
+        return BitString.from_ascii(value) if ascii_mode else BitString.from_text(value)
+    except UnicodeError:
+        raise ValueError(f"{flag} must be ASCII") from None
 
 
 def _parse_ints(flag: str, value: str) -> list[int]:
@@ -116,8 +121,8 @@ def _compare_trial(args: tuple) -> str:
 
 
 def _cmd_match(args, argv) -> int:
-    inst_text = _parse_bits(args.text, args.ascii)
-    inst_pattern = _parse_bits(args.pattern, args.ascii)
+    inst_text = _parse_bits("--text", args.text, args.ascii)
+    inst_pattern = _parse_bits("--pattern", args.pattern, args.ascii)
     inst = MatchInstance(inst_text, inst_pattern)
     backend = BACKENDS[args.mode]
     cap = resources.STRUCTURED_TEXT_CAP
@@ -144,8 +149,8 @@ def _cmd_match(args, argv) -> int:
 
 
 def _cmd_compare(args, argv) -> int:
-    u = _parse_bits(args.u, args.ascii)
-    v = _parse_bits(args.v, args.ascii)
+    u = _parse_bits("--u", args.u, args.ascii)
+    v = _parse_bits("--v", args.v, args.ascii)
     trials = [(u, v, args.algo, args.epsilon, args.seed, t) for t in range(args.trials)]
     rows = resources.pool_map(_compare_trial, trials, args.jobs)
     _emit([_flag_echo(argv), COMPARE_HEADER, *rows], args.csv)

@@ -94,7 +94,6 @@ def _step_battery(
     oracle,
     iterations: int,
     rng: np.random.Generator,
-    perturb=None,
 ) -> InstanceReport:
     """Drive both backends through `iterations` shared search steps."""
     max_dev, worst_idx = _deviation(dense_search, structured)
@@ -105,8 +104,6 @@ def _step_battery(
         structured.apply_phase_pattern(marked)
         dense_search.diffuse()
         structured.diffuse()
-        if perturb is not None:
-            perturb(name, structured)
         dev, idx = _deviation(dense_search, structured)
         if dev > max_dev:
             max_dev, worst_idx = dev, idx
@@ -123,7 +120,7 @@ def _step_battery(
     return InstanceReport(name, max_dev, True)
 
 
-def _match_instance(name, text, pattern, p, schedule, rng, perturb) -> InstanceReport:
+def _match_instance(name, text, pattern, p, schedule, rng) -> InstanceReport:
     inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
     params = _small_params(inst.num_windows, inst.m, p)
     spec = prepare_match_state(inst, params)
@@ -132,9 +129,7 @@ def _match_instance(name, text, pattern, p, schedule, rng, perturb) -> InstanceR
     for rep_iters in schedule:
         dense_search = spec.make_copy(DenseSearchState)
         structured = spec.make_copy(StructuredState)
-        reports.append(
-            _step_battery(name, dense_search, structured, oracle, rep_iters, rng, perturb)
-        )
+        reports.append(_step_battery(name, dense_search, structured, oracle, rep_iters, rng))
     max_dev = max(r.max_deviation for r in reports)
     failed = [r for r in reports if not r.passed]
     if failed:
@@ -142,7 +137,7 @@ def _match_instance(name, text, pattern, p, schedule, rng, perturb) -> InstanceR
     return InstanceReport(name, max_dev, True)
 
 
-def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceReport:
+def _compare_grover_instance(name, u_text, v_text, rng) -> InstanceReport:
     u = BitString.from_text(u_text)
     v = BitString.from_text(v_text)
     template = build_compare_state(u, v)
@@ -153,15 +148,13 @@ def _compare_grover_instance(name, u_text, v_text, rng, perturb) -> InstanceRepo
     iterations = optimal_iterations(template.size, max(1, int(truth.sum())))
     dense_search = DenseSearchState.like(template)
     structured = StructuredState.like(template)
-    return _step_battery(name, dense_search, structured, oracle, iterations, rng, perturb)
+    return _step_battery(name, dense_search, structured, oracle, iterations, rng)
 
 
-def _compare_bsearch_instance(name, u_text, v_text, perturb) -> InstanceReport:
+def _compare_bsearch_instance(name, u_text, v_text) -> InstanceReport:
     template = build_compare_state(BitString.from_text(u_text), BitString.from_text(v_text))
     k = template.domain_size
     structured = StructuredState.like(template)
-    if perturb is not None:
-        perturb(name, structured)
     dense_search = DenseSearchState.like(template)
     max_dev, worst_idx = _deviation(dense_search, structured)
     if max_dev > TOLERANCE:
@@ -184,7 +177,7 @@ def _compare_bsearch_instance(name, u_text, v_text, perturb) -> InstanceReport:
     return InstanceReport(name, max_dev, True)
 
 
-def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
+def run_crosscheck(seed: int) -> CrosscheckReport:
     """The default battery: 22 tiny instances across all four algorithms."""
     rng = np.random.default_rng(seed)
     report = CrosscheckReport()
@@ -204,9 +197,7 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
     for name, text, pattern, p in unique_cases:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
         iters = optimal_iterations(padded_size(inst.num_windows), 1)
-        report.instances.append(
-            _match_instance(name, text, pattern, p, [iters], rng, perturb)
-        )
+        report.instances.append(_match_instance(name, text, pattern, p, [iters], rng))
 
     search_cases = [
         ("match_search n6 m2 p7", "010101", "01", 7),
@@ -217,9 +208,7 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
     for name, text, pattern, p in search_cases:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
         schedule = doubling_schedule(inst.num_windows)
-        report.instances.append(
-            _match_instance(name, text, pattern, p, schedule, rng, perturb)
-        )
+        report.instances.append(_match_instance(name, text, pattern, p, schedule, rng))
 
     grover_cases = [
         ("compare_grover k4", "1011", "1111"),
@@ -228,7 +217,7 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
         ("compare_grover k5", "11111", "11011"),
     ]
     for name, u_text, v_text in grover_cases:
-        report.instances.append(_compare_grover_instance(name, u_text, v_text, rng, perturb))
+        report.instances.append(_compare_grover_instance(name, u_text, v_text, rng))
 
     # the p in a bsearch name is a label only: the battery checks symbol access
     bsearch_cases = [
@@ -238,6 +227,6 @@ def run_crosscheck(seed: int, perturb=None) -> CrosscheckReport:
         ("compare_bsearch k5 p11", "10010", "10110"),
     ]
     for name, u_text, v_text in bsearch_cases:
-        report.instances.append(_compare_bsearch_instance(name, u_text, v_text, perturb))
+        report.instances.append(_compare_bsearch_instance(name, u_text, v_text))
 
     return report

@@ -7,21 +7,22 @@ hash comparisons on strings up to `max_len` bits keeps its total
 false-equality probability at most epsilon.  Equal strings always hash
 equal; only the converse is probabilistic.
 
-The draw is the Karp-Rabin one: uniform integers in [2, p_r] until one
-is prime.  Only p_r, the r-th prime, is computed (once per universe, by
-`top_prime`); `first_r_primes` is the exact list it is tested against.
+The draw is the Karp-Rabin one: uniform integers in [2, p_r] until
+`is_prime`, a deterministic Miller-Rabin test, accepts one.  Only p_r,
+the r-th prime, is computed (once per universe, by `top_prime`, from an
+exact prime count at Cipolla's estimate of it); `first_r_primes` is the
+exact list it is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-import sympy
 
 from .strings_core import BitString
 
@@ -31,7 +32,10 @@ UNIVERSE_R_CAP = 2**34
 _SMALL_PRIMES = (2, 3, 5, 7, 11)
 # (i, p) pairs the batched step of prime_pi handles per numpy pass.
 _PI_CHUNK = 1 << 14
-_NEWTON_STEPS = 8
+# is_prime's trial divisors, and its Miller-Rabin bases.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+# psi_7: the least strong pseudoprime to all seven bases of _TRIAL_PRIMES.
+_MR_BOUND = 341_550_071_728_321
 
 
 class UniverseSizeError(ValueError):
@@ -163,15 +167,47 @@ def _sieve_large_primes(
         large[i[heads]] -= np.add.reduceat(vals, heads)
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly, for every n below psi_7 = 341,550,071,728,321.
+
+    Trial division by the primes up to 17, then strong-probable-prime tests
+    to the same seven bases; no composite below psi_7 passes them (Jaeschke,
+    "On strong pseudoprimes to several bases", 1993).  psi_7 itself passes
+    them, so n >= psi_7 is refused.  Every drawable p lies below 2^39.
+    """
+    n = operator.index(n)  # numpy ints too; a float is a TypeError
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality test is exact only below {_MR_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for q in _TRIAL_PRIMES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _TRIAL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_estimate(i: int) -> int:
-    """x near li^-1(i), by float Newton steps; it only places the sieve window."""
-    x = max(2.0, i * math.log(max(i, 2)))
-    for _ in range(_NEWTON_STEPS):
-        step = (float(mpmath.li(x)) - i) * math.log(x)
-        x = max(2.0, x - step)
-        if abs(step) < 1:
-            break
-    return int(x)
+    """x near the i-th prime, by Cipolla's expansion (1902); it only places
+    the sieve window, so no prime depends on its accuracy."""
+    log_i = math.log(max(i, 2))
+    log_log = math.log(log_i)
+    x = i * (
+        log_i + log_log - 1 + (log_log - 2) / log_i
+        - (log_log**2 - 6 * log_log + 11) / (2 * log_i**2)
+    )
+    return int(max(2.0, x))
 
 
 def nth_prime(i: int) -> int:
@@ -223,7 +259,7 @@ class HashParams:
     def __post_init__(self) -> None:
         if self.r < universe_size(self.delta, self.max_len, self.epsilon):
             raise ValueError("universe too small for the declared error budget")
-        if not sympy.isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p >= _sieve_upper_bound(self.r):
             raise ValueError(f"{self.p} lies beyond the first {self.r} primes")
@@ -249,7 +285,7 @@ def choose_prime(
     top = top_prime(r)
     while True:
         p = int(rng.integers(2, top + 1))
-        if sympy.isprime(p):
+        if is_prime(p):
             return HashParams(p=p, epsilon=epsilon, delta=delta, r=r, max_len=max_len)
 
 

@@ -75,10 +75,12 @@ class OracleSpec:
     `truth` is a bool array over the padded domain, False on padding.  An
     evaluation may miss the witness that rules a non-target out, so only
     non-targets are ever wrongly marked.  `error_classes=(labels, errors)`
-    gives index a the single-evaluation error errors[labels[a]]; without
-    it, `error_prob` > 0 applies to every non-target.  Non-targets are
-    grouped once into classes of equal positive error (ascending, members
-    in index order), so a query costs O(classes + marked indices).
+    gives index a the single-evaluation error errors[labels[a]];
+    `error_prob` is the declared worst such error, which sets the default
+    rho, and an oracle that declares one must give its classes.
+    Non-targets are grouped once into classes of equal positive error
+    (ascending, members in index order), so a query costs O(classes +
+    marked indices).
     """
 
     def __init__(
@@ -92,6 +94,8 @@ class OracleSpec:
     ):
         if not 0 <= error_prob < 0.5:
             raise ValueError("declared error probability must lie in [0, 1/2)")
+        if error_prob > 0 and error_classes is None:
+            raise ValueError("a declared error probability needs its error classes")
         self.domain_size = domain_size
         self.padded = padded_size(domain_size)
         if truth.dtype != bool or truth.shape != (self.padded,):
@@ -104,8 +108,6 @@ class OracleSpec:
         self.evaluation_cost = evaluation_cost
         self.error_prob = error_prob
         self.inner_iterations_per_eval = inner_iterations_per_eval
-        if error_classes is None and error_prob > 0:
-            error_classes = (np.zeros(self.padded, dtype=np.uint8), (error_prob,))
         # class c holds _members[_starts[c] : _starts[c] + _sizes[c]]
         self._class_errors: np.ndarray | None = None
         if error_classes is not None:

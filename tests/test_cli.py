@@ -35,17 +35,21 @@ def test_primes_row(capsys):
     assert (r, eps, delta, max_len) == ("24", "0.5", "4", "3")
 
 
+def _run_python(*args):
+    """A fresh interpreter that imports this qstrings first."""
+    src = str(Path(qstrings.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_module_entry_point_matches_main(capsys):
     args = ["primes", "--delta", "29", "--max-len", "4", "--epsilon", "0.1", "--seed", "42"]
     assert main(args) == 0
     expected = capsys.readouterr().out
-    src = str(Path(qstrings.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstrings", *args],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_python("-m", "qstrings", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 
@@ -171,6 +175,29 @@ def test_match_ascii_and_file_input(tmp_path, capsys):
     assert out.strip().splitlines()[2].split(",")[2] == "1"
 
 
+@pytest.mark.parametrize("command, flag, other", [
+    (["match"], "--text", ["--pattern", "A"]),
+    (["compare", "--algo", "grover"], "--u", ["--v", "A"]),
+])
+def test_non_ascii_input_names_its_flag(tmp_path, capsys, command, flag, other):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"A\xffB")
+    for value in ("caf\u00e9", f"@{path}"):  # a non-ASCII --ascii text, a non-ASCII file
+        code, out, err = run_cli(
+            [*command, flag, value, *other, "--ascii", "--seed", "1"], capsys
+        )
+        _assert_usage_error(code, err)
+        assert err.strip() == f"error: {flag} must be ASCII" and out == ""
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    # numpy is the only runtime dependency; sympy and mpmath are test references
+    code = "import sys, qstrings.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_errors(capsys):
     assert run_cli(["match", "--text", "01"], capsys)[0] == 2  # missing flags
     assert run_cli(["match", "--text", "01", "--pattern", "0", "--seed", "1",
@@ -282,19 +309,25 @@ def test_crosscheck_cli(capsys):
     assert "FAIL" not in out
 
 
-def test_crosscheck_fault_injection():
-    def perturb(name, structured):
-        if name.startswith("compare_grover k4"):
+def test_crosscheck_fault_injection(monkeypatch):
+    diffuse = StructuredState.diffuse
+
+    def nudged_diffuse(self):
+        diffuse(self)
+        # only compare_grover k4 searches a domain of 4 with registers u and v
+        if self.domain_size == 4 and set(self.layout.widths) == {"idx", "u", "v"}:
             # nudge the amplitude shared by every never-marked index, then
             # renormalize every stored amplitude: base, group and exceptions
-            structured._base += 1e-6
-            norm = np.sqrt(np.sum(structured.amps**2))
-            structured._base /= norm
-            structured._group_amp /= norm
-            structured._values /= norm
-            structured.check_norm()
+            self._base += 1e-6
+            norm = np.sqrt(np.sum(self.amps**2))
+            self._base /= norm
+            self._group_amp /= norm
+            self._values /= norm
+            self.check_norm()
+        return self
 
-    report = run_crosscheck(1, perturb=perturb)
+    monkeypatch.setattr(StructuredState, "diffuse", nudged_diffuse)
+    report = run_crosscheck(1)
     assert not report.passed
     bad = [r for r in report.instances if not r.passed]
     assert bad and "basis index" in bad[0].detail

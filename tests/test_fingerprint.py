@@ -144,6 +144,38 @@ def test_nth_prime_rejects_nonpositive_index():
         fp.nth_prime(0)
 
 
+def test_is_prime_matches_sympy_below_2e5():
+    assert [n for n in range(2 * 10**5) if fp.is_prime(n)] == list(sympy.primerange(2 * 10**5))
+
+
+def test_is_prime_matches_sympy_on_a_sample_below_the_mulmod_cap():
+    sample = np.random.default_rng(17).integers(2, fp._MULMOD_P_CAP, 20_000).tolist()
+    # a plain sample is mostly even or small-factor composites: add primes
+    sample += [int(sympy.nextprime(n)) for n in sample[:500]]
+    assert [fp.is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+
+
+# The least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7;
+# 2, 7, 61; the primes up to 11; the primes up to 13.
+STRONG_PSEUDOPRIMES = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 4_759_123_141,
+    2_152_302_898_747, 3_474_749_660_383,
+)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not fp.is_prime(n)
+
+
+def test_is_prime_refuses_psi_7():
+    psi_7 = 341_550_071_728_321  # a strong pseudoprime to every base up to 17
+    assert fp.is_prime(psi_7 - 2) == sympy.isprime(psi_7 - 2)
+    with pytest.raises(ValueError, match="exact only below"):
+        fp.is_prime(psi_7)
+
+
 def test_universe_size_examples():
     assert fp.universe_size(1, 4, 0.5) == 8
     assert fp.universe_size(13, 4, 0.5) == 104
@@ -368,6 +400,8 @@ def test_undersized_delta_rejected():
 def test_hash_params_validation():
     with pytest.raises(ValueError):
         fp.HashParams(p=4, epsilon=0.5, delta=1, max_len=4, r=8)  # not prime
+    with pytest.raises(ValueError, match="not prime"):
+        fp.HashParams(p=2047, epsilon=0.5, delta=1, max_len=4, r=1000)  # 23 * 89
     with pytest.raises(ValueError):
         fp.HashParams(p=101, epsilon=0.5, delta=1, max_len=4, r=8)  # outside universe
     with pytest.raises(ValueError):

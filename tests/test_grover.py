@@ -205,7 +205,9 @@ def test_bounded_error_success_close_to_exact():
     truth = np.zeros(8, dtype=bool)
     truth[2] = True
     exact = OracleSpec(8, truth)
-    noisy = OracleSpec(8, truth, error_prob=0.1)
+    # one error class of 0.1 over every index; targets are never missed
+    noisy = OracleSpec(8, truth, error_prob=0.1,
+                       error_classes=(np.zeros(8, dtype=np.uint8), (0.1,)))
     iterations = optimal_iterations(8, 1)
     rng = np.random.default_rng(21)
     exact_hits = noisy_hits = 0
@@ -356,7 +358,8 @@ def test_charge_iterations_refuses_a_negative_amount():
 def test_bounded_error_ledger_records_rho_times_cost():
     truth = np.zeros(8, dtype=bool)
     truth[2] = True
-    oracle = OracleSpec(8, truth, evaluation_cost=7, error_prob=0.2)
+    oracle = OracleSpec(8, truth, evaluation_cost=7, error_prob=0.2,
+                        error_classes=(np.zeros(8, dtype=np.uint8), (0.2,)))
     ledger = ResourceLedger()
     grover_run(_structured(8), oracle, 2, np.random.default_rng(0), ledger, rho=3)
     assert ledger.hash_eval_units == 2 * 3 * 7
@@ -439,6 +442,8 @@ def test_durr_hoyer_record_counts_copies_and_adoptions():
 def test_oracle_error_bound_enforced():
     with pytest.raises(ValueError):
         OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.6)
+    with pytest.raises(ValueError, match="error classes"):
+        OracleSpec(8, np.zeros(8, dtype=bool), error_prob=0.1)
 
 
 def test_grover_outcome_verified_property():
