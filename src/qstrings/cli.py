@@ -48,6 +48,8 @@ def _parse_bits(flag: str, value: str, ascii_mode: bool) -> BitString:
         return BitString.from_ascii(value) if ascii_mode else BitString.from_text(value)
     except UnicodeError:
         raise ValueError(f"{flag} must be ASCII") from None
+    except ValueError:
+        raise ValueError(f"{flag} must be a bit string, got {value!r}") from None
 
 
 def _parse_ints(flag: str, value: str) -> list[int]:

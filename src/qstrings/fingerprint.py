@@ -8,7 +8,8 @@ false-equality probability at most epsilon.  Equal strings always hash
 equal; only the converse is probabilistic.
 
 The draw is the Karp-Rabin one: uniform integers in [2, p_r] until
-`is_prime`, a deterministic Miller-Rabin test, accepts one.  Only p_r,
+`is_prime`, a deterministic Miller-Rabin test, accepts one; the check
+`HashParams` makes of that p reuses the test's kept answer.  Only p_r,
 the r-th prime, is computed (once per universe, by `top_prime`, from an
 exact prime count at Cipolla's estimate of it); `first_r_primes` is the
 exact list it is tested against.
@@ -32,10 +33,14 @@ UNIVERSE_R_CAP = 2**34
 _SMALL_PRIMES = (2, 3, 5, 7, 11)
 # (i, p) pairs the batched step of prime_pi handles per numpy pass.
 _PI_CHUNK = 1 << 14
-# is_prime's trial divisors, and its Miller-Rabin bases.
+# is_prime's trial divisors, and its Miller-Rabin bases from _FEW_BASES_BOUND on.
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 # psi_7: the least strong pseudoprime to all seven bases of _TRIAL_PRIMES.
 _MR_BOUND = 341_550_071_728_321
+# Miller-Rabin bases below _FEW_BASES_BOUND, the least strong pseudoprime
+# to all three (48,781 * 97,561).
+_FEW_BASES = (2, 7, 61)
+_FEW_BASES_BOUND = 4_759_123_141
 
 
 class UniverseSizeError(ValueError):
@@ -171,9 +176,11 @@ def is_prime(n: int) -> bool:
     """Whether n is prime, exactly, for every n below psi_7 = 341,550,071,728,321.
 
     Trial division by the primes up to 17, then strong-probable-prime tests
-    to the same seven bases; no composite below psi_7 passes them (Jaeschke,
-    "On strong pseudoprimes to several bases", 1993).  psi_7 itself passes
-    them, so n >= psi_7 is refused.  Every drawable p lies below 2^39.
+    to the bases 2, 7 and 61 below 4,759,123,141 and to the seven primes up
+    to 17 from there on.  Each bound is the least strong pseudoprime to its
+    bases (Jaeschke, "On strong pseudoprimes to several bases", 1993), so
+    no composite below it passes them; n >= psi_7 is refused.  Every
+    drawable p lies below 2^39.
     """
     n = operator.index(n)  # numpy ints too; a float is a TypeError
     if n >= _MR_BOUND:
@@ -183,9 +190,19 @@ def is_prime(n: int) -> bool:
     for q in _TRIAL_PRIMES:
         if n % q == 0:
             return n == q
+    if n < 19 * 19:  # no prime factor up to 17, so none up to its square root
+        return True
+    return _strong_probable_prime(n)
+
+
+@lru_cache(maxsize=1)
+def _strong_probable_prime(n: int) -> bool:
+    """The Miller-Rabin half of is_prime, for 19^2 <= n < psi_7 with no
+    prime factor up to 17.  The last answer is kept: `choose_prime`'s last
+    candidate is the p that `HashParams` then checks."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    for a in _TRIAL_PRIMES:
+    for a in _FEW_BASES if n < _FEW_BASES_BOUND else _TRIAL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -309,15 +326,14 @@ class HashValue:
 
 
 def rolling_hash(u: BitString, p: int) -> HashValue:
-    """h_p(u), accumulated with modular powers of two (no big integers)."""
+    """h_p(u), as the residue of u's little-endian integer value."""
     width = hash_width(p)
-    acc = 0
-    power = 1 % p
-    for b in u.bits:
-        if b:
-            acc = (acc + power) % p
-        power = (power << 1) % p
-    return HashValue(residue=acc, width=width)
+    return HashValue(residue=u.to_int() % p, width=width)
+
+
+def prefix_hash(value: int, length: int, p: int) -> int:
+    """h_p(u[1..length]) from value = u.to_int(): the low `length` bits, mod p."""
+    return (value & ((1 << length) - 1)) % p
 
 
 # Residue arithmetic is exact in int64 for every p below this bound: in

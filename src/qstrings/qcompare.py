@@ -4,11 +4,12 @@ The search comparator runs threshold-descent minimum finding over the
 ranks of the pairs (1 - [u_a != v_a], a), so the minimum key names the
 first differing position; a sentinel threshold above every real rank
 encodes "no differing position found yet".  The binary-search
-comparator fingerprints every prefix of both strings, fetches the hash
-pair of each probed prefix at ceil(log2 k) access units, and locates the
-first hash-unequal prefix with exactly ceil(log2 k) rho-fold quantum
-equality tests, then reads the symbol pair at the candidate position to
-settle the verdict.  Length cases are decided classically in both.
+comparator fingerprints only the prefixes it probes, each from its
+string's integer value, fetches the hash pair of each at ceil(log2 k)
+access units, and locates the first hash-unequal prefix with exactly
+ceil(log2 k) rho-fold quantum equality tests, then reads the symbol pair
+at the candidate position to settle the verdict.  Length cases are
+decided classically in both.
 """
 
 from __future__ import annotations
@@ -163,9 +164,8 @@ def compare_bsearch(
         raise ValueError("hash parameters sized for fewer comparisons than k")
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
     template = build_compare_state(u, v)
-    prefix_u = fingerprint.prefix_hashes(u, params.p)
-    prefix_v = fingerprint.prefix_hashes(v, params.p)
-    width = params.width
+    value_u, value_v = u.to_int(), v.to_int()
+    p, width = params.p, params.width
     log_k = index_width(k)
     rho = amplification(evaluation_constants(padded_size(width)).worst_miss, log_k)
 
@@ -177,8 +177,8 @@ def compare_bsearch(
     for _ in range(log_k):
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
         charge(ledger, "access_units", log_k)  # swap-to-front fetch of mid
-        href = HashValue(int(prefix_u[mid]), width)
-        hcand = HashValue(int(prefix_v[mid]), width)
+        href = HashValue(fingerprint.prefix_hash(value_u, mid, p), width)
+        hcand = HashValue(fingerprint.prefix_hash(value_v, mid, p), width)
         if hash_equality_eval(href, hcand, rho, rng, backend, ledger):
             if mid < hi:
                 lo = mid

@@ -52,14 +52,23 @@ def inner_schedule(bit_domain: int) -> list[int]:
     return [2**j for j in range(reps)]
 
 
+@lru_cache(maxsize=1024)
+def hit_probabilities(bit_domain: int, t: int) -> tuple[float, ...]:
+    """P(a differing bit is found) at each inner-schedule step, when t of
+    `bit_domain` bits differ."""
+    return tuple(
+        success_probability(bit_domain, t, iterations) for iterations in inner_schedule(bit_domain)
+    )
+
+
 @lru_cache(maxsize=32)
 def miss_probability_table(bit_domain: int) -> tuple[float, ...]:
     """miss[t] = P(no verified differing bit | t of `bit_domain` bits differ)."""
     table = [1.0]  # t = 0: no witness exists, the schedule never finds one
     for t in range(1, bit_domain + 1):
         miss = 1.0
-        for iterations in inner_schedule(bit_domain):
-            miss *= 1.0 - success_probability(bit_domain, t, iterations)
+        for hit in hit_probabilities(bit_domain, t):
+            miss *= 1.0 - hit
         table.append(miss)
     return tuple(table)
 
@@ -108,13 +117,12 @@ def hash_equality_eval(
     evaluation = evaluation_constants(domain)
     charge(ledger, "inner_grover_iterations", rho * evaluation.inner_iterations)
     charge(ledger, "hash_eval_units", rho * evaluation.gate_units)
-    schedule = inner_schedule(domain)
     diff = reference.residue ^ candidate.residue
     if backend is StructuredState:
         t = bin(diff).count("1")
         if t == 0:
             return True  # no differing bit exists, so nothing is drawn
-        hits = [success_probability(domain, t, iterations) for iterations in schedule]
+        hits = hit_probabilities(domain, t)
         finds = [any(rng.random() < hit for hit in hits) for _ in range(rho)]
     else:
         truth = np.array(
@@ -122,6 +130,7 @@ def hash_equality_eval(
         )
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         layout = search_layout(domain)
+        schedule = inner_schedule(domain)
         finds = [
             any(
                 grover_run(backend(layout, domain), oracle, iterations, rng).verified

@@ -36,6 +36,10 @@ class BitString:
         """The bits as a read-only uint8 array sharing memory with `bits`."""
         return np.frombuffer(self.bits, dtype=np.uint8)
 
+    def to_int(self) -> int:
+        """The bits as one little-endian integer: bit i weighs 2^(i-1)."""
+        return int.from_bytes(np.packbits(self.array, bitorder="little").tobytes(), "little")
+
     @classmethod
     def from_text(cls, text: str) -> "BitString":
         """Parse a string of '0'/'1' characters."""

@@ -1,5 +1,6 @@
-"""Helpers only the tests use: a classical prefix-hash comparator, a
-collision-rate Monte Carlo and a multi-occurrence instance generator."""
+"""Helpers only the tests use: a scalar reference hash, a classical
+prefix-hash comparator, a collision-rate Monte Carlo and a
+multi-occurrence instance generator."""
 
 from __future__ import annotations
 
@@ -9,6 +10,17 @@ import numpy as np
 
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
+
+
+def rolling_hash_reference(u: BitString, p: int) -> int:
+    """h_p(u), accumulated bit by bit with modular powers of two (no big integers)."""
+    acc = 0
+    power = 1 % p
+    for b in u.bits:
+        if b:
+            acc = (acc + power) % p
+        power = (power << 1) % p
+    return acc
 
 
 def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:

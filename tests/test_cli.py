@@ -190,6 +190,19 @@ def test_non_ascii_input_names_its_flag(tmp_path, capsys, command, flag, other):
         assert err.strip() == f"error: {flag} must be ASCII" and out == ""
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--text", ["match", "--text", "012", "--pattern", "1"]),
+    ("--pattern", ["match", "--text", "0110", "--pattern", "1x"]),
+    ("--u", ["compare", "--algo", "grover", "--u", "2", "--v", "01"]),
+    ("--v", ["compare", "--algo", "bsearch", "--u", "01", "--v", "2"]),
+])
+def test_non_bit_input_names_its_flag(capsys, flag, argv):
+    code, out, err = run_cli([*argv, "--seed", "1"], capsys)
+    _assert_usage_error(code, err)
+    bad = argv[argv.index(flag) + 1]
+    assert err.strip() == f"error: {flag} must be a bit string, got {bad!r}" and out == ""
+
+
 def test_import_loads_neither_sympy_nor_mpmath():
     # numpy is the only runtime dependency; sympy and mpmath are test references
     code = "import sys, qstrings.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qstrings import fingerprint as fp
 from qstrings.strings_core import BitString, compare_classical
@@ -13,6 +14,7 @@ from support import (
     compare_by_hash_bsearch_classical,
     lcp_by_prefix_hashes,
     monte_carlo_collision_rate,
+    rolling_hash_reference,
 )
 
 bits = st.lists(st.integers(0, 1), max_size=16).map(BitString.from_bits)
@@ -169,6 +171,48 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not fp.is_prime(n)
 
 
+def _is_strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, s))
+
+
+def test_is_prime_refuses_the_least_strong_pseudoprime_to_2_7_61():
+    # below this bound the bases 2, 7 and 61 decide; at it they all pass
+    n = fp._FEW_BASES_BOUND
+    assert n == 4_759_123_141 == 48_781 * 97_561
+    assert all(_is_strong_probable_prime(n, a) for a in (2, 7, 61))
+    assert not _is_strong_probable_prime(n, 3)
+    assert not fp.is_prime(n)
+
+
+def test_is_prime_matches_sympy_across_the_three_base_bound():
+    bound = fp._FEW_BASES_BOUND
+    sample = np.random.default_rng(61).integers(bound - 10**7, bound + 10**7, 20_000).tolist()
+    sample += [int(sympy.nextprime(n)) for n in sample[:500]]
+    assert min(sample) < bound < max(sample)
+    assert [fp.is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+
+
+def test_choose_prime_tests_the_accepted_prime_once(monkeypatch):
+    powers = collections.Counter()  # modular powers by modulus
+
+    def counting_pow(base, exp, mod):
+        powers[mod] += 1
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(fp, "pow", counting_pow, raising=False)
+    fp._strong_probable_prime.cache_clear()
+    # the compare_bsearch universe at k = 4096: p lies below the three-base bound
+    params = fp.choose_prime(np.random.default_rng(18), 4096, 4096, 0.1)
+    assert sympy.isprime(params.p) and params.p < fp._FEW_BASES_BOUND
+    # one strong-probable-prime test per base, once; HashParams reused it
+    assert powers[params.p] == len(fp._FEW_BASES)
+    assert fp.is_prime(np.int64(params.p))
+    with pytest.raises(TypeError):
+        fp.is_prime(float(params.p))
+
+
 def test_is_prime_refuses_psi_7():
     psi_7 = 341_550_071_728_321  # a strong pseudoprime to every base up to 17
     assert fp.is_prime(psi_7 - 2) == sympy.isprime(psi_7 - 2)
@@ -242,6 +286,27 @@ def test_rolling_hash_examples():
     assert fp.rolling_hash(BitString.from_text("000"), 7).residue == 0
 
 
+@given(st.integers(0, 160), st.integers(0, 2**32 - 1), any_prime)
+def test_rolling_hash_matches_reference(n, seed, p):
+    u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
+    h = fp.rolling_hash(u, p)
+    assert h.residue == rolling_hash_reference(u, p) and h.width == fp.hash_width(p)
+
+
+# Any modulus up to 2^39 - 1; every drawable prime lies below 2^39.
+moduli = st.one_of(any_prime, st.integers(2, 2**39 - 1))
+
+
+@given(st.integers(0, 160), st.integers(0, 2**32 - 1), moduli)
+@example(0, 0, 2**39 - 1)  # the empty string
+@example(160, 7, int(sympy.prevprime(2**39)))
+def test_prefix_hash_matches_the_prefix_table(n, seed, p):
+    u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
+    value = u.to_int()
+    table = fp.prefix_hashes(u, p)
+    assert [fp.prefix_hash(value, i, p) for i in range(n + 1)] == table.tolist()
+
+
 def test_hash_value_rejects_residue_past_its_width():
     assert fp.HashValue(residue=7, width=3).residue == 7
     for residue in (8, -1):
@@ -264,7 +329,7 @@ def test_prefix_hashes_match_rolling(n, seed, p):
     assert out.dtype == np.int64
     assert len(out) == len(u) + 1
     for i in range(len(u) + 1):
-        assert int(out[i]) == fp.rolling_hash(u.substring(1, i), p).residue
+        assert int(out[i]) == rolling_hash_reference(u.substring(1, i), p)
 
 
 @given(bits, bits, small_primes)
@@ -278,7 +343,7 @@ def _assert_windows_match_direct(text, m, p):
     assert hashes.dtype == np.int64
     assert len(hashes) == len(text) - m + 1
     for i in range(len(hashes)):
-        assert int(hashes[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+        assert int(hashes[i]) == rolling_hash_reference(text.substring(i + 1, i + m), p)
 
 
 # m runs on both sides of the cut between exact window values and
@@ -308,11 +373,11 @@ def test_array_hashes_exact_across_sum_blocks(monkeypatch, p):
     text = BitString.from_bits(np.random.default_rng(p % 1000).integers(0, 2, 90))
     prefixes = fp.prefix_hashes(text, p)
     for i in range(len(text) + 1):
-        assert int(prefixes[i]) == fp.rolling_hash(text.substring(1, i), p).residue
+        assert int(prefixes[i]) == rolling_hash_reference(text.substring(1, i), p)
     m = fp._EXACT_WINDOW_BITS + 8
     windows = fp.window_hashes(text, m, p)
     for i in range(len(windows)):
-        assert int(windows[i]) == fp.rolling_hash(text.substring(i + 1, i + m), p).residue
+        assert int(windows[i]) == rolling_hash_reference(text.substring(i + 1, i + m), p)
 
 
 def test_array_hashes_reject_modulus_beyond_int64_bound():

@@ -157,6 +157,17 @@ def test_array_is_a_read_only_view_of_the_bits():
     assert u.substring(2, 3).array.tolist() == [0, 1]
 
 
+def test_to_int_weighs_bit_i_as_two_to_the_i_minus_one():
+    assert BitString.from_text("1011").to_int() == 1 + 4 + 8
+    assert BitString.from_text("0001").to_int() == 8
+    assert BitString.from_bits([]).to_int() == 0
+
+
+@given(st.text(alphabet="01", max_size=80))
+def test_to_int_reads_the_reversed_binary_numeral(s):
+    assert BitString.from_text(s).to_int() == int(s[::-1] or "0", 2)
+
+
 @given(st.text(alphabet="01", max_size=40))
 def test_text_round_trip(s):
     u = BitString.from_text(s)
