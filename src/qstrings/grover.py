@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,15 +50,19 @@ def amplification(error: float, steps: int) -> int:
     return max(1, math.ceil(math.log(10 * max(1, steps)) / math.log(1 / error)))
 
 
+# Query uniforms are drawn for up to this many steps in one call.  Each
+# block saves the generator state once, and a flip discards the rest of
+# its block; on match searches 16 was slower and 64 or 128 no faster.
+QUERY_BLOCK = 32
 _BAD_ERROR_CLASSES = "error_classes must map the padded domain to errors in [0, 1]"
 
 
 @lru_cache(maxsize=64)
 def _ranked_errors(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct errors ascending; each error's rank among them, as a
-    small unsigned key that numpy radix-sorts; and the rank of the first
-    positive error (a zero error has rank 0).  Read-only: every oracle
-    over the same error table shares them."""
+    """The distinct errors ascending; each error's rank among them, in
+    the smallest unsigned type that also holds their count; and the rank
+    of the first positive error (a zero error has rank 0).  Read-only:
+    every oracle over the same error table shares them."""
     table = np.asarray(errors, dtype=float)
     if not np.all((table >= 0) & (table <= 1)):
         raise ValueError(_BAD_ERROR_CLASSES)
@@ -78,9 +82,10 @@ class OracleSpec:
     gives index a the single-evaluation error errors[labels[a]];
     `error_prob` is the declared worst such error, which sets the default
     rho, and an oracle that declares one must give its classes.
-    Non-targets are grouped once into classes of equal positive error
-    (ascending, members in index order), so a query costs O(classes +
-    marked indices).
+    Non-targets fall into classes of equal positive error, ascending; a
+    class's members are listed, in index order, on the first query that
+    wrongly marks one of them, so a query costs O(classes + marked
+    indices) and a class no query flips is never listed.
     """
 
     def __init__(
@@ -108,7 +113,6 @@ class OracleSpec:
         self.evaluation_cost = evaluation_cost
         self.error_prob = error_prob
         self.inner_iterations_per_eval = inner_iterations_per_eval
-        # class c holds _members[_starts[c] : _starts[c] + _sizes[c]]
         self._class_errors: np.ndarray | None = None
         if error_classes is not None:
             labels, errors = error_classes
@@ -119,15 +123,17 @@ class OracleSpec:
                     or labels.max() >= len(errors)):
                 raise ValueError(_BAD_ERROR_CLASSES)
             values, rank, first_positive = _ranked_errors(errors)
+            # one key per padded index: its error's rank, or values.size
+            # for an index never wrongly marked (a target or a zero error)
             key = rank.take(labels)
-            index = (~truth & (key >= first_positive)).nonzero()[0]
-            key = key.take(index)
-            counts = np.bincount(key, minlength=values.size)
+            key[truth | (key < first_positive)] = values.size
+            counts = np.bincount(key, minlength=values.size + 1)[:-1]
             used = counts > 0
-            self._members = index.take(key.argsort(kind="stable"))
+            self._key = key
+            self._class_keys = np.flatnonzero(used)
             self._sizes = counts[used]
-            self._starts = np.cumsum(self._sizes) - self._sizes
             self._class_errors = values[used]
+            self._members: dict[int, np.ndarray] = {}
         self._query_errors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def query_error(self, rho: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -171,8 +177,48 @@ class OracleSpec:
         for c in np.flatnonzero(flipped):
             size = int(self._sizes[c])
             count = _binomial_count(float(u[c]), size, float(wrong[c]), float(none_wrong[c]))
-            flips.append(self._members[self._starts[c] + rng.choice(size, count, replace=False)])
+            flips.append(self._class_members(int(c))[rng.choice(size, count, replace=False)])
         return np.sort(np.concatenate([self.targets, *flips]))  # all disjoint
+
+    def _class_members(self, c: int) -> np.ndarray:
+        """The indices of error class c, ascending, listed on first use."""
+        members = self._members.get(c)
+        if members is None:
+            members = self._members[c] = np.flatnonzero(self._key == self._class_keys[c])
+        return members
+
+    def flipped_queries(
+        self, rng: np.random.Generator, rho: int, count: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The next `count` queries' flipped steps: (step, marked) for each
+        query that marks more than the targets, in order.  Every other
+        query marks exactly `targets`.
+
+        Draws from `rng` exactly what `count` calls of `query_pattern`
+        draw.  The uniforms of up to QUERY_BLOCK queries come in one
+        call, the same doubles as one call per query.  When a row flips a
+        class, the generator goes back to the block's start, redraws the
+        rows before it, and `query_pattern` answers the flipped query, so
+        its member draw comes at the same point of the stream.  An exact
+        oracle yields nothing and draws nothing.
+        """
+        err = self.query_error(rho)
+        if err is None or not err[1].size:
+            return
+        none_wrong = err[1]
+        step = 0
+        while step < count:
+            start = rng.bit_generator.state
+            block = rng.random((min(QUERY_BLOCK, count - step), none_wrong.size))
+            flips = np.flatnonzero(block >= none_wrong)
+            if not flips.size:
+                step += len(block)
+                continue
+            row = int(flips[0]) // none_wrong.size
+            rng.bit_generator.state = start
+            rng.random((row, none_wrong.size))
+            yield step + row, self.query_pattern(rng, rho)
+            step += row + 1
 
 
 def _binomial_count(u: float, n: int, q: float, p0: float) -> int:
@@ -250,16 +296,23 @@ def grover_run(
 
     The caller supplies a uniform index superposition.  Each query is
     answered by `rho` independent evaluations, by default enough for a
-    per-query error of at most 1/(10 * iterations).  For exact oracles
+    per-query error of at most 1/(10 * iterations).  The steps between
+    flipped queries mark exactly the targets and run as one
+    `target_steps` call; the amplitudes, draws and measured index are
+    those of one query, marking and diffusion per step.  For exact oracles
     on power-of-two domains the pre-measurement success probability is
     exactly sin^2((2*iterations+1) * asin(sqrt(t/M_padded))).
     """
     ledger = ledger if ledger is not None else ResourceLedger()
     before = ledger.snapshot()
     rho = amplification(oracle.error_prob, iterations) if rho is None else rho
-    for _ in range(iterations):
-        search.apply_phase_pattern(oracle.query_pattern(rng, rho))
+    done = 0
+    for step, marked in oracle.flipped_queries(rng, rho, iterations):
+        search.target_steps(oracle.targets, step - done)
+        search.apply_phase_pattern(marked)
         search.diffuse()
+        done = step + 1
+    search.target_steps(oracle.targets, iterations - done)
     # every iteration costs the same, so the run is charged once
     charge_iterations(ledger, search, oracle, iterations, rho)
     found = search.measure_index(rng)

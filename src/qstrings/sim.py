@@ -13,7 +13,9 @@ amplitudes.  A one-sided oracle marks every target in every query, so
 the targets share one amplitude for the whole run, the two-dimensional
 picture of multi-target search (Boyer, Brassard, Hoyer and Tapp, 1998).
 A query that marks exactly the group then costs O(1) scalar work, and
-any other step O(exceptions + marked).  The two backends must agree
+any other step O(exceptions + marked); `target_steps` runs a stretch of
+target-only steps as one scalar loop, and a state without exceptions is
+measured with no sorting.  The two backends must agree
 amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
@@ -336,8 +338,10 @@ class StructuredState:
     - sorted exception indices, disjoint from the group, each with its
       own amplitude: indices marked by some queries but not by all.
 
-    A step that marks exactly the group costs O(1) scalar work; any other
-    step costs O(exceptions + marked).
+    A step that marks exactly the group costs O(1) scalar work, and
+    `target_steps` runs a stretch of them as one loop over Python
+    floats; any other step costs O(exceptions + marked).  Measuring a
+    state without exceptions reads the group, already sorted, as is.
     """
 
     def __init__(
@@ -464,6 +468,48 @@ class StructuredState:
         self.check_norm()
         return self
 
+    def target_steps(self, targets: np.ndarray, count: int) -> "StructuredState":
+        """`count` steps that each mark exactly `targets`, then diffuse.
+
+        When `targets` is the group, or a uniform state adopts it, no
+        step changes which indices are off the base, so the steps run as
+        one scalar loop: each does the float operations of
+        `apply_phase_pattern(targets)` then `diffuse()`, in the same
+        order, norm check included.  Otherwise each step calls those two
+        methods.
+        """
+        if count and not self._group.size and not self._index.size:
+            # every amplitude is the base: the first marking adopts the
+            # targets as the group, and the loop negates the base for it
+            self._group, self._group_amp = targets, self._base
+        if targets is not self._group:
+            # the targets can become the group only in a uniform state
+            for _ in range(count):
+                self.apply_phase_pattern(targets)
+                self.diffuse()
+            return self
+        base, amp, values = self._base, self._group_amp, self._values
+        group = self._group.size
+        exceptions = self._index.size
+        rest = self.size - group - exceptions
+        for _ in range(count):
+            amp = -amp
+            total = base * rest + amp * group
+            if exceptions:
+                total += float(values.sum())
+            twice_mean = 2.0 * (total / self.size)
+            base = twice_mean - base
+            amp = twice_mean - amp
+            norm = base * base * rest + amp * amp * group
+            if exceptions:
+                np.subtract(twice_mean, values, out=values)
+                norm += float(np.dot(values, values))
+            if abs(norm - 1.0) > NORM_TOL:
+                self._base, self._group_amp = base, amp
+                raise ValueError(f"state norm {norm} drifted beyond tolerance")
+        self._base, self._group_amp = base, amp
+        return self
+
     def measure_index(self, rng: np.random.Generator) -> int:
         """Sample an index from the Born distribution and collapse onto it.
 
@@ -475,7 +521,8 @@ class StructuredState:
         the last one.  Up to SCALAR_MEASURE_SEGMENTS segments it is summed
         in Python floats, left to right as `np.cumsum` adds, and searched
         with `bisect_right` as `searchsorted(side="right")` does, so both
-        paths pick the same index from the same draw.
+        paths pick the same index from the same draw.  The group is
+        sorted, so a state without exceptions is measured without a sort.
         """
         base_prob = self._base * self._base
         segments = 2 * (self._group.size + self._index.size) + 1
@@ -495,10 +542,11 @@ class StructuredState:
             target = rng.random() * cdf[-1]
             seg = bisect_right(cdf, target)
         else:
-            index = np.concatenate((self._group, self._index))
-            values = np.concatenate((np.full(self._group.size, self._group_amp), self._values))
-            order = np.argsort(index)
-            index, values = index[order], values[order]
+            index, values = self._group, np.full(self._group.size, self._group_amp)
+            if self._index.size:
+                index = np.concatenate((index, self._index))
+                order = np.argsort(index)
+                index, values = index[order], np.concatenate((values, self._values))[order]
             starts = np.concatenate(([0], index + 1))
             ends = np.concatenate((index, [self.size]))
             mass = np.empty(segments)
@@ -584,6 +632,12 @@ class DenseSearchState:
         diffusion(self.state, "idx")
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
+
+    def target_steps(self, targets: np.ndarray, count: int) -> None:
+        """`count` steps that each mark exactly `targets`, then diffuse."""
+        for _ in range(count):
+            self.apply_phase_pattern(targets)
+            self.diffuse()
 
     def index_probabilities(self) -> np.ndarray:
         probs = np.abs(self.state.amps) ** 2

@@ -1,6 +1,6 @@
-"""Helpers only the tests use: a scalar reference hash, a classical
-prefix-hash comparator, a collision-rate Monte Carlo and a
-multi-occurrence instance generator."""
+"""Helpers only the tests use: a scalar reference hash, a per-query
+reference Grover run, a classical prefix-hash comparator, a
+collision-rate Monte Carlo and a multi-occurrence instance generator."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import math
 import numpy as np
 
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
+from qstrings.grover import GroverOutcome, OracleSpec, amplification, charge_iterations
+from qstrings.resources import ResourceLedger
+from qstrings.sim import SearchState
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
 
 
@@ -21,6 +24,32 @@ def rolling_hash_reference(u: BitString, p: int) -> int:
             acc = (acc + power) % p
         power = (power << 1) % p
     return acc
+
+
+def grover_run_reference(
+    search: SearchState,
+    oracle: OracleSpec,
+    iterations: int,
+    rng: np.random.Generator,
+    ledger: ResourceLedger | None = None,
+    rho: int | None = None,
+) -> GroverOutcome:
+    """`grover.grover_run` as one query, one phase marking and one
+    diffusion per step, each query drawing its own uniforms."""
+    ledger = ledger if ledger is not None else ResourceLedger()
+    before = ledger.snapshot()
+    rho = amplification(oracle.error_prob, iterations) if rho is None else rho
+    for _ in range(iterations):
+        search.apply_phase_pattern(oracle.query_pattern(rng, rho))
+        search.diffuse()
+    charge_iterations(ledger, search, oracle, iterations, rho)
+    found = search.measure_index(rng)
+    ledger.close_phase(f"grover_run[{iterations}]", before)
+    return GroverOutcome(
+        found_index=found,
+        verified=bool(oracle.truth[found]),
+        iterations_used=iterations,
+    )
 
 
 def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstrings.grover import (
     OracleSpec,
@@ -21,6 +22,7 @@ from qstrings.sim import (
     RegisterLayout,
     StructuredState,
 )
+from support import grover_run_reference
 
 
 def _structured(domain):
@@ -280,8 +282,12 @@ def _error_class_cases():
 def test_error_classes_match_per_index_grouping(table, labels, truth):
     oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
     members, starts, sizes, errors = _reference_classes(truth, table[labels])
-    assert np.array_equal(oracle._members, members)
-    assert np.array_equal(oracle._starts, starts)
+    assert not oracle._members  # no class is listed before a query flips it
+    listed = [oracle._class_members(c) for c in range(oracle._sizes.size)]
+    assert all(oracle._class_members(c) is m for c, m in enumerate(listed))
+    assert np.array_equal(np.concatenate([np.empty(0, dtype=np.int64), *listed]), members)
+    lengths = np.array([m.size for m in listed], dtype=np.int64)
+    assert np.array_equal(np.cumsum(lengths) - lengths, starts)
     assert np.array_equal(oracle._sizes, sizes)
     assert np.array_equal(oracle._class_errors, errors)
 
@@ -457,3 +463,136 @@ def test_grover_outcome_verified_property():
         assert outcome.verified is bool(truth[outcome.found_index])
         seen.add(outcome.verified)
     assert seen == {True, False}
+
+
+def test_block_draws_are_the_per_query_draws():
+    # a block of query uniforms drawn in one call is the stream of one
+    # call per query, and a saved generator state replays it
+    rng = np.random.default_rng(2024)
+    state = rng.bit_generator.state
+    block = rng.random((37, 5))
+    after = rng.random()
+    rng.bit_generator.state = state
+    rows = [rng.random(5) for _ in range(37)]
+    assert np.array_equal(block, np.array(rows))
+    assert rng.random() == after
+    rng.bit_generator.state = state
+    assert np.array_equal(rng.random((37, 5)), block)
+
+
+def _noisy_oracle(domain, truth, labels, errors):
+    return OracleSpec(domain, truth, evaluation_cost=3, error_prob=0.25,
+                      error_classes=(labels, errors), inner_iterations_per_eval=2)
+
+
+def _run_record(run, search, oracle, iterations, seed, rho):
+    """What a run leaves behind: the amplitudes just before its
+    measurement, its outcome, its ledger and the generator's next draw."""
+    before = []
+    measure = search.measure_index
+
+    def measure_index(rng):
+        dense = isinstance(search, DenseSearchState)
+        before.append(search.state.amps.copy() if dense else search.amps)
+        return measure(rng)
+
+    search.measure_index = measure_index
+    rng = np.random.default_rng(seed)
+    ledger = ResourceLedger()
+    outcome = run(search, oracle, iterations, rng, ledger, rho)
+    return before[0], outcome, ledger.counters(), ledger.phase_breakdown, rng.random()
+
+
+def _assert_same_run(backend, oracle, iterations, seed, rho):
+    make = _structured if backend == "structured" else _dense
+    want = _run_record(grover_run_reference, make(oracle.domain_size), oracle, iterations, seed, rho)
+    got = _run_record(grover_run, make(oracle.domain_size), oracle, iterations, seed, rho)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@st.composite
+def _grover_runs(draw, max_width, max_iterations):
+    """An exact or noisy oracle over a small domain, with a run's
+    iterations, seed and rho."""
+    padded = 1 << draw(st.integers(1, max_width))
+    domain = draw(st.integers(padded // 2 + 1, padded))
+    truth = np.zeros(padded, dtype=bool)
+    truth[sorted(draw(st.sets(st.integers(0, domain - 1))))] = True
+    if draw(st.booleans()):
+        errors = tuple(draw(st.lists(st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+                                     min_size=1, max_size=4)))
+        labels = np.array(draw(st.lists(st.integers(0, len(errors) - 1),
+                                        min_size=padded, max_size=padded)), dtype=np.uint8)
+        oracle = _noisy_oracle(domain, truth, labels, errors)
+    else:
+        oracle = OracleSpec(domain, truth)
+    iterations = draw(st.integers(0, max_iterations))
+    return oracle, iterations, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([None, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grover_runs(max_width=6, max_iterations=80))
+def test_grover_run_is_the_per_query_loop_structured(run):
+    _assert_same_run("structured", *run)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grover_runs(max_width=4, max_iterations=40))
+def test_grover_run_is_the_per_query_loop_dense(run):
+    _assert_same_run("dense", *run)
+
+
+def _flip_steps(oracle, seed, rho, iterations):
+    """The steps whose query marks more than the targets."""
+    rng = np.random.default_rng(seed)
+    return [s for s in range(iterations) if oracle.query_pattern(rng, rho) is not oracle.targets]
+
+
+def _sixteen(error):
+    """Targets 3 and 11 over 16 indices; the other indices split between
+    a zero-error class, one of `error` and one of `error / 4`."""
+    truth = np.zeros(16, dtype=bool)
+    truth[[3, 11]] = True
+    labels = np.arange(16, dtype=np.uint8) % 3
+    return _noisy_oracle(16, truth, labels, (0.0, error, error / 4))
+
+
+@pytest.mark.parametrize("backend", ["structured", "dense"])
+@pytest.mark.parametrize("error, rho, iterations, seed, flips", [
+    (0.02, 1, 6, 1, [0]),  # the group the flip adopts dissolves on the next step
+    (0.02, 1, 6, 31, [5]),  # the last step
+    (0.02, 1, 20, 1, [0, 11, 13, 16]),
+    (0.2, 2, 40, 5, [4, 5, 6, 9, 12, 22, 23, 35, 37]),  # runs of flips, one block
+    (0.2, 2, 40, 7, [0, 7, 8, 11, 18, 25, 26, 34, 35, 38]),
+])
+def test_grover_run_is_the_per_query_loop_around_flips(backend, error, rho, iterations, seed, flips):
+    oracle = _sixteen(error)
+    assert _flip_steps(oracle, seed, rho, iterations) == flips
+    _assert_same_run(backend, oracle, iterations, seed, rho)
+
+
+@pytest.mark.parametrize("backend", ["structured", "dense"])
+@pytest.mark.parametrize("targets", [[], [9], [0, 2, 5, 7, 8, 11, 12]])
+def test_grover_run_is_the_per_query_loop_for_exact_oracles(backend, targets):
+    truth = np.zeros(16, dtype=bool)
+    truth[targets] = True
+    for iterations in (0, 1, 2, 7, 33):
+        _assert_same_run(backend, OracleSpec(13, truth), iterations, iterations, None)
+
+
+def test_group_steps_keep_the_norm_check(monkeypatch):
+    truth = np.zeros(64, dtype=bool)
+    truth[[9, 40]] = True
+    oracle = OracleSpec(64, truth)
+    search = _structured(64)
+    search.apply_phase_pattern(oracle.targets)  # the targets become the group
+    search.diffuse()
+    search._base *= 1 + 1e-6
+
+    def refuse(self):
+        raise AssertionError("a group step took the per-step path")
+
+    monkeypatch.setattr(StructuredState, "diffuse", refuse)
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        grover_run(search, oracle, 3, np.random.default_rng(0))
