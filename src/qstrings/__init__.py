@@ -6,14 +6,13 @@ grover (search primitives), qmatch (substring search), qcompare
 (lexicographic comparators), resources (ledger and sweeps), cli.
 """
 
-from .fingerprint import HashParams, HashValue, choose_prime, rolling_hash
+from .fingerprint import HashParams, choose_prime, rolling_hash
 from .strings_core import BitString, MatchInstance, compare_classical, lcp_classical
 
 __all__ = [
     "BitString",
     "MatchInstance",
     "HashParams",
-    "HashValue",
     "choose_prime",
     "rolling_hash",
     "compare_classical",

@@ -5,8 +5,8 @@ comparison algorithms in both backends with shared marked-index sets and
 compares amplitudes after each step: the dense state, with its phase
 flag projected out, must equal the expanded structured state to within
 1e-9, and the two ledgers must agree exactly.  Binary-search comparator
-instances additionally check preparation, element access, and readout
-equivalence between the backends.
+instances check preparation instead, and both backends' bound symbols
+against the strings' own at every position.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .grover import (
     doubling_schedule,
     optimal_iterations,
 )
-from .qcompare import access_element, build_compare_state
+from .qcompare import build_compare_state
 from .qmatch import prepare_match_state
 from .resources import ResourceLedger
 from .sim import (
@@ -152,8 +152,8 @@ def _compare_grover_instance(name, u_text, v_text, rng) -> InstanceReport:
 
 
 def _compare_bsearch_instance(name, u_text, v_text) -> InstanceReport:
-    template = build_compare_state(BitString.from_text(u_text), BitString.from_text(v_text))
-    k = template.domain_size
+    u, v = BitString.from_text(u_text), BitString.from_text(v_text)
+    template = build_compare_state(u, v)
     structured = StructuredState.like(template)
     dense_search = DenseSearchState.like(template)
     max_dev, worst_idx = _deviation(dense_search, structured)
@@ -161,19 +161,13 @@ def _compare_bsearch_instance(name, u_text, v_text) -> InstanceReport:
         return InstanceReport(
             name, max_dev, False, f"amplitude mismatch at basis index {worst_idx}"
         )
-    led_dense = ResourceLedger()
-    led_struct = ResourceLedger()
-    dense_readout = DenseSearchState.like(template)
-    struct_readout = StructuredState.like(template)
-    for i in range(k):
-        dense_vals = access_element(dense_readout, i, ("u", "v"), led_dense, domain=k)
-        struct_vals = access_element(struct_readout, i, ("u", "v"), led_struct, domain=k)
-        if dense_vals != struct_vals:
+    for i in range(template.domain_size):
+        dense_vals = dense_search.values_at(i, ("u", "v"))
+        struct_vals = structured.values_at(i, ("u", "v"))
+        if not dense_vals == struct_vals == (u.bit(i + 1), v.bit(i + 1)):
             return InstanceReport(
                 name, max_dev, False, f"element access mismatch at index {i}"
             )
-    if led_dense.counters() != led_struct.counters():
-        return InstanceReport(name, max_dev, False, "ledger mismatch between backends")
     return InstanceReport(name, max_dev, True)
 
 

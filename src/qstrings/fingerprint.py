@@ -5,7 +5,8 @@ drawn uniformly from the first r primes, with r sized as
 ceil(delta * max_len / epsilon) so that a run performing up to `delta`
 hash comparisons on strings up to `max_len` bits keeps its total
 false-equality probability at most epsilon.  Equal strings always hash
-equal; only the converse is probabilistic.
+equal; only the converse is probabilistic.  A hash is an int residue,
+of register width `hash_width(p)`.
 
 The draw is the Karp-Rabin one: uniform integers in [2, p_r] until
 `is_prime`, a deterministic Miller-Rabin test, accepts one; the check
@@ -313,22 +314,9 @@ def hash_width(p: int) -> int:
     return max(1, (p - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class HashValue:
-    """A residue mod p together with its fixed register width."""
-
-    residue: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.residue < (1 << self.width):
-            raise ValueError("residue does not fit the declared width")
-
-
-def rolling_hash(u: BitString, p: int) -> HashValue:
-    """h_p(u), as the residue of u's little-endian integer value."""
-    width = hash_width(p)
-    return HashValue(residue=u.to_int() % p, width=width)
+def rolling_hash(u: BitString, p: int) -> int:
+    """h_p(u), the int residue of u's little-endian integer value."""
+    return u.to_int() % p
 
 
 def prefix_hash(value: int, length: int, p: int) -> int:

@@ -4,12 +4,12 @@ The search comparator runs threshold-descent minimum finding over the
 ranks of the pairs (1 - [u_a != v_a], a), so the minimum key names the
 first differing position; a sentinel threshold above every real rank
 encodes "no differing position found yet".  The binary-search
-comparator fingerprints only the prefixes it probes, each from its
-string's integer value, fetches the hash pair of each at ceil(log2 k)
-access units, and locates the first hash-unequal prefix with exactly
-ceil(log2 k) rho-fold quantum equality tests, then reads the symbol pair
-at the candidate position to settle the verdict.  Length cases are
-decided classically in both.
+comparator builds no search state: it hashes only the prefixes it
+probes, each to an int residue fetched at ceil(log2 k) access units,
+and locates the first hash-unequal one with exactly ceil(log2 k)
+rho-fold quantum equality tests.  Both read the symbol pair at the
+candidate position, at the same access cost, to settle the verdict.
+Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fingerprint
-from .fingerprint import HashParams, HashValue
+from .fingerprint import HashParams
 from .grover import amplification, durr_hoyer_min
 from .qmatch import evaluation_constants, hash_equality_eval
 from .resources import (
@@ -73,8 +73,8 @@ def _length_verdict(u: BitString, v: BitString) -> int:
 
 
 def build_compare_state(u: BitString, v: BitString) -> StructuredState:
-    """The validated template of every comparator search state: positions
-    a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
+    """The validated template of every compare_grover search state:
+    positions a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
     entries bind equal zeros, so a padded index can never look like a
     differing position."""
     k = min(len(u), len(v))
@@ -86,20 +86,17 @@ def build_compare_state(u: BitString, v: BitString) -> StructuredState:
 
 
 def access_element(
-    state: SearchState,
-    i: int,
-    registers: tuple[str, ...],
-    ledger: ResourceLedger,
-    domain: int,
-) -> tuple[int, ...]:
-    """Bound data values at index i, charged at ceil(log2 domain) units.
+    u: BitString, v: BitString, i: int, ledger: ResourceLedger
+) -> tuple[int, int]:
+    """The symbol pair (u_i, v_i) at 0-based position i < k = min(|u|, |v|),
+    charged at ceil(log2 k) access units.
 
     The swap-to-front access trick costs the same for every index, so the
     charge is uniform and independent of i.
     """
-    values = state.values_at(i, registers)
-    charge(ledger, "access_units", index_width(domain))
-    return values
+    symbols = u.bit(i + 1), v.bit(i + 1)  # IndexError past either string
+    charge(ledger, "access_units", index_width(min(len(u), len(v))))
+    return symbols
 
 
 def compare_grover(
@@ -133,8 +130,8 @@ def compare_grover(
         # prefix, so string length decides.
         verdict = _length_verdict(u, v)
         return CompareResult(verdict, None, phases, 0, copies, records, ledger)
-    readout = backend.like(template)
-    u_bit, v_bit = access_element(readout, best, ("u", "v"), ledger, domain=k)
+    # the readout consumes one more copy of the state in the algorithm
+    u_bit, v_bit = access_element(u, v, best, ledger)
     verdict = -1 if u_bit < v_bit else 1
     return CompareResult(verdict, best + 1, phases, 0, copies + 1, records, ledger)
 
@@ -163,7 +160,6 @@ def compare_bsearch(
     if params is None or params.delta < k:
         raise ValueError("hash parameters sized for fewer comparisons than k")
     ledger.qubits_total = qubit_count_compare_bsearch(k, params.epsilon, p=params.p)
-    template = build_compare_state(u, v)
     value_u, value_v = u.to_int(), v.to_int()
     p, width = params.p, params.width
     log_k = index_width(k)
@@ -177,16 +173,15 @@ def compare_bsearch(
     for _ in range(log_k):
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
         charge(ledger, "access_units", log_k)  # swap-to-front fetch of mid
-        href = HashValue(fingerprint.prefix_hash(value_u, mid, p), width)
-        hcand = HashValue(fingerprint.prefix_hash(value_v, mid, p), width)
-        if hash_equality_eval(href, hcand, rho, rng, backend, ledger):
+        href = fingerprint.prefix_hash(value_u, mid, p)
+        hcand = fingerprint.prefix_hash(value_v, mid, p)
+        if hash_equality_eval(href, hcand, width, rho, rng, backend, ledger):
             if mid < hi:
                 lo = mid
         else:
             hi = mid
     a0 = hi
-    readout = backend.like(template)
-    u_bit, v_bit = access_element(readout, a0 - 1, ("u", "v"), ledger, domain=k)
+    u_bit, v_bit = access_element(u, v, a0 - 1, ledger)
     if u_bit == v_bit:
         # The candidate position does not actually differ: equal within
         # the compared prefix, so string length decides.

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fingerprint
-from .fingerprint import HashParams, HashValue
+from .fingerprint import HashParams
 from .grover import (
     OracleSpec,
     doubling_schedule,
@@ -93,14 +93,15 @@ def evaluation_constants(bit_domain: int) -> Evaluation:
 
 
 def hash_equality_eval(
-    reference: HashValue,
-    candidate: HashValue,
+    reference: int,
+    candidate: int,
+    width: int,
     rho: int,
     rng: np.random.Generator,
     backend: type[SearchState],
     ledger: ResourceLedger,
 ) -> bool:
-    """rho-fold equality test: True if the hashes are judged equal.
+    """rho-fold equality test: True if two `width`-bit residues are judged equal.
 
     Each of the rho independent evaluations runs the inner schedule
     searching bit positions where the two residues differ, and stops at
@@ -111,23 +112,19 @@ def hash_equality_eval(
     residues are equal; any other backend class evolves its own search
     state over the bit positions.
     """
-    if reference.width != candidate.width:
-        raise ValueError("hash widths differ")
-    domain = padded_size(reference.width)
+    domain = padded_size(width)
     evaluation = evaluation_constants(domain)
     charge(ledger, "inner_grover_iterations", rho * evaluation.inner_iterations)
     charge(ledger, "hash_eval_units", rho * evaluation.gate_units)
-    diff = reference.residue ^ candidate.residue
+    diff = reference ^ candidate
     if backend is StructuredState:
-        t = bin(diff).count("1")
+        t = diff.bit_count()
         if t == 0:
             return True  # no differing bit exists, so nothing is drawn
         hits = hit_probabilities(domain, t)
         finds = [any(rng.random() < hit for hit in hits) for _ in range(rho)]
     else:
-        truth = np.array(
-            [(diff >> j) & 1 == 1 if j < reference.width else False for j in range(domain)]
-        )
+        truth = np.array([(diff >> j) & 1 == 1 for j in range(domain)])
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         layout = search_layout(domain)
         schedule = inner_schedule(domain)
@@ -155,7 +152,7 @@ class MatchStateSpec:
 
     instance: MatchInstance
     params: HashParams
-    pattern_hash: HashValue
+    pattern_hash: int
     window_hash_table: np.ndarray  # padded domain -> residue
 
     @property
@@ -176,7 +173,7 @@ class MatchStateSpec:
         bit_domain = padded_size(self.params.width)
         evaluation = evaluation_constants(bit_domain)
         # t <= width <= bit_domain: every residue, the sentinel too, has width bits
-        t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash.residue)
+        t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash)
         truth = t_counts == 0
         truth[self.num_windows :] = False  # sentinel never equals the pattern hash
         # error class = differing-bit count t, with miss probability miss[t]
@@ -207,7 +204,7 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
     padded = padded_size(inst.num_windows)
     table = np.zeros(padded, dtype=np.int64)
     table[: inst.num_windows] = fingerprint.window_hashes(inst.text, inst.m, params.p)
-    sentinel = (~pattern_hash.residue) & ((1 << params.width) - 1)
+    sentinel = ~pattern_hash & ((1 << params.width) - 1)
     table[inst.num_windows :] = sentinel
     table.flags.writeable = False
     return MatchStateSpec(
@@ -238,7 +235,7 @@ class MatchResult:
 def _verify(inst: MatchInstance, spec: MatchStateSpec, measured: int) -> tuple[bool, bool]:
     hash_ok = bool(
         measured < inst.num_windows
-        and spec.window_hash_table[measured] == spec.pattern_hash.residue
+        and spec.window_hash_table[measured] == spec.pattern_hash
     )
     exact_ok = hash_ok and inst.window(measured + 1).bits == inst.pattern.bits
     return hash_ok, exact_ok

@@ -564,9 +564,6 @@ class StructuredState:
         self._values = _NO_VALUES
         return outcome
 
-    def index_probabilities(self) -> np.ndarray:
-        return self.amps**2
-
     @property
     def index_width(self) -> int:
         return self.layout.width("idx")

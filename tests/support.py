@@ -1,6 +1,7 @@
 """Helpers only the tests use: a scalar reference hash, a per-query
 reference Grover run, a classical prefix-hash comparator, a
-collision-rate Monte Carlo and a multi-occurrence instance generator."""
+collision-rate Monte Carlo, a multi-occurrence instance generator and
+either backend's index marginal."""
 
 from __future__ import annotations
 
@@ -11,8 +12,15 @@ import numpy as np
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
 from qstrings.grover import GroverOutcome, OracleSpec, amplification, charge_iterations
 from qstrings.resources import ResourceLedger
-from qstrings.sim import SearchState
+from qstrings.sim import SearchState, StructuredState
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
+
+
+def index_probabilities(search: SearchState) -> np.ndarray:
+    """The index marginal of either backend; a structured state's is amps ** 2."""
+    if isinstance(search, StructuredState):
+        return search.amps**2
+    return search.index_probabilities()
 
 
 def rolling_hash_reference(u: BitString, p: int) -> int:
@@ -113,7 +121,7 @@ def monte_carlo_collision_rate(
         if compare_classical(u, v) == 0:
             continue
         params = choose_prime(rng, delta=delta, max_len=max(lu, lv), epsilon=epsilon)
-        if rolling_hash(u, params.p).residue == rolling_hash(v, params.p).residue:
+        if rolling_hash(u, params.p) == rolling_hash(v, params.p):
             collisions += 1
     return collisions / pairs
 

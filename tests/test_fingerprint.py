@@ -279,18 +279,18 @@ def test_hash_width():
 
 
 def test_rolling_hash_examples():
-    assert fp.rolling_hash(BitString.from_text("110"), 5).residue == 3
-    assert fp.rolling_hash(BitString.from_bits([]), 7).residue == 0
+    assert fp.rolling_hash(BitString.from_text("110"), 5) == 3
+    assert fp.rolling_hash(BitString.from_bits([]), 7) == 0
     # 1+2+4 = 7 collides with the all-zero string mod 7
-    assert fp.rolling_hash(BitString.from_text("111"), 7).residue == 0
-    assert fp.rolling_hash(BitString.from_text("000"), 7).residue == 0
+    assert fp.rolling_hash(BitString.from_text("111"), 7) == 0
+    assert fp.rolling_hash(BitString.from_text("000"), 7) == 0
 
 
 @given(st.integers(0, 160), st.integers(0, 2**32 - 1), any_prime)
 def test_rolling_hash_matches_reference(n, seed, p):
     u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
     h = fp.rolling_hash(u, p)
-    assert h.residue == rolling_hash_reference(u, p) and h.width == fp.hash_width(p)
+    assert h == rolling_hash_reference(u, p) and h < 1 << fp.hash_width(p)
 
 
 # Any modulus up to 2^39 - 1; every drawable prime lies below 2^39.
@@ -305,13 +305,6 @@ def test_prefix_hash_matches_the_prefix_table(n, seed, p):
     value = u.to_int()
     table = fp.prefix_hashes(u, p)
     assert [fp.prefix_hash(value, i, p) for i in range(n + 1)] == table.tolist()
-
-
-def test_hash_value_rejects_residue_past_its_width():
-    assert fp.HashValue(residue=7, width=3).residue == 7
-    for residue in (8, -1):
-        with pytest.raises(ValueError):
-            fp.HashValue(residue=residue, width=3)
 
 
 def test_prefix_hashes_examples():
@@ -335,7 +328,7 @@ def test_prefix_hashes_match_rolling(n, seed, p):
 @given(bits, bits, small_primes)
 def test_equal_strings_always_hash_equal(u, v, p):
     if u.bits == v.bits:
-        assert fp.rolling_hash(u, p).residue == fp.rolling_hash(v, p).residue
+        assert fp.rolling_hash(u, p) == fp.rolling_hash(v, p)
 
 
 def _assert_windows_match_direct(text, m, p):

@@ -22,7 +22,7 @@ from qstrings.sim import (
     RegisterLayout,
     StructuredState,
 )
-from support import grover_run_reference
+from support import grover_run_reference, index_probabilities
 
 
 def _structured(domain):
@@ -63,7 +63,7 @@ def test_amplitude_success_matches_closed_form(backend, domain, targets, iterati
     for _ in range(iterations):
         search.apply_phase_pattern(oracle.query_pattern(np.random.default_rng(0), 1))
         search.diffuse()
-    probs = search.index_probabilities()
+    probs = index_probabilities(search)
     got = float(probs[list(targets)].sum())
     assert abs(got - success_probability(domain, len(targets), iterations)) < 1e-9
 

@@ -16,6 +16,7 @@ from qstrings.qcompare import (
 )
 from qstrings.resources import (
     ResourceLedger,
+    index_width,
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
@@ -28,33 +29,32 @@ def _params(p, k, epsilon=0.5):
                       r=universe_size(k, k, epsilon))
 
 
-def test_access_element_structured():
-    u = BitString.from_text("1011")
-    v = BitString.from_text("1001")
-    template = build_compare_state(u, v)
-    struct = StructuredState.like(template)
+@pytest.mark.parametrize("u_text, v_text", [("1011", "1001"), ("10110", "100"), ("01", "0110")])
+def test_access_element_reads_the_strings(u_text, v_text):
+    u, v = BitString.from_text(u_text), BitString.from_text(v_text)
+    k = min(len(u), len(v))
     ledger = ResourceLedger()
-    assert access_element(struct, 0, ("u", "v"), ledger, domain=4) == (1, 1)
-    assert access_element(struct, 2, ("u", "v"), ledger, domain=4) == (1, 0)
-    assert access_element(struct, 3, ("u",), ledger, domain=4) == (1,)
-    # uniform charge per access: ceil(log2 4) each
-    assert ledger.access_units == 3 * 2
-    with pytest.raises(IndexError):
-        access_element(struct, 99, ("u",), ledger, domain=4)
+    for i in range(k):
+        assert access_element(u, v, i, ledger) == (int(u_text[i]), int(v_text[i]))
+        # uniform charge per access: ceil(log2 k) each
+        assert ledger.access_units == (i + 1) * index_width(k)
+    for i in (k, -1):  # past the shorter string, and before the first symbol
+        with pytest.raises(IndexError):
+            access_element(u, v, i, ledger)
+    assert ledger.access_units == k * index_width(k)
 
 
-def test_access_element_dense_matches_structured():
-    u = BitString.from_text("101")
-    v = BitString.from_text("111")
-    template = build_compare_state(u, v)
+def test_compare_template_binds_the_symbols_on_both_backends():
+    template = build_compare_state(BitString.from_text("101"), BitString.from_text("11101"))
     dense = DenseSearchState.like(template)
     struct = StructuredState.like(template)
-    dense_ledger, struct_ledger = ResourceLedger(), ResourceLedger()
-    for i in range(3):
-        assert access_element(dense, i, ("u", "v"), dense_ledger, domain=3) == access_element(
-            struct, i, ("u", "v"), struct_ledger, domain=3
-        )
-    assert dense_ledger.access_units == struct_ledger.access_units == 3 * 2
+    # the padding index 3 binds equal zeros
+    for i, symbols in enumerate([(1, 1), (0, 1), (1, 1), (0, 0)]):
+        assert dense.values_at(i, ("u", "v")) == struct.values_at(i, ("u", "v")) == symbols
+    assert struct.values_at(2, ("u",)) == (1,)
+    for search in (dense, struct):
+        with pytest.raises(IndexError):
+            search.values_at(99, ("u",))
 
 
 def test_symbol_copies_share_read_only_bindings_and_evolve_independently():
@@ -195,7 +195,7 @@ def _reference_compare_grover(u, v, rng):
     )
     best = out[0]
     if best is not None and differs[best]:
-        access_element(StructuredState.like(template), best, ("u", "v"), ledger, domain=k)
+        access_element(u, v, best, ledger)
     return out, tuple(records), ledger
 
 
@@ -245,6 +245,21 @@ def test_compare_bsearch_example():
             if result.first_difference is not None:
                 assert result.first_difference == 3
     assert agree / 300 >= 0.8
+
+
+def test_compare_bsearch_builds_no_search_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_bsearch built a search state")
+
+    monkeypatch.setattr(StructuredState, "__init__", refuse)
+    monkeypatch.setattr(StructuredState, "copy", refuse)
+    pairs = [("0110", "0100"), ("100110", "100110"), ("0111", "011")]
+    for trial, (u_text, v_text) in enumerate(pairs):
+        u, v = BitString.from_text(u_text), BitString.from_text(v_text)
+        rng = np.random.default_rng((173, trial))
+        params = compare_params(u, v, 0.01, rng)
+        result = compare_bsearch(u, v, params, rng, backend=StructuredState)
+        assert result.verdict == compare_classical(u, v), (u_text, v_text)
 
 
 def test_compare_bsearch_equal_strings():

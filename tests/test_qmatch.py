@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstrings import qmatch
-from qstrings.fingerprint import HashParams, HashValue, rolling_hash, universe_size
+from qstrings.fingerprint import HashParams, rolling_hash, universe_size
 from qstrings.qmatch import (
     MatchResult,
     evaluation_constants,
@@ -52,39 +52,38 @@ def test_miss_table_endpoints():
 @pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
 def test_equal_hashes_always_judged_equal(backend):
     rng = np.random.default_rng(0)
-    h = HashValue(5, 4)
     for _ in range(50):
-        assert hash_equality_eval(h, h, 1, rng, backend, ResourceLedger()) == 1
+        assert hash_equality_eval(5, 5, 4, 1, rng, backend, ResourceLedger()) == 1
     # no differing bit: the structured backend has nothing to draw
-    assert hash_equality_eval(h, h, 4, rng, backend, ResourceLedger())
+    assert hash_equality_eval(5, 5, 4, 4, rng, backend, ResourceLedger())
     if backend is StructuredState:
         assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_one_differing_bit_of_four_found_with_certainty_dense():
     rng = np.random.default_rng(1)
-    a, b = HashValue(0b1010, 4), HashValue(0b1000, 4)
+    a, b = 0b1010, 0b1000
     for _ in range(50):
-        assert hash_equality_eval(a, b, 1, rng, DenseSearchState, ResourceLedger()) == 0
+        assert hash_equality_eval(a, b, 4, 1, rng, DenseSearchState, ResourceLedger()) == 0
 
 
 def test_all_bits_differing_found_with_certainty():
     rng = np.random.default_rng(2)
-    a, b = HashValue(0b0000, 4), HashValue(0b1111, 4)
+    a, b = 0b0000, 0b1111
     for backend in (StructuredState, DenseSearchState):
         for _ in range(30):
-            assert hash_equality_eval(a, b, 1, rng, backend, ResourceLedger()) == 0
+            assert hash_equality_eval(a, b, 4, 1, rng, backend, ResourceLedger()) == 0
 
 
 @pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
 def test_rho_fold_test_runs_every_evaluation(backend):
     # one rho-fold test draws and charges as rho single evaluations do
-    a, b = HashValue(0b0011, 4), HashValue(0b0000, 4)
+    a, b = 0b0011, 0b0000
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ledger, ref_ledger = ResourceLedger(), ResourceLedger()
-        equal = hash_equality_eval(a, b, 3, rng, backend, ledger)
-        singles = [hash_equality_eval(a, b, 1, ref_rng, backend, ref_ledger) for _ in range(3)]
+        equal = hash_equality_eval(a, b, 4, 3, rng, backend, ledger)
+        singles = [hash_equality_eval(a, b, 4, 1, ref_rng, backend, ref_ledger) for _ in range(3)]
         assert equal == all(singles)
         assert ledger.counters() == ref_ledger.counters()
         assert ledger.hash_eval_units == 3 * evaluation_constants(4).gate_units
@@ -93,13 +92,13 @@ def test_rho_fold_test_runs_every_evaluation(backend):
 
 def test_eval_modes_agree_in_distribution():
     # two differing bits of four: per-evaluation miss 1/4 * 1/4 * 3/4
-    a, b = HashValue(0b0011, 4), HashValue(0b0000, 4)
+    a, b = 0b0011, 0b0000
     trials = 4000
     rates = {}
     for backend in (StructuredState, DenseSearchState):
         rng = np.random.default_rng(99)
         rates[backend] = sum(
-            hash_equality_eval(a, b, 1, rng, backend, ResourceLedger()) for _ in range(trials)
+            hash_equality_eval(a, b, 4, 1, rng, backend, ResourceLedger()) for _ in range(trials)
         ) / trials
     assert abs(rates[StructuredState] - rates[DenseSearchState]) < 0.05
 
@@ -110,7 +109,7 @@ def test_prepare_match_state_layout():
     spec = prepare_match_state(inst, params)
     assert spec.make_copy().index_width == 2
     assert spec.window_hash_table.shape == (4,)  # the padded window domain
-    assert spec.window_hash_table[0] == rolling_hash(inst.text.substring(1, 3), 7).residue
+    assert spec.window_hash_table[0] == rolling_hash(inst.text.substring(1, 3), 7)
 
 
 def test_prepare_match_state_padding_sentinel():
@@ -119,10 +118,10 @@ def test_prepare_match_state_padding_sentinel():
     spec = prepare_match_state(inst, params)  # N=4, padded already; now force padding
     inst2 = MatchInstance(BitString.from_text("010100"), BitString.from_text("01"))
     spec2 = prepare_match_state(inst2, _params(5, delta=5, max_len=2))  # N=5 -> pad 8
-    assert all(spec2.window_hash_table[5:] != spec2.pattern_hash.residue)
+    assert all(spec2.window_hash_table[5:] != spec2.pattern_hash)
     oracle = spec2.oracle()
     assert not oracle.truth[5:].any()
-    assert spec.pattern_hash.residue == rolling_hash(inst.pattern, 5).residue
+    assert spec.pattern_hash == rolling_hash(inst.pattern, 5)
 
 
 def test_structured_copy_expansion_matches_dense_copy():
