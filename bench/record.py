@@ -6,12 +6,17 @@
 
 A record runs `perfbench/run.py --workload all` of the tree at --root
 (default: this repository) for 20 s with `--trace 0` at seeds 3 and 5
-and with `--trace 1` at seed 3, then times the Tier-1 suite
-(`python -m pytest -q`, sources from the tree's `src/`).  It writes one
-JSON file: the git revision, a digest of the sources under `src/`, the
-line count of each `src/qstrings/*.py` module and their total, the
-machine (cores, CPU, Python, numpy, sympy), every metric each run
-printed, per seed the four workloads' result digests, and the Tier-1
+and with `--trace 1` at seed 3, then its scale section, then times the
+Tier-1 suite (`python -m pytest -q`, sources from the tree's `src/`).
+The scale section builds one m = 16 match instance (one occurrence,
+fixed seed) at each of n = 2^18, 2^20, 2^22 and 2^24, each in a fresh
+interpreter of the tree, and gives the wall time of one untraced call
+and the tracemalloc peak of a second call of `prepare_match_state`,
+`MatchStateSpec.oracle` and `match_search`.  It writes one JSON file:
+the git revision, a digest of the sources under `src/`, the line count
+of each `src/qstrings/*.py` module and their total, the machine (cores,
+CPU, Python, numpy, sympy), every metric each run printed, per seed the
+four workloads' result digests, the scale section, and the Tier-1
 summary line and wall time.  End-to-end metrics are the median over the
 `--trace 0` seeds, with every sample.  The Tier-1 time is also given
 host-scaled, as the benchmark scales its host times: times the
@@ -20,7 +25,8 @@ probe (`perfbench/worker.py`), run just before and just after the suite.
 
 `--compare A B` prints each metric of A and B with B's change relative
 to A, the source line total and each module whose count changed as
-A -> B ("n/a" for a record without line counts), and a loud DIGEST
+A -> B ("n/a" for a record without line counts), each scale stage's
+time and peak as A -> B, and a loud DIGEST
 CHANGED line for every workload and seed whose result digest differs;
 it exits 1 when one does, since equal digests mean the same answers at
 the same simulated cost.  It warns when a
@@ -64,6 +70,41 @@ PROBE_SCRIPT = (
     "print(json.dumps({'probe_ms': [1e3 * t for t in times], "
     "'probe_ref_ms': 1e3 * worker.PROBE_REF_S}))"
 )
+
+# The scale section: text lengths 2^SCALE_BITS, pattern length, seed and
+# the match error bound of the match_long workload.
+SCALE_BITS = (18, 20, 22, 24)
+SCALE_M = 16
+SCALE_SEED = 21
+SCALE_EPSILON = 0.1
+SCALE_STAGES = ("prepare_match_state", "oracle", "match_search")
+SCALE_SCRIPT = """
+import gc, json, sys, time, tracemalloc
+import numpy as np
+from qstrings import qmatch
+
+def stage(fn):
+    start = time.perf_counter()
+    fn()
+    ms = 1e3 * (time.perf_counter() - start)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, {"ms": ms, "peak_mib": peak / 2**20}
+
+bits, m, seed, epsilon = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+inst, start = qmatch.random_single_occurrence(1 << bits, m, np.random.default_rng(seed))
+params = qmatch.match_params(inst, epsilon, np.random.default_rng(seed))
+spec, prepare = stage(lambda: qmatch.prepare_match_state(inst, params))
+_, oracle = stage(spec.oracle)
+res, search = stage(lambda: qmatch.match_search(inst, params, np.random.default_rng(seed)))
+print(json.dumps({"prepare_match_state": prepare, "oracle": oracle, "match_search": search,
+                  "found": res.position == start}))
+"""
 
 
 class RecordError(Exception):
@@ -126,9 +167,29 @@ def run_probe(root: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def run_tier1(root: Path) -> dict:
+def _src_env(root: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_scale(root: Path) -> dict:
+    """The scale section: per text length, each stage's ms and peak MiB."""
+    sizes = {}
+    for bits in SCALE_BITS:
+        print(f"record: scale n = 2^{bits}", file=sys.stderr, flush=True)
+        cmd = [sys.executable, "-c", SCALE_SCRIPT, str(bits), str(SCALE_M), str(SCALE_SEED),
+               str(SCALE_EPSILON)]
+        proc = subprocess.run(cmd, cwd=root, env=_src_env(root), capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RecordError(f"scale run at 2^{bits} exited {proc.returncode}:\n"
+                              f"{proc.stderr.strip()}")
+        sizes[str(bits)] = json.loads(proc.stdout)
+    return {"m": SCALE_M, "seed": SCALE_SEED, "epsilon": SCALE_EPSILON, "sizes": sizes}
+
+
+def run_tier1(root: Path) -> dict:
+    env = _src_env(root)
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     print(f"record: tier-1 suite in {root}", file=sys.stderr, flush=True)
@@ -225,6 +286,7 @@ def record(root: Path, label: str) -> dict:
                           if name.endswith(".host_probe_ms")},
         "metrics": metrics,
         "digests": digests,
+        "scale": run_scale(root),
         "tier1": run_tier1(root),
     }
 
@@ -253,6 +315,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     elif not changed:
         lines.append("result digests: all equal")
     lines.extend(_source_line_report(a.get("src_lines"), b.get("src_lines")))
+    lines.extend(_scale_report(a.get("scale"), b.get("scale")))
     ta, tb = a.get("tier1", {}), b.get("tier1", {})
     lines.append(f"tier-1: {ta.get('summary')} in {ta.get('seconds')} s -> "
                  f"{tb.get('summary')} in {tb.get('seconds')} s")
@@ -277,6 +340,22 @@ def _source_line_report(la: dict | None, lb: dict | None) -> list[str]:
         ma, mb = (side["modules"].get(name, "absent") for side in (la, lb))
         if ma != mb:
             lines.append(f"  {name:<20} {ma} -> {mb}")
+    return lines
+
+
+def _scale_report(sa: dict | None, sb: dict | None) -> list[str]:
+    """Each scale stage's wall time and tracemalloc peak, A -> B."""
+    if sa is None and sb is None:
+        return ["scale: n/a -> n/a"]
+    head = sa or sb
+    sizes = [(sa or {}).get("sizes", {}), (sb or {}).get("sizes", {})]
+    lines = [f"scale: m = {head['m']}, seed {head['seed']}; ms and tracemalloc peak MiB, A -> B"]
+    for bits in sorted(set(sizes[0]) | set(sizes[1]), key=int):
+        for name in SCALE_STAGES:
+            stages = [side.get(bits, {}).get(name) for side in sizes]
+            cells = ["n/a" if stage is None else f"{stage['ms']:.4g} ms {stage['peak_mib']:.4g} MiB"
+                     for stage in stages]
+            lines.append(f"  2^{bits:<3} {name:<20} {cells[0]:>24} -> {cells[1]}")
     return lines
 
 

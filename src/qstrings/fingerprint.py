@@ -335,6 +335,9 @@ _CUMSUM_BLOCK = 1 << 20
 # Longest window whose exact value window_hashes builds in int64: every
 # such value and partial sum stays below 2^62, a bit clear of the sign.
 _EXACT_WINDOW_BITS = 62
+# Windows _exact_windows builds per chunk; its two buffers hold this many
+# int64 values (plus m - 1 bits of overlap), whatever the text length.
+_WINDOW_CHUNK = 1 << 20
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray | int, p: int) -> np.ndarray:
@@ -375,37 +378,60 @@ def prefix_hashes(u: BitString, p: int) -> np.ndarray:
     return out
 
 
-def _exact_windows(bits: np.ndarray, m: int) -> np.ndarray:
-    """Exact values sum_j bits[i+j] * 2^j of every length-m window, m <= 62.
+def _exact_windows(bits: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write into `out` the exact values sum_j bits[i+j] * 2^j of every
+    length-m window, m <= 62.
 
-    Windows of length L are doubled to length 2L by one shifted add,
-    and the set bits of m are joined the same way, low bits first.
+    Works through _WINDOW_CHUNK windows at a time, each chunk reading
+    m - 1 bits past its end.  Within a chunk, windows of length L are
+    doubled in place to length 2L by one shifted add, and the set bits of
+    m are joined into `out` the same way, low bits first.  One block and
+    one shift buffer, both chunk-sized, serve every chunk and level.
     """
-    count = bits.size - m + 1
-    block, length = bits, 1  # block[i]: value of the length-`length` window at i
-    out, filled = None, 0
-    while True:
-        if m & length:
-            part = block[filled : filled + count]
-            out = part if out is None else out + (part << filled)
-            filled += length
-        if filled == m:
-            return out
-        k = block.size - length
-        block = block[:k] + (block[length : length + k] << length)
-        length *= 2
+    count = out.size
+    chunk = min(count, _WINDOW_CHUNK)
+    block = np.empty(chunk + m - 1, dtype=np.int64)
+    shift = np.empty_like(block)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        span = size + m - 1
+        dest = out[start : start + size]
+        block[:span] = bits[start : start + span]
+        length, filled = 1, 0  # block[i]: value of the length-`length` window at i
+        while True:
+            if m & length:
+                part = block[filled : filled + size]
+                if filled:
+                    np.left_shift(part, filled, out=shift[:size])
+                    dest += shift[:size]
+                else:
+                    dest[:] = part
+                filled += length
+            if filled == m:
+                break
+            k = span - length  # windows of length 2L in the block
+            np.left_shift(block[length : length + k], length, out=shift[:k])
+            block[:k] += shift[:k]
+            span -= length
+            length *= 2
 
 
-def window_hashes(text: BitString, m: int, p: int) -> np.ndarray:
+def window_hashes(
+    text: BitString, m: int, p: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """int64 residues of every length-m window of `text`, in one linear pass.
 
-    For m <= _EXACT_WINDOW_BITS each window's exact value
-    sum_j text[i+1+j] * 2^j fits int64, so it is built directly (by
-    window doubling) and reduced by one `% p`; no prefix table, power
-    table or modular inverse is needed.  Longer windows overflow int64,
-    so they use prefix differences: window i (0-indexed start) satisfies
-    h(text[i+1 .. i+m]) = (pref[i+m] - pref[i]) * inv2^i mod p for odd
-    p, and for p = 2 the hash of any window is simply its first bit.
+    The residues are written into `out` when it is given (an int64 array
+    of one element per window) and into a new array otherwise; the array
+    written is returned.  For m <= _EXACT_WINDOW_BITS each window's exact
+    value sum_j text[i+1+j] * 2^j fits int64, so it is built directly in
+    `out` (by window doubling, in chunks) and reduced by one `% p`, which
+    is skipped when p >= 2^m since every such value is below 2^m; no
+    prefix table, power table or modular inverse is needed.  Longer
+    windows overflow int64, so they use prefix differences: window i
+    (0-indexed start) satisfies h(text[i+1 .. i+m]) = (pref[i+m] -
+    pref[i]) * inv2^i mod p for odd p, and for p = 2 the hash of any
+    window is simply its first bit.
     """
     n = len(text)
     if not 1 <= m <= n:
@@ -413,12 +439,19 @@ def window_hashes(text: BitString, m: int, p: int) -> np.ndarray:
     if not 2 <= p < _MULMOD_P_CAP:
         raise ValueError(f"modulus {p} outside [2, 2^41) for int64 residue arithmetic")
     count = n - m + 1
+    if out is None:
+        out = np.empty(count, dtype=np.int64)
+    elif out.shape != (count,) or out.dtype != np.int64:
+        raise ValueError(f"out must be an int64 array of {count} windows")
     if m <= _EXACT_WINDOW_BITS:
-        out = _exact_windows(text.array.astype(np.int64), m)
-        out %= p
+        _exact_windows(text.array, m, out)
+        if p < 1 << m:
+            out %= p
         return out
     if p == 2:
-        return text.array[:count].astype(np.int64)
+        out[:] = text.array[:count]
+        return out
     pref = prefix_hashes(text, p)
     diffs = (pref[m:] - pref[:count]) % p
-    return _mulmod(diffs, _power_table((p + 1) // 2, count, p), p)
+    out[:] = _mulmod(diffs, _power_table((p + 1) // 2, count, p), p)
+    return out

@@ -58,18 +58,20 @@ _BAD_ERROR_CLASSES = "error_classes must map the padded domain to errors in [0, 
 
 
 @lru_cache(maxsize=64)
-def _ranked_errors(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct errors ascending; each error's rank among them, in
-    the smallest unsigned type that also holds their count; and the rank
-    of the first positive error (a zero error has rank 0).  Read-only:
-    every oracle over the same error table shares them."""
+def _ranked_errors(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct errors ascending, and each label's class key: its
+    error's rank among them, or their count for a zero error, which is
+    never wrongly marked.  Keys take the smallest unsigned type that holds
+    the count.  Read-only: every oracle over the same error table shares
+    them."""
     table = np.asarray(errors, dtype=float)
     if not np.all((table >= 0) & (table <= 1)):
         raise ValueError(_BAD_ERROR_CLASSES)
     values, rank = np.unique(table, return_inverse=True)
-    rank = rank.astype(np.min_scalar_type(values.size))
-    values.flags.writeable = rank.flags.writeable = False
-    return values, rank, int(values[0] == 0)
+    key_of_label = rank.astype(np.min_scalar_type(values.size))
+    key_of_label[table == 0] = values.size
+    values.flags.writeable = key_of_label.flags.writeable = False
+    return values, key_of_label
 
 
 class OracleSpec:
@@ -85,7 +87,10 @@ class OracleSpec:
     Non-targets fall into classes of equal positive error, ascending; a
     class's members are listed, in index order, on the first query that
     wrongly marks one of them, so a query costs O(classes + marked
-    indices) and a class no query flips is never listed.
+    indices) and a class no query flips is never listed.  Each padded
+    index holds one class key, its error's rank, looked up per label in a
+    table shared by every oracle over the same errors: one `take` over the
+    labels, then the targets re-keyed, with no n-wide mask.
     """
 
     def __init__(
@@ -122,11 +127,11 @@ class OracleSpec:
                     or (labels.dtype.kind == "i" and labels.min() < 0)
                     or labels.max() >= len(errors)):
                 raise ValueError(_BAD_ERROR_CLASSES)
-            values, rank, first_positive = _ranked_errors(errors)
+            values, key_of_label = _ranked_errors(errors)
             # one key per padded index: its error's rank, or values.size
-            # for an index never wrongly marked (a target or a zero error)
-            key = rank.take(labels)
-            key[truth | (key < first_positive)] = values.size
+            # for an index never wrongly marked (a zero error or a target)
+            key = key_of_label.take(labels)
+            key[self.targets] = values.size
             counts = np.bincount(key, minlength=values.size + 1)[:-1]
             used = counts > 0
             self._key = key

@@ -197,13 +197,16 @@ def match_params(
 
 
 def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSpec:
-    """Fingerprint the pattern and every window; fix layout and padding."""
+    """Fingerprint the pattern and every window; fix layout and padding.
+
+    The padded table is allocated once and the window residues are
+    written straight into its head, so no n-sized copy is made.
+    """
     if params.delta < inst.num_windows:
         raise ValueError("hash universe sized for fewer comparisons than windows")
     pattern_hash = fingerprint.rolling_hash(inst.pattern, params.p)
-    padded = padded_size(inst.num_windows)
-    table = np.zeros(padded, dtype=np.int64)
-    table[: inst.num_windows] = fingerprint.window_hashes(inst.text, inst.m, params.p)
+    table = np.empty(padded_size(inst.num_windows), dtype=np.int64)
+    fingerprint.window_hashes(inst.text, inst.m, params.p, out=table[: inst.num_windows])
     sentinel = ~pattern_hash & ((1 << params.width) - 1)
     table[inst.num_windows :] = sentinel
     table.flags.writeable = False

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -527,31 +527,43 @@ class StructuredState:
         base_prob = self._base * self._base
         segments = 2 * (self._group.size + self._index.size) + 1
         if segments <= SCALAR_MEASURE_SEGMENTS:
-            index = self._group.tolist() + self._index.tolist()
-            values = [self._group_amp] * self._group.size + self._values.tolist()
-            if self._group.size and self._index.size:
-                order = sorted(range(len(index)), key=index.__getitem__)
-                index = [index[k] for k in order]
-                values = [values[k] for k in order]
+            index = self._group.tolist()
+            if self._index.size:
+                index += self._index.tolist()
+                values = [self._group_amp] * self._group.size + self._values.tolist()
+                if self._group.size:
+                    order = sorted(range(len(index)), key=index.__getitem__)
+                    index = [index[k] for k in order]
+                    values = [values[k] for k in order]
+                probs = [value * value for value in values]
+            else:
+                probs = repeat(self._group_amp * self._group_amp)
             mass, start = [], 0
-            for i, value in zip(index, values):
-                mass += ((i - start) * base_prob, value * value)
+            for i, prob in zip(index, probs):
+                mass += ((i - start) * base_prob, prob)
                 start = i + 1
             mass.append((self.size - start) * base_prob)
             cdf = list(accumulate(mass))
             target = rng.random() * cdf[-1]
             seg = bisect_right(cdf, target)
         else:
-            index, values = self._group, np.full(self._group.size, self._group_amp)
+            index = self._group
+            mass = np.empty(segments)
             if self._index.size:
                 index = np.concatenate((index, self._index))
                 order = np.argsort(index)
-                index, values = index[order], np.concatenate((values, self._values))[order]
-            starts = np.concatenate(([0], index + 1))
-            ends = np.concatenate((index, [self.size]))
-            mass = np.empty(segments)
-            mass[0::2] = (ends - starts) * base_prob
-            mass[1::2] = values * values
+                index = index[order]
+                values = np.concatenate((np.full(self._group.size, self._group_amp),
+                                         self._values))[order]
+                np.multiply(values, values, out=mass[1::2])
+            else:
+                mass[1::2] = self._group_amp * self._group_amp
+            runs = mass[0::2]  # base-run lengths, then their mass, in place
+            runs[0] = index[0]
+            np.subtract(index[1:], index[:-1], out=runs[1:-1])
+            runs[1:-1] -= 1
+            runs[-1] = self.size - 1 - index[-1]
+            runs *= base_prob
             cdf = np.cumsum(mass)
             target = rng.random() * cdf[-1]
             seg = int(np.searchsorted(cdf, target, side="right"))

@@ -1,7 +1,7 @@
 """Helpers only the tests use: a scalar reference hash, a per-query
-reference Grover run, a classical prefix-hash comparator, a
-collision-rate Monte Carlo, a multi-occurrence instance generator and
-either backend's index marginal."""
+reference Grover run, a reference oracle class key, a classical
+prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
+instance generator and either backend's index marginal."""
 
 from __future__ import annotations
 
@@ -58,6 +58,23 @@ def grover_run_reference(
         verified=bool(oracle.truth[found]),
         iterations_used=iterations,
     )
+
+
+def oracle_classes_reference(
+    truth: np.ndarray, labels: np.ndarray, errors: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """OracleSpec's class fields (_key, _class_keys, _sizes, _class_errors)
+    by one n-wide mask: every index keyed by its error's rank among the
+    distinct errors, then every target and every zero-error index re-keyed
+    to their count."""
+    values, rank = np.unique(np.asarray(errors, dtype=float), return_inverse=True)
+    rank = rank.astype(np.min_scalar_type(values.size))
+    first_positive = int(values[0] == 0)  # a zero error has rank 0
+    key = rank.take(labels)
+    key[truth | (key < first_positive)] = values.size
+    counts = np.bincount(key, minlength=values.size + 1)[:-1]
+    used = counts > 0
+    return key, np.flatnonzero(used), counts[used], values[used]
 
 
 def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -148,3 +149,40 @@ def test_record_counts_source_lines_and_compare_prints_the_change(tmp_path):
     old = record.compare(blank, {**blank, "src_lines": after})[0]
     assert "src lines: n/a -> 4" in old
     assert "src lines: n/a -> n/a" in record.compare(blank, blank)[0]
+
+
+def test_scale_runs_each_size_in_a_fresh_interpreter_and_compare_prints_it(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd=None, env=None, capture_output=None, text=None):
+        calls.append((cmd, cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
+        scale = 2.0 ** (int(cmd[3]) - 18)
+        out = json.dumps({name: {"ms": 1.5 * scale, "peak_mib": 6.0 * scale}
+                          for name in record.SCALE_STAGES} | {"found": True})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    scale = record.run_scale(tmp_path)
+    assert [cmd[3] for cmd, _, _ in calls] == ["18", "20", "22", "24"]
+    assert all(cmd[1] == "-c" and cmd[2] == record.SCALE_SCRIPT and cmd[4:6] == ["16", "21"]
+               for cmd, _, _ in calls)
+    assert {(cwd, src) for _, cwd, src in calls} == {(tmp_path, str(tmp_path / "src"))}
+    assert scale["m"] == 16 and scale["sizes"]["22"]["prepare_match_state"] == {
+        "ms": 24.0, "peak_mib": 96.0}
+    blank = {"metrics": {}, "digests": {}, "tier1": {}}
+    lines = record.compare(blank, {**blank, "scale": scale})[0]
+    start = lines.index("scale: m = 16, seed 21; ms and tracemalloc peak MiB, A -> B")
+    assert lines[start + 1].split() == ["2^18", "prepare_match_state", "n/a", "->",
+                                        "1.5", "ms", "6", "MiB"]
+    assert lines[start + 10].split()[:2] == ["2^24", "prepare_match_state"]
+    assert lines[start + 10].endswith("-> 96 ms 384 MiB")
+    assert "scale: n/a -> n/a" in record.compare(blank, blank)[0]
+
+
+def test_scale_script_runs_against_this_tree(monkeypatch):
+    monkeypatch.setattr(record, "SCALE_BITS", (10,))
+    scale = record.run_scale(record.REPO)
+    stages = scale["sizes"]["10"]
+    assert stages["found"] is True
+    assert all(stages[name]["ms"] > 0 and stages[name]["peak_mib"] > 0
+               for name in record.SCALE_STAGES)

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -356,6 +357,43 @@ def test_window_hashes_at_the_exact_value_cut(m, p):
     rng = np.random.default_rng(m)
     for text in (BitString.from_bits([1] * 100), BitString.from_bits(rng.integers(0, 2, 100))):
         _assert_windows_match_direct(text, m, p)
+
+
+# Chunks of one window, of sizes that do not divide the count, and of
+# more windows than the text has; p below 2^m takes the `% p` pass, p at
+# or above 2^m skips it.
+@settings(max_examples=120)
+@given(
+    st.sampled_from([1, 3, 7, 64]),
+    st.integers(1, 200),
+    st.integers(1, fp._EXACT_WINDOW_BITS),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(chunk=7, n=150, m=62, wide=False, seed=1)
+@example(chunk=3, n=100, m=40, wide=True, seed=2)
+@example(chunk=1, n=5, m=1, wide=False, seed=3)
+def test_window_hashes_in_chunks_match_reference(chunk, n, m, wide, seed):
+    m = min(m, n)
+    if wide and m <= 40:
+        p = int(sympy.nextprime((1 << m) - 1))  # 2 when m = 1
+    else:
+        p = int(sympy.prevprime(min(1 << m, fp._MULMOD_P_CAP))) if m > 1 else 2
+    text = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
+    want = [rolling_hash_reference(text.substring(i + 1, i + m), p) for i in range(n - m + 1)]
+    with mock.patch.object(fp, "_WINDOW_CHUNK", chunk):
+        fresh = fp.window_hashes(text, m, p)
+        out = np.full(n - m + 1, -1, dtype=np.int64)
+        written = fp.window_hashes(text, m, p, out=out)
+    assert written is out and fresh.dtype == np.int64
+    assert fresh.tolist() == want and out.tolist() == want
+
+
+def test_window_hashes_reject_a_mismatched_out():
+    text = BitString.from_text("011010")
+    for out in (np.empty(3, dtype=np.int64), np.empty(4, dtype=np.int32)):
+        with pytest.raises(ValueError, match="out"):
+            fp.window_hashes(text, 3, 5, out=out)
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)

@@ -21,8 +21,9 @@ from qstrings.sim import (
     DenseSearchState,
     RegisterLayout,
     StructuredState,
+    padded_size,
 )
-from support import grover_run_reference, index_probabilities
+from support import grover_run_reference, index_probabilities, oracle_classes_reference
 
 
 def _structured(domain):
@@ -290,6 +291,42 @@ def test_error_classes_match_per_index_grouping(table, labels, truth):
     assert np.array_equal(np.cumsum(lengths) - lengths, starts)
     assert np.array_equal(oracle._sizes, sizes)
     assert np.array_equal(oracle._class_errors, errors)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 40),
+    st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.6, 1.0]), min_size=1, max_size=6),
+    st.sampled_from([np.uint8, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_class_key_matches_the_mask_reference(domain, errors, dtype, seed):
+    # duplicated errors share a class, zero errors are never wrongly marked,
+    # targets land in positive-error labels, and padding carries labels too
+    rng = np.random.default_rng(seed)
+    padded = padded_size(domain)
+    labels = rng.integers(0, len(errors), padded).astype(dtype)
+    truth = np.zeros(padded, dtype=bool)
+    truth[:domain] = rng.random(domain) < 0.3
+    oracle = OracleSpec(domain, truth, error_classes=(labels, tuple(errors)))
+    got = (oracle._key, oracle._class_keys, oracle._sizes, oracle._class_errors)
+    for field, want in zip(got, oracle_classes_reference(truth, labels, tuple(errors))):
+        assert field.dtype == want.dtype and np.array_equal(field, want)
+
+
+def test_oracle_class_key_on_the_match_miss_table():
+    # labels are differing-bit counts: miss[8] is exactly 0, and the
+    # targets (t = 0) sit in a positive-error label only by their truth
+    miss = tuple(miss_probability_table(32))
+    rng = np.random.default_rng(3)
+    labels = np.minimum(rng.binomial(40, 0.4, size=256), 32).astype(np.uint8)
+    labels[[5, 77]] = 0
+    truth = labels == 0
+    truth[200:] = False
+    oracle = OracleSpec(200, truth, error_classes=(labels, miss))
+    got = (oracle._key, oracle._class_keys, oracle._sizes, oracle._class_errors)
+    for field, want in zip(got, oracle_classes_reference(truth, labels, miss)):
+        assert field.dtype == want.dtype and np.array_equal(field, want)
 
 
 def test_error_classes_rejected_when_malformed():

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstrings import qmatch
+from qstrings import fingerprint, qmatch
 from qstrings.fingerprint import HashParams, rolling_hash, universe_size
 from qstrings.qmatch import (
     MatchResult,
@@ -122,6 +123,28 @@ def test_prepare_match_state_padding_sentinel():
     oracle = spec2.oracle()
     assert not oracle.truth[5:].any()
     assert spec.pattern_hash == rolling_hash(inst.pattern, 5)
+
+
+def test_prepare_match_state_builds_the_table_in_place(monkeypatch):
+    # window residues go straight into the padded table, through buffers
+    # of one chunk, so the build allocates little beyond the table itself
+    monkeypatch.setattr(fingerprint, "_WINDOW_CHUNK", 1 << 12)
+    rng = np.random.default_rng(18)
+    inst = MatchInstance(BitString.from_bits(rng.integers(0, 2, 1 << 18)),
+                         BitString.from_bits(rng.integers(0, 2, 16)))
+    params = qmatch.match_params(inst, 0.25, rng)
+    tracemalloc.start()
+    try:
+        spec = prepare_match_state(inst, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = spec.window_hash_table
+    assert table.size == 1 << 18 and table.dtype == np.int64
+    assert peak < 1.25 * table.nbytes
+    bits, count = inst.text.array.astype(np.int64), inst.num_windows
+    exact = sum(bits[j : j + count] << j for j in range(16))
+    assert np.array_equal(table[:count], exact % params.p)
 
 
 def test_structured_copy_expansion_matches_dense_copy():

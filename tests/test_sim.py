@@ -344,6 +344,39 @@ def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, mon
         assert probs[picks[0]] > 0
 
 
+def _reference_mass(state: StructuredState) -> np.ndarray:
+    """The measurement's segment masses by sorting every special index with
+    its amplitude and differencing run ends against run starts."""
+    index = np.concatenate((state._group, state._index))
+    values = np.concatenate((np.full(state._group.size, state._group_amp), state._values))
+    order = np.argsort(index)
+    index, values = index[order], values[order]
+    starts = np.concatenate(([0], index + 1))
+    ends = np.concatenate((index, [state.size]))
+    mass = np.empty(2 * index.size + 1)
+    mass[0::2] = (ends - starts) * (state._base * state._base)
+    mass[1::2] = values * values
+    return mass
+
+
+@pytest.mark.parametrize("group, exceptions", [(1, 0), (31, 0), (40, 0), (3, 2), (20, 12)])
+def test_measurement_cdf_matches_the_sorted_reference_bit_for_bit(group, exceptions,
+                                                                  monkeypatch):
+    state = _special_state(256, group, exceptions)
+    want = np.cumsum(_reference_mass(state))
+    seen = []
+
+    def spy(index, mass, cdf, *args):
+        seen.append(list(cdf))
+        return int(index[0])
+
+    monkeypatch.setattr(sim, "_cdf_segment", spy)
+    for cutoff in (10**9, 0):  # the Python-float path, then the numpy path
+        monkeypatch.setattr(sim, "SCALAR_MEASURE_SEGMENTS", cutoff)
+        copy.deepcopy(state).measure_index(np.random.default_rng(0))
+    assert seen == [want.tolist(), want.tolist()]
+
+
 def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
     # one target in four after one iteration: the base runs carry no mass,
     # so u = 1 must fall back onto the target, not the empty last run
