@@ -3,6 +3,7 @@
     python3 bench/record.py --label 9 --out BENCH_9.json
     python3 bench/record.py --label 8 --root ../parent --out BENCH_8.json
     python3 bench/record.py --compare BENCH_8.json BENCH_9.json
+    python3 bench/record.py --pairs 10 --workload compare_grover --seed 11 --root ../parent
 
 A record runs `perfbench/run.py --workload all` of the tree at --root
 (default: this repository) for 20 s with `--trace 0` at seeds 3 and 5
@@ -33,6 +34,15 @@ the same simulated cost.  It warns when a
 workload's `host_probe_ms` differs by more than 25 % between the two
 records: the host ran at another speed, and unscaled times do not
 compare.  These are report lines; no gate depends on them.
+
+`--pairs N --workload W --seed S --root PARENT` measures a gain the
+way a claim must be shown: N pairs of `perfbench/run.py --trace 0` runs
+of one workload, one in the tree at PARENT and one in this repository,
+alternating which goes first.  It prints each pair's `op_ms_p50`, each
+side's median and quartiles, the pairs the change won (ties count for
+neither), and whether the medians differ by more than the spread
+between the parent's quartiles.  It exits 1 when the two sides' result
+digests differ.
 
 Standard library only, so it runs on any tree the benchmark runs on.
 """
@@ -145,9 +155,9 @@ def parse_perfbench(stdout: str) -> tuple[dict, dict]:
     return metrics, digests
 
 
-def run_perfbench(root: Path, seed: int, trace: int) -> dict:
+def run_perfbench(root: Path, seed: int, trace: int, workload: str = "all") -> dict:
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", "all",
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     print(f"record: {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
@@ -291,6 +301,49 @@ def record(root: Path, label: str) -> dict:
     }
 
 
+def _quartiles(samples: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile."""
+    if len(samples) < 2:
+        return samples[0], samples[0], samples[0]
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return q1, median, q3
+
+
+def run_pairs(parent: Path, workload: str, seed: int, pairs: int) -> tuple[list[str], bool]:
+    """Report lines for `pairs` alternating runs of `workload` in the tree
+    at `parent` and in this repository, and whether a result digest differs."""
+    trees = {"parent": parent, "change": REPO}
+    samples: dict[str, list[float]] = {"parent": [], "change": []}
+    digests: dict[str, set[str]] = {"parent": set(), "change": set()}
+    lines = [f"{workload} op_ms_p50 at seed {seed}: parent {parent}, change {REPO}",
+             "  pair  first     parent ms   change ms   change"]
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_perfbench(trees[side], seed, 0, workload)
+            samples[side].append(run["metrics"][f"{workload}.op_ms_p50"]["value"])
+            digests[side].add(run["digests"][workload])
+        pa, ch = samples["parent"][-1], samples["change"][-1]
+        lines.append(f"  {pair + 1:>4}  {order[0]:<8} {pa:>10.4g}  {ch:>10.4g}   "
+                     f"{(ch - pa) / pa:+.1%}")
+    for side in ("parent", "change"):
+        q1, median, q3 = _quartiles(samples[side])
+        lines.append(f"{side}: median {median:.4g} ms, quartiles {q1:.4g} .. {q3:.4g} ms")
+    won = sum(ch < pa for pa, ch in zip(samples["parent"], samples["change"]))
+    lines.append(f"change faster in {won} of {pairs} pairs")
+    q1, parent_median, q3 = _quartiles(samples["parent"])
+    gap = statistics.median(samples["change"]) - parent_median
+    lines.append(f"medians differ by {gap:+.4g} ms; parent quartile spread {q3 - q1:.4g} ms: "
+                 f"{'beyond' if abs(gap) > q3 - q1 else 'within'} it")
+    changed = digests["parent"] != digests["change"]
+    if changed:
+        lines.append(f"!!! DIGEST CHANGED: {workload} at seed {seed}: "
+                     f"{sorted(digests['parent'])} -> {sorted(digests['change'])}")
+    else:
+        lines.append("result digests: all equal")
+    return lines, changed
+
+
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """Report lines comparing record b against record a, and whether a digest changed."""
     lines = [f"{side}: {r.get('label')} {r.get('git_revision')} src sha256 {r.get('src_sha256')}"
@@ -371,9 +424,21 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
     ap.add_argument("--label", help="name stored in the record, such as the change number")
     ap.add_argument("--out", help="record file to write")
-    ap.add_argument("--root", default=str(REPO), help="tree to measure (default: this one)")
+    ap.add_argument("--root", default=str(REPO),
+                    help="tree to measure, or with --pairs the parent tree (default: this one)")
+    ap.add_argument("--pairs", type=int, metavar="N",
+                    help="N alternating runs of one workload here and in --root")
+    ap.add_argument("--workload", help="the workload --pairs runs")
+    ap.add_argument("--seed", type=int, default=SEEDS[0], help="the seed --pairs runs at")
     args = ap.parse_args(argv)
     try:
+        if args.pairs is not None:
+            if args.pairs < 1 or not args.workload:
+                ap.error("--pairs needs N >= 1 and --workload")
+            lines, changed = run_pairs(Path(args.root).resolve(), args.workload, args.seed,
+                                       args.pairs)
+            print("\n".join(lines))
+            return 1 if changed else 0
         if args.compare:
             a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
             lines, changed = compare(a, b)

@@ -110,7 +110,7 @@ class OracleSpec:
         self.padded = padded_size(domain_size)
         if truth.dtype != bool or truth.shape != (self.padded,):
             raise ValueError("truth must be a bool array over the padded domain")
-        if truth[domain_size:].any():
+        if domain_size < self.padded and truth[domain_size:].any():
             raise ValueError("padding indices must be non-targets")
         self.truth = truth
         self.targets = np.flatnonzero(truth)
@@ -154,8 +154,9 @@ class OracleSpec:
             return None
         if rho not in self._query_errors:
             wrong = self._class_errors**rho
-            with np.errstate(divide="ignore"):
-                none_wrong = np.exp(self._sizes * np.log1p(-wrong))
+            # log(1 - q), -inf where q = 1, without the divide warning
+            log_right = np.log1p(-wrong, out=np.full(wrong.shape, -np.inf), where=wrong < 1)
+            none_wrong = np.exp(self._sizes * log_right)
             self._query_errors[rho] = (wrong, none_wrong)
         return self._query_errors[rho]
 
@@ -312,11 +313,12 @@ def grover_run(
     before = ledger.snapshot()
     rho = amplification(oracle.error_prob, iterations) if rho is None else rho
     done = 0
-    for step, marked in oracle.flipped_queries(rng, rho, iterations):
-        search.target_steps(oracle.targets, step - done)
-        search.apply_phase_pattern(marked)
-        search.diffuse()
-        done = step + 1
+    if oracle._class_errors is not None:  # an exact oracle's queries mark the targets
+        for step, marked in oracle.flipped_queries(rng, rho, iterations):
+            search.target_steps(oracle.targets, step - done)
+            search.apply_phase_pattern(marked)
+            search.diffuse()
+            done = step + 1
     search.target_steps(oracle.targets, iterations - done)
     # every iteration costs the same, so the run is charged once
     charge_iterations(ledger, search, oracle, iterations, rho)
@@ -331,7 +333,8 @@ def grover_run(
 
 def doubling_schedule(domain: int, max_repetitions: int | None = None) -> list[int]:
     """Iteration counts 2^j for j = 0 .. ceil(log2 sqrt(M)), optionally capped."""
-    reps = math.ceil(math.log2(math.sqrt(padded_size(domain)))) + 1
+    # ceil(log2 sqrt(2^w)) = ceil(w / 2) for the w index bits
+    reps = padded_size(domain).bit_length() // 2 + 1
     if max_repetitions is not None:
         reps = min(reps, max_repetitions)
     return [2**j for j in range(max(1, reps))]
@@ -402,10 +405,11 @@ def durr_hoyer_min(
         best_key = initial_key
     log_m = max(1, math.ceil(math.log2(max(2, domain))))
     phase_cap = 3 * log_m
+    padded = padded_size(domain)
     iterations = copies = phases = 0
     adopted = []
     for phase in range(phase_cap):
-        truth = np.zeros(padded_size(domain), dtype=bool)
+        truth = np.zeros(padded, dtype=bool)
         truth[:domain] = keys < best_key
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1

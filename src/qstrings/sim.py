@@ -14,9 +14,12 @@ the targets share one amplitude for the whole run, the two-dimensional
 picture of multi-target search (Boyer, Brassard, Hoyer and Tapp, 1998).
 A query that marks exactly the group then costs O(1) scalar work, and
 any other step O(exceptions + marked); `target_steps` runs a stretch of
-target-only steps as one scalar loop, and a state without exceptions is
-measured with no sorting.  The two backends must agree
-amplitude-for-amplitude after expansion.
+target-only steps as one loop over Python floats.  Measuring a uniform
+state takes one division, and a state without exceptions builds its cdf
+from the sorted group and its one amplitude, with no sort and no merge.
+Every path picks the index that one cdf over all the segments picks
+from the same draw.  The two backends must agree amplitude-for-amplitude
+after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
@@ -286,7 +289,11 @@ def _check_index_array(marked: np.ndarray) -> None:
 
 
 # Up to this many cdf segments `measure_index` sums in Python floats; past
-# it, numpy's fixed cost per call is the smaller one.
+# it, numpy's fixed cost per call is the smaller one.  Measured on a
+# 2-vCPU Xeon VM (numpy 2.4.6), on group-only states of g random indices
+# out of 4096, Python floats against numpy, best of 15 per state: 8-10
+# against 11-13 us at 33 segments, 12-14 against 12-13 us from 57 to 65
+# segments, where they cross, and 19-22 against 11-13 us at 129.
 SCALAR_MEASURE_SEGMENTS = 64
 # shared empty arrays, never written: every write replaces a non-empty one
 _NO_INDEX = np.empty(0, dtype=np.int64)
@@ -342,6 +349,8 @@ class StructuredState:
     `target_steps` runs a stretch of them as one loop over Python
     floats; any other step costs O(exceptions + marked).  Measuring a
     state without exceptions reads the group, already sorted, as is.
+    A copy shares the bindings and the empty arrays, and copies only
+    exception amplitudes.
     """
 
     def __init__(
@@ -375,7 +384,8 @@ class StructuredState:
         out = StructuredState.__new__(StructuredState)
         out.__dict__ = self.__dict__.copy()
         out.bindings = dict(self.bindings)
-        out._values = self._values.copy()
+        if self._values.size:  # an empty array, such as _NO_VALUES, is shared
+            out._values = self._values.copy()
         out.check_norm()
         return out
 
@@ -475,8 +485,10 @@ class StructuredState:
         step changes which indices are off the base, so the steps run as
         one scalar loop: each does the float operations of
         `apply_phase_pattern(targets)` then `diffuse()`, in the same
-        order, norm check included.  Otherwise each step calls those two
-        methods.
+        order, norm check included.  Without exceptions the loop holds
+        only Python floats: the index counts are hoisted as floats, which
+        multiply and divide as the ints do.  Otherwise each step calls
+        those two methods.
         """
         if count and not self._group.size and not self._index.size:
             # every amplitude is the base: the first marking adopts the
@@ -490,23 +502,31 @@ class StructuredState:
             return self
         base, amp, values = self._base, self._group_amp, self._values
         group = self._group.size
-        exceptions = self._index.size
-        rest = self.size - group - exceptions
-        for _ in range(count):
-            amp = -amp
-            total = base * rest + amp * group
-            if exceptions:
-                total += float(values.sum())
-            twice_mean = 2.0 * (total / self.size)
-            base = twice_mean - base
-            amp = twice_mean - amp
-            norm = base * base * rest + amp * amp * group
-            if exceptions:
+        rest = self.size - group - values.size
+        tol = NORM_TOL
+        if values.size:
+            for _ in range(count):
+                amp = -amp
+                total = base * rest + amp * group + float(values.sum())
+                twice_mean = 2.0 * (total / self.size)
+                base = twice_mean - base
+                amp = twice_mean - amp
                 np.subtract(twice_mean, values, out=values)
-                norm += float(np.dot(values, values))
-            if abs(norm - 1.0) > NORM_TOL:
-                self._base, self._group_amp = base, amp
-                raise ValueError(f"state norm {norm} drifted beyond tolerance")
+                norm = base * base * rest + amp * amp * group + float(np.dot(values, values))
+                if abs(norm - 1.0) > tol:
+                    self._base, self._group_amp = base, amp
+                    raise ValueError(f"state norm {norm} drifted beyond tolerance")
+        else:
+            group, rest, size = float(group), float(rest), float(self.size)
+            for _ in range(count):
+                amp = -amp
+                twice_mean = 2.0 * ((base * rest + amp * group) / size)
+                base = twice_mean - base
+                amp = twice_mean - amp
+                norm = base * base * rest + amp * amp * group
+                if abs(norm - 1.0) > tol:
+                    self._base, self._group_amp = base, amp
+                    raise ValueError(f"state norm {norm} drifted beyond tolerance")
         self._base, self._group_amp = base, amp
         return self
 
@@ -518,15 +538,24 @@ class StructuredState:
         the same index from the same generator state.  The cdf runs over
         alternating segments: the base run before each index off the base
         (group or exception), then that index itself, then the run after
-        the last one.  Up to SCALAR_MEASURE_SEGMENTS segments it is summed
-        in Python floats, left to right as `np.cumsum` adds, and searched
-        with `bisect_right` as `searchsorted(side="right")` does, so both
-        paths pick the same index from the same draw.  The group is
-        sorted, so a state without exceptions is measured without a sort.
+        the last one.  A uniform state has one segment, so its pick is
+        the draw times the total, over the base probability, with no cdf
+        built.  Up to SCALAR_MEASURE_SEGMENTS segments the cdf is summed
+        in Python floats, left to right as `np.add.accumulate` adds, and
+        searched with `bisect_right` as `searchsorted(side="right")` does;
+        past it, in numpy.  So every path picks the same index from the
+        same draw.  The group is sorted and shares one amplitude, so a
+        state without exceptions builds its masses from the group's gaps
+        and that amplitude, with no sort or merge; only exceptions need
+        them.
         """
         base_prob = self._base * self._base
         segments = 2 * (self._group.size + self._index.size) + 1
-        if segments <= SCALAR_MEASURE_SEGMENTS:
+        if segments == 1:
+            # uniform: one segment, the base run over every index
+            target = rng.random() * (self.size * base_prob)
+            outcome = min(int(target / base_prob), self.size - 1)
+        elif segments <= SCALAR_MEASURE_SEGMENTS:
             index = self._group.tolist()
             if self._index.size:
                 index += self._index.tolist()
@@ -546,6 +575,7 @@ class StructuredState:
             cdf = list(accumulate(mass))
             target = rng.random() * cdf[-1]
             seg = bisect_right(cdf, target)
+            outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
         else:
             index = self._group
             mass = np.empty(segments)
@@ -558,16 +588,16 @@ class StructuredState:
                 np.multiply(values, values, out=mass[1::2])
             else:
                 mass[1::2] = self._group_amp * self._group_amp
-            runs = mass[0::2]  # base-run lengths, then their mass, in place
-            runs[0] = index[0]
-            np.subtract(index[1:], index[:-1], out=runs[1:-1])
-            runs[1:-1] -= 1
-            runs[-1] = self.size - 1 - index[-1]
-            runs *= base_prob
-            cdf = np.cumsum(mass)
-            target = rng.random() * cdf[-1]
-            seg = int(np.searchsorted(cdf, target, side="right"))
-        outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
+            # each base run's mass, from the gaps between the sorted indices
+            gaps = index[1:] - index[:-1]
+            gaps -= 1
+            np.multiply(gaps, base_prob, out=mass[2:-1:2])
+            mass[0] = int(index[0]) * base_prob  # Python ints: numpy scalars cost more
+            mass[-1] = (self.size - 1 - int(index[-1])) * base_prob
+            cdf = np.add.accumulate(mass)
+            target = rng.random() * float(cdf[-1])
+            seg = int(cdf.searchsorted(target, "right"))
+            outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
         # collapsed: the outcome alone, a group of one, holds amplitude 1
         self._base = 0.0
         self._group = np.array([outcome], dtype=np.int64)

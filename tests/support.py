@@ -1,17 +1,21 @@
 """Helpers only the tests use: a scalar reference hash, a per-query
-reference Grover run, a reference oracle class key, a classical
-prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
-instance generator and either backend's index marginal."""
+reference Grover run, a reference structured measurement, a reference
+oracle class key, a classical prefix-hash comparator, a collision-rate
+Monte Carlo, a multi-occurrence instance generator and either backend's
+index marginal."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
 from qstrings.grover import GroverOutcome, OracleSpec, amplification, charge_iterations
 from qstrings.resources import ResourceLedger
+from qstrings import sim
 from qstrings.sim import SearchState, StructuredState
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
 
@@ -58,6 +62,77 @@ def grover_run_reference(
         verified=bool(oracle.truth[found]),
         iterations_used=iterations,
     )
+
+
+def measure_index_reference(state: StructuredState, rng) -> int:
+    """`StructuredState.measure_index` as one cdf over every state: the
+    special indices (group and exceptions) merged and sorted with their
+    amplitudes, each base run's mass before its index, summed in Python
+    floats up to `sim.SCALAR_MEASURE_SEGMENTS` segments and in numpy past
+    it, then the same collapse onto the outcome."""
+    base_prob = state._base * state._base
+    segments = 2 * (state._group.size + state._index.size) + 1
+    if segments <= sim.SCALAR_MEASURE_SEGMENTS:
+        index = state._group.tolist()
+        if state._index.size:
+            index += state._index.tolist()
+            values = [state._group_amp] * state._group.size + state._values.tolist()
+            if state._group.size:
+                order = sorted(range(len(index)), key=index.__getitem__)
+                index = [index[k] for k in order]
+                values = [values[k] for k in order]
+            probs = [value * value for value in values]
+        else:
+            probs = repeat(state._group_amp * state._group_amp)
+        mass, start = [], 0
+        for i, prob in zip(index, probs):
+            mass += ((i - start) * base_prob, prob)
+            start = i + 1
+        mass.append((state.size - start) * base_prob)
+        cdf = list(accumulate(mass))
+        target = rng.random() * cdf[-1]
+        seg = bisect_right(cdf, target)
+    else:
+        index = state._group
+        mass = np.empty(segments)
+        if state._index.size:
+            index = np.concatenate((index, state._index))
+            order = np.argsort(index)
+            index = index[order]
+            values = np.concatenate((np.full(state._group.size, state._group_amp),
+                                     state._values))[order]
+            np.multiply(values, values, out=mass[1::2])
+        else:
+            mass[1::2] = state._group_amp * state._group_amp
+        runs = mass[0::2]  # base-run lengths, then their mass, in place
+        runs[0] = index[0]
+        np.subtract(index[1:], index[:-1], out=runs[1:-1])
+        runs[1:-1] -= 1
+        runs[-1] = state.size - 1 - index[-1]
+        runs *= base_prob
+        cdf = np.cumsum(mass)
+        target = rng.random() * cdf[-1]
+        seg = int(np.searchsorted(cdf, target, side="right"))
+    # the pick: u times the total can round up to the total, so it stays
+    # on the last segment with mass
+    last = len(mass) - 1
+    while not mass[last]:
+        last -= 1
+    seg = min(seg, last)
+    run = seg // 2
+    if seg % 2:
+        outcome = int(index[run])
+    else:
+        start = int(index[run - 1]) + 1 if run else 0
+        end = int(index[run]) if run < len(index) else state.size
+        offset = int((target - (cdf[seg - 1] if seg else 0.0)) / base_prob)
+        outcome = start + min(offset, end - start - 1)
+    state._base = 0.0
+    state._group = np.array([outcome], dtype=np.int64)
+    state._group_amp = 1.0
+    state._index = sim._NO_INDEX
+    state._values = sim._NO_VALUES
+    return outcome
 
 
 def oracle_classes_reference(

@@ -186,3 +186,53 @@ def test_scale_script_runs_against_this_tree(monkeypatch):
     assert stages["found"] is True
     assert all(stages[name]["ms"] > 0 and stages[name]["peak_mib"] > 0
                for name in record.SCALE_STAGES)
+
+
+def _perfbench_stdout(workload, op_ms, digest):
+    return "\n".join([
+        f"== {workload}",
+        f"  op_ms_p50                                              {op_ms} ms           median",
+        f"  result digest sha256:{digest}",
+        json.dumps({"correct": True, "metrics": {f"{workload}.op_ms_p50": {"value": op_ms,
+                                                                           "unit": "ms"}}}),
+    ])
+
+
+@pytest.mark.parametrize("change_digest, code", [("a" * 64, 0), ("b" * 64, 1)])
+def test_pairs_alternate_the_trees_and_report_the_gain(monkeypatch, tmp_path, capsys,
+                                                       change_digest, code):
+    parent = tmp_path / "parent"
+    parent_ms = iter([10.0, 11.0, 12.0, 10.5])
+    change_ms = iter([8.0, 11.5, 9.0, 9.5])
+    calls = []
+
+    def fake_run(cmd, cwd=None, capture_output=None, text=None):
+        calls.append((cmd, cwd))
+        ms, digest = (next(parent_ms), "a" * 64) if cwd == parent else (next(change_ms),
+                                                                         change_digest)
+        return subprocess.CompletedProcess(cmd, 0, stdout=_perfbench_stdout("compare_grover",
+                                                                          ms, digest), stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    argv = ["--pairs", "4", "--workload", "compare_grover", "--seed", "11", "--root", str(parent)]
+    assert record.main(argv) == code
+    assert [cwd for _, cwd in calls] == [parent, record.REPO, record.REPO, parent] * 2
+    assert all(cmd[1:] == ["perfbench/run.py", "--workload", "compare_grover", "--seed", "11",
+                           "--seconds", str(record.SECONDS), "--trace", "0"] for cmd, _ in calls)
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [line.split() for line in lines if line.startswith("     ")]
+    assert pairs == [["1", "parent", "10", "8", "-20.0%"], ["2", "change", "11", "11.5", "+4.5%"],
+                     ["3", "parent", "12", "9", "-25.0%"], ["4", "change", "10.5", "9.5", "-9.5%"]]
+    # quartiles as statistics.quantiles(n=4) takes them
+    assert "parent: median 10.75 ms, quartiles 10.12 .. 11.75 ms" in lines
+    assert "change: median 9.25 ms, quartiles 8.25 .. 11 ms" in lines
+    assert "change faster in 3 of 4 pairs" in lines
+    assert "medians differ by -1.5 ms; parent quartile spread 1.625 ms: within it" in lines
+    changed = [line for line in lines if line.startswith("!!! DIGEST CHANGED")]
+    assert len(changed) == code and ("result digests: all equal" in lines) == (not code)
+
+
+def test_pairs_need_a_workload(capsys):
+    with pytest.raises(SystemExit):
+        record.main(["--pairs", "3"])
+    assert "--pairs needs N >= 1 and --workload" in capsys.readouterr().err

@@ -335,7 +335,7 @@ def test_crosscheck_fault_injection(monkeypatch):
             norm = np.sqrt(np.sum(self.amps**2))
             self._base /= norm
             self._group_amp /= norm
-            self._values /= norm
+            self._values = self._values / norm  # the empty one is shared read-only
             self.check_norm()
         return self
 

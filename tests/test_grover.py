@@ -113,6 +113,11 @@ def test_doubling_schedule():
     assert doubling_schedule(64) == [1, 2, 4, 8]
     assert doubling_schedule(64, max_repetitions=2) == [1, 2]
     assert doubling_schedule(1) == [1, 2]  # single-element domains pad to one qubit
+    # ceil(log2 sqrt(M)) + 1 repetitions, the float formula, on every padded width
+    for bits in range(1, 62):
+        for domain in (1 << bits, (1 << bits) - 1, (1 << bits) + 1):
+            reps = math.ceil(math.log2(math.sqrt(padded_size(domain)))) + 1
+            assert doubling_schedule(domain) == [2**j for j in range(reps)]
 
 
 def test_bbht_verified_hit_rate():
@@ -357,6 +362,26 @@ def test_exact_query_pattern_is_the_targets_and_draws_nothing():
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         oracle.query_pattern(rng, 1)[0] = 0  # shared with every query
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(errors=st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.02, 1e-300]) | st.floats(0, 1),
+                       min_size=1, max_size=5),
+       rho=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_query_error_is_the_errstate_formula(errors, rho, seed):
+    # bit for bit, with no floating-point warning: a class error of 1
+    # leaves none of its members unmarked, and one of 0 forms no class
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, len(errors), 32).astype(np.uint8)
+    truth = rng.random(32) < 0.2
+    oracle = OracleSpec(32, truth, error_classes=(labels, tuple(errors)))
+    wrong, none_wrong = oracle.query_error(rho)
+    want_wrong = oracle._class_errors**rho
+    with np.errstate(divide="ignore"):
+        want = np.exp(oracle._sizes * np.log1p(-want_wrong))
+    assert wrong.tobytes() == want_wrong.tobytes()
+    assert none_wrong.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rho, expected_rho", [(None, 3), (3, 3), (5, 5)])
@@ -610,12 +635,15 @@ def test_grover_run_is_the_per_query_loop_around_flips(backend, error, rho, iter
 
 
 @pytest.mark.parametrize("backend", ["structured", "dense"])
-@pytest.mark.parametrize("targets", [[], [9], [0, 2, 5, 7, 8, 11, 12]])
+@pytest.mark.parametrize("targets", [[], [9], [0, 2, 5, 7, 8, 11, 12], list(range(13)),
+                                     list(range(16))])
 def test_grover_run_is_the_per_query_loop_for_exact_oracles(backend, targets):
+    # no target, some, every index of a domain of 13, every padded index of 16
     truth = np.zeros(16, dtype=bool)
     truth[targets] = True
+    domain = max(13, len(targets))
     for iterations in (0, 1, 2, 7, 33):
-        _assert_same_run(backend, OracleSpec(13, truth), iterations, iterations, None)
+        _assert_same_run(backend, OracleSpec(domain, truth), iterations, iterations, None)
 
 
 def test_group_steps_keep_the_norm_check(monkeypatch):

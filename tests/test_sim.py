@@ -1,8 +1,10 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qstrings import sim
 from qstrings.sim import (
@@ -20,7 +22,7 @@ from qstrings.sim import (
     prepare_uniform,
     project_flag_minus,
 )
-from support import index_probabilities
+from support import index_probabilities, measure_index_reference
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -400,6 +402,68 @@ def test_structured_measure_with_zero_base_amplitude():
     assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]  # collapsed onto the outcome
 
 
+def _spec_state(kind: str, width: int, specials: int, seed: int, steps: int) -> StructuredState:
+    """A state over 2^width indices of one kind: "uniform", after `steps`
+    steps that mark nothing; "group", after `steps` target-only steps on
+    `specials` targets; "exceptions", off the base at `specials` targets
+    kept as the group and at flipped indices outside it, or, for odd
+    `steps`, with the group dissolved into the exceptions."""
+    size = 1 << width
+    state = StructuredState(RegisterLayout(idx=width), size)
+    rng = np.random.default_rng(seed)
+    picked = rng.permutation(size)
+    # an exception state leaves room for a flip outside the targets
+    targets = np.sort(picked[:min(specials, size - (kind == "exceptions"))])
+    if kind == "uniform":
+        state.target_steps(np.empty(0, dtype=np.int64), steps)
+    elif kind == "group":
+        state.target_steps(targets, max(1, steps))
+    else:
+        flips = np.sort(picked[targets.size:targets.size + 1 + seed % 3])
+        markings = [targets, np.union1d(targets, flips), targets]
+        if steps % 2:
+            markings.append(targets[1:])
+        for marked in markings:
+            state.apply_phase_pattern(marked)
+            state.diffuse()
+        assert state._index.size
+    return state
+
+
+def _collapsed(state: StructuredState) -> tuple:
+    return (state._base, state._group.dtype, state._group.tolist(), state._group_amp,
+            state._index is sim._NO_INDEX, state._values is sim._NO_VALUES)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["uniform", "group", "exceptions"]), width=st.integers(1, 7),
+       specials=st.integers(1, 128), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 6),
+       cutoff=st.sampled_from([sim.SCALAR_MEASURE_SEGMENTS, 1, 10**9]))
+@example(kind="group", width=7, specials=31, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="group", width=7, specials=32, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="group", width=5, specials=32, seed=2, steps=3, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="group", width=2, specials=1, seed=3, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="uniform", width=7, specials=1, seed=0, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="exceptions", width=7, specials=30, seed=2, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+def test_measurement_paths_are_the_reference(kind, width, specials, seed, steps, cutoff):
+    # uniform, group-only (either side of the cutoff, every index a
+    # target, a zero base) and exception states, each drawn at u = 0, at
+    # every cdf boundary and one ulp below it, and at u = 1
+    state = _spec_state(kind, width, specials, seed, steps)
+    if (kind, width, specials, steps) == ("group", 2, 1, 1):
+        assert state._base == 0.0  # one step on one target in four
+    cdf = np.cumsum(_reference_mass(state))
+    bounds = cdf / cdf[-1]
+    draws = np.concatenate(([0.0, 1.0], bounds, np.nextafter(bounds, 0))).clip(0, 1)
+    with mock.patch.object(sim, "SCALAR_MEASURE_SEGMENTS", cutoff):
+        for u in draws.tolist():
+            got, want = state.copy(), state.copy()
+            got_draw, want_draw = _Draw(u), _Draw(u)
+            assert got.measure_index(got_draw) == measure_index_reference(want, want_draw)
+            assert _collapsed(got) == _collapsed(want)
+            assert got_draw.draws == want_draw.draws == 1
+
+
 def test_copy_evolves_independently_over_read_only_bindings():
     layout = RegisterLayout(idx=3, h=3)
     table = np.array([5, 1, 0, 7, 2, 2, 6, 3], dtype=np.int64)
@@ -416,6 +480,7 @@ def test_copy_evolves_independently_over_read_only_bindings():
     with pytest.raises(ValueError):
         binding[0] = 7
     a, b = template.copy(), template.copy()
+    assert a._values is b._values is sim._NO_VALUES  # an empty array is shared
     targets = np.array([3])
     a.apply_phase_pattern(targets)
     a.diffuse()
