@@ -38,11 +38,12 @@ compare.  These are report lines; no gate depends on them.
 `--pairs N --workload W --seed S --root PARENT` measures a gain the
 way a claim must be shown: N pairs of `perfbench/run.py --trace 0` runs
 of one workload, one in the tree at PARENT and one in this repository,
-alternating which goes first.  It prints each pair's `op_ms_p50`, each
-side's median and quartiles, the pairs the change won (ties count for
-neither), and whether the medians differ by more than the spread
-between the parent's quartiles.  It exits 1 when the two sides' result
-digests differ.
+alternating which goes first.  It prints each pair's `op_ms_p50`, then
+for every end-to-end metric BENCHMARK.json names each side's median
+and quartiles, the pairs the change won by the metric's `better`
+direction (ties count for neither), and whether the medians differ by
+more than the spread between the parent's quartiles.  It exits 1 when
+the two sides' result digests differ.
 
 Standard library only, so it runs on any tree the benchmark runs on.
 """
@@ -309,32 +310,59 @@ def _quartiles(samples: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def end_to_end_metrics() -> list[dict]:
+    """The end-to-end metrics BENCHMARK.json names, each with its unit and
+    `better` direction."""
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return benchmark["end_to_end"]
+
+
+def _pair_report(metric: dict, parent: list[float], change: list[float]) -> list[str]:
+    """One end-to-end metric's report over the pairs: each side's median and
+    quartiles, the pairs the change won by the metric's `better` direction
+    (ties count for neither), and whether the medians differ by more than
+    the parent's quartile spread."""
+    unit = metric["unit"]
+    lines = [f"{metric['name']} ({unit}, {metric['better']} is better)"]
+    for side, samples in (("parent", parent), ("change", change)):
+        q1, median, q3 = _quartiles(samples)
+        lines.append(f"{side}: median {median:.4g} {unit}, quartiles {q1:.4g} .. {q3:.4g} {unit}")
+    sign = 1 if metric["better"] == "higher" else -1
+    won = sum(sign * (ch - pa) > 0 for pa, ch in zip(parent, change))
+    lines.append(f"change better in {won} of {len(parent)} pairs")
+    q1, parent_median, q3 = _quartiles(parent)
+    gap = statistics.median(change) - parent_median
+    lines.append(f"medians differ by {gap:+.4g} {unit}; parent quartile spread {q3 - q1:.4g} "
+                 f"{unit}: {'beyond' if abs(gap) > q3 - q1 else 'within'} it")
+    return lines
+
+
 def run_pairs(parent: Path, workload: str, seed: int, pairs: int) -> tuple[list[str], bool]:
     """Report lines for `pairs` alternating runs of `workload` in the tree
-    at `parent` and in this repository, and whether a result digest differs."""
+    at `parent` and in this repository, over every end-to-end metric, and
+    whether a result digest differs."""
     trees = {"parent": parent, "change": REPO}
-    samples: dict[str, list[float]] = {"parent": [], "change": []}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
     digests: dict[str, set[str]] = {"parent": set(), "change": set()}
-    lines = [f"{workload} op_ms_p50 at seed {seed}: parent {parent}, change {REPO}",
-             "  pair  first     parent ms   change ms   change"]
+    lines = [f"{workload} at seed {seed}: parent {parent}, change {REPO}",
+             "  pair  first     parent ms   change ms   change (op_ms_p50)"]
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             run = run_perfbench(trees[side], seed, 0, workload)
-            samples[side].append(run["metrics"][f"{workload}.op_ms_p50"]["value"])
+            runs[side].append(run["metrics"])
             digests[side].add(run["digests"][workload])
-        pa, ch = samples["parent"][-1], samples["change"][-1]
+        pa, ch = (runs[side][-1][f"{workload}.op_ms_p50"]["value"] for side in ("parent", "change"))
         lines.append(f"  {pair + 1:>4}  {order[0]:<8} {pa:>10.4g}  {ch:>10.4g}   "
                      f"{(ch - pa) / pa:+.1%}")
-    for side in ("parent", "change"):
-        q1, median, q3 = _quartiles(samples[side])
-        lines.append(f"{side}: median {median:.4g} ms, quartiles {q1:.4g} .. {q3:.4g} ms")
-    won = sum(ch < pa for pa, ch in zip(samples["parent"], samples["change"]))
-    lines.append(f"change faster in {won} of {pairs} pairs")
-    q1, parent_median, q3 = _quartiles(samples["parent"])
-    gap = statistics.median(samples["change"]) - parent_median
-    lines.append(f"medians differ by {gap:+.4g} ms; parent quartile spread {q3 - q1:.4g} ms: "
-                 f"{'beyond' if abs(gap) > q3 - q1 else 'within'} it")
+    for metric in end_to_end_metrics():
+        key = f"{workload}.{metric['name']}"
+        if not all(key in run for side in runs.values() for run in side):
+            lines.append(f"{metric['name']}: not printed by every run")
+            continue
+        samples = {side: [run[key]["value"] for run in side_runs]
+                   for side, side_runs in runs.items()}
+        lines.extend(_pair_report(metric, samples["parent"], samples["change"]))
     changed = digests["parent"] != digests["change"]
     if changed:
         lines.append(f"!!! DIGEST CHANGED: {workload} at seed {seed}: "

@@ -23,7 +23,7 @@ import numpy as np
 
 # `charge` is unused here but stays importable as `grover.charge`, a name
 # perfbench/tracer.py patches
-from .resources import ResourceLedger, charge  # noqa: F401
+from .resources import ResourceLedger, charge, index_width  # noqa: F401
 from .sim import SearchState, padded_size
 
 
@@ -403,7 +403,7 @@ def durr_hoyer_min(
     else:
         best_index = None
         best_key = initial_key
-    log_m = max(1, math.ceil(math.log2(max(2, domain))))
+    log_m = index_width(max(2, domain))
     phase_cap = 3 * log_m
     padded = padded_size(domain)
     iterations = copies = phases = 0

@@ -13,7 +13,6 @@ probability below 1/3 for every differing-bit count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -48,7 +47,7 @@ def inner_schedule(bit_domain: int) -> list[int]:
     """
     if bit_domain <= 1:
         return [1]
-    reps = math.ceil(math.log2(math.sqrt(bit_domain))) + 2
+    reps = (index_width(bit_domain) + 1) // 2 + 2
     return [2**j for j in range(reps)]
 
 

@@ -199,7 +199,8 @@ class SweepConfig:
         if min(self.grid) < 1:
             raise ValueError("sweep grid values must be positive")
         if max(self.grid) > STRUCTURED_TEXT_CAP:
-            raise ValueError(f"sweep grid values must be at most 2^16 = {STRUCTURED_TEXT_CAP}")
+            raise ValueError("sweep grid values must be at most "
+                             f"2^{index_width(STRUCTURED_TEXT_CAP)} = {STRUCTURED_TEXT_CAP}")
         if self.algo == "match" and not 1 <= self.m <= min(self.grid):
             raise ValueError(
                 f"match sweep needs 1 <= m <= n for every grid value, got m={self.m}"

@@ -13,13 +13,15 @@ amplitudes.  A one-sided oracle marks every target in every query, so
 the targets share one amplitude for the whole run, the two-dimensional
 picture of multi-target search (Boyer, Brassard, Hoyer and Tapp, 1998).
 A query that marks exactly the group then costs O(1) scalar work, and
-any other step O(exceptions + marked); `target_steps` runs a stretch of
-target-only steps as one loop over Python floats.  Measuring a uniform
-state takes one division, and a state without exceptions builds its cdf
-from the sorted group and its one amplitude, with no sort and no merge.
-Every path picks the index that one cdf over all the segments picks
-from the same draw.  The two backends must agree amplitude-for-amplitude
-after expansion.
+any other step O(exceptions + marked).  One rule splits the work: a
+state whose only off-base indices are the group runs a stretch of
+target-only steps (`target_steps`) as one loop over Python floats and
+builds its measurement cdf from the sorted group with no merge; a state
+with exceptions steps one phase marking and one diffusion at a time,
+and is measured from one index array merged by `_merge`.  Measuring a
+uniform state takes one division.  Every path picks the index that one
+cdf over all the segments picks from the same draw.  The two backends
+must agree amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
@@ -345,12 +347,13 @@ class StructuredState:
     - sorted exception indices, disjoint from the group, each with its
       own amplitude: indices marked by some queries but not by all.
 
-    A step that marks exactly the group costs O(1) scalar work, and
-    `target_steps` runs a stretch of them as one loop over Python
-    floats; any other step costs O(exceptions + marked).  Measuring a
-    state without exceptions reads the group, already sorted, as is.
-    A copy shares the bindings and the empty arrays, and copies only
-    exception amplitudes.
+    A step that marks exactly the group costs O(1) scalar work; any
+    other step costs O(exceptions + marked).  A state without exceptions
+    runs a stretch of target-only steps as one loop over Python floats
+    and is measured from its group, already sorted, as is; a state with
+    exceptions takes one step at a time and is measured from its group
+    and exceptions merged by `_merge`.  A copy shares the bindings and
+    the empty arrays, and copies only exception amplitudes.
     """
 
     def __init__(
@@ -481,52 +484,38 @@ class StructuredState:
     def target_steps(self, targets: np.ndarray, count: int) -> "StructuredState":
         """`count` steps that each mark exactly `targets`, then diffuse.
 
-        When `targets` is the group, or a uniform state adopts it, no
-        step changes which indices are off the base, so the steps run as
-        one scalar loop: each does the float operations of
-        `apply_phase_pattern(targets)` then `diffuse()`, in the same
-        order, norm check included.  Without exceptions the loop holds
-        only Python floats: the index counts are hoisted as floats, which
-        multiply and divide as the ints do.  Otherwise each step calls
-        those two methods.
+        A state without exceptions whose group is `targets`, or a uniform
+        state that adopts them, keeps which indices are off the base, so
+        its steps run as one loop over Python floats: each does the float
+        operations of `apply_phase_pattern(targets)` then `diffuse()`, in
+        the same order, norm check included, with the index counts
+        hoisted as floats, which multiply and divide as the ints do.  Any
+        other state, one with exceptions included, calls those two
+        methods per step.
         """
         if count and not self._group.size and not self._index.size:
             # every amplitude is the base: the first marking adopts the
             # targets as the group, and the loop negates the base for it
             self._group, self._group_amp = targets, self._base
-        if targets is not self._group:
+        if targets is not self._group or self._index.size:
             # the targets can become the group only in a uniform state
             for _ in range(count):
                 self.apply_phase_pattern(targets)
                 self.diffuse()
             return self
-        base, amp, values = self._base, self._group_amp, self._values
-        group = self._group.size
-        rest = self.size - group - values.size
+        base, amp = self._base, self._group_amp
+        group, size = float(self._group.size), float(self.size)
+        rest = size - group
         tol = NORM_TOL
-        if values.size:
-            for _ in range(count):
-                amp = -amp
-                total = base * rest + amp * group + float(values.sum())
-                twice_mean = 2.0 * (total / self.size)
-                base = twice_mean - base
-                amp = twice_mean - amp
-                np.subtract(twice_mean, values, out=values)
-                norm = base * base * rest + amp * amp * group + float(np.dot(values, values))
-                if abs(norm - 1.0) > tol:
-                    self._base, self._group_amp = base, amp
-                    raise ValueError(f"state norm {norm} drifted beyond tolerance")
-        else:
-            group, rest, size = float(group), float(rest), float(self.size)
-            for _ in range(count):
-                amp = -amp
-                twice_mean = 2.0 * ((base * rest + amp * group) / size)
-                base = twice_mean - base
-                amp = twice_mean - amp
-                norm = base * base * rest + amp * amp * group
-                if abs(norm - 1.0) > tol:
-                    self._base, self._group_amp = base, amp
-                    raise ValueError(f"state norm {norm} drifted beyond tolerance")
+        for _ in range(count):
+            amp = -amp
+            twice_mean = 2.0 * ((base * rest + amp * group) / size)
+            base = twice_mean - base
+            amp = twice_mean - amp
+            norm = base * base * rest + amp * amp * group
+            if abs(norm - 1.0) > tol:
+                self._base, self._group_amp = base, amp
+                raise ValueError(f"state norm {norm} drifted beyond tolerance")
         self._base, self._group_amp = base, amp
         return self
 
@@ -544,28 +533,26 @@ class StructuredState:
         in Python floats, left to right as `np.add.accumulate` adds, and
         searched with `bisect_right` as `searchsorted(side="right")` does;
         past it, in numpy.  So every path picks the same index from the
-        same draw.  The group is sorted and shares one amplitude, so a
-        state without exceptions builds its masses from the group's gaps
-        and that amplitude, with no sort or merge; only exceptions need
-        them.
+        same draw.  A state without exceptions builds its masses from the
+        group, already sorted, and its one amplitude, with no merge; a
+        state with a group and exceptions first dissolves the group into
+        the exceptions with `_merge`, as it collapses right after, so
+        every cdf reads one sorted index array.
         """
         base_prob = self._base * self._base
         segments = 2 * (self._group.size + self._index.size) + 1
+        if self._group.size and self._index.size:
+            self._dissolve_group()
         if segments == 1:
             # uniform: one segment, the base run over every index
             target = rng.random() * (self.size * base_prob)
             outcome = min(int(target / base_prob), self.size - 1)
         elif segments <= SCALAR_MEASURE_SEGMENTS:
-            index = self._group.tolist()
             if self._index.size:
-                index += self._index.tolist()
-                values = [self._group_amp] * self._group.size + self._values.tolist()
-                if self._group.size:
-                    order = sorted(range(len(index)), key=index.__getitem__)
-                    index = [index[k] for k in order]
-                    values = [values[k] for k in order]
-                probs = [value * value for value in values]
+                index = self._index.tolist()
+                probs = [value * value for value in self._values.tolist()]
             else:
+                index = self._group.tolist()
                 probs = repeat(self._group_amp * self._group_amp)
             mass, start = [], 0
             for i, prob in zip(index, probs):
@@ -577,16 +564,12 @@ class StructuredState:
             seg = bisect_right(cdf, target)
             outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
         else:
-            index = self._group
             mass = np.empty(segments)
             if self._index.size:
-                index = np.concatenate((index, self._index))
-                order = np.argsort(index)
-                index = index[order]
-                values = np.concatenate((np.full(self._group.size, self._group_amp),
-                                         self._values))[order]
-                np.multiply(values, values, out=mass[1::2])
+                index = self._index
+                np.multiply(self._values, self._values, out=mass[1::2])
             else:
+                index = self._group
                 mass[1::2] = self._group_amp * self._group_amp
             # each base run's mass, from the gaps between the sorted indices
             gaps = index[1:] - index[:-1]

@@ -226,8 +226,9 @@ def test_pairs_alternate_the_trees_and_report_the_gain(monkeypatch, tmp_path, ca
     # quartiles as statistics.quantiles(n=4) takes them
     assert "parent: median 10.75 ms, quartiles 10.12 .. 11.75 ms" in lines
     assert "change: median 9.25 ms, quartiles 8.25 .. 11 ms" in lines
-    assert "change faster in 3 of 4 pairs" in lines
+    assert "change better in 3 of 4 pairs" in lines
     assert "medians differ by -1.5 ms; parent quartile spread 1.625 ms: within it" in lines
+    assert "ops_per_s: not printed by every run" in lines
     changed = [line for line in lines if line.startswith("!!! DIGEST CHANGED")]
     assert len(changed) == code and ("result digests: all equal" in lines) == (not code)
 
@@ -236,3 +237,56 @@ def test_pairs_need_a_workload(capsys):
     with pytest.raises(SystemExit):
         record.main(["--pairs", "3"])
     assert "--pairs needs N >= 1 and --workload" in capsys.readouterr().err
+
+
+def test_pairs_report_every_end_to_end_metric_by_its_direction(monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    names = [metric["name"] for metric in record.end_to_end_metrics()]
+    assert names == ["op_ms_p50", "ops_per_s", "setup_s", "peak_rss_mib", "verified_frac"]
+    # per side, one value per run of each metric: the change is lower in
+    # op_ms_p50 and setup_s in every pair, higher in ops_per_s in three,
+    # equal in peak_rss_mib and verified_frac
+    values = {
+        parent: {"op_ms_p50": [10.0, 11.0, 12.0, 10.5], "ops_per_s": [100.0, 90.0, 80.0, 95.0],
+                 "setup_s": [2.0, 2.0, 2.0, 2.0], "peak_rss_mib": [60.0] * 4,
+                 "verified_frac": [1.0] * 4},
+        record.REPO: {"op_ms_p50": [9.0, 10.0, 11.0, 9.5], "ops_per_s": [110.0, 90.0, 85.0, 99.0],
+                      "setup_s": [1.5, 1.6, 1.7, 1.8], "peak_rss_mib": [60.0] * 4,
+                      "verified_frac": [1.0] * 4},
+    }
+    runs = {parent: 0, record.REPO: 0}
+
+    def fake_run_perfbench(root, seed, trace, workload):
+        assert (seed, trace, workload) == (11, 0, "match_long")
+        k = runs[root]
+        runs[root] += 1
+        metrics = {f"match_long.{name}": {"value": v[k], "unit": "x"}
+                   for name, v in values[root].items()}
+        return {"seed": seed, "metrics": metrics, "digests": {"match_long": "a" * 64}}
+
+    monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
+    lines, changed = record.run_pairs(parent, "match_long", 11, 4)
+    assert not changed and lines[-1] == "result digests: all equal"
+    assert runs == {parent: 4, record.REPO: 4}
+    reports = {line.split(" (")[0]: i for i, line in enumerate(lines) if " is better)" in line}
+    assert list(reports) == names
+
+    def report(name):
+        return lines[reports[name]:reports[name] + 5]
+
+    assert report("op_ms_p50")[0] == "op_ms_p50 (ms, lower is better)"
+    assert report("op_ms_p50")[3] == "change better in 4 of 4 pairs"
+    assert report("ops_per_s") == [
+        "ops_per_s (1/s, higher is better)",
+        "parent: median 92.5 1/s, quartiles 82.5 .. 98.75 1/s",
+        "change: median 94.5 1/s, quartiles 86.25 .. 107.2 1/s",
+        "change better in 3 of 4 pairs",  # the tie at 90 counts for neither
+        "medians differ by +2 1/s; parent quartile spread 16.25 1/s: within it",
+    ]
+    assert report("setup_s")[3:] == [
+        "change better in 4 of 4 pairs",
+        "medians differ by -0.35 s; parent quartile spread 0 s: beyond it",
+    ]
+    assert report("peak_rss_mib")[3] == "change better in 0 of 4 pairs"
+    assert report("verified_frac")[4] == (
+        "medians differ by +0 ratio; parent quartile spread 0 ratio: within it")

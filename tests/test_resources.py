@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qstrings import resources
 from qstrings.cli import main
 from qstrings.fingerprint import hash_width, nth_prime, universe_size
+from qstrings.qmatch import inner_schedule
 from qstrings.resources import (
     ANCILLA_COMPARE_BSEARCH,
     ANCILLA_MATCH,
@@ -81,6 +84,19 @@ def test_index_width():
     assert index_width(2) == 1
     assert index_width(57) == 6
     assert index_width(64) == 6
+
+
+def test_integer_ceil_log2_forms_equal_the_float_forms():
+    # durr_hoyer_min's phase count and inner_schedule's repetitions, each once
+    # written with math.log2: every domain up to 2^16, then around each power
+    # of two up to 2^22
+    domains = set(range(1, 1 << 16)).union(
+        (1 << k) + d for k in range(16, 23) for d in (-1, 0, 1))
+    for domain in sorted(domains):
+        assert index_width(max(2, domain)) == max(1, math.ceil(math.log2(max(2, domain))))
+        if domain > 1:
+            reps = math.ceil(math.log2(math.sqrt(domain))) + 2
+            assert inner_schedule(domain) == [2**j for j in range(reps)]
 
 
 def test_nominal_hash_width_matches_universe_max():

@@ -318,15 +318,20 @@ def _measure_paths(state: StructuredState, u: float, monkeypatch) -> list[int]:
 
 
 def _special_state(size: int, group: int, exceptions: int) -> StructuredState:
-    """A state off the base at `group` targets and `exceptions` more indices."""
+    """A state off the base at `group` targets and `exceptions` more indices,
+    the exceptions interleaved with the targets (every other index from the
+    first, so measuring must merge the two)."""
     layout = RegisterLayout(idx=(size - 1).bit_length())
     state = StructuredState(layout, size)
     index = np.arange(0, 2 * (group + exceptions), 2)
-    targets, flips = index[:group], index[group:]
+    flips = index[:2 * exceptions:2]
+    targets = np.setdiff1d(index, flips)
     for marked in (targets, np.union1d(targets, flips), targets):
         state.apply_phase_pattern(marked)
         state.diffuse()
     assert state._group is targets and state._index.size == exceptions
+    if exceptions:
+        assert state._index[0] < targets[0] < state._index[-1] < targets[-1]
     return state
 
 
