@@ -41,9 +41,13 @@ of one workload, one in the tree at PARENT and one in this repository,
 alternating which goes first.  It prints each pair's `op_ms_p50`, then
 for every end-to-end metric BENCHMARK.json names each side's median
 and quartiles, the pairs the change won by the metric's `better`
-direction (ties count for neither), and whether the medians differ by
-more than the spread between the parent's quartiles.  It exits 1 when
-the two sides' result digests differ.
+direction (ties count for neither), whether the medians differ by
+more than the spread between the parent's quartiles, and a closing
+verdict line: "gain shown" (at least 9 of 10 pairs won and the medians
+apart by more than that spread, the change's the better), "worse beyond
+bound" (the change's median worse than the parent's by more than the
+metric's BENCHMARK.json bound, a share of the parent's median) or "no
+gain shown".  It exits 1 when the two sides' result digests differ.
 
 Standard library only, so it runs on any tree the benchmark runs on.
 """
@@ -320,8 +324,12 @@ def end_to_end_metrics() -> list[dict]:
 def _pair_report(metric: dict, parent: list[float], change: list[float]) -> list[str]:
     """One end-to-end metric's report over the pairs: each side's median and
     quartiles, the pairs the change won by the metric's `better` direction
-    (ties count for neither), and whether the medians differ by more than
-    the parent's quartile spread."""
+    (ties count for neither), whether the medians differ by more than the
+    parent's quartile spread, and a verdict: "gain shown" when the change
+    won at least nine tenths of the pairs and its median is better by more
+    than that spread, "worse beyond bound" when its median is worse than
+    the parent's by more than the metric's bound, a share of the parent's
+    median, and "no gain shown" otherwise."""
     unit = metric["unit"]
     lines = [f"{metric['name']} ({unit}, {metric['better']} is better)"]
     for side, samples in (("parent", parent), ("change", change)):
@@ -334,6 +342,13 @@ def _pair_report(metric: dict, parent: list[float], change: list[float]) -> list
     gap = statistics.median(change) - parent_median
     lines.append(f"medians differ by {gap:+.4g} {unit}; parent quartile spread {q3 - q1:.4g} "
                  f"{unit}: {'beyond' if abs(gap) > q3 - q1 else 'within'} it")
+    if 10 * won >= 9 * len(parent) and sign * gap > q3 - q1:
+        verdict = "gain shown"
+    elif -sign * gap > metric["bound"] * abs(parent_median):
+        verdict = "worse beyond bound"
+    else:
+        verdict = "no gain shown"
+    lines.append(f"verdict: {verdict}")
     return lines
 
 

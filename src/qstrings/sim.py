@@ -16,12 +16,16 @@ A query that marks exactly the group then costs O(1) scalar work, and
 any other step O(exceptions + marked).  One rule splits the work: a
 state whose only off-base indices are the group runs a stretch of
 target-only steps (`target_steps`) as one loop over Python floats and
-builds its measurement cdf from the sorted group with no merge; a state
-with exceptions steps one phase marking and one diffusion at a time,
-and is measured from one index array merged by `_merge`.  Measuring a
-uniform state takes one division.  Every path picks the index that one
-cdf over all the segments picks from the same draw.  The two backends
-must agree amplitude-for-amplitude after expansion.
+gets a certified closed-form measurement in O(log g) for g targets: the
+cdf has a closed form at every segment end, and the pick stands only
+where the error bound of a float sum cannot move it.  A state with
+exceptions steps one phase marking and one diffusion at a time, and it,
+or a pick the bound refuses, is measured by the exact cdf, summed from
+one sorted index array (the group merged by `_merge` into the
+exceptions).  Measuring a uniform state takes one division.  Every path
+picks the index that one cdf over all the segments picks from the same
+draw.  The two backends must agree amplitude-for-amplitude after
+expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
@@ -290,13 +294,14 @@ def _check_index_array(marked: np.ndarray) -> None:
         raise ValueError(f"marked must be an integer index array, got dtype {marked.dtype}")
 
 
-# Up to this many cdf segments `measure_index` sums in Python floats; past
+# Up to this many segments the exact cdf is summed in Python floats; past
 # it, numpy's fixed cost per call is the smaller one.  Measured on a
-# 2-vCPU Xeon VM (numpy 2.4.6), on group-only states of g random indices
-# out of 4096, Python floats against numpy, best of 15 per state: 8-10
-# against 11-13 us at 33 segments, 12-14 against 12-13 us from 57 to 65
-# segments, where they cross, and 19-22 against 11-13 us at 129.
-SCALAR_MEASURE_SEGMENTS = 64
+# 2-vCPU Xeon VM (numpy 2.4.6), `_cdf_pick` on exception states of E
+# random indices out of 4096, Python floats against numpy, best of 6
+# rounds of 25 x 1000 calls: 2.8 against 8.2 us at 5 segments, 7.0
+# against 7.8 us at 33, 7.8 against 7.8 us at 41, where they cross,
+# 10.0 against 7.7 us at 57 and 13.5 against 7.8 us at 81.
+SCALAR_MEASURE_SEGMENTS = 40
 # shared empty arrays, never written: every write replaces a non-empty one
 _NO_INDEX = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0)
@@ -350,10 +355,11 @@ class StructuredState:
     A step that marks exactly the group costs O(1) scalar work; any
     other step costs O(exceptions + marked).  A state without exceptions
     runs a stretch of target-only steps as one loop over Python floats
-    and is measured from its group, already sorted, as is; a state with
-    exceptions takes one step at a time and is measured from its group
-    and exceptions merged by `_merge`.  A copy shares the bindings and
-    the empty arrays, and copies only exception amplitudes.
+    and gets a certified closed-form pick from its sorted group in
+    O(log g); a state with exceptions takes one step at a time, and it,
+    or a pick the closed form refuses, is measured by the exact cdf over
+    the group and exceptions merged by `_merge`.  A copy shares the
+    bindings and the empty arrays, and copies only exception amplitudes.
     """
 
     def __init__(
@@ -493,6 +499,7 @@ class StructuredState:
         other state, one with exceptions included, calls those two
         methods per step.
         """
+        _check_index_array(targets)
         if count and not self._group.size and not self._index.size:
             # every amplitude is the base: the first marking adopts the
             # targets as the group, and the loop negates the base for it
@@ -529,25 +536,90 @@ class StructuredState:
         (group or exception), then that index itself, then the run after
         the last one.  A uniform state has one segment, so its pick is
         the draw times the total, over the base probability, with no cdf
-        built.  Up to SCALAR_MEASURE_SEGMENTS segments the cdf is summed
-        in Python floats, left to right as `np.add.accumulate` adds, and
-        searched with `bisect_right` as `searchsorted(side="right")` does;
-        past it, in numpy.  So every path picks the same index from the
-        same draw.  A state without exceptions builds its masses from the
+        built.  A group-only state gets a certified closed-form pick in
+        O(log g) (`_group_pick`); an exception state, or a pick that the
+        closed form refuses, gets the exact cdf (`_cdf_pick`), from the
+        same draw.  So every path picks the same index from the same
+        draw.
+        """
+        base_prob = self._base * self._base
+        u = rng.random()
+        if not self._group.size and not self._index.size:
+            # uniform: one segment, the base run over every index
+            target = u * (self.size * base_prob)
+            outcome = min(int(target / base_prob), self.size - 1)
+        elif self._index.size or (outcome := self._group_pick(u, base_prob)) is None:
+            outcome = self._cdf_pick(u, base_prob)
+        # collapsed: the outcome alone, a group of one, holds amplitude 1
+        self._base = 0.0
+        self._group = np.array([outcome], dtype=np.int64)
+        self._group_amp = 1.0
+        self._index = _NO_INDEX
+        self._values = _NO_VALUES
+        return outcome
+
+    def _group_pick(self, u: float, base_prob: float) -> int | None:
+        """The pick of a group-only state from the draw `u`, read off the
+        cdf's closed form, or None where it might differ from the pick of
+        the summed cdf.
+
+        With G the sorted group of g members, b the base probability and a
+        the group's, member j's segment ends at (G[j] - j) b + (j + 1) a,
+        and the base run before it a below that; the total is
+        (size - g) b + g a.  So `bisect_right` over the members finds the
+        target's segment in O(log g).  Every value the summed cdf compares
+        the target with is a left-to-right float sum of at most N = 2g + 1
+        non-negative masses, within gamma_N times the total of this form
+        (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
+        so is the target, u times that sum's total.  The pick stands only
+        where the target lies more than three such bounds inside its
+        segment and, in a base run, where the offset floors alike at both
+        ends of that margin; otherwise the caller sums the cdf.
+        """
+        group, amp_prob = self._group, self._group_amp * self._group_amp
+        g = group.size
+        total = (self.size - g) * base_prob + g * amp_prob
+        n = 2 * g + 1
+        # gamma_n with room for the roundings of each mass and of this form,
+        # plus the absolute error of products that underflow
+        margin = 3.0 * ((n + 8) * 2.0**-51 * total + n * 2.0**-1070)
+        target = u * total
+
+        def member_end(j: int) -> float:
+            return (group.item(j) - j) * base_prob + (j + 1) * amp_prob
+
+        j = bisect_right(range(g), target, key=member_end)
+        start = group.item(j - 1) + 1 if j else 0
+        end = group.item(j) if j < g else self.size
+        run_start = member_end(j - 1) if j else 0.0
+        run_end = (end - j) * base_prob + j * amp_prob
+        if run_start + margin < target < run_end - margin:
+            # a base run, which has mass only where base_prob > 0
+            offset = target - run_start
+            low = int((offset - margin) / base_prob)
+            high = int((offset + margin) / base_prob)
+            return start + min(low, end - start - 1) if low == high else None
+        if j < g and run_end + margin < target < member_end(j) - margin:
+            return end
+        return None
+
+    def _cdf_pick(self, u: float, base_prob: float) -> int:
+        """The pick from the draw `u` by the exact cdf, for a state with a
+        group or exceptions.
+
+        Up to SCALAR_MEASURE_SEGMENTS segments the cdf is summed in Python
+        floats, left to right as `np.add.accumulate` adds, and searched
+        with `bisect_right` as `searchsorted(side="right")` does; past it,
+        in numpy.  A state without exceptions builds its masses from the
         group, already sorted, and its one amplitude, with no merge; a
         state with a group and exceptions first dissolves the group into
         the exceptions with `_merge`, as it collapses right after, so
         every cdf reads one sorted index array.
         """
-        base_prob = self._base * self._base
-        segments = 2 * (self._group.size + self._index.size) + 1
         if self._group.size and self._index.size:
             self._dissolve_group()
-        if segments == 1:
-            # uniform: one segment, the base run over every index
-            target = rng.random() * (self.size * base_prob)
-            outcome = min(int(target / base_prob), self.size - 1)
-        elif segments <= SCALAR_MEASURE_SEGMENTS:
+        segments = 2 * (self._group.size + self._index.size) + 1
+        if segments <= SCALAR_MEASURE_SEGMENTS:
             if self._index.size:
                 index = self._index.tolist()
                 probs = [value * value for value in self._values.tolist()]
@@ -560,9 +632,8 @@ class StructuredState:
                 start = i + 1
             mass.append((self.size - start) * base_prob)
             cdf = list(accumulate(mass))
-            target = rng.random() * cdf[-1]
+            target = u * cdf[-1]
             seg = bisect_right(cdf, target)
-            outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
         else:
             mass = np.empty(segments)
             if self._index.size:
@@ -578,16 +649,9 @@ class StructuredState:
             mass[0] = int(index[0]) * base_prob  # Python ints: numpy scalars cost more
             mass[-1] = (self.size - 1 - int(index[-1])) * base_prob
             cdf = np.add.accumulate(mass)
-            target = rng.random() * float(cdf[-1])
+            target = u * float(cdf[-1])
             seg = int(cdf.searchsorted(target, "right"))
-            outcome = _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
-        # collapsed: the outcome alone, a group of one, holds amplitude 1
-        self._base = 0.0
-        self._group = np.array([outcome], dtype=np.int64)
-        self._group_amp = 1.0
-        self._index = _NO_INDEX
-        self._values = _NO_VALUES
-        return outcome
+        return _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
 
     @property
     def index_width(self) -> int:
@@ -657,6 +721,7 @@ class DenseSearchState:
 
     def target_steps(self, targets: np.ndarray, count: int) -> None:
         """`count` steps that each mark exactly `targets`, then diffuse."""
+        _check_index_array(targets)
         for _ in range(count):
             self.apply_phase_pattern(targets)
             self.diffuse()

@@ -290,3 +290,43 @@ def test_pairs_report_every_end_to_end_metric_by_its_direction(monkeypatch, tmp_
     assert report("peak_rss_mib")[3] == "change better in 0 of 4 pairs"
     assert report("verified_frac")[4] == (
         "medians differ by +0 ratio; parent quartile spread 0 ratio: within it")
+
+
+def test_pairs_end_each_metric_with_a_verdict(monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    base = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    values = {
+        parent: {"op_ms_p50": base, "setup_s": [v / 10 for v in base],
+                 "peak_rss_mib": [60.0 + k for k in range(10)], "ops_per_s": [100.0] * 10,
+                 "verified_frac": [1.0] * 10},
+        # op_ms_p50: 9 of 10 won, beyond the spread; setup_s: 8 of 10, beyond
+        # it; peak_rss_mib: 10 of 10 within it; ops_per_s 30 % worse (bound
+        # 25 %); verified_frac 15 % worse (bound 20 %)
+        record.REPO: {"op_ms_p50": [8.0] * 9 + [12.0], "setup_s": [0.8] * 8 + [2.0] * 2,
+                      "peak_rss_mib": [59.5 + k for k in range(10)], "ops_per_s": [70.0] * 10,
+                      "verified_frac": [0.85] * 10},
+    }
+    runs = {parent: 0, record.REPO: 0}
+
+    def fake_run_perfbench(root, seed, trace, workload):
+        k = runs[root]
+        runs[root] += 1
+        metrics = {f"compare_grover.{name}": {"value": v[k], "unit": "x"}
+                   for name, v in values[root].items()}
+        return {"seed": seed, "metrics": metrics, "digests": {"compare_grover": "a" * 64}}
+
+    monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
+    lines = record.run_pairs(parent, "compare_grover", 11, 10)[0]
+    verdicts = {lines[i].split(" (")[0]: lines[i + 5] for i, line in enumerate(lines)
+                if " is better)" in line}
+    assert verdicts == {
+        "op_ms_p50": "verdict: gain shown",
+        "ops_per_s": "verdict: worse beyond bound",
+        "setup_s": "verdict: no gain shown",
+        "peak_rss_mib": "verdict: no gain shown",
+        "verified_frac": "verdict: no gain shown",
+    }
+    assert lines[lines.index("op_ms_p50 (ms, lower is better)") + 3] == (
+        "change better in 9 of 10 pairs")
+    assert lines[lines.index("peak_rss_mib (MiB, lower is better)") + 3] == (
+        "change better in 10 of 10 pairs")

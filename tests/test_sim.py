@@ -335,9 +335,11 @@ def _special_state(size: int, group: int, exceptions: int) -> StructuredState:
     return state
 
 
-@pytest.mark.parametrize("group, exceptions", [(31, 0), (32, 0), (20, 11), (20, 12), (1, 0)])
+@pytest.mark.parametrize("group, exceptions", [(31, 0), (32, 0), (20, 11), (20, 12), (1, 0),
+                                               (19, 0), (20, 0), (10, 9), (10, 10)])
 def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, monkeypatch):
-    # 2 * specials + 1 segments: 63 and 65 sit either side of the cutoff
+    # 2 * specials + 1 segments: 39 and 41 sit either side of the cutoff,
+    # and 63 and 65 well past it
     state = _special_state(256, group, exceptions)
     probs = state.amps**2
     cdf = np.cumsum(probs)
@@ -369,8 +371,11 @@ def _reference_mass(state: StructuredState) -> np.ndarray:
 @pytest.mark.parametrize("group, exceptions", [(1, 0), (31, 0), (40, 0), (3, 2), (20, 12)])
 def test_measurement_cdf_matches_the_sorted_reference_bit_for_bit(group, exceptions,
                                                                   monkeypatch):
+    # a draw at a cdf boundary, which a group-only state's closed-form pick
+    # must refuse, so every state here builds the exact cdf
     state = _special_state(256, group, exceptions)
     want = np.cumsum(_reference_mass(state))
+    u = float(want[1] / want[-1])
     seen = []
 
     def spy(index, mass, cdf, *args):
@@ -380,8 +385,76 @@ def test_measurement_cdf_matches_the_sorted_reference_bit_for_bit(group, excepti
     monkeypatch.setattr(sim, "_cdf_segment", spy)
     for cutoff in (10**9, 0):  # the Python-float path, then the numpy path
         monkeypatch.setattr(sim, "SCALAR_MEASURE_SEGMENTS", cutoff)
-        copy.deepcopy(state).measure_index(np.random.default_rng(0))
+        draw = _Draw(u)
+        copy.deepcopy(state).measure_index(draw)
+        assert draw.draws == 1
     assert seen == [want.tolist(), want.tolist()]
+
+
+def _group_state(width: int, group: int, steps: int) -> StructuredState:
+    """A group-only state over 2^width indices after `steps` target-only
+    steps on `group` random targets."""
+    size = 1 << width
+    state = StructuredState(RegisterLayout(idx=width), size)
+    targets = np.sort(np.random.default_rng([width, group]).choice(size, group, replace=False))
+    state.target_steps(targets, steps)
+    assert state._group is targets and not state._index.size
+    return state
+
+
+@pytest.mark.parametrize("width, group, steps", [
+    (1, 2, 1), (2, 1, 1), (5, 8, 1), (7, 31, 2), (7, 32, 1), (10, 33, 3), (12, 1, 1),
+    (12, 1, 50), (12, 2000, 1), (9, 511, 2), (12, 4096, 3),
+])
+def test_closed_form_pick_is_the_reference_at_every_boundary(width, group, steps):
+    # every index a target (group = size), a zero base (one step on one
+    # target in four) and groups up to 4096, each drawn at random, at every
+    # cdf boundary, at the start of an index inside up to 256 base runs,
+    # one ulp below and above each, and 2^-44 to 2^-32 of the total either
+    # side of up to 256 boundaries, where the closed form's margin ends for
+    # these groups: a pick the closed form gives, and one it refuses to the
+    # exact cdf, is the reference's
+    state = _group_state(width, group, steps)
+    if (width, group) == (2, 1):
+        assert state._base == 0.0
+    cdf = np.cumsum(_reference_mass(state))
+    rng = np.random.default_rng(width)
+    lengths = np.diff(np.concatenate(([-1], state._group, [state.size]))) - 1
+    runs = rng.permutation(np.flatnonzero(lengths > 1))[:256]
+    inner = np.concatenate(([0.0], cdf))[2 * runs] + [
+        int(rng.integers(1, lengths[run])) * state._base**2 for run in runs]
+    bounds = np.concatenate((cdf, inner)) / cdf[-1]
+    near = rng.choice(bounds, min(bounds.size, 256), replace=False)
+    draws = np.concatenate((rng.random(64), bounds, np.nextafter(bounds, 0),
+                            np.nextafter(bounds, 2),
+                            *(near + side * 2.0**-e for e in (44, 40, 36, 32) for side in (-1, 1))))
+    draws = draws.clip(0, 1)
+    for u in draws.tolist():
+        got, want = state.copy(), state.copy()
+        got_draw, want_draw = _Draw(u), _Draw(u)
+        assert got.measure_index(got_draw) == measure_index_reference(want, want_draw)
+        assert _collapsed(got) == _collapsed(want)
+        assert got_draw.draws == want_draw.draws == 1
+
+
+@pytest.mark.parametrize("group", [1, 31, 33, 4096])
+def test_closed_form_pick_answers_random_draws(group, monkeypatch):
+    # a bound so loose that it refuses every pick would pass the test above
+    # on the exact cdf alone; at random draws the closed form must answer
+    state = _group_state(12, group, 1)
+    exact, cdf_segment = [], sim._cdf_segment
+
+    def spy(*args):
+        exact.append(args)
+        return cdf_segment(*args)
+
+    monkeypatch.setattr(sim, "_cdf_segment", spy)
+    rng = np.random.default_rng(group)
+    for _ in range(200):
+        got, want = state.copy(), state.copy()
+        u = rng.random()
+        assert got.measure_index(_Draw(u)) == measure_index_reference(want, _Draw(u))
+    assert exact == []
 
 
 def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
@@ -447,6 +520,10 @@ def _collapsed(state: StructuredState) -> tuple:
 @example(kind="group", width=7, specials=31, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
 @example(kind="group", width=7, specials=32, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
 @example(kind="group", width=5, specials=32, seed=2, steps=3, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="group", width=7, specials=19, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="group", width=7, specials=20, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="exceptions", width=7, specials=18, seed=0, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
+@example(kind="exceptions", width=7, specials=18, seed=1, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
 @example(kind="group", width=2, specials=1, seed=3, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
 @example(kind="uniform", width=7, specials=1, seed=0, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
 @example(kind="exceptions", width=7, specials=30, seed=2, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
@@ -665,3 +742,16 @@ def test_phase_pattern_rejects_a_bool_mask(backend):
     search.apply_phase_pattern(np.array([2], dtype=np.int64))
     search.diffuse()
     assert np.allclose(index_probabilities(search), [0.0, 0.0, 1.0, 0.0])
+
+
+@both_backends
+@pytest.mark.parametrize("count", [0, 1])
+def test_target_steps_rejects_a_bool_mask(backend, count):
+    # a mask adopted as the group would count every entry as a target
+    search = backend(RegisterLayout(idx=3), 8)
+    before = index_probabilities(search)
+    with pytest.raises(ValueError, match="marked must be an integer index array"):
+        search.target_steps(np.arange(8) == 5, count)
+    assert (index_probabilities(search) == before).all()
+    if backend is StructuredState:
+        assert search._group is sim._NO_INDEX and search._index is sim._NO_INDEX
