@@ -3,7 +3,8 @@
     python3 bench/record.py --label 9 --out BENCH_9.json
     python3 bench/record.py --label 8 --root ../parent --out BENCH_8.json
     python3 bench/record.py --compare BENCH_8.json BENCH_9.json
-    python3 bench/record.py --pairs 10 --workload compare_grover --seed 11 --root ../parent
+    python3 bench/record.py --pairs 10 --workload compare_grover --seed 11 --root ../parent \
+        --out BENCH_9_pairs.json
 
 A record runs `perfbench/run.py --workload all` of the tree at --root
 (default: this repository) for 20 s with `--trace 0` at seeds 3 and 5
@@ -30,7 +31,10 @@ A -> B ("n/a" for a record without line counts), each scale stage's
 time and peak as A -> B, and a loud DIGEST
 CHANGED line for every workload and seed whose result digest differs;
 it exits 1 when one does, since equal digests mean the same answers at
-the same simulated cost.  It warns when a
+the same simulated cost.  It prints a loud SOURCES DIFFER line for a
+record whose `src_sha256` is not the digest of the `src/` committed at
+its `git_revision` (read from this repository with `git show`): that
+record measured uncommitted sources.  It warns when a
 workload's `host_probe_ms` differs by more than 25 % between the two
 records: the host ran at another speed, and unscaled times do not
 compare.  These are report lines; no gate depends on them.
@@ -48,6 +52,10 @@ apart by more than that spread, the change's the better), "worse beyond
 bound" (the change's median worse than the parent's by more than the
 metric's BENCHMARK.json bound, a share of the parent's median) or "no
 gain shown".  It exits 1 when the two sides' result digests differ.
+With `--out PATH` it also writes the pairs as JSON: each side's result
+digests, each pair's metrics by side and which side ran first, per
+end-to-end metric each side's median and quartiles, the pairs won and
+the verdict, and each tree's git revision and source digest.
 
 Standard library only, so it runs on any tree the benchmark runs on.
 """
@@ -237,13 +245,36 @@ def _git(root: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def _digest(sources) -> str:
+    digest = hashlib.sha256()
+    for name, data in sources:
+        digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
 def source_digest(root: Path) -> str:
     """sha256 over the program's sources, naming the measured tree even when
     it differs from its git revision."""
-    digest = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+    return _digest((str(path.relative_to(root)), path.read_bytes())
+                   for path in sorted((root / "src").rglob("*.py")))
+
+
+def committed_source_digest(root: Path, revision: str) -> str | None:
+    """`source_digest` of the sources committed at `revision` in the git
+    repository at `root`, or None when git cannot read them."""
+    names = _git(root, "ls-tree", "-r", "--name-only", revision, "--", "src")
+    if names is None:
+        return None
+    sources = []
+    # in the order `sorted` puts the paths `source_digest` reads
+    for name in sorted((n for n in names.splitlines() if n.endswith(".py")),
+                       key=lambda n: n.split("/")):
+        proc = subprocess.run(["git", "show", f"{revision}:{name}"], cwd=root,
+                              capture_output=True)
+        if proc.returncode != 0:
+            return None
+        sources.append((name, proc.stdout))
+    return _digest(sources)
 
 
 def source_lines(root: Path) -> dict:
@@ -321,48 +352,63 @@ def end_to_end_metrics() -> list[dict]:
     return benchmark["end_to_end"]
 
 
-def _pair_report(metric: dict, parent: list[float], change: list[float]) -> list[str]:
-    """One end-to-end metric's report over the pairs: each side's median and
+def _pair_summary(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """One end-to-end metric over the pairs: each side's median and
     quartiles, the pairs the change won by the metric's `better` direction
-    (ties count for neither), whether the medians differ by more than the
-    parent's quartile spread, and a verdict: "gain shown" when the change
-    won at least nine tenths of the pairs and its median is better by more
-    than that spread, "worse beyond bound" when its median is worse than
-    the parent's by more than the metric's bound, a share of the parent's
+    (ties count for neither), the medians' difference, the parent's
+    quartile spread, and a verdict: "gain shown" when the change won at
+    least nine tenths of the pairs and its median is better by more than
+    that spread, "worse beyond bound" when its median is worse than the
+    parent's by more than the metric's bound, a share of the parent's
     median, and "no gain shown" otherwise."""
-    unit = metric["unit"]
-    lines = [f"{metric['name']} ({unit}, {metric['better']} is better)"]
+    summary = {key: metric[key] for key in ("name", "unit", "better", "bound")}
     for side, samples in (("parent", parent), ("change", change)):
         q1, median, q3 = _quartiles(samples)
-        lines.append(f"{side}: median {median:.4g} {unit}, quartiles {q1:.4g} .. {q3:.4g} {unit}")
+        summary[side] = {"median": median, "q1": q1, "q3": q3}
     sign = 1 if metric["better"] == "higher" else -1
     won = sum(sign * (ch - pa) > 0 for pa, ch in zip(parent, change))
-    lines.append(f"change better in {won} of {len(parent)} pairs")
-    q1, parent_median, q3 = _quartiles(parent)
+    parent_median = summary["parent"]["median"]
+    spread = summary["parent"]["q3"] - summary["parent"]["q1"]
     gap = statistics.median(change) - parent_median
-    lines.append(f"medians differ by {gap:+.4g} {unit}; parent quartile spread {q3 - q1:.4g} "
-                 f"{unit}: {'beyond' if abs(gap) > q3 - q1 else 'within'} it")
-    if 10 * won >= 9 * len(parent) and sign * gap > q3 - q1:
+    if 10 * won >= 9 * len(parent) and sign * gap > spread:
         verdict = "gain shown"
     elif -sign * gap > metric["bound"] * abs(parent_median):
         verdict = "worse beyond bound"
     else:
         verdict = "no gain shown"
-    lines.append(f"verdict: {verdict}")
+    return {**summary, "won": won, "pairs": len(parent), "gap": gap, "spread": spread,
+            "verdict": verdict}
+
+
+def _pair_report(summary: dict) -> list[str]:
+    """The report lines of one metric's `_pair_summary`."""
+    unit, spread, gap = summary["unit"], summary["spread"], summary["gap"]
+    lines = [f"{summary['name']} ({unit}, {summary['better']} is better)"]
+    for side in ("parent", "change"):
+        q = summary[side]
+        lines.append(f"{side}: median {q['median']:.4g} {unit}, "
+                     f"quartiles {q['q1']:.4g} .. {q['q3']:.4g} {unit}")
+    lines.append(f"change better in {summary['won']} of {summary['pairs']} pairs")
+    lines.append(f"medians differ by {gap:+.4g} {unit}; parent quartile spread {spread:.4g} "
+                 f"{unit}: {'beyond' if abs(gap) > spread else 'within'} it")
+    lines.append(f"verdict: {summary['verdict']}")
     return lines
 
 
-def run_pairs(parent: Path, workload: str, seed: int, pairs: int) -> tuple[list[str], bool]:
+def run_pairs(parent: Path, workload: str, seed: int, pairs: int
+              ) -> tuple[list[str], bool, dict]:
     """Report lines for `pairs` alternating runs of `workload` in the tree
-    at `parent` and in this repository, over every end-to-end metric, and
-    whether a result digest differs."""
+    at `parent` and in this repository, over every end-to-end metric,
+    whether a result digest differs, and the pairs as a JSON-ready dict."""
     trees = {"parent": parent, "change": REPO}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     digests: dict[str, set[str]] = {"parent": set(), "change": set()}
+    firsts = []
     lines = [f"{workload} at seed {seed}: parent {parent}, change {REPO}",
              "  pair  first     parent ms   change ms   change (op_ms_p50)"]
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
         for side in order:
             run = run_perfbench(trees[side], seed, 0, workload)
             runs[side].append(run["metrics"])
@@ -370,6 +416,7 @@ def run_pairs(parent: Path, workload: str, seed: int, pairs: int) -> tuple[list[
         pa, ch = (runs[side][-1][f"{workload}.op_ms_p50"]["value"] for side in ("parent", "change"))
         lines.append(f"  {pair + 1:>4}  {order[0]:<8} {pa:>10.4g}  {ch:>10.4g}   "
                      f"{(ch - pa) / pa:+.1%}")
+    summaries = []
     for metric in end_to_end_metrics():
         key = f"{workload}.{metric['name']}"
         if not all(key in run for side in runs.values() for run in side):
@@ -377,20 +424,33 @@ def run_pairs(parent: Path, workload: str, seed: int, pairs: int) -> tuple[list[
             continue
         samples = {side: [run[key]["value"] for run in side_runs]
                    for side, side_runs in runs.items()}
-        lines.extend(_pair_report(metric, samples["parent"], samples["change"]))
+        summaries.append(_pair_summary(metric, samples["parent"], samples["change"]))
+        lines.extend(_pair_report(summaries[-1]))
     changed = digests["parent"] != digests["change"]
     if changed:
         lines.append(f"!!! DIGEST CHANGED: {workload} at seed {seed}: "
                      f"{sorted(digests['parent'])} -> {sorted(digests['change'])}")
     else:
         lines.append("result digests: all equal")
-    return lines, changed
+    result = {
+        "workload": workload,
+        "seed": seed,
+        "seconds": SECONDS,
+        "digests": {side: sorted(digests[side]) for side in trees},
+        "pairs": [{"first": first, "parent": pa, "change": ch}
+                  for first, pa, ch in zip(firsts, runs["parent"], runs["change"])],
+        "metrics": summaries,
+        "digests_equal": not changed,
+    }
+    return lines, changed, result
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """Report lines comparing record b against record a, and whether a digest changed."""
     lines = [f"{side}: {r.get('label')} {r.get('git_revision')} src sha256 {r.get('src_sha256')}"
              for side, r in (("A", a), ("B", b))]
+    for side, r in (("A", a), ("B", b)):
+        lines.extend(_source_check(side, r))
     for name in sorted(set(a["metrics"]) | set(b["metrics"])):
         ma, mb = a["metrics"].get(name), b["metrics"].get(name)
         if ma is None or mb is None:
@@ -424,6 +484,22 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
                          f"({(pb - pa) / pa:+.0%}): the hosts ran at different speeds, "
                          "so compare host-scaled times only")
     return lines, changed
+
+
+def _source_check(side: str, r: dict) -> list[str]:
+    """A loud line when record r's `src_sha256` is not the digest of the
+    `src/` committed at its `git_revision` in this repository, and a note
+    when that cannot be read."""
+    revision, recorded = r.get("git_revision"), r.get("src_sha256")
+    if revision is None or recorded is None:
+        return [f"{side}: sources not checked: no git revision or src sha256"]
+    committed = committed_source_digest(REPO, revision)
+    if committed is None:
+        return [f"{side}: sources not checked: git cannot read src/ at {revision}"]
+    if committed != recorded:
+        return [f"!!! SOURCES DIFFER: {side} measured src sha256 {recorded}, "
+                f"but src/ at {revision} has {committed}"]
+    return []
 
 
 def _source_line_report(la: dict | None, lb: dict | None) -> list[str]:
@@ -466,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
     ap.add_argument("--label", help="name stored in the record, such as the change number")
-    ap.add_argument("--out", help="record file to write")
+    ap.add_argument("--out", help="record file to write, or with --pairs the pairs file")
     ap.add_argument("--root", default=str(REPO),
                     help="tree to measure, or with --pairs the parent tree (default: this one)")
     ap.add_argument("--pairs", type=int, metavar="N",
@@ -478,9 +554,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.pairs is not None:
             if args.pairs < 1 or not args.workload:
                 ap.error("--pairs needs N >= 1 and --workload")
-            lines, changed = run_pairs(Path(args.root).resolve(), args.workload, args.seed,
-                                       args.pairs)
+            parent = Path(args.root).resolve()
+            lines, changed, pairs = run_pairs(parent, args.workload, args.seed, args.pairs)
             print("\n".join(lines))
+            if args.out:
+                pairs["trees"] = {side: {"git_revision": _git(root, "rev-parse", "HEAD"),
+                                         "src_sha256": source_digest(root)}
+                                  for side, root in (("parent", parent), ("change", REPO))}
+                Path(args.out).write_text(json.dumps(pairs, indent=1) + "\n", encoding="utf-8")
             return 1 if changed else 0
         if args.compare:
             a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)

@@ -174,7 +174,6 @@ class MatchStateSpec:
         # t <= width <= bit_domain: every residue, the sentinel too, has width bits
         t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash)
         truth = t_counts == 0
-        truth[self.num_windows :] = False  # sentinel never equals the pattern hash
         # error class = differing-bit count t, with miss probability miss[t]
         return OracleSpec(
             self.num_windows,
@@ -206,6 +205,8 @@ def prepare_match_state(inst: MatchInstance, params: HashParams) -> MatchStateSp
     pattern_hash = fingerprint.rolling_hash(inst.pattern, params.p)
     table = np.empty(padded_size(inst.num_windows), dtype=np.int64)
     fingerprint.window_hashes(inst.text, inst.m, params.p, out=table[: inst.num_windows])
+    # xors with the pattern hash to width one bits, never zero, so no
+    # padding index is an oracle target (OracleSpec refuses a padded one)
     sentinel = ~pattern_hash & ((1 << params.width) - 1)
     table[inst.num_windows :] = sentinel
     table.flags.writeable = False

@@ -20,12 +20,12 @@ gets a certified closed-form measurement in O(log g) for g targets: the
 cdf has a closed form at every segment end, and the pick stands only
 where the error bound of a float sum cannot move it.  A state with
 exceptions steps one phase marking and one diffusion at a time, and it,
-or a pick the bound refuses, is measured by the exact cdf, summed from
-one sorted index array (the group merged by `_merge` into the
-exceptions).  Measuring a uniform state takes one division.  Every path
-picks the index that one cdf over all the segments picks from the same
-draw.  The two backends must agree amplitude-for-amplitude after
-expansion.
+or a pick the bound refuses, is measured by the one exact cdf, summed
+with numpy over one sorted index array (the group merged by `_merge`
+into the exceptions).  Measuring a uniform state takes one division.
+Every path picks the index that one cdf over all the segments picks
+from the same draw.  The two backends must agree
+amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -294,14 +294,6 @@ def _check_index_array(marked: np.ndarray) -> None:
         raise ValueError(f"marked must be an integer index array, got dtype {marked.dtype}")
 
 
-# Up to this many segments the exact cdf is summed in Python floats; past
-# it, numpy's fixed cost per call is the smaller one.  Measured on a
-# 2-vCPU Xeon VM (numpy 2.4.6), `_cdf_pick` on exception states of E
-# random indices out of 4096, Python floats against numpy, best of 6
-# rounds of 25 x 1000 calls: 2.8 against 8.2 us at 5 segments, 7.0
-# against 7.8 us at 33, 7.8 against 7.8 us at 41, where they cross,
-# 10.0 against 7.7 us at 57 and 13.5 against 7.8 us at 81.
-SCALAR_MEASURE_SEGMENTS = 40
 # shared empty arrays, never written: every write replaces a non-empty one
 _NO_INDEX = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0)
@@ -309,7 +301,7 @@ _NO_INDEX.flags.writeable = _NO_VALUES.flags.writeable = False
 
 
 def _cdf_segment(
-    index: Sequence[int], mass: Sequence[float], cdf: Sequence[float], seg: int,
+    index: np.ndarray, mass: np.ndarray, cdf: np.ndarray, seg: int,
     target: float, base_prob: float, size: int,
 ) -> int:
     """The basis index at `target` within cdf segment `seg`.
@@ -357,9 +349,10 @@ class StructuredState:
     runs a stretch of target-only steps as one loop over Python floats
     and gets a certified closed-form pick from its sorted group in
     O(log g); a state with exceptions takes one step at a time, and it,
-    or a pick the closed form refuses, is measured by the exact cdf over
-    the group and exceptions merged by `_merge`.  A copy shares the
-    bindings and the empty arrays, and copies only exception amplitudes.
+    or a pick the closed form refuses, is measured by the one exact cdf,
+    summed with numpy over the group and exceptions merged by `_merge`.
+    A copy shares the bindings and the empty arrays, and copies only
+    exception amplitudes.
     """
 
     def __init__(
@@ -538,9 +531,9 @@ class StructuredState:
         the draw times the total, over the base probability, with no cdf
         built.  A group-only state gets a certified closed-form pick in
         O(log g) (`_group_pick`); an exception state, or a pick that the
-        closed form refuses, gets the exact cdf (`_cdf_pick`), from the
-        same draw.  So every path picks the same index from the same
-        draw.
+        closed form refuses, gets the one exact cdf, summed with numpy
+        (`_cdf_pick`), from the same draw.  So every path picks the same
+        index from the same draw.
         """
         base_prob = self._base * self._base
         u = rng.random()
@@ -607,50 +600,26 @@ class StructuredState:
         """The pick from the draw `u` by the exact cdf, for a state with a
         group or exceptions.
 
-        Up to SCALAR_MEASURE_SEGMENTS segments the cdf is summed in Python
-        floats, left to right as `np.add.accumulate` adds, and searched
-        with `bisect_right` as `searchsorted(side="right")` does; past it,
-        in numpy.  A state without exceptions builds its masses from the
-        group, already sorted, and its one amplitude, with no merge; a
-        state with a group and exceptions first dissolves the group into
-        the exceptions with `_merge`, as it collapses right after, so
-        every cdf reads one sorted index array.
+        The group is first dissolved into the exceptions with `_merge`, as
+        the state collapses right after, so the cdf reads one sorted index
+        array: its masses are the squared amplitudes and the base runs'
+        index gaps times the base probability, summed left to right by
+        `np.add.accumulate` and searched by `searchsorted(side="right")`.
         """
-        if self._group.size and self._index.size:
+        if self._group.size:
             self._dissolve_group()
-        segments = 2 * (self._group.size + self._index.size) + 1
-        if segments <= SCALAR_MEASURE_SEGMENTS:
-            if self._index.size:
-                index = self._index.tolist()
-                probs = [value * value for value in self._values.tolist()]
-            else:
-                index = self._group.tolist()
-                probs = repeat(self._group_amp * self._group_amp)
-            mass, start = [], 0
-            for i, prob in zip(index, probs):
-                mass += ((i - start) * base_prob, prob)
-                start = i + 1
-            mass.append((self.size - start) * base_prob)
-            cdf = list(accumulate(mass))
-            target = u * cdf[-1]
-            seg = bisect_right(cdf, target)
-        else:
-            mass = np.empty(segments)
-            if self._index.size:
-                index = self._index
-                np.multiply(self._values, self._values, out=mass[1::2])
-            else:
-                index = self._group
-                mass[1::2] = self._group_amp * self._group_amp
-            # each base run's mass, from the gaps between the sorted indices
-            gaps = index[1:] - index[:-1]
-            gaps -= 1
-            np.multiply(gaps, base_prob, out=mass[2:-1:2])
-            mass[0] = int(index[0]) * base_prob  # Python ints: numpy scalars cost more
-            mass[-1] = (self.size - 1 - int(index[-1])) * base_prob
-            cdf = np.add.accumulate(mass)
-            target = u * float(cdf[-1])
-            seg = int(cdf.searchsorted(target, "right"))
+        index = self._index
+        mass = np.empty(2 * index.size + 1)
+        np.multiply(self._values, self._values, out=mass[1::2])
+        # each base run's mass, from the gaps between the sorted indices
+        gaps = index[1:] - index[:-1]
+        gaps -= 1
+        np.multiply(gaps, base_prob, out=mass[2:-1:2])
+        mass[0] = int(index[0]) * base_prob  # Python ints: numpy scalars cost more
+        mass[-1] = (self.size - 1 - int(index[-1])) * base_prob
+        cdf = np.add.accumulate(mass)
+        target = u * float(cdf[-1])
+        seg = int(cdf.searchsorted(target, "right"))
         return _cdf_segment(index, mass, cdf, seg, target, base_prob, self.size)
 
     @property

@@ -7,8 +7,6 @@ index marginal."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -66,53 +64,21 @@ def grover_run_reference(
 
 def measure_index_reference(state: StructuredState, rng) -> int:
     """`StructuredState.measure_index` as one cdf over every state: the
-    special indices (group and exceptions) merged and sorted with their
-    amplitudes, each base run's mass before its index, summed in Python
-    floats up to `sim.SCALAR_MEASURE_SEGMENTS` segments and in numpy past
-    it, then the same collapse onto the outcome."""
+    special indices (group and exceptions, none for a uniform state)
+    merged and sorted with their amplitudes, each base run's mass from
+    the differences of the sorted indices, summed with `np.cumsum`, then
+    the same collapse onto the outcome."""
     base_prob = state._base * state._base
-    segments = 2 * (state._group.size + state._index.size) + 1
-    if segments <= sim.SCALAR_MEASURE_SEGMENTS:
-        index = state._group.tolist()
-        if state._index.size:
-            index += state._index.tolist()
-            values = [state._group_amp] * state._group.size + state._values.tolist()
-            if state._group.size:
-                order = sorted(range(len(index)), key=index.__getitem__)
-                index = [index[k] for k in order]
-                values = [values[k] for k in order]
-            probs = [value * value for value in values]
-        else:
-            probs = repeat(state._group_amp * state._group_amp)
-        mass, start = [], 0
-        for i, prob in zip(index, probs):
-            mass += ((i - start) * base_prob, prob)
-            start = i + 1
-        mass.append((state.size - start) * base_prob)
-        cdf = list(accumulate(mass))
-        target = rng.random() * cdf[-1]
-        seg = bisect_right(cdf, target)
-    else:
-        index = state._group
-        mass = np.empty(segments)
-        if state._index.size:
-            index = np.concatenate((index, state._index))
-            order = np.argsort(index)
-            index = index[order]
-            values = np.concatenate((np.full(state._group.size, state._group_amp),
-                                     state._values))[order]
-            np.multiply(values, values, out=mass[1::2])
-        else:
-            mass[1::2] = state._group_amp * state._group_amp
-        runs = mass[0::2]  # base-run lengths, then their mass, in place
-        runs[0] = index[0]
-        np.subtract(index[1:], index[:-1], out=runs[1:-1])
-        runs[1:-1] -= 1
-        runs[-1] = state.size - 1 - index[-1]
-        runs *= base_prob
-        cdf = np.cumsum(mass)
-        target = rng.random() * cdf[-1]
-        seg = int(np.searchsorted(cdf, target, side="right"))
+    index = np.concatenate((state._group, state._index))
+    values = np.concatenate((np.full(state._group.size, state._group_amp), state._values))
+    order = np.argsort(index)
+    index, values = index[order], values[order]
+    mass = np.empty(2 * index.size + 1)
+    mass[0::2] = (np.diff(np.concatenate(([-1], index, [state.size]))) - 1) * base_prob
+    mass[1::2] = values * values
+    cdf = np.cumsum(mass)
+    target = rng.random() * cdf[-1]
+    seg = int(np.searchsorted(cdf, target, side="right"))
     # the pick: u times the total can round up to the total, so it stays
     # on the last segment with mass
     last = len(mass) - 1

@@ -265,7 +265,7 @@ def test_pairs_report_every_end_to_end_metric_by_its_direction(monkeypatch, tmp_
         return {"seed": seed, "metrics": metrics, "digests": {"match_long": "a" * 64}}
 
     monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
-    lines, changed = record.run_pairs(parent, "match_long", 11, 4)
+    lines, changed, _ = record.run_pairs(parent, "match_long", 11, 4)
     assert not changed and lines[-1] == "result digests: all equal"
     assert runs == {parent: 4, record.REPO: 4}
     reports = {line.split(" (")[0]: i for i, line in enumerate(lines) if " is better)" in line}
@@ -330,3 +330,86 @@ def test_pairs_end_each_metric_with_a_verdict(monkeypatch, tmp_path):
         "change better in 9 of 10 pairs")
     assert lines[lines.index("peak_rss_mib (MiB, lower is better)") + 3] == (
         "change better in 10 of 10 pairs")
+
+
+def _git_tree(path):
+    """A git repository at `path` with one committed module, and its revision."""
+    module_dir = path / "src" / "qstrings"
+    module_dir.mkdir(parents=True)
+    (module_dir / "sim.py").write_text("a = 1\n")
+    (module_dir / "__init__.py").write_text("")
+    (path / "src" / "notes.txt").write_text("not a module\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one module"]):
+        subprocess.run(git + args, cwd=path, check=True, capture_output=True)
+    return record._git(path, "rev-parse", "HEAD")
+
+
+def test_pairs_out_writes_every_pair_and_both_trees(monkeypatch, tmp_path, capsys):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    revision = _git_tree(parent)
+    ms = {parent: iter([10.0, 11.0, 12.0]), record.REPO: iter([9.0, 11.5, 10.0])}
+
+    def fake_run_perfbench(root, seed, trace, workload):
+        value = next(ms[root])
+        metrics = {"match_sweep.op_ms_p50": {"value": value, "unit": "ms"},
+                   "match_sweep.verified_frac": {"value": 1.0, "unit": "ratio"}}
+        return {"seed": seed, "metrics": metrics, "digests": {"match_sweep": "a" * 64}}
+
+    monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
+    out = tmp_path / "pairs.json"
+    argv = ["--pairs", "3", "--workload", "match_sweep", "--seed", "11", "--root", str(parent),
+            "--out", str(out)]
+    assert record.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    pairs = json.loads(out.read_text())
+    assert (pairs["workload"], pairs["seed"], pairs["seconds"]) == ("match_sweep", 11,
+                                                                     record.SECONDS)
+    assert pairs["digests"] == {"parent": ["a" * 64], "change": ["a" * 64]}
+    assert pairs["trees"]["parent"] == {"git_revision": revision,
+                                        "src_sha256": record.source_digest(parent)}
+    assert pairs["trees"]["change"]["git_revision"] == record._git(record.REPO, "rev-parse",
+                                                                    "HEAD")
+    assert pairs["trees"]["change"]["src_sha256"] == record.source_digest(record.REPO)
+    assert [(p["first"], p["parent"]["match_sweep.op_ms_p50"]["value"],
+             p["change"]["match_sweep.op_ms_p50"]["value"]) for p in pairs["pairs"]] == [
+        ("parent", 10.0, 9.0), ("change", 11.0, 11.5), ("parent", 12.0, 10.0)]
+    assert pairs["pairs"][0]["change"]["match_sweep.verified_frac"] == {"value": 1.0,
+                                                                        "unit": "ratio"}
+    op_ms = pairs["metrics"][0]
+    assert (op_ms["name"], op_ms["better"], op_ms["won"], op_ms["pairs"]) == (
+        "op_ms_p50", "lower", 2, 3)
+    assert op_ms["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+    assert op_ms["change"]["median"] == 10.0 and op_ms["verdict"] == "no gain shown"
+    # the file holds what the report printed, one metric for each report
+    assert [m["name"] for m in pairs["metrics"]] == ["op_ms_p50", "verified_frac"]
+    assert f"verdict: {op_ms['verdict']}" in printed
+    assert pairs["digests_equal"] is True and printed[-1] == "result digests: all equal"
+
+
+def test_compare_flags_a_record_of_uncommitted_sources(monkeypatch, tmp_path, capsys,
+                                                        no_perfbench):
+    revision = _git_tree(tmp_path)
+    monkeypatch.setattr(record, "REPO", tmp_path)
+    committed = record.source_digest(tmp_path)
+    assert record.committed_source_digest(tmp_path, revision) == committed
+    (tmp_path / "src" / "qstrings" / "sim.py").write_text("a = 2\n")  # edited, not committed
+    edited = record.source_digest(tmp_path)
+    paths = []
+    for label, rev, digest in (("8", revision, committed), ("9", revision, edited)):
+        path = tmp_path / f"BENCH_{label}.json"
+        path.write_text(json.dumps({**_record(label, 20.0, "a" * 64), "git_revision": rev,
+                                    "src_sha256": digest}))
+        paths.append(str(path))
+    assert record.main(["--compare", *paths]) == 0  # a report line, not a gate
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("!!!")] == [
+        f"!!! SOURCES DIFFER: B measured src sha256 {edited}, but src/ at {revision} "
+        f"has {committed}"]
+    assert not any(line.startswith("A: sources not checked") for line in out)
+    lines = record.compare(_record("7", 20.0, "a" * 64), {**_record("8", 20.0, "a" * 64),
+                                                          "git_revision": "f" * 40,
+                                                          "src_sha256": committed})[0]
+    assert lines[2:4] == ["A: sources not checked: no git revision or src sha256",
+                          f"B: sources not checked: git cannot read src/ at {'f' * 40}"]

@@ -1,6 +1,5 @@
 import copy
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -304,16 +303,14 @@ class _Draw:
         return self.u
 
 
-def _measure_paths(state: StructuredState, u: float, monkeypatch) -> list[int]:
-    """The index each measurement path picks from the draw u: the default
-    path, then the Python-float path and the numpy path forced."""
-    picks = []
-    for cutoff in (sim.SCALAR_MEASURE_SEGMENTS, 10**9, 0):
-        monkeypatch.setattr(sim, "SCALAR_MEASURE_SEGMENTS", cutoff)
-        draw = _Draw(u)
-        picks.append(copy.deepcopy(state).measure_index(draw))
-        assert draw.draws == 1
-    monkeypatch.undo()
+def _measure_paths(state: StructuredState, u: float) -> list[int]:
+    """The index each path picks from the draw u, each on a copy: the
+    measurement, then the exact cdf called directly, which a group-only
+    state's measurement reaches only where the closed form refuses."""
+    draw = _Draw(u)
+    picks = [copy.deepcopy(state).measure_index(draw)]
+    assert draw.draws == 1
+    picks.append(copy.deepcopy(state)._cdf_pick(u, state._base * state._base))
     return picks
 
 
@@ -337,9 +334,8 @@ def _special_state(size: int, group: int, exceptions: int) -> StructuredState:
 
 @pytest.mark.parametrize("group, exceptions", [(31, 0), (32, 0), (20, 11), (20, 12), (1, 0),
                                                (19, 0), (20, 0), (10, 9), (10, 10)])
-def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, monkeypatch):
-    # 2 * specials + 1 segments: 39 and 41 sit either side of the cutoff,
-    # and 63 and 65 well past it
+def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions):
+    # 2 * specials + 1 segments, from 3 to 65
     state = _special_state(256, group, exceptions)
     probs = state.amps**2
     cdf = np.cumsum(probs)
@@ -348,9 +344,9 @@ def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions, mon
     bounds = cdf / cdf[-1]
     draws = np.concatenate((np.linspace(0, 1, 101), bounds, np.nextafter(bounds, 0), [1.0]))
     for u in draws.clip(0, 1):
-        picks = _measure_paths(state, float(u), monkeypatch)
-        assert picks[0] == picks[1] == picks[2]
-        assert probs[picks[0]] > 0
+        want = measure_index_reference(copy.deepcopy(state), _Draw(float(u)))
+        assert _measure_paths(state, float(u)) == [want, want]
+        assert probs[want] > 0
 
 
 def _reference_mass(state: StructuredState) -> np.ndarray:
@@ -379,16 +375,14 @@ def test_measurement_cdf_matches_the_sorted_reference_bit_for_bit(group, excepti
     seen = []
 
     def spy(index, mass, cdf, *args):
-        seen.append(list(cdf))
+        seen.append(cdf.tolist())
         return int(index[0])
 
     monkeypatch.setattr(sim, "_cdf_segment", spy)
-    for cutoff in (10**9, 0):  # the Python-float path, then the numpy path
-        monkeypatch.setattr(sim, "SCALAR_MEASURE_SEGMENTS", cutoff)
-        draw = _Draw(u)
-        copy.deepcopy(state).measure_index(draw)
-        assert draw.draws == 1
-    assert seen == [want.tolist(), want.tolist()]
+    draw = _Draw(u)
+    copy.deepcopy(state).measure_index(draw)
+    assert draw.draws == 1
+    assert seen == [want.tolist()]
 
 
 def _group_state(width: int, group: int, steps: int) -> StructuredState:
@@ -457,7 +451,7 @@ def test_closed_form_pick_answers_random_draws(group, monkeypatch):
     assert exact == []
 
 
-def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
+def test_scalar_and_numpy_measurement_agree_with_zero_base():
     # one target in four after one iteration: the base runs carry no mass,
     # so u = 1 must fall back onto the target, not the empty last run
     state = StructuredState(RegisterLayout(idx=2), 4)
@@ -465,7 +459,7 @@ def test_scalar_and_numpy_measurement_agree_with_zero_base(monkeypatch):
     state.diffuse()
     assert state._base == 0.0
     for u in (0.0, 0.25, 0.5, np.nextafter(1.0, 0), 1.0):
-        assert _measure_paths(state, float(u), monkeypatch) == [2, 2, 2]
+        assert _measure_paths(state, float(u)) == [2, 2]
 
 
 def test_structured_measure_with_zero_base_amplitude():
@@ -515,21 +509,20 @@ def _collapsed(state: StructuredState) -> tuple:
 
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["uniform", "group", "exceptions"]), width=st.integers(1, 7),
-       specials=st.integers(1, 128), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 6),
-       cutoff=st.sampled_from([sim.SCALAR_MEASURE_SEGMENTS, 1, 10**9]))
-@example(kind="group", width=7, specials=31, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="group", width=7, specials=32, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="group", width=5, specials=32, seed=2, steps=3, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="group", width=7, specials=19, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="group", width=7, specials=20, seed=1, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="exceptions", width=7, specials=18, seed=0, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="exceptions", width=7, specials=18, seed=1, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="group", width=2, specials=1, seed=3, steps=1, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="uniform", width=7, specials=1, seed=0, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-@example(kind="exceptions", width=7, specials=30, seed=2, steps=0, cutoff=sim.SCALAR_MEASURE_SEGMENTS)
-def test_measurement_paths_are_the_reference(kind, width, specials, seed, steps, cutoff):
-    # uniform, group-only (either side of the cutoff, every index a
-    # target, a zero base) and exception states, each drawn at u = 0, at
+       specials=st.integers(1, 128), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 6))
+@example(kind="group", width=7, specials=31, seed=1, steps=1)
+@example(kind="group", width=7, specials=32, seed=1, steps=1)
+@example(kind="group", width=5, specials=32, seed=2, steps=3)
+@example(kind="group", width=7, specials=19, seed=1, steps=1)
+@example(kind="group", width=7, specials=20, seed=1, steps=1)
+@example(kind="exceptions", width=7, specials=18, seed=0, steps=0)
+@example(kind="exceptions", width=7, specials=18, seed=1, steps=0)
+@example(kind="group", width=2, specials=1, seed=3, steps=1)
+@example(kind="uniform", width=7, specials=1, seed=0, steps=0)
+@example(kind="exceptions", width=7, specials=30, seed=2, steps=0)
+def test_measurement_paths_are_the_reference(kind, width, specials, seed, steps):
+    # uniform, group-only (every index a target, a zero base) and
+    # exception states, each drawn at u = 0, at
     # every cdf boundary and one ulp below it, and at u = 1
     state = _spec_state(kind, width, specials, seed, steps)
     if (kind, width, specials, steps) == ("group", 2, 1, 1):
@@ -537,13 +530,12 @@ def test_measurement_paths_are_the_reference(kind, width, specials, seed, steps,
     cdf = np.cumsum(_reference_mass(state))
     bounds = cdf / cdf[-1]
     draws = np.concatenate(([0.0, 1.0], bounds, np.nextafter(bounds, 0))).clip(0, 1)
-    with mock.patch.object(sim, "SCALAR_MEASURE_SEGMENTS", cutoff):
-        for u in draws.tolist():
-            got, want = state.copy(), state.copy()
-            got_draw, want_draw = _Draw(u), _Draw(u)
-            assert got.measure_index(got_draw) == measure_index_reference(want, want_draw)
-            assert _collapsed(got) == _collapsed(want)
-            assert got_draw.draws == want_draw.draws == 1
+    for u in draws.tolist():
+        got, want = state.copy(), state.copy()
+        got_draw, want_draw = _Draw(u), _Draw(u)
+        assert got.measure_index(got_draw) == measure_index_reference(want, want_draw)
+        assert _collapsed(got) == _collapsed(want)
+        assert got_draw.draws == want_draw.draws == 1
 
 
 def test_copy_evolves_independently_over_read_only_bindings():
