@@ -522,8 +522,8 @@ def _collapsed(state: StructuredState) -> tuple:
 @example(kind="exceptions", width=7, specials=30, seed=2, steps=0)
 def test_measurement_paths_are_the_reference(kind, width, specials, seed, steps):
     # uniform, group-only (every index a target, a zero base) and
-    # exception states, each drawn at u = 0, at
-    # every cdf boundary and one ulp below it, and at u = 1
+    # exception states, each drawn at u = 0, at every cdf boundary and
+    # one ulp below it, and at u = 1
     state = _spec_state(kind, width, specials, seed, steps)
     if (kind, width, specials, steps) == ("group", 2, 1, 1):
         assert state._base == 0.0  # one step on one target in four
