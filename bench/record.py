@@ -57,6 +57,10 @@ digests, each pair's metrics by side and which side ran first, per
 end-to-end metric each side's median and quartiles, the pairs won and
 the verdict, and each tree's git revision and source digest.
 
+A record and `--pairs` each print one SOURCES DIFFER line on stderr for
+a measured tree whose sources are not those committed at its HEAD, the
+revision they name.  It is a report line; no gate depends on it.
+
 Standard library only, so it runs on any tree the benchmark runs on.
 """
 
@@ -277,6 +281,19 @@ def committed_source_digest(root: Path, revision: str) -> str | None:
     return _digest(sources)
 
 
+def report_uncommitted(root: Path) -> None:
+    """Print one loud line on stderr when the sources of the tree at
+    `root` are not those committed at its HEAD."""
+    revision = _git(root, "rev-parse", "HEAD")
+    measured = source_digest(root)
+    committed = committed_source_digest(root, revision) if revision else None
+    if committed != measured:
+        where = (f"src/ at {revision} has {committed}" if committed
+                 else "git cannot read src/ at HEAD")
+        print(f"!!! SOURCES DIFFER: {root} measures src sha256 {measured}, but {where}",
+              file=sys.stderr)
+
+
 def source_lines(root: Path) -> dict:
     """Line count of each program module and their total."""
     modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
@@ -309,6 +326,7 @@ def machine() -> dict:
 
 
 def record(root: Path, label: str) -> dict:
+    report_uncommitted(root)
     untraced = [run_perfbench(root, seed, 0) for seed in SEEDS]
     traced = run_perfbench(root, SEEDS[0], 1)
     metrics: dict[str, dict] = {}
@@ -401,6 +419,8 @@ def run_pairs(parent: Path, workload: str, seed: int, pairs: int
     at `parent` and in this repository, over every end-to-end metric,
     whether a result digest differs, and the pairs as a JSON-ready dict."""
     trees = {"parent": parent, "change": REPO}
+    for root in trees.values():
+        report_uncommitted(root)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     digests: dict[str, set[str]] = {"parent": set(), "change": set()}
     firsts = []

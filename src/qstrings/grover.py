@@ -2,8 +2,9 @@
 
 Includes fixed-iteration search (answering each query of a
 bounded-error oracle by rho independent re-evaluations), the doubling
-schedule for unknown target counts (2^j iterations on repetition j,
-first verified hit wins), and threshold-descent minimum finding.
+schedule for unknown target counts (2^j iterations on repetition j),
+one doubling search over the schedule its caller passes (first verified
+hit wins), and threshold-descent minimum finding.
 
 Oracles are bool truth arrays.  Noisy ones are one-sided, like the
 hash-equality oracle whose "differs" verdict carries a verified witness:
@@ -331,33 +332,30 @@ def grover_run(
     )
 
 
-def doubling_schedule(domain: int, max_repetitions: int | None = None) -> list[int]:
-    """Iteration counts 2^j for j = 0 .. ceil(log2 sqrt(M)), optionally capped."""
+def doubling_schedule(domain: int) -> list[int]:
+    """Iteration counts 2^j for j = 0 .. ceil(log2 sqrt(M)); callers slice it."""
     # ceil(log2 sqrt(2^w)) = ceil(w / 2) for the w index bits
     reps = padded_size(domain).bit_length() // 2 + 1
-    if max_repetitions is not None:
-        reps = min(reps, max_repetitions)
-    return [2**j for j in range(max(1, reps))]
+    return [2**j for j in range(reps)]
 
 
 def bbht_search(
     oracle: OracleSpec,
     rng: np.random.Generator,
     state_factory: Callable[[], SearchState],
+    schedule: list[int],
     ledger: ResourceLedger | None = None,
-    max_repetitions: int | None = None,
 ) -> GroverOutcome:
-    """Doubling-schedule search for an unknown target count.
+    """Search for an unknown target count over `schedule`, the iteration
+    counts the caller passes (`doubling_schedule` or a slice of it).
 
     Each repetition consumes one fresh state from the factory and its
     measured index is classically checked against the exact predicate;
     the first verified hit is returned.  With at least one target the
-    hit probability is at least 1/2.  found_index None means every
-    repetition failed verification.
+    full schedule hits with probability at least 1/2.  found_index None
+    means every repetition failed verification.
     """
-    ledger = ledger if ledger is not None else ResourceLedger()
     total = 0
-    schedule = doubling_schedule(oracle.domain_size, max_repetitions)
     for rep, iterations in enumerate(schedule):
         outcome = grover_run(state_factory(), oracle, iterations, rng, ledger)
         total += iterations
@@ -387,8 +385,9 @@ def durr_hoyer_min(
     """Threshold-descent minimum finding over a 1-D numeric key array.
 
     Each phase searches for an index with key strictly below the current
-    threshold (ties never improve) and adopts any verified hit; the run
-    stops after 3 * ceil(log2 M) phases or when a phase finds nothing.
+    threshold (ties never improve), over one doubling schedule cut to
+    ceil(log2 M) counts, and adopts any verified hit; the run stops
+    after 3 * ceil(log2 M) phases or when a phase finds nothing.
     The estimate is correct with probability at least 1/2.  With
     `initial_key` given, the threshold starts above every real key and
     the estimate is None if no phase ever improved on it.
@@ -396,7 +395,6 @@ def durr_hoyer_min(
     keys = np.asarray(keys)
     if keys.shape != (domain,) or keys.dtype.kind not in "iuf":
         raise ValueError(f"keys must be a 1-D numeric array of length {domain}")
-    ledger = ledger if ledger is not None else ResourceLedger()
     if initial_key is None:
         best_index: int | None = int(rng.integers(0, domain))
         best_key = keys[best_index]
@@ -406,6 +404,7 @@ def durr_hoyer_min(
     log_m = index_width(max(2, domain))
     phase_cap = 3 * log_m
     padded = padded_size(domain)
+    schedule = doubling_schedule(domain)[:log_m]
     iterations = copies = phases = 0
     adopted = []
     for phase in range(phase_cap):
@@ -413,7 +412,7 @@ def durr_hoyer_min(
         truth[:domain] = keys < best_key
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
-        outcome = bbht_search(oracle, rng, state_factory, ledger, max_repetitions=log_m)
+        outcome = bbht_search(oracle, rng, state_factory, schedule, ledger)
         iterations += outcome.iterations_used
         copies += outcome.copies_used
         if outcome.found_index is None:

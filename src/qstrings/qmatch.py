@@ -23,6 +23,7 @@ from . import fingerprint
 from .fingerprint import HashParams
 from .grover import (
     OracleSpec,
+    bbht_search,
     doubling_schedule,
     grover_run,
     optimal_iterations,
@@ -42,13 +43,13 @@ from .strings_core import BitString, MatchInstance
 def inner_schedule(bit_domain: int) -> list[int]:
     """Iteration counts for one equality evaluation over `bit_domain` positions.
 
-    Doubling with one extra repetition, which caps the miss probability
-    at 1/3 for every possible number of differing bits.
+    The doubling schedule with one more doubling, which caps the miss
+    probability at 1/3 for every possible number of differing bits.
     """
     if bit_domain <= 1:
         return [1]
-    reps = (index_width(bit_domain) + 1) // 2 + 2
-    return [2**j for j in range(reps)]
+    schedule = doubling_schedule(bit_domain)
+    return schedule + [2 * schedule[-1]]
 
 
 @lru_cache(maxsize=1024)
@@ -108,8 +109,8 @@ def hash_equality_eval(
     but every evaluation runs even after one has found a bit.  With the
     StructuredState backend the measured outcome is sampled from the
     closed-form distribution of the circuit, with no draw when the
-    residues are equal; any other backend class evolves its own search
-    state over the bit positions.
+    residues are equal; any other backend class runs one `bbht_search`
+    over the bit positions per evaluation.
     """
     domain = padded_size(width)
     evaluation = evaluation_constants(domain)
@@ -125,15 +126,9 @@ def hash_equality_eval(
     else:
         truth = np.array([(diff >> j) & 1 == 1 for j in range(domain)])
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
-        layout = search_layout(domain)
-        schedule = inner_schedule(domain)
-        finds = [
-            any(
-                grover_run(backend(layout, domain), oracle, iterations, rng).verified
-                for iterations in schedule
-            )
-            for _ in range(rho)
-        ]
+        layout, schedule = search_layout(domain), inner_schedule(domain)
+        finds = [bbht_search(oracle, rng, lambda: backend(layout, domain), schedule).verified
+                 for _ in range(rho)]
     return not any(finds)
 
 
@@ -302,7 +297,7 @@ def match_search(
     """Doubling-schedule search handling any number of occurrences, with
     one state copy per index-register bit."""
     copies = max(1, index_width(inst.num_windows))
-    schedule = doubling_schedule(inst.num_windows, max_repetitions=copies)
+    schedule = doubling_schedule(inst.num_windows)[:copies]
     qubits = qubit_count_match(inst.n, inst.m, params.epsilon, p=params.p)
     return _search(inst, params, rng, backend, schedule, qubits)
 

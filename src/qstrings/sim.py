@@ -13,18 +13,18 @@ amplitudes.  A one-sided oracle marks every target in every query, so
 the targets share one amplitude for the whole run, the two-dimensional
 picture of multi-target search (Boyer, Brassard, Hoyer and Tapp, 1998).
 A query that marks exactly the group then costs O(1) scalar work, and
-any other step O(exceptions + marked).  One rule splits the work: a
-state whose only off-base indices are the group runs a stretch of
-target-only steps (`target_steps`) as one loop over Python floats and
-gets a certified closed-form measurement in O(log g) for g targets: the
-cdf has a closed form at every segment end, and the pick stands only
-where the error bound of a float sum cannot move it.  A state with
-exceptions steps one phase marking and one diffusion at a time, and it,
-or a pick the bound refuses, is measured by the one exact cdf, summed
-with numpy over one sorted index array (the group merged by `_merge`
-into the exceptions).  Measuring a uniform state takes one division.
-Every path picks the index that one cdf over all the segments picks
-from the same draw.  The two backends must agree
+any other step O(exceptions + marked).  One rule splits the steps: a
+stretch of target-only steps runs as one loop over Python floats
+(`target_steps`), and only a flipped query steps through
+`apply_phase_pattern` and `diffuse`.  A state whose only off-base
+indices are the group gets a certified closed-form measurement in
+O(log g) for g targets: the cdf has a closed form at every segment end,
+and the pick stands only where the error bound of a float sum cannot
+move it.  A state with exceptions, or a pick the bound refuses, is
+measured by the one exact cdf, summed with numpy over one sorted index
+array (the group merged by `_merge` into the exceptions).  A uniform
+state takes one division.  Every path picks the index that one cdf over
+all the segments picks from the same draw.  The two backends must agree
 amplitude-for-amplitude after expansion.
 
 Dense diffusion acts on the index register only (identity elsewhere),
@@ -344,15 +344,15 @@ class StructuredState:
     - sorted exception indices, disjoint from the group, each with its
       own amplitude: indices marked by some queries but not by all.
 
-    A step that marks exactly the group costs O(1) scalar work; any
-    other step costs O(exceptions + marked).  A state without exceptions
-    runs a stretch of target-only steps as one loop over Python floats
-    and gets a certified closed-form pick from its sorted group in
-    O(log g); a state with exceptions takes one step at a time, and it,
-    or a pick the closed form refuses, is measured by the one exact cdf,
-    summed with numpy over the group and exceptions merged by `_merge`.
-    A copy shares the bindings and the empty arrays, and copies only
-    exception amplitudes.
+    A step that marks exactly the group costs O(1) scalar work, plus
+    O(exceptions); any other step O(exceptions + marked).  Target-only
+    steps run as one loop (`target_steps`); only a flipped query takes
+    `apply_phase_pattern` and `diffuse`.  A state without exceptions gets
+    a certified closed-form pick in O(log g); one with exceptions, or a
+    pick the closed form refuses, gets the one exact cdf, summed with
+    numpy over the group and exceptions merged by `_merge`.  A copy
+    shares the bindings and the empty arrays, and copies only exception
+    amplitudes.
     """
 
     def __init__(
@@ -412,6 +412,7 @@ class StructuredState:
     def apply_phase_pattern(self, marked: np.ndarray) -> "StructuredState":
         """Negate the amplitudes at `marked`, sorted distinct indices.
 
+        A Grover run marks here only a flipped query (see `target_steps`).
         While every index holds the base amplitude, `marked` is adopted as
         the group, unmodified and uncopied: callers must not write an array
         they pass.  Marking the group again, or a superset of it, negates
@@ -422,10 +423,6 @@ class StructuredState:
         negated.
         """
         _check_index_array(marked)
-        if marked is self._group:
-            # an exact query's shared targets: every marked index is in the group
-            self._group_amp = -self._group_amp
-            return self
         if self._group.size == 0 and self._index.size == 0:
             # every amplitude is the base: adopt the marking as the group
             self._group = marked
@@ -483,36 +480,42 @@ class StructuredState:
     def target_steps(self, targets: np.ndarray, count: int) -> "StructuredState":
         """`count` steps that each mark exactly `targets`, then diffuse.
 
-        A state without exceptions whose group is `targets`, or a uniform
-        state that adopts them, keeps which indices are off the base, so
-        its steps run as one loop over Python floats: each does the float
-        operations of `apply_phase_pattern(targets)` then `diffuse()`, in
-        the same order, norm check included, with the index counts
-        hoisted as floats, which multiply and divide as the ints do.  Any
-        other state, one with exceptions included, calls those two
-        methods per step.
+        A state whose group is `targets`, exceptions or not, or a uniform
+        state that adopts them, runs its steps as one loop over Python
+        floats: each does the float operations of
+        `apply_phase_pattern(targets)` then `diffuse()`, in the same order,
+        norm check included, with the index counts hoisted as floats,
+        which multiply and divide as the ints do.  Only a state whose
+        group is not `targets`, as after a flipped first query, takes
+        those two methods per step.
         """
         _check_index_array(targets)
         if count and not self._group.size and not self._index.size:
             # every amplitude is the base: the first marking adopts the
             # targets as the group, and the loop negates the base for it
             self._group, self._group_amp = targets, self._base
-        if targets is not self._group or self._index.size:
-            # the targets can become the group only in a uniform state
+        if targets is not self._group:
             for _ in range(count):
                 self.apply_phase_pattern(targets)
                 self.diffuse()
             return self
-        base, amp = self._base, self._group_amp
+        base, amp, values = self._base, self._group_amp, self._values
+        exceptions = values.size > 0  # hoisted: a test per step costs more
         group, size = float(self._group.size), float(self.size)
-        rest = size - group
+        rest = size - group - values.size
         tol = NORM_TOL
         for _ in range(count):
             amp = -amp
-            twice_mean = 2.0 * ((base * rest + amp * group) / size)
+            total = base * rest + amp * group
+            if exceptions:
+                total += float(values.sum())
+            twice_mean = 2.0 * (total / size)
             base = twice_mean - base
             amp = twice_mean - amp
             norm = base * base * rest + amp * amp * group
+            if exceptions:
+                np.subtract(twice_mean, values, out=values)
+                norm += float(np.dot(values, values))
             if abs(norm - 1.0) > tol:
                 self._base, self._group_amp = base, amp
                 raise ValueError(f"state norm {norm} drifted beyond tolerance")

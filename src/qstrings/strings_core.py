@@ -115,7 +115,7 @@ class MatchInstance:
 
     @cached_property
     def num_windows(self) -> int:
-        # computed once: the matcher reads it on every step of a run
+        # computed once: the matcher reads it on every repetition of a run
         return self.n - self.m + 1
 
     def window(self, d: int) -> BitString:

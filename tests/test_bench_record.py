@@ -207,6 +207,8 @@ def test_pairs_alternate_the_trees_and_report_the_gain(monkeypatch, tmp_path, ca
     calls = []
 
     def fake_run(cmd, cwd=None, capture_output=None, text=None):
+        if cmd[0] == "git":  # the source check: a tree git cannot read
+            return subprocess.CompletedProcess(cmd, 128, stdout="", stderr="")
         calls.append((cmd, cwd))
         ms, digest = (next(parent_ms), "a" * 64) if cwd == parent else (next(change_ms),
                                                                          change_digest)
@@ -413,3 +415,42 @@ def test_compare_flags_a_record_of_uncommitted_sources(monkeypatch, tmp_path, ca
                                                           "src_sha256": committed})[0]
     assert lines[2:4] == ["A: sources not checked: no git revision or src sha256",
                           f"B: sources not checked: git cannot read src/ at {'f' * 40}"]
+
+
+def test_record_and_pairs_flag_uncommitted_sources(monkeypatch, tmp_path, capsys):
+    parent, change, plain = tmp_path / "parent", tmp_path / "change", tmp_path / "plain"
+    for tree in (parent, change):
+        tree.mkdir()
+    revision = _git_tree(parent)
+    _git_tree(change)
+    (change / "BENCHMARK.json").write_text((record.REPO / "BENCHMARK.json").read_text())
+    (plain / "src").mkdir(parents=True)
+    (plain / "src" / "sim.py").write_text("a = 1\n")
+
+    def fake_run_perfbench(root, seed, trace, workload="all"):
+        metrics = {"match_sweep.op_ms_p50": {"value": 10.0, "unit": "ms"}}
+        return {"seed": seed, "metrics": metrics, "digests": {"match_sweep": "a" * 64}}
+
+    monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
+    monkeypatch.setattr(record, "run_scale", lambda root: {})
+    monkeypatch.setattr(record, "run_tier1", lambda root: {})
+    monkeypatch.setattr(record, "REPO", change)
+    pairs = ["--pairs", "2", "--workload", "match_sweep", "--root", str(parent)]
+
+    def flagged():
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("!!!")]
+
+    assert record.main(pairs) == 0 and flagged() == []
+    record.record(parent, "9")
+    assert flagged() == []
+    committed = record.source_digest(parent)
+    (parent / "src" / "qstrings" / "sim.py").write_text("a = 2\n")  # edited, not committed
+    want = [f"!!! SOURCES DIFFER: {parent} measures src sha256 {record.source_digest(parent)}, "
+            f"but src/ at {revision} has {committed}"]
+    record.record(parent, "9")
+    assert flagged() == want
+    assert record.main(pairs) == 0  # a report line, not a gate
+    assert flagged() == want  # one line, for the tree that differs
+    record.record(plain, "9")
+    assert flagged() == [f"!!! SOURCES DIFFER: {plain} measures src sha256 "
+                         f"{record.source_digest(plain)}, but git cannot read src/ at HEAD"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qstrings import grover
 from qstrings.grover import (
     OracleSpec,
     amplification,
@@ -111,7 +112,7 @@ def test_grover_run_charges_ledger():
 def test_doubling_schedule():
     assert doubling_schedule(8) == [1, 2, 4]
     assert doubling_schedule(64) == [1, 2, 4, 8]
-    assert doubling_schedule(64, max_repetitions=2) == [1, 2]
+    assert doubling_schedule(64)[:2] == [1, 2]
     assert doubling_schedule(1) == [1, 2]  # single-element domains pad to one qubit
     # ceil(log2 sqrt(M)) + 1 repetitions, the float formula, on every padded width
     for bits in range(1, 62):
@@ -127,7 +128,7 @@ def test_bbht_verified_hit_rate():
     rng = np.random.default_rng(77)
     hits = 0
     for _ in range(2000):
-        outcome = bbht_search(oracle, rng, lambda: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8), doubling_schedule(8))
         if outcome.verified:
             assert outcome.found_index == 5
             hits += 1
@@ -138,7 +139,7 @@ def test_bbht_no_targets_never_returns():
     oracle = OracleSpec(8, np.zeros(8, dtype=bool))
     rng = np.random.default_rng(3)
     for _ in range(50):
-        outcome = bbht_search(oracle, rng, lambda: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8), doubling_schedule(8))
         assert outcome.found_index is None
         assert outcome.verified is False
 
@@ -149,7 +150,7 @@ def test_bbht_returns_only_targets():
     oracle = OracleSpec(8, truth)
     rng = np.random.default_rng(4)
     for _ in range(200):
-        outcome = bbht_search(oracle, rng, lambda: _structured(8))
+        outcome = bbht_search(oracle, rng, lambda: _structured(8), doubling_schedule(8))
         if outcome.found_index is not None:
             assert outcome.found_index in (1, 4, 6)
 
@@ -160,7 +161,7 @@ def test_padding_never_verified():
     oracle = OracleSpec(5, truth)  # domain 5 padded to 8
     rng = np.random.default_rng(9)
     for _ in range(100):
-        outcome = bbht_search(oracle, rng, lambda: _structured(5))
+        outcome = bbht_search(oracle, rng, lambda: _structured(5), doubling_schedule(5))
         if outcome.found_index is not None:
             assert outcome.found_index < 5
 
@@ -487,6 +488,23 @@ def test_durr_hoyer_sentinel_start():
             durr_hoyer_min(bad, 3, rng, _dh_factory(3), initial_key=3)
 
 
+def test_durr_hoyer_builds_its_schedule_once(monkeypatch):
+    values = np.array([6, 2, 7, 4, 0, 5, 3, 1, 9, 8] * 6 + [11, 10, 12, 13])
+    want = durr_hoyer_min(values, 64, np.random.default_rng(5), _dh_factory(64))
+    assert want.phases > 2
+    calls = []
+    schedule = grover.doubling_schedule
+
+    def counted(domain, *args, **kwargs):
+        calls.append(domain)
+        return schedule(domain, *args, **kwargs)
+
+    monkeypatch.setattr(grover, "doubling_schedule", counted)
+    got = durr_hoyer_min(values, 64, np.random.default_rng(5), _dh_factory(64))
+    assert got == want
+    assert calls == [64]  # once per call, not once per phase
+
+
 def test_durr_hoyer_record_counts_copies_and_adoptions():
     values = np.array([6, 2, 7, 4, 0, 5, 3, 1, 9, 8])
     for seed in range(40):
@@ -661,3 +679,34 @@ def test_group_steps_keep_the_norm_check(monkeypatch):
     monkeypatch.setattr(StructuredState, "diffuse", refuse)
     with pytest.raises(ValueError, match="drifted beyond tolerance"):
         grover_run(search, oracle, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 40])
+def test_group_steps_with_exceptions_run_the_loop(monkeypatch, steps):
+    truth = np.zeros(64, dtype=bool)
+    truth[[9, 40]] = True
+    oracle = OracleSpec(64, truth)
+    search = _structured(64)
+    search.apply_phase_pattern(oracle.targets)  # the targets become the group
+    search.diffuse()
+    search.apply_phase_pattern(np.array([9, 17, 40, 50]))  # a flipped query: two exceptions
+    search.diffuse()
+    assert search._group is oracle.targets and search._index.tolist() == [17, 50]
+    drifted = search.copy()
+    drifted._base *= 1 + 1e-6
+    want = search.copy()
+    for _ in range(steps):
+        want.apply_phase_pattern(oracle.targets)
+        want.diffuse()
+
+    def refuse(self, *args):
+        raise AssertionError("a target-only step took the per-step path")
+
+    monkeypatch.setattr(StructuredState, "diffuse", refuse)
+    monkeypatch.setattr(StructuredState, "apply_phase_pattern", refuse)
+    search.target_steps(oracle.targets, steps)
+    assert np.array_equal(search.amps, want.amps)
+    assert (search._base, search._group_amp) == (want._base, want._group_amp)
+    assert np.array_equal(search._values, want._values)
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        drifted.target_steps(oracle.targets, steps)

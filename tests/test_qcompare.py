@@ -5,7 +5,7 @@ import pytest
 
 from qstrings import qcompare
 from qstrings.fingerprint import HashParams, universe_size
-from qstrings.grover import OracleSpec, bbht_search
+from qstrings.grover import OracleSpec, bbht_search, doubling_schedule
 from qstrings.qcompare import (
     PhaseRecord,
     access_element,
@@ -164,8 +164,7 @@ def _reference_durr_hoyer_min(key_of, domain, rng, state_factory, ledger, initia
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(
-            oracle, rng, state_factory, ledger,
-            max_repetitions=log_m,
+            oracle, rng, state_factory, doubling_schedule(domain)[:log_m], ledger,
         )
         total_iterations += outcome.iterations_used
         if outcome.found_index is None:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from qstrings import qmatch
-from qstrings.grover import OracleSpec
+from qstrings.grover import OracleSpec, doubling_schedule
+from qstrings.resources import ResourceLedger
 from qstrings.sim import StructuredState, search_layout
 from qstrings.strings_core import BitString, MatchInstance
 
@@ -61,7 +62,7 @@ def _tiny_calls() -> dict[str, tuple]:
         "qmatch.match_search": (inst, qmatch.match_params(inst, 0.1, rng), rng),
         "grover.grover_run": (fresh(), oracle, 1, rng),
         "grover.durr_hoyer_min": (np.array([3, 1, 2, 0, 5, 4, 7, 6]), 8, rng, fresh),
-        "grover.bbht_search": (oracle, rng, fresh),
+        "grover.bbht_search": (oracle, rng, fresh, doubling_schedule(8)[:3], ResourceLedger()),
     }
 
 
