@@ -12,8 +12,9 @@ The draw is the Karp-Rabin one: uniform integers in [2, p_r] until
 `is_prime`, a deterministic Miller-Rabin test, accepts one; the check
 `HashParams` makes of that p reuses the test's kept answer.  Only p_r,
 the r-th prime, is computed (once per universe, by `top_prime`, from an
-exact prime count at Cipolla's estimate of it); `first_r_primes` is the
-exact list it is tested against.
+exact prime count at Cipolla's estimate of it: one Lucy_Hedgehog loop
+over the primes up to its square root, then a sieve window to p_r);
+`first_r_primes` is the exact list it is tested against.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ import numpy as np
 
 from .strings_core import BitString
 
-# Largest universe a prime draw accepts; p_r then lies below 2^39.
+# Largest universe top_prime counts, so a draw accepts; p_r then lies below 2^39.
 UNIVERSE_R_CAP = 2**34
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11)
-# (i, p) pairs the batched step of prime_pi handles per numpy pass.
-_PI_CHUNK = 1 << 14
 # is_prime's trial divisors, and its Miller-Rabin bases from _FEW_BASES_BOUND on.
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 # psi_7: the least strong pseudoprime to all seven bases of _TRIAL_PRIMES.
@@ -76,18 +75,9 @@ def _sieve_segment(lo: int, hi: int) -> np.ndarray:
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(hi - lo, dtype=bool)
-    base = _sieve_segment(2, math.isqrt(hi - 1) + 1)
-    # Primes that strike the segment often are crossed off by slices; the
-    # rest, each striking a few times at most, all at once by index.
-    split = int(np.searchsorted(base, (hi - lo) // 64 + 1))
-    for q in base[:split].tolist():
+    for q in _sieve_segment(2, math.isqrt(hi - 1) + 1).tolist():
         start = max(q * q, -(-lo // q) * q)
         flags[start - lo :: q] = False
-    qs = base[split:]
-    first = np.maximum(qs * qs, -(-lo // qs) * qs)
-    hits = np.maximum(0, (hi - 1 - first) // qs + 1)
-    step = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
-    flags[np.repeat(first - lo, hits) + step * np.repeat(qs, hits)] = False
     return np.flatnonzero(flags).astype(np.int64) + lo
 
 
@@ -101,23 +91,15 @@ def first_r_primes(r: int) -> np.ndarray:
     return primes
 
 
-def _icbrt(x: int) -> int:
-    """Largest c with c^3 <= x, for x >= 0."""
-    c = round(x ** (1 / 3))
-    while c**3 > x:
-        c -= 1
-    while (c + 1) ** 3 <= x:
-        c += 1
-    return c
-
-
 def prime_pi(x: int) -> int:
     """Number of primes <= x, by Lucy_Hedgehog's method in int64 numpy.
 
     S(v) starts as the count of 2..v and, after sieving by every prime up
     to sqrt(v), equals pi(v).  Sieving by p lowers S(v) for v >= p^2 by
     S(v // p) - S(p - 1).  Only the values x // i are ever needed: `small`
-    holds S(v) for v <= sqrt(x) and `large[i]` holds S(x // i).
+    holds S(v) for v <= sqrt(x) and `large[i]` holds S(x // i).  One loop
+    sieves by each prime p <= sqrt(x) in turn, updating `large` by two
+    slices and, while p^2 <= sqrt(x), `small` by one.
     """
     if x < 2:
         return 0
@@ -126,9 +108,7 @@ def prime_pi(x: int) -> int:
     quot[1:] = x // np.arange(1, r + 1, dtype=np.int64)
     large = quot - 1
     small = np.arange(r + 1, dtype=np.int64) - 1
-    primes = _sieve_segment(2, r + 1)
-    cube = _icbrt(x)
-    for p in primes[primes <= cube].tolist():
+    for p in _sieve_segment(2, r + 1).tolist():
         sp = int(small[p - 1])
         top = min(r, x // (p * p))
         mid = min(top, r // p)
@@ -137,40 +117,7 @@ def prime_pi(x: int) -> int:
         large[mid + 1 : top + 1] -= small[quot[mid + 1 : top + 1] // p] - sp
         if p * p <= r:
             small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
-    _sieve_large_primes(x, primes[primes > cube], quot, small, large)
     return int(large[1])
-
-
-def _sieve_large_primes(
-    x: int, ps: np.ndarray, quot: np.ndarray, small: np.ndarray, large: np.ndarray
-) -> None:
-    """Apply every prime in (cbrt x, sqrt x] to `large` in one batch.
-
-    Each value these primes read is already final: `small` stops changing
-    once p^2 > sqrt(x), and S(x // j) for j >= p is lowered only by primes
-    q <= sqrt(x / p) < p.  Prime p lowers large[i] for i <= x // p^2, all
-    below cbrt(x) and so never read here, so the order of updates is free.
-    """
-    if ps.size == 0:
-        return
-    r = small.size - 1
-    # row i - 1 pairs i with the primes p in ps where i p^2 <= x
-    counts = np.searchsorted(ps * ps, quot[1 : x // int(ps[0]) ** 2 + 1], side="right")
-    sp_sums = np.concatenate(([0], np.cumsum(small[ps - 1])))
-    large[1 : counts.size + 1] += sp_sums[counts]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    for a in range(0, int(ends[-1]), _PI_CHUNK):
-        pos = np.arange(a, min(a + _PI_CHUNK, int(ends[-1])), dtype=np.int64)
-        row = np.searchsorted(ends, pos, side="right")
-        p = ps[pos - starts[row]]
-        i = row + 1
-        j = i * p
-        vals = large[np.minimum(j, r)]
-        beyond = j > r
-        vals[beyond] = small[quot[i[beyond]] // p[beyond]]
-        heads = np.flatnonzero(np.diff(row, prepend=-1))
-        large[i[heads]] -= np.add.reduceat(vals, heads)
 
 
 def is_prime(n: int) -> bool:
@@ -260,7 +207,12 @@ def nth_prime(i: int) -> int:
 
 @lru_cache(maxsize=64)
 def top_prime(r: int) -> int:
-    """p_r, the largest prime of a universe of r; one nth_prime count per universe."""
+    """p_r, the largest prime of a universe of r; one nth_prime count per universe.
+
+    Refuses r above UNIVERSE_R_CAP before counting anything.
+    """
+    if r > UNIVERSE_R_CAP:
+        raise UniverseSizeError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
     return nth_prime(r)
 
 
@@ -279,7 +231,7 @@ class HashParams:
             raise ValueError("universe too small for the declared error budget")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.p >= _sieve_upper_bound(self.r):
+        if self.p > top_prime(self.r):
             raise ValueError(f"{self.p} lies beyond the first {self.r} primes")
 
     @property
@@ -298,8 +250,6 @@ def choose_prime(
     about ln p_r candidates.  Deterministic given the generator state.
     """
     r = universe_size(delta, max_len, epsilon)
-    if r > UNIVERSE_R_CAP:
-        raise UniverseSizeError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
     top = top_prime(r)
     while True:
         p = int(rng.integers(2, top + 1))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstrings
-from qstrings import crosscheck as crosscheck_mod, qcompare, qmatch
+from qstrings import crosscheck as crosscheck_mod, fingerprint, qcompare, qmatch
 from qstrings.cli import TRIALS_CAP, main
 from qstrings.crosscheck import run_crosscheck
 from qstrings.sim import DenseSearchState, StructuredState
@@ -252,6 +252,20 @@ def test_huge_universe_reported_in_short_form(capsys, epsilon, count):
     )
     _assert_usage_error(code, err)
     assert err == f"error: universe of {count} primes exceeds cap 17179869184\n"
+
+
+def test_dense_width_check_refuses_an_oversized_universe_before_counting(capsys, monkeypatch):
+    def no_count(x):
+        raise AssertionError(f"prime_pi({x}) counted past the universe cap")
+
+    monkeypatch.setattr(fingerprint, "prime_pi", no_count)
+    code, out, err = run_cli(
+        ["match", "--text", "0101", "--pattern", "01", "--mode", "dense",
+         "--epsilon", "1e-10", "--seed", "1"],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert out == "" and err == "error: universe of ~6.0e+10 primes exceeds cap 17179869184\n"
 
 
 def test_compare_csv(capsys):

@@ -80,6 +80,7 @@ def test_prime_pi_matches_plain_sieve(x):
 def test_prime_pi_known_values():
     assert fp.prime_pi(10**9) == 50_847_534
     assert fp.prime_pi(10**10) == 455_052_511
+    assert fp.prime_pi(10**11) == 4_118_054_813
 
 
 @given(st.integers(-3, PLAIN_LIMIT), st.integers(0, 5000))
@@ -89,6 +90,15 @@ def test_sieve_segment_matches_plain_sieve(lo, width):
     assert got.dtype == np.int64
     want = np.flatnonzero(_plain_sieve()[max(lo, 0) : max(hi, 0)]) + max(lo, 0)
     assert got.tolist() == want.tolist()
+
+
+# The 5,000-wide windows nth_prime sieves near p_r for compare_bsearch's
+# universe and for the largest one UNIVERSE_R_CAP allows.
+@pytest.mark.parametrize("lo", [3_510_830_000, 442_795_480_000])
+def test_sieve_segment_at_the_windows_the_draws_reach(lo):
+    got = fp._sieve_segment(lo, lo + 5000)
+    want = [n for n in range(lo, lo + 5000) if fp.is_prime(n)]
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @settings(max_examples=60)
@@ -500,6 +510,9 @@ def test_hash_params_validation():
         fp.HashParams(p=2047, epsilon=0.5, delta=1, max_len=4, r=1000)  # 23 * 89
     with pytest.raises(ValueError):
         fp.HashParams(p=101, epsilon=0.5, delta=1, max_len=4, r=8)  # outside universe
+    with pytest.raises(ValueError, match="beyond the first 10 primes"):
+        fp.HashParams(p=31, epsilon=0.5, delta=1, max_len=1, r=10)  # the 11th prime
+    assert fp.HashParams(p=29, epsilon=0.5, delta=1, max_len=1, r=10).p == 29  # the 10th
     with pytest.raises(ValueError):
         fp.HashParams(p=5, epsilon=0.5, delta=10, max_len=10, r=8)  # r too small
     with pytest.raises(ValueError):
