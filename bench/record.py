@@ -37,7 +37,12 @@ its `git_revision` (read from this repository with `git show`): that
 record measured uncommitted sources.  It warns when a
 workload's `host_probe_ms` differs by more than 25 % between the two
 records: the host ran at another speed, and unscaled times do not
-compare.  These are report lines; no gate depends on them.
+compare.  These are report lines; no gate depends on them.  A
+`--pairs --out` file given to `--compare` is reported on its own: each
+tree's revision with the same source check, each metric's stored
+medians, pairs won and verdict, and its stored digest comparison (exit 1
+when its sides' digests differed); no metric is compared with the other
+file.
 
 `--pairs N --workload W --seed S --root PARENT` measures a gain the
 way a claim must be shown: N pairs of `perfbench/run.py --trace 0` runs
@@ -466,7 +471,20 @@ def run_pairs(parent: Path, workload: str, seed: int, pairs: int
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
-    """Report lines comparing record b against record a, and whether a digest changed."""
+    """Report lines comparing record b against record a, and whether a digest changed.
+
+    A `--pairs --out` file is not a record: each one given is reported on
+    its own by `_pairs_file_report`, and no metric is compared."""
+    if "pairs" in a or "pairs" in b:
+        lines, changed = [], False
+        for side, r in (("A", a), ("B", b)):
+            if "pairs" in r:
+                side_lines, side_changed = _pairs_file_report(side, r)
+                lines.extend(side_lines)
+                changed |= side_changed
+            else:
+                lines.append(f"{side}: record {r.get('label')}, not a pairs file: not compared")
+        return lines, changed
     lines = [f"{side}: {r.get('label')} {r.get('git_revision')} src sha256 {r.get('src_sha256')}"
              for side, r in (("A", a), ("B", b))]
     for side, r in (("A", a), ("B", b)):
@@ -503,6 +521,30 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             lines.append(f"warning: {workload} host_probe_ms {pa:.4g} -> {pb:.4g} ms "
                          f"({(pb - pa) / pa:+.0%}): the hosts ran at different speeds, "
                          "so compare host-scaled times only")
+    return lines, changed
+
+
+def _pairs_file_report(side: str, pairs: dict) -> tuple[list[str], bool]:
+    """Report lines for a `--pairs --out` file: each tree's revision and
+    the check of its `src_sha256`, each metric's stored medians, pairs won
+    and verdict, and the stored digest comparison; and whether the two
+    sides' result digests differed."""
+    lines = [f"{side}: pairs of {pairs['workload']} at seed {pairs['seed']}, "
+             f"{len(pairs['pairs'])} pairs of {pairs['seconds']} s"]
+    for tree, sources in pairs.get("trees", {}).items():
+        lines.append(f"{side} {tree}: {sources.get('git_revision')} "
+                     f"src sha256 {sources.get('src_sha256')}")
+        lines.extend(_source_check(f"{side} {tree}", sources))
+    for metric in pairs["metrics"]:
+        parent, change = metric["parent"]["median"], metric["change"]["median"]
+        lines.append(f"  {metric['name']:<14} median {parent:.4g} -> {change:.4g} "
+                     f"{metric['unit']}, change better in {metric['won']} of "
+                     f"{metric['pairs']} pairs; verdict: {metric['verdict']}")
+    changed = not pairs["digests_equal"]
+    digests = pairs["digests"]
+    lines.append(f"!!! DIGEST CHANGED: {pairs['workload']} at seed {pairs['seed']}: "
+                 f"{digests['parent']} -> {digests['change']}" if changed
+                 else "result digests: all equal")
     return lines, changed
 
 

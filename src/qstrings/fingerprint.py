@@ -69,6 +69,18 @@ def _sieve_upper_bound(r: int) -> int:
     return int(r * (x + math.log(x))) + 1
 
 
+def top_prime_bounds(r: int) -> tuple[int, int]:
+    """(low, high) with low <= p_r <= high, for 6 <= r <= UNIVERSE_R_CAP.
+
+    Dusart (1999): p_r >= r(ln r + ln ln r - 1) for r >= 2; and p_r below
+    `_sieve_upper_bound`.  Each end moves one further out: at these r the
+    float forms lie within 1e-3 of the real ones, a few roundings of
+    numbers below 2^39.
+    """
+    x = math.log(r)
+    return int(r * (x + math.log(x) - 1)) - 1, _sieve_upper_bound(r) + 1
+
+
 def _sieve_segment(lo: int, hi: int) -> np.ndarray:
     """int64 array of the primes in [lo, hi), in increasing order."""
     lo = max(lo, 2)

@@ -24,7 +24,7 @@ import numpy as np
 
 # `charge` is unused here but stays importable as `grover.charge`, a name
 # perfbench/tracer.py patches
-from .resources import ResourceLedger, charge, index_width  # noqa: F401
+from .resources import ResourceLedger, _phase_record, charge, index_width  # noqa: F401
 from .sim import SearchState, padded_size
 
 
@@ -275,10 +275,12 @@ def charge_iterations(
     oracle: OracleSpec,
     iterations: int,
     rho: int,
-) -> None:
+) -> tuple[int, ...]:
     """Charge `iterations` query-and-diffusion steps on `search`, each
     query answered by `rho` evaluations of `oracle`, as one checked add
-    of the four counters."""
+    of the four counters, and return what was added, in the ledger's
+    counter order (diffusion, queries, inner iterations, access, hash).
+    A refused charge moves no counter."""
     evaluations = iterations * rho
     hash_units = evaluations * oracle.evaluation_cost
     inner = evaluations * oracle.inner_iterations_per_eval
@@ -289,6 +291,7 @@ def charge_iterations(
     ledger.hash_eval_units += hash_units
     ledger.inner_grover_iterations += inner
     ledger.diffusion_units += diffusion
+    return diffusion, iterations, inner, 0, hash_units
 
 
 def grover_run(
@@ -309,9 +312,12 @@ def grover_run(
     those of one query, marking and diffusion per step.  For exact oracles
     on power-of-two domains the pre-measurement success probability is
     exactly sin^2((2*iterations+1) * asin(sqrt(t/M_padded))).
+
+    The run is charged once, every iteration costing the same, and
+    appends one `grover_run[iterations]` record of that charge to the
+    ledger's `phase_breakdown` after its measurement.
     """
     ledger = ledger if ledger is not None else ResourceLedger()
-    before = ledger.snapshot()
     rho = amplification(oracle.error_prob, iterations) if rho is None else rho
     done = 0
     if oracle._class_errors is not None:  # an exact oracle's queries mark the targets
@@ -321,10 +327,9 @@ def grover_run(
             search.diffuse()
             done = step + 1
     search.target_steps(oracle.targets, iterations - done)
-    # every iteration costs the same, so the run is charged once
-    charge_iterations(ledger, search, oracle, iterations, rho)
+    delta = charge_iterations(ledger, search, oracle, iterations, rho)
     found = search.measure_index(rng)
-    ledger.close_phase(f"grover_run[{iterations}]", before)
+    ledger.phase_breakdown.append(_phase_record(f"grover_run[{iterations}]", delta))
     return GroverOutcome(
         found_index=found,
         verified=bool(oracle.truth[found]),
@@ -409,7 +414,7 @@ def durr_hoyer_min(
     adopted = []
     for phase in range(phase_cap):
         truth = np.zeros(padded, dtype=bool)
-        truth[:domain] = keys < best_key
+        np.less(keys, best_key, out=truth[:domain])
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(oracle, rng, state_factory, schedule, ledger)

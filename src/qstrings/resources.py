@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +42,6 @@ _COUNTERS = (
     "hash_eval_units",
 )
 _GATE_COUNTERS = tuple(c for c in _COUNTERS if c != "inner_grover_iterations")
-_COUNTER_VALUES = operator.attrgetter(*_COUNTERS)
 
 CSV_HEADER = ",".join(
     ("algo", "n", "m", "k", "epsilon", "seed", "trials", "success_rate", "qubits")
@@ -54,7 +52,12 @@ CSV_HEADER = ",".join(
 
 @dataclass
 class ResourceLedger:
-    """Monotone counters for one algorithm run."""
+    """Monotone counters for one algorithm run.
+
+    `phase_breakdown` lists one record per Grover run, appended by
+    `grover_run` from the delta its one checked charge returns, so no
+    counter is read back to close a phase.
+    """
 
     qubits_total: int = 0
     diffusion_units: int = 0
@@ -62,7 +65,7 @@ class ResourceLedger:
     inner_grover_iterations: int = 0
     access_units: int = 0
     hash_eval_units: int = 0
-    # (interned label, counter deltas in _COUNTERS order) per closed phase
+    # (interned label, counter deltas in _COUNTERS order) per phase
     phase_breakdown: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
     def counters(self) -> dict[str, int]:
@@ -71,14 +74,6 @@ class ResourceLedger:
     @property
     def gate_units_total(self) -> int:
         return sum(getattr(self, name) for name in _GATE_COUNTERS)
-
-    def snapshot(self) -> tuple[int, ...]:
-        """Counter values in _COUNTERS order, for a later close_phase."""
-        return _COUNTER_VALUES(self)
-
-    def close_phase(self, label: str, before: tuple[int, ...]) -> None:
-        delta = tuple(map(operator.sub, _COUNTER_VALUES(self), before))
-        self.phase_breakdown.append(_phase_record(label, delta))
 
 
 @lru_cache(maxsize=1024)
@@ -108,8 +103,18 @@ def index_width(domain: int) -> int:
 
 @lru_cache(maxsize=64)
 def nominal_hash_width(delta: int, max_len: int, epsilon: float) -> int:
-    """Register width of the largest prime in the sized universe."""
+    """Register width of the largest prime p_r in the sized universe.
+
+    Read off `fingerprint.top_prime_bounds` where both ends have the same
+    width, as p_r between them then has; p_r is counted only where they
+    differ, at about one r in nine on a log grid.
+    """
     r = fingerprint.universe_size(delta, max_len, epsilon)
+    if 6 <= r <= fingerprint.UNIVERSE_R_CAP:
+        low, high = fingerprint.top_prime_bounds(r)
+        width = fingerprint.hash_width(low)
+        if width == fingerprint.hash_width(high):
+            return width
     return fingerprint.hash_width(fingerprint.top_prime(r))
 
 

@@ -52,8 +52,8 @@ own LSB first.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -265,10 +265,11 @@ def _check_index_register(layout: RegisterLayout, domain_size: int) -> None:
 
 def _validated_bindings(
     layout: RegisterLayout, size: int, bindings: Mapping[str, np.ndarray] | None
-) -> dict[str, np.ndarray]:
+) -> Mapping[str, np.ndarray]:
     """One read-only int64 table over the `size` padded indices per data
     register (every register but the index), in layout order, each
-    checked to fit its register."""
+    checked to fit its register, in a read-only mapping that every copy
+    of a state shares."""
     tables = {}
     for name, width in layout.widths.items():
         if name == "idx":
@@ -285,7 +286,7 @@ def _validated_bindings(
             table = table.copy()
             table.flags.writeable = False
         tables[name] = table
-    return tables
+    return MappingProxyType(tables)
 
 
 def _check_index_array(marked: np.ndarray) -> None:
@@ -382,10 +383,10 @@ class StructuredState:
 
     def copy(self) -> "StructuredState":
         """An independent state equal to this one, sharing its validated
-        layout and read-only bindings."""
+        layout and its bindings: one read-only mapping of read-only
+        tables, so nothing is copied for them."""
         out = StructuredState.__new__(StructuredState)
         out.__dict__ = self.__dict__.copy()
-        out.bindings = dict(self.bindings)
         if self._values.size:  # an empty array, such as _NO_VALUES, is shared
             out._values = self._values.copy()
         out.check_norm()
@@ -562,15 +563,18 @@ class StructuredState:
         With G the sorted group of g members, b the base probability and a
         the group's, member j's segment ends at (G[j] - j) b + (j + 1) a,
         and the base run before it a below that; the total is
-        (size - g) b + g a.  So `bisect_right` over the members finds the
-        target's segment in O(log g).  Every value the summed cdf compares
-        the target with is a left-to-right float sum of at most N = 2g + 1
-        non-negative masses, within gamma_N times the total of this form
-        (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
-        so is the target, u times that sum's total.  The pick stands only
-        where the target lies more than three such bounds inside its
-        segment and, in a base run, where the offset floors alike at both
-        ends of that margin; otherwise the caller sums the cdf.
+        (size - g) b + g a.  So a binary search over the members, written
+        inline on that expression, finds the target's segment in O(log g):
+        the first member whose end lies above the target, as
+        `bisect_right` keyed on the ends would.  Every value the summed cdf
+        compares the target with is a left-to-right float sum of at most
+        N = 2g + 1 non-negative masses, within gamma_N times the total of
+        this form (Higham, Accuracy and Stability of Numerical Algorithms,
+        4.2), and so is the target, u times that sum's total.  The pick
+        stands only where the target lies more than three such bounds
+        inside its segment and, in a base run, where the offset floors
+        alike at both ends of that margin; otherwise the caller sums the
+        cdf.
         """
         group, amp_prob = self._group, self._group_amp * self._group_amp
         g = group.size
@@ -580,14 +584,19 @@ class StructuredState:
         # plus the absolute error of products that underflow
         margin = 3.0 * ((n + 8) * 2.0**-51 * total + n * 2.0**-1070)
         target = u * total
-
-        def member_end(j: int) -> float:
-            return (group.item(j) - j) * base_prob + (j + 1) * amp_prob
-
-        j = bisect_right(range(g), target, key=member_end)
-        start = group.item(j - 1) + 1 if j else 0
+        j, hi = 0, g
+        while j < hi:
+            mid = (j + hi) // 2
+            if target < (group.item(mid) - mid) * base_prob + (mid + 1) * amp_prob:
+                hi = mid
+            else:
+                j = mid + 1
+        if j:
+            start = group.item(j - 1) + 1
+            run_start = (start - j) * base_prob + j * amp_prob  # member j - 1's end
+        else:
+            start, run_start = 0, 0.0
         end = group.item(j) if j < g else self.size
-        run_start = member_end(j - 1) if j else 0.0
         run_end = (end - j) * base_prob + j * amp_prob
         if run_start + margin < target < run_end - margin:
             # a base run, which has mass only where base_prob > 0
@@ -595,8 +604,10 @@ class StructuredState:
             low = int((offset - margin) / base_prob)
             high = int((offset + margin) / base_prob)
             return start + min(low, end - start - 1) if low == high else None
-        if j < g and run_end + margin < target < member_end(j) - margin:
-            return end
+        if j < g:
+            member_end = (end - j) * base_prob + (j + 1) * amp_prob
+            if run_end + margin < target < member_end - margin:
+                return end
         return None
 
     def _cdf_pick(self, u: float, base_prob: float) -> int:

@@ -45,16 +45,19 @@ def grover_run_reference(
     rho: int | None = None,
 ) -> GroverOutcome:
     """`grover.grover_run` as one query, one phase marking and one
-    diffusion per step, each query drawing its own uniforms."""
+    diffusion per step, each query drawing its own uniforms; its phase
+    record is what the run's charge moved each counter by, read off the
+    ledger before and after."""
     ledger = ledger if ledger is not None else ResourceLedger()
-    before = ledger.snapshot()
+    before = ledger.counters()
     rho = amplification(oracle.error_prob, iterations) if rho is None else rho
     for _ in range(iterations):
         search.apply_phase_pattern(oracle.query_pattern(rng, rho))
         search.diffuse()
     charge_iterations(ledger, search, oracle, iterations, rho)
     found = search.measure_index(rng)
-    ledger.close_phase(f"grover_run[{iterations}]", before)
+    delta = tuple(after - before[name] for name, after in ledger.counters().items())
+    ledger.phase_breakdown.append((f"grover_run[{iterations}]", delta))
     return GroverOutcome(
         found_index=found,
         verified=bool(oracle.truth[found]),

@@ -454,3 +454,50 @@ def test_record_and_pairs_flag_uncommitted_sources(monkeypatch, tmp_path, capsys
     record.record(plain, "9")
     assert flagged() == [f"!!! SOURCES DIFFER: {plain} measures src sha256 "
                          f"{record.source_digest(plain)}, but git cannot read src/ at HEAD"]
+
+
+def test_compare_reports_a_pairs_file_and_checks_its_trees(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    revision = _git_tree(parent)
+    change_revision = _git_tree(change)
+    committed = record.source_digest(change)
+    (change / "src" / "qstrings" / "sim.py").write_text("a = 2\n")  # edited, not committed
+    (change / "BENCHMARK.json").write_text((record.REPO / "BENCHMARK.json").read_text())
+    ms = {parent: iter([10.0, 12.0]), change: iter([9.0, 11.0])}
+
+    def fake_run_perfbench(root, seed, trace, workload):
+        metrics = {"match_sweep.op_ms_p50": {"value": next(ms[root]), "unit": "ms"}}
+        return {"seed": seed, "metrics": metrics, "digests": {"match_sweep": "a" * 64}}
+
+    monkeypatch.setattr(record, "run_perfbench", fake_run_perfbench)
+    monkeypatch.setattr(record, "REPO", change)
+    out = tmp_path / "pairs.json"
+    assert record.main(["--pairs", "2", "--workload", "match_sweep", "--seed", "11",
+                        "--root", str(parent), "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(record, "run_perfbench", None)  # --compare runs nothing
+    plain = tmp_path / "BENCH_9.json"
+    plain.write_text(json.dumps(_record("9", 20.0, "a" * 64)))
+    assert record.main(["--compare", str(plain), str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "A: record 9, not a pairs file: not compared"
+    assert lines[1] == "B: pairs of match_sweep at seed 11, 2 pairs of 20 s"
+    assert [line for line in lines if "verdict:" in line] == [
+        "  op_ms_p50      median 11 -> 10 ms, change better in 2 of 2 pairs; "
+        "verdict: no gain shown"]
+    edited = record.source_digest(change)
+    assert [line for line in lines if line.startswith("!!!")] == [
+        f"!!! SOURCES DIFFER: B change measured src sha256 {edited}, "
+        f"but src/ at {change_revision} has {committed}"]
+    assert f"B parent: {revision} src sha256 {record.source_digest(parent)}" in lines
+    assert lines[-1] == "result digests: all equal"
+    # a pairs file whose sides' digests differed exits 1
+    pairs = json.loads(out.read_text())
+    out.write_text(json.dumps({**pairs, "digests_equal": False,
+                               "digests": {"parent": ["a" * 64], "change": ["b" * 64]}}))
+    assert record.main(["--compare", str(out), str(out)]) == 1
+    changed = [line for line in capsys.readouterr().out.splitlines() if "DIGEST" in line]
+    assert changed == [f"!!! DIGEST CHANGED: match_sweep at seed 11: "
+                       f"{['a' * 64]} -> {['b' * 64]}"] * 2

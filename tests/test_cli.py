@@ -268,6 +268,21 @@ def test_dense_width_check_refuses_an_oversized_universe_before_counting(capsys,
     assert out == "" and err == "error: universe of ~6.0e+10 primes exceeds cap 17179869184\n"
 
 
+def test_dense_width_check_counts_no_prime(capsys, monkeypatch):
+    # r = 6e9: the bounds on p_r give its width, 38 bits, without a count
+    def no_count(x):
+        raise AssertionError(f"prime_pi({x}) counted for a width the bounds give")
+
+    monkeypatch.setattr(fingerprint, "prime_pi", no_count)
+    code, out, err = run_cli(
+        ["match", "--text", "0101", "--pattern", "01", "--mode", "dense",
+         "--epsilon", "1e-9", "--seed", "1"],
+        capsys,
+    )
+    _assert_usage_error(code, err)
+    assert out == "" and err == "error: dense mode would need 41 qubits, above the 24-qubit cap\n"
+
+
 def test_compare_csv(capsys):
     code, out, _ = run_cli(
         ["compare", "--u", "0110", "--v", "0100", "--algo", "bsearch",

@@ -21,7 +21,7 @@ from support import (
 bits = st.lists(st.integers(0, 1), max_size=16).map(BitString.from_bits)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 127])
 # Just above 2^31.5, where a plain int64 product of two residues overflows,
-# and the largest prime any draw can return (below the nth-prime cap's bound).
+# and the largest prime any draw can return (below p_r's bound at the universe cap).
 WIDE_PRIMES = (
     int(sympy.nextprime(3_037_000_500)),
     int(sympy.prevprime(fp._sieve_upper_bound(fp.UNIVERSE_R_CAP))),
@@ -116,8 +116,10 @@ def test_nth_prime_pinned_powers_of_ten(i, p):
     assert fp.nth_prime(i) == p
 
 
-# The nth-prime draws of the benchmark's match_long (five ops and the
-# warm-up op) and compare_bsearch (eight ops and the warm-up op).
+# (i, p_i) at the indices the benchmark's match_long (five ops and the
+# warm-up op) and compare_bsearch (eight ops and the warm-up op) drew
+# when a draw was an nth-prime lookup; a draw now tests uniform
+# candidates with is_prime, and they stay as nth_prime checks at those sizes.
 BENCHMARK_DRAWS = [
     (4_960_608, 85_309_591), (5_438_643, 94_063_451), (6_743_534, 118_172_231),
     (4_678_804, 80_171_717), (6_326_399, 110_429_681), (4_653_879, 79_716_979),

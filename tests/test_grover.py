@@ -17,7 +17,7 @@ from qstrings.grover import (
     success_probability,
 )
 from qstrings.qmatch import evaluation_constants, miss_probability_table
-from qstrings.resources import ResourceLedger
+from qstrings.resources import ResourceLedger, charge
 from qstrings.sim import (
     DenseSearchState,
     RegisterLayout,
@@ -107,6 +107,33 @@ def test_grover_run_charges_ledger():
         }
         assert ledger.counters() == expected
         assert ledger.phase_breakdown == [(f"grover_run[{iterations}]", tuple(expected.values()))]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("make", [_structured, _dense])
+def test_each_run_records_the_counters_it_added(make, noisy):
+    truth = np.zeros(8, dtype=bool)
+    truth[[1, 6]] = True
+    if noisy:
+        labels = np.arange(8, dtype=np.uint8) % 3
+        oracle = OracleSpec(8, truth, evaluation_cost=3, error_prob=0.25,
+                            error_classes=(labels, (0.0, 0.25, 0.1)), inner_iterations_per_eval=2)
+    else:
+        oracle = OracleSpec(8, truth, evaluation_cost=5, inner_iterations_per_eval=2)
+    ledger = ResourceLedger()
+    charge(ledger, "access_units", 4)  # outside every run, so in no record
+    rng = np.random.default_rng(3)
+    for iterations in (0, 1, 3, 3, 2):
+        before = ledger.counters()
+        grover_run(make(8), oracle, iterations, rng, ledger)
+        added = tuple(after - before[name] for name, after in ledger.counters().items())
+        assert ledger.phase_breakdown[-1] == (f"grover_run[{iterations}]", added)
+    assert len(ledger.phase_breakdown) == 5
+    # a refused charge moves no counter and appends no record
+    counters, records = ledger.counters(), list(ledger.phase_breakdown)
+    with pytest.raises(ValueError, match="non-negative"):
+        grover_run(make(8), OracleSpec(8, truth, evaluation_cost=-1), 2, rng, ledger)
+    assert ledger.counters() == counters and ledger.phase_breakdown == records
 
 
 def test_doubling_schedule():

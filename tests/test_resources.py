@@ -5,7 +5,8 @@ import pytest
 
 from qstrings import resources
 from qstrings.cli import main
-from qstrings.fingerprint import hash_width, nth_prime, universe_size
+from qstrings.fingerprint import hash_width, nth_prime, top_prime, top_prime_bounds, universe_size
+from qstrings.grover import OracleSpec, grover_run
 from qstrings.qmatch import inner_schedule
 from qstrings.resources import (
     ANCILLA_COMPARE_BSEARCH,
@@ -24,7 +25,7 @@ from qstrings.resources import (
     run_sweep,
     sweep_csv,
 )
-from qstrings.sim import DenseSearchState, StructuredState
+from qstrings.sim import DenseSearchState, StructuredState, search_layout
 
 
 def test_charge_examples():
@@ -53,16 +54,25 @@ def test_gate_units_total_composition():
     assert ledger.gate_units_total == 10 + 4 + 6 + 30
 
 
+def _run_on(ledger, iterations, evaluation_cost):
+    """One exact Grover run over 8 indices (a width-3 index register)."""
+    truth = np.zeros(8, dtype=bool)
+    truth[5] = True
+    oracle = OracleSpec(8, truth, evaluation_cost=evaluation_cost)
+    grover_run(StructuredState(search_layout(8), 8), oracle, iterations,
+               np.random.default_rng(0), ledger)
+
+
 def test_phase_breakdown():
+    # one record per Grover run, what it charged; a charge outside a run
+    # is in no record
     ledger = ResourceLedger()
-    before = ledger.snapshot()
+    _run_on(ledger, 2, 3)
     charge(ledger, "access_units", 3)
-    ledger.close_phase("readout", before)
-    before = ledger.snapshot()
-    charge(ledger, "diffusion_units", 2)
-    ledger.close_phase("".join(["read", "out"]), before)
+    _run_on(ledger, 2, 4)
     # deltas in counter order: diffusion, queries, inner iterations, access, hash
-    assert ledger.phase_breakdown == [("readout", (0, 0, 0, 3, 0)), ("readout", (2, 0, 0, 0, 0))]
+    assert ledger.phase_breakdown == [("grover_run[2]", (6, 2, 0, 0, 6)),
+                                      ("grover_run[2]", (6, 2, 0, 0, 8))]
     assert ledger.phase_breakdown[0][0] is ledger.phase_breakdown[1][0]  # labels interned
 
 
@@ -70,12 +80,10 @@ def test_equal_phases_share_one_record():
     # kept ledgers refer to one record per distinct phase, not a copy each
     ledgers = [ResourceLedger(), ResourceLedger()]
     for ledger in ledgers:
-        for amount in (7, 7, 9):
-            before = ledger.snapshot()
-            charge(ledger, "oracle_queries", amount)
-            ledger.close_phase(f"grover_run[{amount}]", before)
+        for iterations in (7, 7, 9):
+            _run_on(ledger, iterations, 1)
     a, b = (ledger.phase_breakdown for ledger in ledgers)
-    assert a == b == [("grover_run[7]", (0, 7, 0, 0, 0))] * 2 + [("grover_run[9]", (0, 9, 0, 0, 0))]
+    assert a == b == [("grover_run[7]", (21, 7, 0, 0, 7))] * 2 + [("grover_run[9]", (27, 9, 0, 0, 9))]
     assert a[0] is a[1] is b[0] and a[2] is b[2] and a[0] is not a[2]
 
 
@@ -102,6 +110,25 @@ def test_integer_ceil_log2_forms_equal_the_float_forms():
 def test_nominal_hash_width_matches_universe_max():
     r = universe_size(29, 4, 0.1)
     assert nominal_hash_width(29, 4, 0.1) == hash_width(nth_prime(r))
+
+
+def test_bound_width_is_the_counted_width():
+    # every r up to 3,000, then a log grid to 2^27: the bounds hold p_r,
+    # and where their widths agree, that is the width of p_r
+    grid = sorted(set(range(6, 3_000)) | {int(r) for r in np.geomspace(3_000, 2**27, 50)})
+    agreed = 0
+    for r in grid:
+        low, high = top_prime_bounds(r)
+        p = top_prime(r)
+        assert low <= p <= high, r
+        if hash_width(low) == hash_width(high):
+            agreed += 1
+            assert hash_width(low) == hash_width(p), r
+    assert agreed > len(grid) // 2
+    # even r = 2 * delta at epsilon 1/2, through the cached width
+    for delta in (3, 50, 1_000, 123_457):
+        r = 2 * delta
+        assert nominal_hash_width(delta, 1, 0.5) == hash_width(top_prime(r))
 
 
 def test_qubit_count_match_formula():
@@ -182,6 +209,12 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(SweepConfig(algo="match", grid=(16, 32), m=4, trials=2, seed=3))
     parallel = run_sweep(
         SweepConfig(algo="match", grid=(16, 32), m=4, trials=2, seed=3, jobs=2)
+    )
+    assert sweep_csv(serial) == sweep_csv(parallel)
+    # minimum finding copies structured states in the workers, none sent
+    serial = run_sweep(SweepConfig(algo="compare_grover", grid=(16, 32), trials=2, seed=3))
+    parallel = run_sweep(
+        SweepConfig(algo="compare_grover", grid=(16, 32), trials=2, seed=3, jobs=2)
     )
     assert sweep_csv(serial) == sweep_csv(parallel)
 

@@ -245,6 +245,12 @@ def _marked_sequences(size: int, rng: np.random.Generator) -> list[list[np.ndarr
     ]
 
 
+def _deep_copy(state: StructuredState) -> StructuredState:
+    """A deep copy of `state` that shares its bindings: one read-only
+    mapping, which deepcopy cannot copy and no state ever writes."""
+    return copy.deepcopy(state, {id(state.bindings): state.bindings})
+
+
 @pytest.mark.parametrize("size", [2, 4, 16, 256])
 def test_structured_transitions_match_dense_reference(size):
     layout = RegisterLayout(idx=(size - 1).bit_length())
@@ -259,7 +265,7 @@ def test_structured_transitions_match_dense_reference(size):
             assert np.max(np.abs(state.amps - reference)) < 1e-12
         for seed in range(40):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = copy.deepcopy(state).measure_index(got_rng)
+            got = _deep_copy(state).measure_index(got_rng)
             assert got == _reference_measure(reference, want_rng)
             assert got_rng.random() == want_rng.random()  # one draw each
 
@@ -285,7 +291,7 @@ def test_phase_on_the_adopted_index_array_matches_a_fresh_copy_bit_for_bit(flip_
     # superset of the targets) kept it, so every exact step stayed scalar
     assert shared._group is targets
     for seed in range(20):
-        got, want = copy.deepcopy(shared), copy.deepcopy(fresh)
+        got, want = _deep_copy(shared), _deep_copy(fresh)
         assert got.measure_index(np.random.default_rng(seed)) == want.measure_index(
             np.random.default_rng(seed)
         )
@@ -308,9 +314,9 @@ def _measure_paths(state: StructuredState, u: float) -> list[int]:
     measurement, then the exact cdf called directly, which a group-only
     state's measurement reaches only where the closed form refuses."""
     draw = _Draw(u)
-    picks = [copy.deepcopy(state).measure_index(draw)]
+    picks = [_deep_copy(state).measure_index(draw)]
     assert draw.draws == 1
-    picks.append(copy.deepcopy(state)._cdf_pick(u, state._base * state._base))
+    picks.append(_deep_copy(state)._cdf_pick(u, state._base * state._base))
     return picks
 
 
@@ -344,7 +350,7 @@ def test_scalar_and_numpy_measurement_pick_the_same_index(group, exceptions):
     bounds = cdf / cdf[-1]
     draws = np.concatenate((np.linspace(0, 1, 101), bounds, np.nextafter(bounds, 0), [1.0]))
     for u in draws.clip(0, 1):
-        want = measure_index_reference(copy.deepcopy(state), _Draw(float(u)))
+        want = measure_index_reference(_deep_copy(state), _Draw(float(u)))
         assert _measure_paths(state, float(u)) == [want, want]
         assert probs[want] > 0
 
@@ -380,7 +386,7 @@ def test_measurement_cdf_matches_the_sorted_reference_bit_for_bit(group, excepti
 
     monkeypatch.setattr(sim, "_cdf_segment", spy)
     draw = _Draw(u)
-    copy.deepcopy(state).measure_index(draw)
+    _deep_copy(state).measure_index(draw)
     assert draw.draws == 1
     assert seen == [want.tolist()]
 
@@ -469,7 +475,7 @@ def test_structured_measure_with_zero_base_amplitude():
     state.diffuse()
     assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]
     rng = np.random.default_rng(0)
-    assert [copy.deepcopy(state).measure_index(rng) for _ in range(50)] == [2] * 50
+    assert [_deep_copy(state).measure_index(rng) for _ in range(50)] == [2] * 50
     assert state.measure_index(rng) == 2
     assert state.amps.tolist() == [0.0, 0.0, 1.0, 0.0]  # collapsed onto the outcome
 
@@ -564,7 +570,10 @@ def test_copy_evolves_independently_over_read_only_bindings():
     assert a.measure_index(np.random.default_rng(0)) == 3
     assert np.allclose(template.amps, np.full(8, 1 / math.sqrt(8)))
     assert np.count_nonzero(b.amps) == 8  # a's collapse left b alone
-    a.bindings["h"] = np.zeros(8, dtype=np.int64)
+    # every copy shares the template's one read-only mapping of tables
+    assert a.bindings is b.bindings is template.bindings
+    with pytest.raises(TypeError):
+        a.bindings["h"] = np.zeros(8, dtype=np.int64)
     assert b.bindings["h"] is binding and template.bindings["h"] is binding
     # a copy of an evolved state holds its own exception amplitudes
     b.apply_phase_pattern(np.array([1, 3]))
