@@ -82,6 +82,8 @@ def build_compare_state(u: BitString, v: BitString) -> StructuredState:
     v_bits = np.zeros(padded_size(k), dtype=np.int64)
     u_bits[:k] = u.array[:k]
     v_bits[:k] = v.array[:k]
+    # read-only here, so validation keeps them instead of copying them
+    u_bits.flags.writeable = v_bits.flags.writeable = False
     return StructuredState(search_layout(k, u=1, v=1), k, {"u": u_bits, "v": v_bits})
 
 
