@@ -506,3 +506,61 @@ def test_compare_runs_are_pinned(name, backend_id):
             rng.random(),
         )
         assert got == expected, case
+
+
+def _bsearch_pair(k, extra, first_difference, make):
+    """u random of length k + extra[0], v of length k + extra[1], equal up
+    to `first_difference` (1-indexed), which is flipped unless None."""
+    u = make.integers(0, 2, k + extra[0])
+    v = np.concatenate((u[:k], make.integers(0, 2, extra[1])))
+    if first_difference is not None:
+        v[first_difference - 1] ^= 1
+        v[first_difference:k] = make.integers(0, 2, k - first_difference)
+    return BitString.from_bits(u), BitString.from_bits(v)
+
+
+def _bsearch_runs_digest(k, runs, seed, backend=StructuredState):
+    """sha256 over `runs` seeded compare_params + compare_bsearch runs at
+    k: the prime, the result fields, the ledger (counters and phases) and
+    the generator's next random() after each run.  One run in eight
+    compares equal prefixes; lengths differ by up to two bits."""
+    import hashlib
+
+    make = np.random.default_rng((53, seed))
+    rows = []
+    for run in range(runs):
+        extra = tuple(int(e) for e in make.integers(0, 3, 2))
+        first_difference = None if run % 8 == 7 else int(make.integers(1, k + 1))
+        u, v = _bsearch_pair(k, extra, first_difference, make)
+        rng = np.random.default_rng((seed, run))
+        params = compare_params(u, v, 0.1, rng)
+        result = compare_bsearch(u, v, params, rng, backend=backend)
+        ledger = result.ledger
+        rows.append((
+            params.p, result.verdict, result.first_difference, result.phases,
+            result.hash_comparisons, result.copies_used,
+            tuple(ledger.counters().values()), ledger.qubits_total,
+            tuple(ledger.phase_breakdown), rng.random(),
+        ))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# (k, runs, seed, backend, sha256 of the runs), recorded before the
+# comparator spliced its probe residues from the bracket's low end.
+BSEARCH_DIGESTS = [
+    (4096, 64, 4096, StructuredState,
+     "afba463797c213ce6d600f20acdd04d00d69e92bdbbe1a94097d1dec3092932b"),
+    (5, 16, 5, StructuredState,
+     "4098441af5b3c0d92985abe89e6578c33a3da208c1959a3592c5a60a362615da"),
+    (5, 16, 5, DenseSearchState,
+     "937b203a646c56040a27d68898f38dab569e9bae86c202d7cbec1c43fe14e93b"),
+    (100, 16, 100, StructuredState,
+     "ba5d81746cda1aacf34ea2bb17cc18628621f17bdeb67ed1fbed243ecd2e70af"),
+    (20000, 8, 20000, StructuredState,
+     "10f7adddac448ddcb6c68f69c7fd319af71bbb1cc1b158d108f26ab78f0ed537"),
+]
+
+
+@pytest.mark.parametrize("k, runs, seed, backend, digest", BSEARCH_DIGESTS)
+def test_compare_bsearch_runs_are_pinned(k, runs, seed, backend, digest):
+    assert _bsearch_runs_digest(k, runs, seed, backend) == digest
