@@ -281,9 +281,12 @@ def rolling_hash(u: BitString, p: int) -> int:
     return u.to_int() % p
 
 
-def prefix_hash(value: int, length: int, p: int) -> int:
-    """h_p(u[1..length]) from value = u.to_int(): the low `length` bits, mod p."""
-    return (value & ((1 << length) - 1)) % p
+def segment_hash(value: int, start: int, stop: int, p: int) -> int:
+    """h_p(u[start+1..stop]) from value = u.to_int(): bits start..stop-1
+    (0-based), shifted down, mod p.  With start = 0 it is the prefix hash
+    h_p(u[1..stop]); prefix hashes splice as
+    h_p(u[1..stop]) = h_p(u[1..start]) + 2^start * segment_hash(...) mod p."""
+    return ((value >> start) & ((1 << (stop - start)) - 1)) % p
 
 
 # Residue arithmetic is exact in int64 for every p below this bound: in

@@ -7,9 +7,12 @@ encodes "no differing position found yet".  The binary-search
 comparator builds no search state: it hashes only the prefixes it
 probes, each to an int residue fetched at ceil(log2 k) access units,
 and locates the first hash-unequal one with exactly ceil(log2 k)
-rho-fold quantum equality tests.  Both read the symbol pair at the
-candidate position, at the same access cost, to settle the verdict.
-Length cases are decided classically in both.
+rho-fold quantum equality tests.  A probe's residue is spliced from the
+residue at the bracket's low end lo, h(x[1..mid]) = h(x[1..lo]) +
+2^lo * h(x[lo+1..mid]) mod p, so it reduces only the bits its bracket
+adds: about k per string over a run, not (k/2) log2 k.  Both read the
+symbol pair at the candidate position, at the same access cost, to
+settle the verdict.  Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -154,6 +157,11 @@ def compare_bsearch(
     so the verdict errs only through hash collisions (budget epsilon)
     or a missed difference (budget 1/10 overall).  `params` is read only
     when both strings are non-empty.
+
+    Each test compares the exact prefix residues, spliced from those of
+    the longest prefix believed hash-equal.  The ceil(log2 k) probe
+    fetches are charged together, as one ceil(log2 k)^2 access-unit
+    charge.
     """
     k = min(len(u), len(v))
     ledger = ResourceLedger()
@@ -170,16 +178,22 @@ def compare_bsearch(
     # lo: longest prefix believed hash-equal; hi: candidate first difference.
     # A reported inequality carries a verified differing bit, so it always
     # wins; once the bracket closes, the remaining budget re-tests the
-    # candidate, keeping the comparison count exact.
+    # candidate, keeping the comparison count exact.  ref_lo and cand_lo
+    # are the residues of the length-lo prefixes, computed by the probe
+    # that moved lo there, and scale is 2^lo mod p: a probe splices on
+    # the residue of bits lo+1..mid only.
     lo, hi = 0, k
+    ref_lo = cand_lo = 0
+    scale = 1
+    charge(ledger, "access_units", log_k * log_k)  # swap-to-front fetch of each mid
     for _ in range(log_k):
         mid = (lo + hi) // 2 if hi - lo > 1 else hi
-        charge(ledger, "access_units", log_k)  # swap-to-front fetch of mid
-        href = fingerprint.prefix_hash(value_u, mid, p)
-        hcand = fingerprint.prefix_hash(value_v, mid, p)
+        href = (ref_lo + scale * fingerprint.segment_hash(value_u, lo, mid, p)) % p
+        hcand = (cand_lo + scale * fingerprint.segment_hash(value_v, lo, mid, p)) % p
         if hash_equality_eval(href, hcand, width, rho, rng, backend, ledger):
             if mid < hi:
-                lo = mid
+                lo, ref_lo, cand_lo = mid, href, hcand
+                scale = pow(2, lo, p)
         else:
             hi = mid
     a0 = hi

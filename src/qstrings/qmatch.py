@@ -122,13 +122,19 @@ def hash_equality_eval(
         if t == 0:
             return True  # no differing bit exists, so nothing is drawn
         hits = hit_probabilities(domain, t)
-        finds = [any(rng.random() < hit for hit in hits) for _ in range(rho)]
-    else:
-        truth = np.array([(diff >> j) & 1 == 1 for j in range(domain)])
-        oracle = OracleSpec(domain, truth, evaluation_cost=1)
-        layout, schedule = search_layout(domain), inner_schedule(domain)
-        finds = [bbht_search(oracle, rng, lambda: backend(layout, domain), schedule).verified
-                 for _ in range(rho)]
+        draw = rng.random
+        found = False
+        for _ in range(rho):
+            for hit in hits:
+                if draw() < hit:  # this evaluation stops at its first find
+                    found = True
+                    break
+        return not found
+    truth = np.array([(diff >> j) & 1 == 1 for j in range(domain)])
+    oracle = OracleSpec(domain, truth, evaluation_cost=1)
+    layout, schedule = search_layout(domain), inner_schedule(domain)
+    finds = [bbht_search(oracle, rng, lambda: backend(layout, domain), schedule).verified
+             for _ in range(rho)]
     return not any(finds)
 
 

@@ -1,8 +1,8 @@
 """Helpers only the tests use: a scalar reference hash, a per-query
 reference Grover run, a reference structured measurement, a reference
-oracle class key, a classical prefix-hash comparator, a collision-rate
-Monte Carlo, a multi-occurrence instance generator and either backend's
-index marginal."""
+oracle class key, a reference structured equality test, a classical
+prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
+instance generator and either backend's index marginal."""
 
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ import numpy as np
 
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
 from qstrings.grover import GroverOutcome, OracleSpec, amplification, charge_iterations
+from qstrings.qmatch import hit_probabilities
 from qstrings.resources import ResourceLedger
 from qstrings import sim
-from qstrings.sim import SearchState, StructuredState
+from qstrings.sim import SearchState, StructuredState, padded_size
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
 
 
@@ -119,6 +120,21 @@ def oracle_classes_reference(
     counts = np.bincount(key, minlength=values.size + 1)[:-1]
     used = counts > 0
     return key, np.flatnonzero(used), counts[used], values[used]
+
+
+def hash_equality_eval_reference(
+    reference: int, candidate: int, width: int, rho: int, rng: np.random.Generator
+) -> bool:
+    """The StructuredState branch of `qmatch.hash_equality_eval`, uncharged,
+    as one generator expression per evaluation: each of the rho
+    evaluations draws against the per-step hit probabilities until its
+    first find, and every evaluation runs."""
+    t = (reference ^ candidate).bit_count()
+    if t == 0:
+        return True
+    hits = hit_probabilities(padded_size(width), t)
+    finds = [any(rng.random() < hit for hit in hits) for _ in range(rho)]
+    return not any(finds)
 
 
 def lcp_by_prefix_hashes(u: BitString, v: BitString, p: int) -> tuple[int, int]:

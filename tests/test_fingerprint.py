@@ -313,11 +313,28 @@ moduli = st.one_of(any_prime, st.integers(2, 2**39 - 1))
 @given(st.integers(0, 160), st.integers(0, 2**32 - 1), moduli)
 @example(0, 0, 2**39 - 1)  # the empty string
 @example(160, 7, int(sympy.prevprime(2**39)))
+@example(160, 11, 2)
 def test_prefix_hash_matches_the_prefix_table(n, seed, p):
     u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
     value = u.to_int()
     table = fp.prefix_hashes(u, p)
-    assert [fp.prefix_hash(value, i, p) for i in range(n + 1)] == table.tolist()
+    assert [fp.segment_hash(value, 0, i, p) for i in range(n + 1)] == table.tolist()
+
+
+@given(st.integers(0, 48), st.integers(0, 2**32 - 1), moduli)
+@example(0, 0, 2)  # the empty string
+@example(48, 3, 2)
+@example(48, 5, int(sympy.prevprime(2**39)))
+def test_segment_hashes_splice_into_prefix_hashes(n, seed, p):
+    u = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
+    value = u.to_int()
+    table = fp.prefix_hashes(u, p).tolist()
+    for start in range(n + 1):
+        scale = pow(2, start, p)
+        for stop in range(start, n + 1):
+            segment = fp.segment_hash(value, start, stop, p)
+            assert segment == rolling_hash_reference(u.substring(start + 1, stop), p)
+            assert (table[start] + scale * segment) % p == table[stop], (start, stop)
 
 
 def test_prefix_hashes_examples():

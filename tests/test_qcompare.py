@@ -564,3 +564,96 @@ BSEARCH_DIGESTS = [
 @pytest.mark.parametrize("k, runs, seed, backend, digest", BSEARCH_DIGESTS)
 def test_compare_bsearch_runs_are_pinned(k, runs, seed, backend, digest):
     assert _bsearch_runs_digest(k, runs, seed, backend) == digest
+
+
+def _replay_probes(probes, k, u, v, p):
+    """Replay the bisection from the recorded (reference, candidate,
+    verdict) probes, asserting that each probe's residues are those of
+    the probed prefixes, reduced from scratch; returns the final hi."""
+    value_u, value_v = u.to_int(), v.to_int()
+    assert len(probes) == index_width(k)
+    lo, hi = 0, k
+    for reference, candidate, equal in probes:
+        mid = (lo + hi) // 2 if hi - lo > 1 else hi
+        mask = (1 << mid) - 1
+        assert (reference, candidate) == ((value_u & mask) % p, (value_v & mask) % p)
+        if not equal:
+            hi = mid
+        elif mid < hi:
+            lo = mid
+    return hi
+
+
+def _record_probes(monkeypatch, verdict=None):
+    """Wrap qcompare.hash_equality_eval to record each probe; with
+    `verdict`, a callable of no arguments, its answer replaces the
+    evaluation's (which still runs)."""
+    probes = []
+    evaluate = qcompare.hash_equality_eval
+
+    def record(reference, candidate, *args):
+        equal = evaluate(reference, candidate, *args)
+        if verdict is not None:
+            equal = verdict()
+        probes.append((reference, candidate, equal))
+        return equal
+
+    monkeypatch.setattr(qcompare, "hash_equality_eval", record)
+    return probes
+
+
+# (k, extra bits of (u, v), first difference or None, forced p or None
+# for a drawn one, backend)
+SPLICE_CASES = [
+    (1, (0, 0), 1, None, StructuredState),
+    (1, (0, 1), None, None, StructuredState),
+    (2, (0, 0), 2, None, StructuredState),
+    (2, (1, 0), None, None, DenseSearchState),
+    (3, (0, 0), 2, None, StructuredState),
+    (3, (0, 0), None, 2, DenseSearchState),
+    (5, (0, 0), 3, None, StructuredState),
+    (5, (0, 0), 4, None, DenseSearchState),
+    (5, (0, 2), None, None, DenseSearchState),
+    (5, (0, 0), 5, 2, StructuredState),
+    (4096, (0, 0), 1000, None, StructuredState),
+    (4096, (0, 2), None, None, StructuredState),
+    (4096, (1, 0), 4000, 2, StructuredState),
+    (20000, (0, 0), 12345, None, StructuredState),
+    (20000, (0, 1), None, None, StructuredState),
+    (20000, (0, 0), 19999, 2, StructuredState),
+]
+
+
+@pytest.mark.parametrize("k, extra, first_difference, forced_p, backend", SPLICE_CASES)
+def test_compare_bsearch_spliced_residues_match_prefix_hashes(
+    monkeypatch, k, extra, first_difference, forced_p, backend
+):
+    """Every probe's residues, spliced from the bracket's low end, equal
+    the from-scratch residues of the probed prefixes."""
+    probes = _record_probes(monkeypatch)
+    make = np.random.default_rng((59, k))
+    for trial in range(4):
+        u, v = _bsearch_pair(k, extra, first_difference, make)
+        rng = np.random.default_rng((61, k, trial))
+        params = _params(forced_p, k) if forced_p else compare_params(u, v, 0.1, rng)
+        probes.clear()
+        result = compare_bsearch(u, v, params, rng, backend=backend)
+        hi = _replay_probes(probes, k, u, v, params.p)
+        assert result.first_difference in (None, hi)
+
+
+def test_compare_bsearch_splices_exactly_under_any_verdicts(monkeypatch):
+    """Scripted random verdicts walk the bisection down paths the real
+    test rarely takes (a collision or a missed difference at any probe);
+    the residues stay exact on every one."""
+    script = np.random.default_rng(67)
+    probes = _record_probes(monkeypatch, verdict=lambda: bool(script.random() < 0.5))
+    make = np.random.default_rng(71)
+    for k in [*range(1, 70), 4096]:
+        for trial in range(8):
+            u, v = _bsearch_pair(k, (0, 0), int(make.integers(1, k + 1)), make)
+            rng = np.random.default_rng((73, k, trial))
+            params = compare_params(u, v, 0.5, rng)
+            probes.clear()
+            compare_bsearch(u, v, params, rng)
+            _replay_probes(probes, k, u, v, params.p)

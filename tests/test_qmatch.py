@@ -22,7 +22,7 @@ from qstrings.qmatch import (
 from qstrings.resources import ResourceLedger, qubit_count_match, qubit_count_match_unique
 from qstrings.sim import DenseSearchState, StructuredState, expand_structured
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
-from support import random_multi_occurrence
+from support import hash_equality_eval_reference, random_multi_occurrence
 
 
 def _params(p, delta, max_len, epsilon=0.5):
@@ -89,6 +89,31 @@ def test_rho_fold_test_runs_every_evaluation(backend):
         assert ledger.counters() == ref_ledger.counters()
         assert ledger.hash_eval_units == 3 * evaluation_constants(4).gate_units
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 7, 20, 39])
+def test_structured_equality_test_matches_the_reference(width):
+    # every differing-bit count, rho up to 8: same verdict, same draws
+    reference = 1 << (width - 1)
+    for t in range(1, width + 1):
+        candidate = reference ^ ((1 << t) - 1)
+        for rho in range(1, 9):
+            for seed in range(3):
+                rng = np.random.default_rng((t, rho, seed))
+                ref_rng = np.random.default_rng((t, rho, seed))
+                equal = hash_equality_eval(
+                    reference, candidate, width, rho, rng, StructuredState, ResourceLedger()
+                )
+                assert equal == hash_equality_eval_reference(reference, candidate, width, rho, ref_rng)
+                assert rng.random() == ref_rng.random(), (t, rho, seed)
+
+
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
+def test_negative_rho_is_refused_before_any_charge(backend):
+    ledger = ResourceLedger()
+    with pytest.raises(ValueError):
+        hash_equality_eval(0b0011, 0b0000, 4, -1, np.random.default_rng(0), backend, ledger)
+    assert set(ledger.counters().values()) == {0}
 
 
 def test_eval_modes_agree_in_distribution():
