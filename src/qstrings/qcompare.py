@@ -10,9 +10,10 @@ and locates the first hash-unequal one with exactly ceil(log2 k)
 rho-fold quantum equality tests.  A probe's residue is spliced from the
 residue at the bracket's low end lo, h(x[1..mid]) = h(x[1..lo]) +
 2^lo * h(x[lo+1..mid]) mod p, so it reduces only the bits its bracket
-adds: about k per string over a run, not (k/2) log2 k.  Both read the
-symbol pair at the candidate position, at the same access cost, to
-settle the verdict.  Length cases are decided classically in both.
+adds: about k per string over a run, where a prefix reduced from
+scratch costs up to k bits per probe.  Both read the symbol pair at the
+candidate position, at the same access cost, to settle the verdict.
+Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -180,8 +181,7 @@ def compare_bsearch(
     # wins; once the bracket closes, the remaining budget re-tests the
     # candidate, keeping the comparison count exact.  ref_lo and cand_lo
     # are the residues of the length-lo prefixes, computed by the probe
-    # that moved lo there, and scale is 2^lo mod p: a probe splices on
-    # the residue of bits lo+1..mid only.
+    # that moved lo there, and scale is 2^lo mod p.
     lo, hi = 0, k
     ref_lo = cand_lo = 0
     scale = 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -524,8 +525,6 @@ def _bsearch_runs_digest(k, runs, seed, backend=StructuredState):
     k: the prime, the result fields, the ledger (counters and phases) and
     the generator's next random() after each run.  One run in eight
     compares equal prefixes; lengths differ by up to two bits."""
-    import hashlib
-
     make = np.random.default_rng((53, seed))
     rows = []
     for run in range(runs):

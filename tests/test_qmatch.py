@@ -104,7 +104,8 @@ def test_structured_equality_test_matches_the_reference(width):
                 equal = hash_equality_eval(
                     reference, candidate, width, rho, rng, StructuredState, ResourceLedger()
                 )
-                assert equal == hash_equality_eval_reference(reference, candidate, width, rho, ref_rng)
+                expected = hash_equality_eval_reference(reference, candidate, width, rho, ref_rng)
+                assert equal == expected
                 assert rng.random() == ref_rng.random(), (t, rho, seed)
 
 
