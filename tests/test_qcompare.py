@@ -520,7 +520,7 @@ def _bsearch_pair(k, extra, first_difference, make):
     return BitString.from_bits(u), BitString.from_bits(v)
 
 
-def _bsearch_runs_digest(k, runs, seed, backend=StructuredState):
+def _bsearch_runs_digest(k, runs, seed, backend):
     """sha256 over `runs` seeded compare_params + compare_bsearch runs at
     k: the prime, the result fields, the ledger (counters and phases) and
     the generator's next random() after each run.  One run in eight
