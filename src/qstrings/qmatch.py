@@ -155,14 +155,11 @@ class MatchStateSpec:
     pattern_hash: int
     window_hash_table: np.ndarray  # padded domain -> residue
 
-    @property
-    def num_windows(self) -> int:
-        return self.instance.num_windows
-
     @cached_property
     def _template(self) -> StructuredState:
-        layout = search_layout(self.num_windows, whash=self.params.width)
-        return StructuredState(layout, self.num_windows, {"whash": self.window_hash_table})
+        windows = self.instance.num_windows
+        layout = search_layout(windows, whash=self.params.width)
+        return StructuredState(layout, windows, {"whash": self.window_hash_table})
 
     def make_copy(self, backend: type[SearchState] = StructuredState) -> SearchState:
         """One fresh uniform search state."""
@@ -177,7 +174,7 @@ class MatchStateSpec:
         truth = t_counts == 0
         # error class = differing-bit count t, with miss probability miss[t]
         return OracleSpec(
-            self.num_windows,
+            self.instance.num_windows,
             truth,
             evaluation_cost=evaluation.gate_units,
             error_prob=evaluation.worst_miss,
@@ -236,7 +233,8 @@ class MatchResult:
             raise ValueError("verified result must carry its position")
 
 
-def _verify(inst: MatchInstance, spec: MatchStateSpec, measured: int) -> tuple[bool, bool]:
+def _verify(spec: MatchStateSpec, measured: int) -> tuple[bool, bool]:
+    inst = spec.instance
     hash_ok = bool(
         measured < inst.num_windows
         and spec.window_hash_table[measured] == spec.pattern_hash
@@ -268,7 +266,7 @@ def _search(
     for rep, iterations in enumerate(schedule):
         outcome = grover_run(spec.make_copy(backend), oracle, iterations, rng, ledger)
         measured = outcome.found_index
-        hash_ok, exact_ok = _verify(inst, spec, measured)
+        hash_ok, exact_ok = _verify(spec, measured)
         if exact_ok:
             break
     # hash_verified without exact verification marks a fingerprint collision

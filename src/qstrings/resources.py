@@ -17,7 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -214,70 +214,64 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
 
 
-def _sweep_point(args: tuple) -> dict:
-    algo, x, m, epsilon, trials, seed, backend = args
+def _layout_qubits(config: SweepConfig, x: int, p: int | None) -> int:
+    """Qubit count of the algorithm's layout at grid value x; with `p`
+    given, at that modulus's width, else at the nominal one."""
+    if config.algo == "match":
+        return qubit_count_match(x, config.m, config.epsilon, p=p)
+    if config.algo == "compare_grover":
+        return qubit_count_compare_grover(x)
+    return qubit_count_compare_bsearch(x, config.epsilon, p=p)
+
+
+def _sweep_point(config: SweepConfig, x: int) -> dict:
+    """One aggregated row: `config.trials` seeded trials at grid value x."""
     from . import qcompare, qmatch
     from .strings_core import BitString, compare_classical
 
     counters = {name: 0.0 for name in _COUNTERS}
     counters["gate_units_total"] = 0.0
     successes = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, x, trial))
-        if algo == "match":
-            inst, d_true = qmatch.random_single_occurrence(x, m, rng)
-            params = qmatch.match_params(inst, epsilon, rng)
-            result = qmatch.match_search(inst, params, rng, backend=backend)
-            expected = qubit_count_match(x, m, epsilon, p=params.p)
-            if result.ledger.qubits_total != expected:
-                raise AssertionError("ledger qubit count diverged from the layout formula")
-            successes += int(result.position == d_true)
-            ledger = result.ledger
+    for trial in range(config.trials):
+        rng = np.random.default_rng((config.seed, x, trial))
+        p = None
+        if config.algo == "match":
+            inst, d_true = qmatch.random_single_occurrence(x, config.m, rng)
+            params = qmatch.match_params(inst, config.epsilon, rng)
+            result = qmatch.match_search(inst, params, rng, backend=config.backend)
+            p, success = params.p, result.position == d_true
         else:
             u = BitString.from_bits(rng.integers(0, 2, x))
             shared = u.bits[: int(rng.integers(0, x + 1))]
             v = BitString((shared + BitString.from_bits(rng.integers(0, 2, x)).bits)[:x])
-            if algo == "compare_grover":
-                result = qcompare.compare_grover(u, v, rng, backend=backend)
-                ledger = result.ledger
-                if ledger.qubits_total != qubit_count_compare_grover(min(len(u), len(v))):
-                    raise AssertionError("ledger qubit count diverged from the layout formula")
+            if config.algo == "compare_grover":
+                result = qcompare.compare_grover(u, v, rng, backend=config.backend)
             else:
-                params = qcompare.compare_params(u, v, epsilon, rng)
-                result = qcompare.compare_bsearch(u, v, params, rng, backend=backend)
-                ledger = result.ledger
-                expected = qubit_count_compare_bsearch(
-                    min(len(u), len(v)), epsilon, p=params.p
-                )
-                if ledger.qubits_total != expected:
-                    raise AssertionError("ledger qubit count diverged from the layout formula")
-            successes += int(result.verdict == compare_classical(u, v))
+                params = qcompare.compare_params(u, v, config.epsilon, rng)
+                result = qcompare.compare_bsearch(u, v, params, rng, backend=config.backend)
+                p = params.p
+            success = result.verdict == compare_classical(u, v)
+        ledger = result.ledger
+        if ledger.qubits_total != _layout_qubits(config, x, p):
+            raise AssertionError("ledger qubit count diverged from the layout formula")
+        successes += success
         for name in _COUNTERS:
             counters[name] += getattr(ledger, name)
         counters["gate_units_total"] += ledger.gate_units_total
     for key in counters:
-        counters[key] /= trials
-    if algo == "match":
-        qubits = qubit_count_match(x, m, epsilon)
-        n_col, m_col, k_col = x, m, ""
-    elif algo == "compare_grover":
-        qubits = qubit_count_compare_grover(x)
-        n_col, m_col, k_col = "", "", x
-    else:
-        qubits = qubit_count_compare_bsearch(x, epsilon)
-        n_col, m_col, k_col = "", "", x
+        counters[key] /= config.trials
+    is_match = config.algo == "match"
     return {
-        "algo": algo,
-        "n": n_col,
-        "m": m_col,
-        "k": k_col,
-        "epsilon": epsilon,
-        "seed": seed,
-        "trials": trials,
-        "success_rate": successes / trials,
-        "qubits": qubits,
-        **{name: counters[name] for name in _COUNTERS},
-        "gate_units_total": counters["gate_units_total"],
+        "algo": config.algo,
+        "n": x if is_match else "",
+        "m": config.m if is_match else "",
+        "k": "" if is_match else x,
+        "epsilon": config.epsilon,
+        "seed": config.seed,
+        "trials": config.trials,
+        "success_rate": successes / config.trials,
+        "qubits": _layout_qubits(config, x, None),
+        **counters,
     }
 
 
@@ -297,11 +291,7 @@ def pool_map(worker: Callable, tasks: Sequence, jobs: int) -> list:
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """One aggregated row per grid point."""
-    jobs = [
-        (config.algo, x, config.m, config.epsilon, config.trials, config.seed, config.backend)
-        for x in config.grid
-    ]
-    return pool_map(_sweep_point, jobs, config.jobs)
+    return pool_map(partial(_sweep_point, config), config.grid, config.jobs)
 
 
 def sweep_csv(rows: Iterable[dict]) -> str:

@@ -160,10 +160,10 @@ def apply_gate(state: DenseState, gate: str, targets: Sequence[int]) -> DenseSta
     return state
 
 
-def prepare_uniform(state: DenseState, register: str) -> DenseState:
-    """Equal superposition over a register, one Hadamard per qubit."""
-    off = state.layout.offset(register)
-    for qubit in range(off, off + state.layout.width(register)):
+def prepare_uniform(state: DenseState) -> DenseState:
+    """Equal superposition over the index register "idx", one Hadamard per qubit."""
+    off = state.layout.offset("idx")
+    for qubit in range(off, off + state.layout.width("idx")):
         apply_gate(state, "H", [qubit])
     return state
 
@@ -179,22 +179,20 @@ def prepare_minus(state: DenseState, register: str) -> DenseState:
 
 
 def phase_oracle(
-    state: DenseState,
-    pattern: np.ndarray,
-    index_register: str = "idx",
-    ancilla: str | None = None,
+    state: DenseState, pattern: np.ndarray, ancilla: str | None = None
 ) -> DenseState:
     """Multiply the amplitude of index value a by -1 where pattern[a] is True.
 
-    `pattern` is a bool array over the index register's values.  With
+    `pattern` is a bool array over the values of the index register
+    "idx".  With
     `ancilla` given (a flag qubit prepared in |->), the oracle is
     realized as the XOR permutation on that qubit, which kicks the phase
     back onto the index register; without it the phase is applied
     directly.  Both act identically on |-> ancillas.
     """
-    if pattern.dtype != bool or pattern.shape != (1 << state.layout.width(index_register),):
+    if pattern.dtype != bool or pattern.shape != (1 << state.layout.width("idx"),):
         raise ValueError("pattern must be a bool array over the index register's values")
-    values = state.register_values(index_register)
+    values = state.register_values("idx")
     hit = pattern[values]
     if ancilla is None:
         state.amps[hit] = -state.amps[hit]
@@ -208,14 +206,14 @@ def phase_oracle(
     return state
 
 
-def diffusion(state: DenseState, index_register: str) -> DenseState:
-    """Reflect amplitudes about their mean over the index register.
+def diffusion(state: DenseState) -> DenseState:
+    """Reflect amplitudes about their mean over the index register "idx".
 
     Acts as identity on all other registers (sector-wise reflection), so
     callers keeping data registers bound to the index must unbind first.
     """
-    off = state.layout.offset(index_register)
-    w = state.layout.width(index_register)
+    off = state.layout.offset("idx")
+    w = state.layout.width("idx")
     low = 1 << off
     dim = 1 << w
     high = state.amps.size // (low * dim)
@@ -674,7 +672,7 @@ class DenseSearchState:
         self.size = padded_size(domain_size)
         self.data_tables = _validated_bindings(layout, self.size, bindings)
         self.state = DenseState(RegisterLayout(**layout.widths, **{self.flag_register: 1}))
-        prepare_uniform(self.state, "idx")
+        prepare_uniform(self.state)
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
         prepare_minus(self.state, self.flag_register)
@@ -693,12 +691,12 @@ class DenseSearchState:
         _check_index_array(marked)
         pattern = np.zeros(self.size, dtype=bool)
         pattern[marked] = True
-        phase_oracle(self.state, pattern, "idx", ancilla=self.flag_register)
+        phase_oracle(self.state, pattern, ancilla=self.flag_register)
 
     def diffuse(self) -> None:
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
-        diffusion(self.state, "idx")
+        diffusion(self.state)
         for name, table in self.data_tables.items():
             bind_data(self.state, name, table)
 

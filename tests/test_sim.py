@@ -75,67 +75,67 @@ def test_gate_validation():
 def test_prepare_uniform():
     for width in (1, 3):
         layout = RegisterLayout(idx=width)
-        state = prepare_uniform(DenseState(layout), "idx")
+        state = prepare_uniform(DenseState(layout))
         assert np.allclose(state.amps, np.full(2**width, 2 ** (-width / 2)))
         assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) < 1e-12
 
 
 def test_phase_oracle_identity_and_global_phase():
     layout = RegisterLayout(idx=2)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     before = state.amps.copy()
-    phase_oracle(state, np.zeros(4, dtype=bool), "idx")
+    phase_oracle(state, np.zeros(4, dtype=bool))
     assert np.allclose(state.amps, before)
-    phase_oracle(state, np.ones(4, dtype=bool), "idx")
+    phase_oracle(state, np.ones(4, dtype=bool))
     assert np.allclose(state.amps, -before)
     assert np.allclose(np.abs(state.amps) ** 2, np.abs(before) ** 2)
 
 
 def test_phase_oracle_marks_single_index():
     layout = RegisterLayout(idx=2)
-    state = prepare_uniform(DenseState(layout), "idx")
-    phase_oracle(state, np.array([0, 0, 1, 0], dtype=bool), "idx")
+    state = prepare_uniform(DenseState(layout))
+    phase_oracle(state, np.array([0, 0, 1, 0], dtype=bool))
     assert np.allclose(state.amps, [0.5, 0.5, -0.5, 0.5])
 
 
 def test_phase_oracle_ancilla_kickback_equals_direct():
     layout = RegisterLayout(idx=2, xi=1)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     prepare_minus(state, "xi")
-    phase_oracle(state, np.array([0, 1, 1, 0], dtype=bool), "idx", ancilla="xi")
+    phase_oracle(state, np.array([0, 1, 1, 0], dtype=bool), ancilla="xi")
     reduced = project_flag_minus(state, "xi")
     assert np.allclose(reduced, [0.5, -0.5, -0.5, 0.5])
 
 
 def test_phase_oracle_takes_only_a_bool_pattern_over_the_index():
     layout = RegisterLayout(idx=2)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     for pattern in (np.array([0, 0, 1, 0]), np.zeros(8, dtype=bool)):
         with pytest.raises(ValueError):
-            phase_oracle(state, pattern, "idx")
+            phase_oracle(state, pattern)
 
 
 def test_phase_oracle_is_involution():
     layout = RegisterLayout(idx=3)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     before = state.amps.copy()
     pattern = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=bool)
-    phase_oracle(state, pattern, "idx")
-    phase_oracle(state, pattern, "idx")
+    phase_oracle(state, pattern)
+    phase_oracle(state, pattern)
     assert np.max(np.abs(state.amps - before)) < 1e-12
 
 
 def test_diffusion_examples():
     layout = RegisterLayout(idx=2)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     before = state.amps.copy()
-    diffusion(state, "idx")
+    diffusion(state)
     assert np.allclose(state.amps, before)  # uniform is a fixed point
 
     state = DenseState(layout, np.array([1.0, 0, 0, 0]))
-    diffusion(state, "idx")
+    diffusion(state)
     assert np.allclose(state.amps, [-0.5, 0.5, 0.5, 0.5])
-    diffusion(state, "idx")
+    diffusion(state)
     expected = np.zeros(4)
     expected[0] = 1.0
     assert np.max(np.abs(state.amps - expected)) < 1e-12  # involution
@@ -148,7 +148,7 @@ def test_diffusion_acts_per_sector():
     amps[0] = SQ2  # |idx=0, d=0>
     amps[3] = SQ2  # |idx=1, d=1>
     state = DenseState(layout, amps)
-    diffusion(state, "idx")
+    diffusion(state)
     # sector d=0: amplitudes (a, 0) -> mean SQ2/2; sector d=1: (0, a)
     assert np.allclose(state.amps, [0, SQ2, SQ2, 0])
 
@@ -186,7 +186,7 @@ def test_expand_structured_cap():
 def test_bind_data_roundtrip():
     layout = RegisterLayout(idx=2, h=3)
     table = np.array([5, 1, 0, 7], dtype=np.int64)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     before = state.amps.copy()
     bind_data(state, "h", table)
     expanded = expand_structured(
@@ -200,12 +200,12 @@ def test_bind_data_roundtrip():
 def test_structured_phase_and_diffuse_match_dense():
     layout = RegisterLayout(idx=2)
     struct = StructuredState(layout, 4)
-    dense = prepare_uniform(DenseState(RegisterLayout(idx=2)), "idx")
+    dense = prepare_uniform(DenseState(RegisterLayout(idx=2)))
     pattern = np.array([0, 0, 1, 0], dtype=bool)
     struct.apply_phase_pattern(np.flatnonzero(pattern))
-    phase_oracle(dense, pattern, "idx")
+    phase_oracle(dense, pattern)
     struct.diffuse()
-    diffusion(dense, "idx")
+    diffusion(dense)
     assert np.allclose(struct.amps, dense.amps)
 
 
@@ -654,7 +654,7 @@ def test_gates_against_explicit_kron_matrices():
 
 def test_dump_state(tmp_path):
     layout = RegisterLayout(idx=1)
-    state = prepare_uniform(DenseState(layout), "idx")
+    state = prepare_uniform(DenseState(layout))
     path = tmp_path / "state.csv"
     dump_state(state, str(path))
     lines = path.read_text().strip().splitlines()
