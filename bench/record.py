@@ -12,9 +12,9 @@ and with `--trace 1` at seed 3, then its scale section, then times the
 Tier-1 suite (`python -m pytest -q`, sources from the tree's `src/`).
 The scale section builds one m = 16 match instance (one occurrence,
 fixed seed) at each of n = 2^18, 2^20, 2^22 and 2^24, each in a fresh
-interpreter of the tree, and gives the wall time of one untraced call
-and the tracemalloc peak of a second call of `prepare_match_state`,
-`MatchStateSpec.oracle` and `match_search`.  It writes one JSON file:
+interpreter of the tree, and gives the median wall time of five untraced
+calls, with the five times, and the tracemalloc peak of one more call of
+`prepare_match_state`, `MatchStateSpec.oracle` and `match_search`.  It writes one JSON file:
 the git revision, a digest of the sources under `src/`, the line count
 of each `src/qstrings/*.py` module and their total, the machine (cores,
 CPU, Python, numpy, sympy), every metric each run printed, per seed the
@@ -28,7 +28,8 @@ probe (`perfbench/worker.py`), run just before and just after the suite.
 `--compare A B` prints each metric of A and B with B's change relative
 to A, the source line total and each module whose count changed as
 A -> B ("n/a" for a record without line counts), each scale stage's
-time and peak as A -> B, and a loud DIGEST
+median time, with the range of its five times, and peak as A -> B, and
+a loud DIGEST
 CHANGED line for every workload and seed whose result digest differs;
 it exits 1 when one does, since equal digests mean the same answers at
 the same simulated cost.  It prints a loud SOURCES DIFFER line for a
@@ -104,21 +105,25 @@ PROBE_SCRIPT = (
 )
 
 # The scale section: text lengths 2^SCALE_BITS, pattern length, seed and
-# the match error bound of the match_long workload.
+# the match error bound of the match_long workload; each stage's time is
+# the median of SCALE_CALLS untraced calls.
 SCALE_BITS = (18, 20, 22, 24)
 SCALE_M = 16
 SCALE_SEED = 21
 SCALE_EPSILON = 0.1
+SCALE_CALLS = 5
 SCALE_STAGES = ("prepare_match_state", "oracle", "match_search")
 SCALE_SCRIPT = """
-import gc, json, sys, time, tracemalloc
+import gc, json, statistics, sys, time, tracemalloc
 import numpy as np
 from qstrings import qmatch
 
 def stage(fn):
-    start = time.perf_counter()
-    fn()
-    ms = 1e3 * (time.perf_counter() - start)
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fn()
+        times.append(1e3 * (time.perf_counter() - start))
     gc.collect()
     tracemalloc.start()
     try:
@@ -126,9 +131,10 @@ def stage(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return out, {"ms": ms, "peak_mib": peak / 2**20}
+    return out, {"ms": statistics.median(times), "ms_samples": times, "peak_mib": peak / 2**20}
 
 bits, m, seed, epsilon = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+calls = int(sys.argv[5])
 inst, start = qmatch.random_single_occurrence(1 << bits, m, np.random.default_rng(seed))
 params = qmatch.match_params(inst, epsilon, np.random.default_rng(seed))
 spec, prepare = stage(lambda: qmatch.prepare_match_state(inst, params))
@@ -206,12 +212,13 @@ def _src_env(root: Path) -> dict:
 
 
 def run_scale(root: Path) -> dict:
-    """The scale section: per text length, each stage's ms and peak MiB."""
+    """The scale section: per text length, each stage's median ms, its
+    samples and peak MiB."""
     sizes = {}
     for bits in SCALE_BITS:
         print(f"record: scale n = 2^{bits}", file=sys.stderr, flush=True)
         cmd = [sys.executable, "-c", SCALE_SCRIPT, str(bits), str(SCALE_M), str(SCALE_SEED),
-               str(SCALE_EPSILON)]
+               str(SCALE_EPSILON), str(SCALE_CALLS)]
         proc = subprocess.run(cmd, cwd=root, env=_src_env(root), capture_output=True, text=True)
         if proc.returncode != 0:
             raise RecordError(f"scale run at 2^{bits} exited {proc.returncode}:\n"
@@ -577,19 +584,29 @@ def _source_line_report(la: dict | None, lb: dict | None) -> list[str]:
     return lines
 
 
+def _scale_cell(stage: dict | None) -> str:
+    """A stage's time, with the range of its samples when it has them
+    (a record made before the median kept one time and no samples), and
+    its peak."""
+    if stage is None:
+        return "n/a"
+    samples = stage.get("ms_samples")
+    spread = f" [{min(samples):.4g}-{max(samples):.4g}]" if samples else ""
+    return f"{stage['ms']:.4g} ms{spread} {stage['peak_mib']:.4g} MiB"
+
+
 def _scale_report(sa: dict | None, sb: dict | None) -> list[str]:
     """Each scale stage's wall time and tracemalloc peak, A -> B."""
     if sa is None and sb is None:
         return ["scale: n/a -> n/a"]
     head = sa or sb
     sizes = [(sa or {}).get("sizes", {}), (sb or {}).get("sizes", {})]
-    lines = [f"scale: m = {head['m']}, seed {head['seed']}; ms and tracemalloc peak MiB, A -> B"]
+    lines = [f"scale: m = {head['m']}, seed {head['seed']}; median ms [range] and "
+             "tracemalloc peak MiB, A -> B"]
     for bits in sorted(set(sizes[0]) | set(sizes[1]), key=int):
         for name in SCALE_STAGES:
-            stages = [side.get(bits, {}).get(name) for side in sizes]
-            cells = ["n/a" if stage is None else f"{stage['ms']:.4g} ms {stage['peak_mib']:.4g} MiB"
-                     for stage in stages]
-            lines.append(f"  2^{bits:<3} {name:<20} {cells[0]:>24} -> {cells[1]}")
+            cells = [_scale_cell(side.get(bits, {}).get(name)) for side in sizes]
+            lines.append(f"  2^{bits:<3} {name:<20} {cells[0]:>36} -> {cells[1]}")
     return lines
 
 

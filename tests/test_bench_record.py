@@ -157,25 +157,34 @@ def test_scale_runs_each_size_in_a_fresh_interpreter_and_compare_prints_it(monke
     def fake_run(cmd, cwd=None, env=None, capture_output=None, text=None):
         calls.append((cmd, cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
         scale = 2.0 ** (int(cmd[3]) - 18)
-        out = json.dumps({name: {"ms": 1.5 * scale, "peak_mib": 6.0 * scale}
+        samples = [1.5 * scale * t for t in (1.0, 0.75, 1.25, 1.0, 0.5)]
+        out = json.dumps({name: {"ms": 1.5 * scale, "ms_samples": samples,
+                                 "peak_mib": 6.0 * scale}
                           for name in record.SCALE_STAGES} | {"found": True})
         return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
     scale = record.run_scale(tmp_path)
     assert [cmd[3] for cmd, _, _ in calls] == ["18", "20", "22", "24"]
-    assert all(cmd[1] == "-c" and cmd[2] == record.SCALE_SCRIPT and cmd[4:6] == ["16", "21"]
-               for cmd, _, _ in calls)
+    assert all(cmd[1] == "-c" and cmd[2] == record.SCALE_SCRIPT
+               and cmd[4:] == ["16", "21", "0.1", "5"] for cmd, _, _ in calls)
     assert {(cwd, src) for _, cwd, src in calls} == {(tmp_path, str(tmp_path / "src"))}
     assert scale["m"] == 16 and scale["sizes"]["22"]["prepare_match_state"] == {
-        "ms": 24.0, "peak_mib": 96.0}
+        "ms": 24.0, "ms_samples": [24.0, 18.0, 30.0, 24.0, 12.0], "peak_mib": 96.0}
     blank = {"metrics": {}, "digests": {}, "tier1": {}}
     lines = record.compare(blank, {**blank, "scale": scale})[0]
-    start = lines.index("scale: m = 16, seed 21; ms and tracemalloc peak MiB, A -> B")
+    start = lines.index("scale: m = 16, seed 21; median ms [range] and tracemalloc peak MiB, "
+                        "A -> B")
     assert lines[start + 1].split() == ["2^18", "prepare_match_state", "n/a", "->",
-                                        "1.5", "ms", "6", "MiB"]
+                                        "1.5", "ms", "[0.75-1.875]", "6", "MiB"]
     assert lines[start + 10].split()[:2] == ["2^24", "prepare_match_state"]
-    assert lines[start + 10].endswith("-> 96 ms 384 MiB")
+    assert lines[start + 10].endswith("-> 96 ms [48-120] 384 MiB")
+    # a record made before the median has one time and no samples
+    single = {name: {"ms": 3.0, "peak_mib": 6.0} for name in record.SCALE_STAGES}
+    old = {**blank, "scale": {**scale, "sizes": {"18": single}}}
+    lines = record.compare(old, blank)[0]
+    assert lines[start + 1].split() == ["2^18", "prepare_match_state", "3", "ms", "6", "MiB",
+                                        "->", "n/a"]
     assert "scale: n/a -> n/a" in record.compare(blank, blank)[0]
 
 
@@ -184,8 +193,10 @@ def test_scale_script_runs_against_this_tree(monkeypatch):
     scale = record.run_scale(record.REPO)
     stages = scale["sizes"]["10"]
     assert stages["found"] is True
-    assert all(stages[name]["ms"] > 0 and stages[name]["peak_mib"] > 0
-               for name in record.SCALE_STAGES)
+    for name in record.SCALE_STAGES:
+        samples = stages[name]["ms_samples"]
+        assert len(samples) == record.SCALE_CALLS and min(samples) > 0
+        assert stages[name]["ms"] == sorted(samples)[2] and stages[name]["peak_mib"] > 0
 
 
 def _perfbench_stdout(workload, op_ms, digest):

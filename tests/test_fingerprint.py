@@ -284,6 +284,19 @@ def test_choose_prime_benchmark_universes(delta, max_len, r):
         assert params.r == r and params.p <= top and sympy.isprime(params.p), params
 
 
+def test_p_r_is_counted_once_per_universe(monkeypatch):
+    # choose_prime and HashParams each read p_r; top_prime's cache counts
+    # it once per universe, not once per read
+    counts = []
+    nth_prime = fp.nth_prime
+    monkeypatch.setattr(fp, "nth_prime", lambda i: counts.append(i) or nth_prime(i))
+    fp.top_prime.cache_clear()
+    rng = np.random.default_rng(37)
+    draws = [fp.choose_prime(rng, 999, 10, 0.1) for _ in range(25)]
+    assert {params.r for params in draws} == {99_900}
+    assert counts == [99_900]
+
+
 def test_hash_width():
     assert fp.hash_width(2) == 1
     assert fp.hash_width(5) == 3

@@ -679,6 +679,58 @@ def test_grover_run_is_the_per_query_loop_around_flips(backend, error, rho, iter
     _assert_same_run(backend, oracle, iterations, seed, rho)
 
 
+class _BlockCounter:
+    """A generator that counts its 2-D `random` calls: the query blocks
+    and each redraw up to a flip."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += isinstance(size, tuple) and len(size) == 2
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _query_block_draws(flips, iterations, block):
+    """The 2-D draws of a noisy run with the given flip steps: a stretch of
+    g flip-free steps takes g // block full blocks; a flip then takes the
+    block holding it and the redraw up to it, and the steps after the
+    last flip take ceil(g / block) blocks.  At most
+    ceil(iterations / block) + 2 flips."""
+    draws, start = 0, 0
+    for step in flips:
+        draws += (step - start) // block + 2
+        start = step + 1
+    return draws + -(-(iterations - start) // block)
+
+
+def test_a_flip_free_noisy_run_draws_one_block_per_query_block():
+    oracle = _sixteen(1e-9)
+    assert _flip_steps(oracle, 83, 1, 100) == []
+    rng = _BlockCounter(83)
+    grover_run(_structured(16), oracle, 100, rng, rho=1)
+    assert rng.calls == 4  # ceil(100 / QUERY_BLOCK)
+
+
+@pytest.mark.parametrize("error, rho, iterations, seed", [
+    (0.02, 1, 6, 1), (0.02, 1, 20, 1), (0.2, 2, 40, 5), (0.2, 2, 40, 7),
+    (0.005, 1, 100, 3), (0.005, 1, 200, 9), (0.02, 1, 100, 11),
+])
+def test_noisy_run_block_draws_around_flips(error, rho, iterations, seed):
+    oracle = _sixteen(error)
+    flips = _flip_steps(oracle, seed, rho, iterations)
+    assert flips
+    rng = _BlockCounter(seed)
+    grover_run(_structured(16), oracle, iterations, rng, rho=rho)
+    block = grover.QUERY_BLOCK
+    assert rng.calls == _query_block_draws(flips, iterations, block)
+    assert rng.calls <= -(-iterations // block) + 2 * len(flips)
+
+
 @pytest.mark.parametrize("backend", ["structured", "dense"])
 @pytest.mark.parametrize("targets", [[], [9], [0, 2, 5, 7, 8, 11, 12], list(range(13)),
                                      list(range(16))])

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qstrings import qcompare
+from qstrings import fingerprint, qcompare
 from qstrings.fingerprint import HashParams, universe_size
 from qstrings.grover import OracleSpec, bbht_search, doubling_schedule
 from qstrings.qcompare import (
@@ -269,6 +270,49 @@ def test_compare_bsearch_equal_strings():
         params = compare_params(u, u, 0.25, rng)
         result = compare_bsearch(u, u, params, rng)
         assert result.verdict == 0 and result.first_difference is None
+
+
+def _bits_reduced(monkeypatch):
+    """Wrap fingerprint.segment_hash, which compare_bsearch calls through
+    the module, to record (value, stop - start) per call."""
+    calls = []
+    segment_hash = fingerprint.segment_hash
+
+    def record(value, start, stop, p):
+        calls.append((value, stop - start))
+        return segment_hash(value, start, stop, p)
+
+    monkeypatch.setattr(fingerprint, "segment_hash", record)
+    return calls
+
+
+@pytest.mark.parametrize("k", [5, 100, 4096])
+def test_compare_bsearch_reduces_fewer_than_k_bits_per_string(monkeypatch, k):
+    """Each probe reduces only the bits its bracket adds past lo, so an
+    op reduces at most k - 1 bits of each string, under real verdicts on
+    random pairs and under every sequence of verdicts; hashing each
+    probe's prefix from bit 0 reduces up to about k log2 k."""
+    calls = _bits_reduced(monkeypatch)
+    make = np.random.default_rng((79, k))
+
+    def bits_per_string(u, v, params, rng):
+        calls.clear()
+        compare_bsearch(u, v, params, rng)
+        return [sum(bits for value, bits in calls if value == string.to_int())
+                for string in (u, v)]
+
+    for trial in range(20):
+        u, v = _bsearch_pair(k, (0, 0), int(make.integers(1, k + 1)), make)
+        rng = np.random.default_rng((83, k, trial))
+        reduced = bits_per_string(u, v, compare_params(u, v, 0.5, rng), rng)
+        assert reduced[0] == reduced[1] <= k - 1
+    u, v = _bsearch_pair(k, (0, 0), k, make)
+    params = _params(2, k)
+    for verdicts in itertools.product((True, False), repeat=index_width(k)):
+        answers = iter(verdicts)
+        monkeypatch.setattr(qcompare, "hash_equality_eval", lambda *args: next(answers))
+        reduced = bits_per_string(u, v, params, np.random.default_rng(89))
+        assert reduced[0] == reduced[1] <= k - 1, verdicts
 
 
 def test_compare_bsearch_exact_comparison_count():

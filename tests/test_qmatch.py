@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstrings import fingerprint, qmatch
+from qstrings import fingerprint, grover, qmatch
 from qstrings.fingerprint import HashParams, rolling_hash, universe_size
 from qstrings.qmatch import (
     MatchResult,
@@ -207,6 +207,23 @@ def test_copies_of_one_spec_evolve_independently():
     assert np.array_equal(spec.make_copy(StructuredState).amps, uniform)
     dense = spec.make_copy(DenseSearchState)
     assert np.allclose(dense.index_probabilities(), uniform**2)
+
+
+def test_oracles_over_one_bit_domain_rank_their_errors_once():
+    # moduli 7 and 5 both have 3-bit residues, so one miss table
+    grover._ranked_errors.cache_clear()
+    specs = [
+        prepare_match_state(MatchInstance(BitString.from_text("0110100"),
+                                          BitString.from_text("101")),
+                            _params(7, delta=8, max_len=3)),
+        prepare_match_state(MatchInstance(BitString.from_text("110010111"),
+                                          BitString.from_text("0101")),
+                            _params(5, delta=8, max_len=4)),
+    ]
+    for spec in specs:
+        spec.oracle()
+    info = grover._ranked_errors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_match_unique_small_monte_carlo():
