@@ -184,11 +184,10 @@ def phase_oracle(
     """Multiply the amplitude of index value a by -1 where pattern[a] is True.
 
     `pattern` is a bool array over the values of the index register
-    "idx".  With
-    `ancilla` given (a flag qubit prepared in |->), the oracle is
-    realized as the XOR permutation on that qubit, which kicks the phase
-    back onto the index register; without it the phase is applied
-    directly.  Both act identically on |-> ancillas.
+    "idx".  With `ancilla` given (a flag qubit prepared in |->), the
+    oracle is realized as the XOR permutation on that qubit, which kicks
+    the phase back onto the index register; without it the phase is
+    applied directly.  Both act identically on |-> ancillas.
     """
     if pattern.dtype != bool or pattern.shape != (1 << state.layout.width("idx"),):
         raise ValueError("pattern must be a bool array over the index register's values")

@@ -699,8 +699,8 @@ def _query_block_draws(flips, iterations, block):
     """The 2-D draws of a noisy run with the given flip steps: a stretch of
     g flip-free steps takes g // block full blocks; a flip then takes the
     block holding it and the redraw up to it, and the steps after the
-    last flip take ceil(g / block) blocks.  At most
-    ceil(iterations / block) + 2 flips."""
+    last flip take ceil(g / block) blocks.  So F flips take at most
+    ceil(iterations / block) + 2F."""
     draws, start = 0, 0
     for step in flips:
         draws += (step - start) // block + 2

@@ -298,8 +298,8 @@ def test_compare_bsearch_reduces_fewer_than_k_bits_per_string(monkeypatch, k):
     def bits_per_string(u, v, params, rng):
         calls.clear()
         compare_bsearch(u, v, params, rng)
-        return [sum(bits for value, bits in calls if value == string.to_int())
-                for string in (u, v)]
+        return [sum(bits for value, bits in calls if value == string)
+                for string in (u.to_int(), v.to_int())]
 
     for trial in range(20):
         u, v = _bsearch_pair(k, (0, 0), int(make.integers(1, k + 1)), make)
