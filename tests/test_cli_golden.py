@@ -95,6 +95,12 @@ GOLDEN = [
         "cfdd496a7cc192c637d5cbe511c7495f94f89c2125dcc040a25fa29bb3a50eb7",
     ),
     (
+        "crosscheck-seed-7",
+        ["crosscheck", "--seed", "7"],
+        0,
+        "64bbaa07ed745d056cab02aefdccba5a992b713ad01898b26b02a91b52c5b06b",
+    ),
+    (
         "primes",
         ["primes", "--delta", "4", "--max-len", "3", "--epsilon", "0.5", "--seed", "42"],
         0,
