@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -73,9 +74,10 @@ def _flag_echo(argv: list[str]) -> str:
     return "# qstrings " + " ".join(argv)
 
 
-def _match_trial(args: tuple) -> tuple[str, bool]:
+def _match_trial(
+    inst: MatchInstance, epsilon: float, seed: int, backend: type, trial: int
+) -> tuple[str, bool]:
     """One trial's CSV row, and whether it found an exactly verified match."""
-    inst, epsilon, seed, trial, backend = args
     rng = np.random.default_rng((seed, trial))
     params = qmatch.match_params(inst, epsilon, rng)
     result = qmatch.match_search(inst, params, rng, backend=backend)
@@ -97,10 +99,11 @@ def _match_trial(args: tuple) -> tuple[str, bool]:
     return row, result.exactly_verified
 
 
-def _compare_trial(args: tuple) -> str:
-    u, v, algo, epsilon, seed, trial = args
+def _compare_trial(
+    u: BitString, v: BitString, algo: str, epsilon: float, seed: int, expected: int, trial: int
+) -> str:
+    """One trial's CSV row beside the classical verdict `expected`."""
     rng = np.random.default_rng((seed, trial))
-    expected = compare_classical(u, v)
     if algo == "grover":
         result = qcompare.compare_grover(u, v, rng)
     else:
@@ -144,8 +147,8 @@ def _cmd_match(args, argv) -> int:
             params = qmatch.match_params(inst, args.epsilon, rng)
             spec = qmatch.prepare_match_state(inst, params)
             dump_state(spec.make_copy(DenseSearchState).state, args.dump_state)
-    trials = [(inst, args.epsilon, args.seed, t, backend) for t in range(args.trials)]
-    rows, verified = zip(*resources.pool_map(_match_trial, trials, args.jobs))
+    trial = partial(_match_trial, inst, args.epsilon, args.seed, backend)
+    rows, verified = zip(*resources.pool_map(trial, range(args.trials), args.jobs))
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
     return 0 if any(verified) else 1
 
@@ -153,8 +156,9 @@ def _cmd_match(args, argv) -> int:
 def _cmd_compare(args, argv) -> int:
     u = _parse_bits("--u", args.u, args.ascii)
     v = _parse_bits("--v", args.v, args.ascii)
-    trials = [(u, v, args.algo, args.epsilon, args.seed, t) for t in range(args.trials)]
-    rows = resources.pool_map(_compare_trial, trials, args.jobs)
+    expected = compare_classical(u, v)
+    trial = partial(_compare_trial, u, v, args.algo, args.epsilon, args.seed, expected)
+    rows = resources.pool_map(trial, range(args.trials), args.jobs)
     _emit([_flag_echo(argv), COMPARE_HEADER, *rows], args.csv)
     return 0
 
@@ -169,7 +173,7 @@ def _cmd_min_find(args, argv) -> int:
     rows = []
     for trial in range(args.trials):
         rng = np.random.default_rng((args.seed, trial))
-        found = durr_hoyer_min(values, domain, rng, lambda: StructuredState(layout, domain))
+        found = durr_hoyer_min(values, rng, lambda: StructuredState(layout, domain))
         rows.append(f"{trial},{found.index},{found.phases},{found.iterations}")
     _emit([_flag_echo(argv), MINFIND_HEADER, *rows], args.csv)
     return 0

@@ -43,10 +43,6 @@ _FEW_BASES = (2, 7, 61)
 _FEW_BASES_BOUND = 4_759_123_141
 
 
-class UniverseSizeError(ValueError):
-    """Requested prime universe exceeds the configured resource cap."""
-
-
 def universe_size(delta: int, max_len: int, epsilon: float) -> int:
     """Number of candidate primes for `delta` comparisons at error budget epsilon."""
     if not 0 < epsilon < 1:
@@ -56,7 +52,7 @@ def universe_size(delta: int, max_len: int, epsilon: float) -> int:
     try:
         return math.ceil(delta * max_len / epsilon)
     except OverflowError:
-        raise UniverseSizeError(
+        raise ValueError(
             f"universe of over ~{sys.float_info.max:.1e} primes exceeds cap {UNIVERSE_R_CAP}"
         ) from None
 
@@ -224,7 +220,7 @@ def top_prime(r: int) -> int:
     Refuses r above UNIVERSE_R_CAP before counting anything.
     """
     if r > UNIVERSE_R_CAP:
-        raise UniverseSizeError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
+        raise ValueError(f"universe of ~{r:.1e} primes exceeds cap {UNIVERSE_R_CAP}")
     return nth_prime(r)
 
 

@@ -378,13 +378,13 @@ def bbht_search(
 
 def durr_hoyer_min(
     keys: np.ndarray,
-    domain: int,
     rng: np.random.Generator,
     state_factory: Callable[[], SearchState],
     ledger: ResourceLedger | None = None,
     initial_key: object | None = None,
 ) -> MinResult:
-    """Threshold-descent minimum finding over a 1-D numeric key array.
+    """Threshold-descent minimum finding over a 1-D numeric key array,
+    whose length is the search domain M.
 
     Each phase searches for an index with key strictly below the current
     threshold (ties never improve), over one doubling schedule cut to
@@ -395,8 +395,9 @@ def durr_hoyer_min(
     the estimate is None if no phase ever improved on it.
     """
     keys = np.asarray(keys)
-    if keys.shape != (domain,) or keys.dtype.kind not in "iuf":
-        raise ValueError(f"keys must be a 1-D numeric array of length {domain}")
+    if keys.ndim != 1 or keys.dtype.kind not in "iuf":
+        raise ValueError("keys must be a 1-D numeric array")
+    domain = keys.size
     if initial_key is None:
         best_index: int | None = int(rng.integers(0, domain))
         best_key = keys[best_index]

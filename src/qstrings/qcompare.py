@@ -125,7 +125,7 @@ def compare_grover(
     # each group in position order; 2k lies above every rank
     rank = np.where(differs, 0, k) + np.arange(k)
 
-    found = durr_hoyer_min(rank, k, rng, lambda: backend.like(template), ledger, initial_key=2 * k)
+    found = durr_hoyer_min(rank, rng, lambda: backend.like(template), ledger, initial_key=2 * k)
     best, phases, copies = found.index, found.phases, found.copies
     records = tuple(
         PhaseRecord(phi=int(not differs[index]), psi=index, phase=phase)

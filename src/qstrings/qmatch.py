@@ -233,16 +233,6 @@ class MatchResult:
             raise ValueError("verified result must carry its position")
 
 
-def _verify(spec: MatchStateSpec, measured: int) -> tuple[bool, bool]:
-    inst = spec.instance
-    hash_ok = bool(
-        measured < inst.num_windows
-        and spec.window_hash_table[measured] == spec.pattern_hash
-    )
-    exact_ok = hash_ok and inst.window(measured + 1).bits == inst.pattern.bits
-    return hash_ok, exact_ok
-
-
 def _search(
     inst: MatchInstance,
     params: HashParams,
@@ -265,8 +255,9 @@ def _search(
     oracle = spec.oracle()
     for rep, iterations in enumerate(schedule):
         outcome = grover_run(spec.make_copy(backend), oracle, iterations, rng, ledger)
-        measured = outcome.found_index
-        hash_ok, exact_ok = _verify(spec, measured)
+        # the oracle's truth is the hash verdict, never true on padding
+        measured, hash_ok = outcome.found_index, outcome.verified
+        exact_ok = hash_ok and inst.window(measured + 1).bits == inst.pattern.bits
         if exact_ok:
             break
     # hash_verified without exact verification marks a fingerprint collision

@@ -275,23 +275,27 @@ def _sweep_point(config: SweepConfig, x: int) -> dict:
     }
 
 
-def pool_map(worker: Callable, tasks: Sequence, jobs: int) -> list:
+def pool_map(worker: Callable, tasks: Sequence, jobs: int, chunksize: int | None = None) -> list:
     """`worker` applied to each task, results in task order.
 
     Runs in min(jobs, len(tasks), os.cpu_count()) worker processes, or
     in this process when that is one: an executor starts every worker on
-    its first submit, so `jobs` alone must not size it.
+    its first submit, so `jobs` alone must not size it.  The executor
+    pickles `worker` once per chunk, so by default each worker gets about
+    four chunks, and an instance bound to `worker` goes a few times.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
+    chunksize = chunksize or max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """One aggregated row per grid point."""
-    return pool_map(partial(_sweep_point, config), config.grid, config.jobs)
+    """One aggregated row per grid point, one point per task: the points
+    differ in cost, so a chunk of them would hold a worker back."""
+    return pool_map(partial(_sweep_point, config), config.grid, config.jobs, chunksize=1)
 
 
 def sweep_csv(rows: Iterable[dict]) -> str:

@@ -637,12 +637,6 @@ class StructuredState:
     def index_width(self) -> int:
         return self.layout.width("idx")
 
-    def values_at(self, i: int, registers: Sequence[str]) -> tuple[int, ...]:
-        """Bound data values at index value i, read from the binding tables."""
-        if not 0 <= i < self.size:
-            raise IndexError(f"index {i} outside padded domain {self.size}")
-        return tuple(int(self.bindings[name][i]) for name in registers)
-
 
 class DenseSearchState:
     """A DenseState presented as a Grover search space.
@@ -719,19 +713,6 @@ class DenseSearchState:
         amps = np.where(keep, self.state.amps, 0.0)
         self.state.amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
         return outcome
-
-    def values_at(self, i: int, registers: Sequence[str]) -> tuple[int, ...]:
-        """Data values of a basis state with index value i and nonzero amplitude.
-
-        Read from the amplitude support, not from `data_tables`, so it
-        shows what the evolved state actually holds.
-        """
-        idx_values = self.state.register_values("idx")
-        support = np.flatnonzero((np.abs(self.state.amps) > 0) & (idx_values == i))
-        if support.size == 0:
-            raise IndexError(f"index {i} has no amplitude support")
-        basis = int(support[0])
-        return tuple(int(self.state.layout.extract(name, basis)) for name in registers)
 
 
 SearchState = StructuredState | DenseSearchState

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class BitString:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
 
     def bit(self, i: int) -> int:
         """The i-th bit, 1-indexed."""

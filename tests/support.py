@@ -2,7 +2,8 @@
 reference Grover run, a reference structured measurement, a reference
 oracle class key, a reference structured equality test, a classical
 prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
-instance generator and either backend's index marginal."""
+instance generator, either backend's index marginal and the tables
+either backend binds."""
 
 from __future__ import annotations
 
@@ -24,6 +25,19 @@ def index_probabilities(search: SearchState) -> np.ndarray:
     if isinstance(search, StructuredState):
         return search.amps**2
     return search.index_probabilities()
+
+
+def binds(search: SearchState, layout: sim.RegisterLayout, tables: dict) -> bool:
+    """Whether a fresh uniform search state over `layout` binds `tables`
+    at every index: a structured state holds them as its bindings, and a
+    dense state, its flag projected out, is the expansion of the
+    structured state over them."""
+    reference = StructuredState(layout, search.size, tables)
+    if isinstance(search, StructuredState):
+        return all(np.array_equal(search.bindings[name], reference.bindings[name])
+                   for name in tables)
+    reduced = sim.project_flag_minus(search.state, search.flag_register)
+    return np.allclose(reduced, sim.expand_structured(reference).amps)
 
 
 def rolling_hash_reference(u: BitString, p: int) -> int:

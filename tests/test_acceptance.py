@@ -287,7 +287,7 @@ def test_criterion_9_durr_hoyer():
             argmin = keys.index(min(keys))
             rng = np.random.default_rng((41, size) + perm)
             hits = sum(
-                durr_hoyer_min(keys, size, rng, _dh_factory(size)).index == argmin
+                durr_hoyer_min(keys, rng, _dh_factory(size)).index == argmin
                 for _ in range(200)
             )
             worst_rate = min(worst_rate, hits / 200)
@@ -297,7 +297,7 @@ def test_criterion_9_durr_hoyer():
         for trial in range(200):
             rng = np.random.default_rng((43, domain, trial))
             keys = list(rng.permutation(domain))
-            total += durr_hoyer_min(keys, domain, rng, _dh_factory(domain)).iterations
+            total += durr_hoyer_min(keys, rng, _dh_factory(domain)).iterations
         cs[domain] = total / 200 / math.sqrt(domain)
     mean_c = sum(cs.values()) / len(cs)
     max_dev = max(abs(c - mean_c) / mean_c for c in cs.values())

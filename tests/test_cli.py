@@ -97,6 +97,19 @@ def test_match_jobs_parallel_identical(tmp_path, capsys):
     assert serial.splitlines()[1:] == parallel.splitlines()[1:]
 
 
+@pytest.mark.parametrize("algo", ["bsearch", "grover"])
+def test_compare_jobs_parallel_identical(algo, capsys):
+    # 20 trials at 2 workers go out in chunks of 2
+    args = ["compare", "--u", "0110101", "--v", "0110111", "--algo", algo, "--seed", "3",
+            "--trials", "20"]
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "2"]) == 0
+    parallel = capsys.readouterr().out
+    assert serial.splitlines()[1:] == parallel.splitlines()[1:]
+    assert len(serial.splitlines()) == 22
+
+
 def test_match_dense_width_guard(capsys):
     code, _, err = run_cli(
         ["match", "--text", "0" * 2000 + "1" * 8, "--pattern", "1" * 8,

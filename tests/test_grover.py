@@ -472,7 +472,7 @@ def test_durr_hoyer_small_list():
     values = [3, 1, 2]
     rng = np.random.default_rng(31)
     hits = sum(
-        durr_hoyer_min(values, 3, rng, _dh_factory(3)).index == 1 for _ in range(1000)
+        durr_hoyer_min(values, rng, _dh_factory(3)).index == 1 for _ in range(1000)
     )
     assert hits / 1000 >= 0.5
 
@@ -481,7 +481,7 @@ def test_durr_hoyer_all_equal():
     values = [5, 5, 5, 5]
     rng = np.random.default_rng(8)
     for _ in range(50):
-        found = durr_hoyer_min(values, 4, rng, _dh_factory(4))
+        found = durr_hoyer_min(values, rng, _dh_factory(4))
         assert found.index in range(4)
         assert found.phases == 1  # the first phase already finds nothing smaller
         assert found.adopted == ()
@@ -491,7 +491,7 @@ def test_durr_hoyer_identity_permutation():
     values = list(range(8))
     rng = np.random.default_rng(13)
     hits = sum(
-        durr_hoyer_min(values, 8, rng, _dh_factory(8)).index == 0 for _ in range(1000)
+        durr_hoyer_min(values, rng, _dh_factory(8)).index == 0 for _ in range(1000)
     )
     assert hits / 1000 >= 0.5
 
@@ -500,7 +500,7 @@ def test_durr_hoyer_phase_cap():
     values = list(range(16))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        found = durr_hoyer_min(values, 16, rng, _dh_factory(16))
+        found = durr_hoyer_min(values, rng, _dh_factory(16))
         assert found.phases <= 3 * math.ceil(math.log2(16))
 
 
@@ -509,15 +509,16 @@ def test_durr_hoyer_sentinel_start():
     # real key can beat: the rank of (1, 0)
     keys = np.array([3, 4, 5])
     rng = np.random.default_rng(1)
-    assert durr_hoyer_min(keys, 3, rng, _dh_factory(3), initial_key=3).index is None
-    for bad in (np.array([[3, 4, 5]]), np.array([3, 4])):
+    assert durr_hoyer_min(keys, rng, _dh_factory(3), initial_key=3).index is None
+    # the domain is the key count, so only the keys' shape and kind can be bad
+    for bad in (np.array([[3, 4, 5]]), np.array(["3", "4", "5"])):
         with pytest.raises(ValueError):
-            durr_hoyer_min(bad, 3, rng, _dh_factory(3), initial_key=3)
+            durr_hoyer_min(bad, rng, _dh_factory(3), initial_key=3)
 
 
 def test_durr_hoyer_builds_its_schedule_once(monkeypatch):
     values = np.array([6, 2, 7, 4, 0, 5, 3, 1, 9, 8] * 6 + [11, 10, 12, 13])
-    want = durr_hoyer_min(values, 64, np.random.default_rng(5), _dh_factory(64))
+    want = durr_hoyer_min(values, np.random.default_rng(5), _dh_factory(64))
     assert want.phases > 2
     calls = []
     schedule = grover.doubling_schedule
@@ -527,7 +528,7 @@ def test_durr_hoyer_builds_its_schedule_once(monkeypatch):
         return schedule(domain, *args, **kwargs)
 
     monkeypatch.setattr(grover, "doubling_schedule", counted)
-    got = durr_hoyer_min(values, 64, np.random.default_rng(5), _dh_factory(64))
+    got = durr_hoyer_min(values, np.random.default_rng(5), _dh_factory(64))
     assert got == want
     assert calls == [64]  # once per call, not once per phase
 
@@ -541,7 +542,7 @@ def test_durr_hoyer_record_counts_copies_and_adoptions():
             calls.append(1)
             return _structured(10)
 
-        found = durr_hoyer_min(values, 10, np.random.default_rng(seed), factory)
+        found = durr_hoyer_min(values, np.random.default_rng(seed), factory)
         assert found.copies == len(calls)
         assert 1 <= found.phases <= 3 * math.ceil(math.log2(10))
         phases = [phase for phase, _ in found.adopted]

@@ -24,6 +24,7 @@ from qstrings.resources import (
 )
 from qstrings.sim import DenseSearchState, StructuredState
 from qstrings.strings_core import BitString, compare_classical
+from support import binds
 
 
 def _params(p, k, epsilon=0.5):
@@ -48,15 +49,10 @@ def test_access_element_reads_the_strings(u_text, v_text):
 
 def test_compare_template_binds_the_symbols_on_both_backends():
     template = build_compare_state(BitString.from_text("101"), BitString.from_text("11101"))
-    dense = DenseSearchState.like(template)
-    struct = StructuredState.like(template)
     # the padding index 3 binds equal zeros
-    for i, symbols in enumerate([(1, 1), (0, 1), (1, 1), (0, 0)]):
-        assert dense.values_at(i, ("u", "v")) == struct.values_at(i, ("u", "v")) == symbols
-    assert struct.values_at(2, ("u",)) == (1,)
-    for search in (dense, struct):
-        with pytest.raises(IndexError):
-            search.values_at(99, ("u",))
+    symbols = {"u": np.array([1, 0, 1, 0]), "v": np.array([1, 1, 1, 0])}
+    for backend in (DenseSearchState, StructuredState):
+        assert binds(backend.like(template), template.layout, symbols)
 
 
 def test_symbol_copies_share_read_only_bindings_and_evolve_independently():

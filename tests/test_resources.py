@@ -229,10 +229,12 @@ def test_backend_ledgers_identical_in_sweep():
 
 
 class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no worker process is ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    map's chunksize and runs the tasks in this process, so no worker
+    process is ever started."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -243,13 +245,15 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, tasks)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(_RecordingExecutor, "chunksizes", [])
     monkeypatch.setattr(resources, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(resources.os, "cpu_count", lambda: 4)
     return _RecordingExecutor.sizes
@@ -268,6 +272,20 @@ def test_pool_map_without_cpu_count_runs_in_process(recording_pool, monkeypatch)
     monkeypatch.setattr(resources.os, "cpu_count", lambda: None)
     assert pool_map(str, [1, 2, 3], 8) == ["1", "2", "3"]
     assert recording_pool == []
+
+
+def test_pool_map_sends_a_few_chunks_per_worker(recording_pool):
+    # the executor pickles the worker once per chunk, not once per task
+    tasks = range(10**4)
+    assert pool_map(str, tasks, 2) == [str(t) for t in tasks]
+    assert recording_pool == [2]
+    assert math.ceil(len(tasks) / _RecordingExecutor.chunksizes[0]) <= 8
+
+
+def test_sweep_sends_one_point_per_task(recording_pool):
+    config = SweepConfig(algo="match", grid=tuple(range(8, 40)), m=4, trials=1, seed=1, jobs=2)
+    assert len(run_sweep(config)) == 32
+    assert (recording_pool, _RecordingExecutor.chunksizes) == ([2], [1])
 
 
 def test_sweep_jobs_clamped(recording_pool):

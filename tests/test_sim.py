@@ -1,5 +1,7 @@
 import copy
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from qstrings.sim import (
     prepare_uniform,
     project_flag_minus,
 )
-from support import index_probabilities, measure_index_reference
+from support import binds, index_probabilities, measure_index_reference
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -548,14 +550,16 @@ def test_copy_evolves_independently_over_read_only_bindings():
     layout = RegisterLayout(idx=3, h=3)
     table = np.array([5, 1, 0, 7, 2, 2, 6, 3], dtype=np.int64)
     template = StructuredState(layout, 8, bindings={"h": table})
+    bound = {"h": np.array([5, 1, 0, 7, 2, 2, 6, 3])}
     table[0] = 4  # the caller's array was copied, not shared
-    assert template.values_at(0, ("h",)) == (5,)
+    assert binds(template, layout, bound)
     view = table.view()
     view.flags.writeable = False
     table[0] = 5
     viewing = StructuredState(layout, 8, bindings={"h": view})
     table[0] = 4  # nor a read-only view of a writable array
-    assert viewing.values_at(0, ("h",)) == (5,)
+    for search in (viewing, DenseSearchState.like(viewing)):
+        assert binds(search, layout, bound)
     binding = template.bindings["h"]
     with pytest.raises(ValueError):
         binding[0] = 7
@@ -679,8 +683,7 @@ def test_backends_share_one_constructor():
     assert np.allclose(dense.index_probabilities(), structured.amps**2)
     reduced = project_flag_minus(dense.state, dense.flag_register)
     assert np.allclose(reduced, expand_structured(structured).amps)
-    for i in range(4):
-        assert dense.values_at(i, ("h",)) == structured.values_at(i, ("h",)) == (table[i],)
+    assert binds(structured, layout, {"h": table}) and binds(dense, layout, {"h": table})
     for backend in (StructuredState, DenseSearchState):
         with pytest.raises(ValueError, match="cover"):
             backend(layout, 5, {"h": table})  # 2 index qubits cannot cover 5
@@ -694,7 +697,7 @@ def test_like_gives_independent_uniform_states(backend):
     assert type(a) is type(b) is backend and a is not template and a is not b
     uniform = np.full(4, 0.25)
     assert np.allclose(index_probabilities(a), uniform)
-    assert [b.values_at(i, ("h",)) for i in range(4)] == [(5,), (2,), (7,), (0,)]
+    assert binds(b, _hash_layout(), {"h": table})
     a.apply_phase_pattern(np.array([1]))
     a.diffuse()
     assert np.allclose(index_probabilities(a), [0.0, 1.0, 0.0, 0.0])
@@ -756,3 +759,43 @@ def test_target_steps_rejects_a_bool_mask(backend, count):
     assert (index_probabilities(search) == before).all()
     if backend is StructuredState:
         assert search._group is sim._NO_INDEX and search._index is sim._NO_INDEX
+
+
+# Measurement paths on the benchmark workloads' distinct ops at seed 1:
+# (closed-form picks, picks the closed form refused, exact-cdf calls).
+WORKLOAD_PICKS = {
+    "compare_grover": (1544, 0, 0),
+    "match_long": (22, 0, 19),
+    "match_sweep": (1768, 0, 74),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_PICKS)
+def test_workload_measurements_take_their_recorded_paths(name, monkeypatch):
+    # a closed form that refuses a pick still picks the same index through
+    # the summed cdf, so only these counts show the fast path lost
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(perfbench))
+    group_pick, cdf_pick = StructuredState._group_pick, StructuredState._cdf_pick
+    picks, refused, cdf_calls = [], [], []
+
+    def counted_group_pick(self, u, base_prob):
+        outcome = group_pick(self, u, base_prob)
+        (picks if outcome is not None else refused).append(outcome)
+        return outcome
+
+    def counted_cdf_pick(self, u, base_prob):
+        cdf_calls.append(u)
+        return cdf_pick(self, u, base_prob)
+
+    monkeypatch.setattr(StructuredState, "_group_pick", counted_group_pick)
+    monkeypatch.setattr(StructuredState, "_cdf_pick", counted_cdf_pick)
+    workload = workloads.WORKLOADS[name](1)
+    workload.prepare()
+    for i in range(workload.distinct):
+        workload.run(i, workload.op_rng(i))
+    assert (len(picks), len(refused), len(cdf_calls)) == WORKLOAD_PICKS[name]

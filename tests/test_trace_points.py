@@ -61,7 +61,7 @@ def _tiny_calls() -> dict[str, tuple]:
         "fingerprint.prefix_hashes": (BitString.from_text("0110"), 7),
         "qmatch.match_search": (inst, qmatch.match_params(inst, 0.1, rng), rng),
         "grover.grover_run": (fresh(), oracle, 1, rng),
-        "grover.durr_hoyer_min": (np.array([3, 1, 2, 0, 5, 4, 7, 6]), 8, rng, fresh),
+        "grover.durr_hoyer_min": (np.array([3, 1, 2, 0, 5, 4, 7, 6]), rng, fresh),
         "grover.bbht_search": (oracle, rng, fresh, doubling_schedule(8)[:3], ResourceLedger()),
     }
 
