@@ -224,13 +224,13 @@ class MatchResult:
     position: int | None
     measured_index: int | None
     hash_verified: bool
-    exactly_verified: bool
     copies_used: int
     ledger: ResourceLedger
 
-    def __post_init__(self) -> None:
-        if self.exactly_verified and self.position is None:
-            raise ValueError("verified result must carry its position")
+    @property
+    def exactly_verified(self) -> bool:
+        """Whether the exact window comparison verified `position`."""
+        return self.position is not None
 
 
 def _search(
@@ -250,7 +250,7 @@ def _search(
         # Single-window instance: the search domain has one element, so the
         # quantum search degenerates to verifying window 1 directly.
         ok = inst.window(1).bits == inst.pattern.bits
-        return MatchResult(1 if ok else None, 0, ok, ok, 1, ledger)
+        return MatchResult(1 if ok else None, 0, ok, 1, ledger)
     spec = prepare_match_state(inst, params)
     oracle = spec.oracle()
     for rep, iterations in enumerate(schedule):
@@ -265,7 +265,6 @@ def _search(
         position=measured + 1 if exact_ok else None,
         measured_index=measured,
         hash_verified=hash_ok,
-        exactly_verified=exact_ok,
         copies_used=rep + 1,
         ledger=ledger,
     )

@@ -1,10 +1,10 @@
 """Two interchangeable quantum-state backends.
 
 DenseState holds the full 2^q amplitude vector and evolves under the
-four-gate set {H, X, Z, CNOT}, phase oracles, and index-register
-diffusion.  StructuredState exploits the shape shared by every state in
-this package: a superposition over an index register whose other
-registers hold deterministic functions of the index.  It stores the
+gates H and X, phase oracles, and index-register diffusion.
+StructuredState exploits the shape shared by every state in this
+package: a superposition over an index register whose other registers
+hold deterministic functions of the index.  It stores the
 function tables ("bindings", validated once and read-only) and the index
 amplitudes in three parts: one base amplitude shared by every
 never-marked index; a group, the index array the first marking adopted,
@@ -35,7 +35,8 @@ does that bookkeeping.  The two search-state classes share one
 interface, and algorithm code takes the backend as a class:
 `backend(layout, domain_size, bindings)` builds a fresh uniform search
 state, and `backend.like(template)` one over the layout and bindings of
-a structured template validated once.
+a structured template validated once; it reads none of the template's
+amplitudes, so every search state starts uniform on both backends.
 
 A register layout is an ordered map from register name to width, such
 as `RegisterLayout(idx=3, whash=5)`.  `search_layout(domain_size,
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -65,7 +66,6 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 GATES_1Q: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 
@@ -132,30 +132,18 @@ class DenseState:
         return self.layout.extract(name, np.arange(self.amps.size))
 
 
-def apply_gate(state: DenseState, gate: str, targets: Sequence[int]) -> DenseState:
-    """Apply one of H, X, Z (single target) or CNOT (control, target) in place."""
+def apply_gate(state: DenseState, gate: str, qubit: int) -> DenseState:
+    """Apply H or X to one qubit in place."""
     q = state.layout.total_width
-    if len(set(targets)) != len(targets):
-        raise ValueError("gate targets must be distinct")
-    for t in targets:
-        if not 0 <= t < q:
-            raise ValueError(f"qubit {t} out of range for width {q}")
-    if gate in GATES_1Q:
-        (qubit,) = targets
-        tensor = state.amps.reshape([2] * q)
-        axis = q - 1 - qubit
-        tensor = np.moveaxis(tensor, axis, -1)
-        tensor = np.tensordot(tensor, GATES_1Q[gate], axes=([-1], [1]))
-        state.amps = np.moveaxis(tensor, -1, axis).reshape(-1)
-    elif gate == "CNOT":
-        control, target = targets
-        idx = np.arange(state.amps.size)
-        sel = ((idx >> control) & 1).astype(bool)
-        out = state.amps.copy()
-        out[idx[sel]] = state.amps[idx[sel] ^ (1 << target)]
-        state.amps = out
-    else:
+    if not 0 <= qubit < q:
+        raise ValueError(f"qubit {qubit} out of range for width {q}")
+    if gate not in GATES_1Q:
         raise ValueError(f"unknown gate {gate!r}")
+    tensor = state.amps.reshape([2] * q)
+    axis = q - 1 - qubit
+    tensor = np.moveaxis(tensor, axis, -1)
+    tensor = np.tensordot(tensor, GATES_1Q[gate], axes=([-1], [1]))
+    state.amps = np.moveaxis(tensor, -1, axis).reshape(-1)
     state.check_norm()
     return state
 
@@ -164,7 +152,7 @@ def prepare_uniform(state: DenseState) -> DenseState:
     """Equal superposition over the index register "idx", one Hadamard per qubit."""
     off = state.layout.offset("idx")
     for qubit in range(off, off + state.layout.width("idx")):
-        apply_gate(state, "H", [qubit])
+        apply_gate(state, "H", qubit)
     return state
 
 
@@ -173,8 +161,8 @@ def prepare_minus(state: DenseState, register: str) -> DenseState:
     if state.layout.width(register) != 1:
         raise ValueError("minus preparation expects a single-qubit register")
     off = state.layout.offset(register)
-    apply_gate(state, "X", [off])
-    apply_gate(state, "H", [off])
+    apply_gate(state, "X", off)
+    apply_gate(state, "H", off)
     return state
 
 
@@ -265,8 +253,8 @@ def _validated_bindings(
 ) -> Mapping[str, np.ndarray]:
     """One read-only int64 table over the `size` padded indices per data
     register (every register but the index), in layout order, each
-    checked to fit its register, in a read-only mapping that every copy
-    of a state shares."""
+    checked to fit its register, in a read-only mapping that every state
+    `like` starts from the same template shares."""
     tables = {}
     for name, width in layout.widths.items():
         if name == "idx":
@@ -328,7 +316,8 @@ class StructuredState:
     Bindings map every padded index value to the content of the
     corresponding data register; padding entries carry whatever sentinel
     the caller installed.  They are validated once, held read-only, and
-    shared by every `copy`.  A new state is the uniform superposition.
+    shared by every state that `like` starts from the same template.  A
+    new state is the uniform superposition.
 
     Phase flips and reflections about the mean keep every amplitude real
     and keep equal the amplitudes of indices marked by the same queries.
@@ -348,9 +337,7 @@ class StructuredState:
     `apply_phase_pattern` and `diffuse`.  A state without exceptions gets
     a certified closed-form pick in O(log g); one with exceptions, or a
     pick the closed form refuses, gets the one exact cdf, summed with
-    numpy over the group and exceptions merged by `_merge`.  A copy
-    shares the bindings and the empty arrays, and copies only exception
-    amplitudes.
+    numpy over the group and exceptions merged by `_merge`.
     """
 
     def __init__(
@@ -374,19 +361,16 @@ class StructuredState:
     @classmethod
     def like(cls, template: "StructuredState") -> "StructuredState":
         """A fresh uniform state over the layout and bindings of `template`,
-        a state that is never evolved: a copy of it, so its bindings are
-        validated once for every copy."""
-        return template.copy()
-
-    def copy(self) -> "StructuredState":
-        """An independent state equal to this one, sharing its validated
-        layout and its bindings: one read-only mapping of read-only
-        tables, so nothing is copied for them."""
-        out = StructuredState.__new__(StructuredState)
-        out.__dict__ = self.__dict__.copy()
-        if self._values.size:  # an empty array, such as _NO_VALUES, is shared
-            out._values = self._values.copy()
-        out.check_norm()
+        which its constructor validated and normalised for this size, so
+        nothing is copied or checked again; none of the template's
+        amplitudes is read."""
+        out = cls.__new__(cls)
+        out.layout, out.domain_size = template.layout, template.domain_size
+        out.size, out.bindings = template.size, template.bindings
+        out._base = 1.0 / math.sqrt(out.size)
+        out._group = out._index = _NO_INDEX
+        out._group_amp = 0.0
+        out._values = _NO_VALUES
         return out
 
     @property
@@ -663,10 +647,10 @@ class DenseSearchState:
         if self.flag_register in layout.widths:
             raise ValueError(f"register name {self.flag_register!r} is taken by the phase flag")
         self.size = padded_size(domain_size)
-        self.data_tables = _validated_bindings(layout, self.size, bindings)
+        self.bindings = _validated_bindings(layout, self.size, bindings)
         self.state = DenseState(RegisterLayout(**layout.widths, **{self.flag_register: 1}))
         prepare_uniform(self.state)
-        for name, table in self.data_tables.items():
+        for name, table in self.bindings.items():
             bind_data(self.state, name, table)
         prepare_minus(self.state, self.flag_register)
 
@@ -687,10 +671,10 @@ class DenseSearchState:
         phase_oracle(self.state, pattern, ancilla=self.flag_register)
 
     def diffuse(self) -> None:
-        for name, table in self.data_tables.items():
+        for name, table in self.bindings.items():
             bind_data(self.state, name, table)
         diffusion(self.state)
-        for name, table in self.data_tables.items():
+        for name, table in self.bindings.items():
             bind_data(self.state, name, table)
 
     def target_steps(self, targets: np.ndarray, count: int) -> None:

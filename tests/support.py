@@ -2,8 +2,8 @@
 reference Grover run, a reference structured measurement, a reference
 oracle class key, a reference structured equality test, a classical
 prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
-instance generator, either backend's index marginal and the tables
-either backend binds."""
+instance generator, either backend's index marginal, the tables
+either backend binds and a copy of an evolved structured state."""
 
 from __future__ import annotations
 
@@ -38,6 +38,18 @@ def binds(search: SearchState, layout: sim.RegisterLayout, tables: dict) -> bool
                    for name in tables)
     reduced = sim.project_flag_minus(search.state, search.flag_register)
     return np.allclose(reduced, sim.expand_structured(reference).amps)
+
+
+def copy_state(state: StructuredState) -> StructuredState:
+    """An independent state equal to `state`, sharing its validated
+    layout and its one read-only mapping of bindings; only exception
+    amplitudes are copied, and the copy's norm is checked."""
+    out = StructuredState.__new__(StructuredState)
+    out.__dict__ = state.__dict__.copy()
+    if state._values.size:  # an empty array, such as _NO_VALUES, is shared
+        out._values = state._values.copy()
+    out.check_norm()
+    return out
 
 
 def rolling_hash_reference(u: BitString, p: int) -> int:

@@ -24,7 +24,7 @@ from qstrings.sim import (
     StructuredState,
     padded_size,
 )
-from support import grover_run_reference, index_probabilities, oracle_classes_reference
+from support import copy_state, grover_run_reference, index_probabilities, oracle_classes_reference
 
 
 def _structured(domain):
@@ -772,9 +772,9 @@ def test_group_steps_with_exceptions_run_the_loop(monkeypatch, steps):
     search.apply_phase_pattern(np.array([9, 17, 40, 50]))  # a flipped query: two exceptions
     search.diffuse()
     assert search._group is oracle.targets and search._index.tolist() == [17, 50]
-    drifted = search.copy()
+    drifted = copy_state(search)
     drifted._base *= 1 + 1e-6
-    want = search.copy()
+    want = copy_state(search)
     for _ in range(steps):
         want.apply_phase_pattern(oracle.targets)
         want.diffuse()

@@ -63,7 +63,7 @@ def test_symbol_copies_share_read_only_bindings_and_evolve_independently():
         table = template.bindings[name]
         with pytest.raises(ValueError):
             table[0] = 1
-        assert a.bindings[name] is b.bindings[name] is dense.data_tables[name] is table
+        assert a.bindings[name] is b.bindings[name] is dense.bindings[name] is table
     a.apply_phase_pattern(np.array([2, 3]))
     a.diffuse()
     assert np.allclose(b.amps, np.full(8, 1 / math.sqrt(8)))
@@ -249,7 +249,7 @@ def test_compare_bsearch_builds_no_search_state(monkeypatch):
         raise AssertionError("compare_bsearch built a search state")
 
     monkeypatch.setattr(StructuredState, "__init__", refuse)
-    monkeypatch.setattr(StructuredState, "copy", refuse)
+    monkeypatch.setattr(StructuredState, "like", refuse)
     pairs = [("0110", "0100"), ("100110", "100110"), ("0111", "011")]
     for trial, (u_text, v_text) in enumerate(pairs):
         u, v = BitString.from_text(u_text), BitString.from_text(v_text)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qstrings import fingerprint, grover, qmatch
 from qstrings.fingerprint import HashParams, rolling_hash, universe_size
 from qstrings.qmatch import (
-    MatchResult,
     evaluation_constants,
     hash_equality_eval,
     inner_schedule,
@@ -20,7 +19,7 @@ from qstrings.qmatch import (
     prepare_match_state,
 )
 from qstrings.resources import ResourceLedger, qubit_count_match, qubit_count_match_unique
-from qstrings.sim import DenseSearchState, StructuredState, expand_structured
+from qstrings.sim import DenseSearchState, StructuredState, expand_structured, padded_size
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
 from support import hash_equality_eval_reference, random_multi_occurrence
 
@@ -171,6 +170,55 @@ def test_prepare_match_state_builds_the_table_in_place(monkeypatch):
     bits, count = inst.text.array.astype(np.int64), inst.num_windows
     exact = sum(bits[j : j + count] << j for j in range(16))
     assert np.array_equal(table[:count], exact % params.p)
+
+
+def test_oracle_build_and_search_stay_under_their_memory_baselines(monkeypatch):
+    # the instance above: tracemalloc peaks of 1.38 and 2.38 times the
+    # table's bytes, bounded just above, so a leaner oracle build or
+    # search can tighten them
+    monkeypatch.setattr(fingerprint, "_WINDOW_CHUNK", 1 << 12)
+    rng = np.random.default_rng(18)
+    inst = MatchInstance(BitString.from_bits(rng.integers(0, 2, 1 << 18)),
+                         BitString.from_bits(rng.integers(0, 2, 16)))
+    params = qmatch.match_params(inst, 0.25, rng)
+    spec = prepare_match_state(inst, params)
+    peaks = []
+    for build in (spec.oracle, lambda: match_search(inst, params, rng)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table_bytes = spec.window_hash_table.nbytes
+    assert table_bytes == 1 << 21
+    assert peaks[0] < 1.45 * table_bytes
+    assert peaks[1] < 2.45 * table_bytes
+
+
+@pytest.mark.parametrize("n, m", [(64, 4), (1000, 8), (5000, 16)])
+def test_match_phase_records_follow_their_closed_form(n, m):
+    # Grover run j of a match search takes i = 2^j steps, each one
+    # diffusion over log2 of the padded window domain and one query of
+    # rho evaluations of the padded hash width's evaluation
+    for seed in range(4):
+        rng = np.random.default_rng((n, m, seed))
+        inst = MatchInstance(BitString.from_bits(rng.integers(0, 2, n)),
+                             BitString.from_bits(rng.integers(0, 2, m)))
+        params = match_params(inst, 0.25, rng)
+        result = match_search(inst, params, rng)
+        evaluation = evaluation_constants(padded_size(params.width))
+        log_n = padded_size(inst.num_windows).bit_length() - 1
+        records = result.ledger.phase_breakdown
+        assert len(records) == result.copies_used
+        for j, (label, delta) in enumerate(records):
+            i = 2**j
+            rho = grover.amplification(evaluation.worst_miss, i)
+            assert label == f"grover_run[{i}]"
+            assert delta == (i * log_n, i, i * rho * evaluation.inner_iterations, 0,
+                             i * rho * evaluation.gate_units)
+        assert list(map(sum, zip(*(delta for _, delta in records)))) == list(
+            result.ledger.counters().values())
 
 
 def test_structured_copy_expansion_matches_dense_copy():
@@ -492,18 +540,6 @@ def test_random_multi_occurrence_generator():
     rng = np.random.default_rng(53)
     inst, occ = random_multi_occurrence(64, 4, 3, rng)
     assert naive_match_all(inst) == occ and len(occ) == 3
-
-
-def test_match_result_validation():
-    with pytest.raises(ValueError):
-        MatchResult(
-            position=None,
-            measured_index=0,
-            hash_verified=True,
-            exactly_verified=True,
-            copies_used=1,
-            ledger=ResourceLedger(),
-        )
 
 
 def test_inner_eval_gate_cost():
