@@ -168,12 +168,11 @@ def _cmd_min_find(args, argv) -> int:
         values = np.array(_parse_ints("--values", args.values), dtype=np.int64)
     except OverflowError:
         raise ValueError("--values must fit in int64") from None
-    domain = values.size
-    layout = search_layout(domain)
+    template = StructuredState(search_layout(values.size), values.size)
     rows = []
     for trial in range(args.trials):
         rng = np.random.default_rng((args.seed, trial))
-        found = durr_hoyer_min(values, rng, lambda: StructuredState(layout, domain))
+        found = durr_hoyer_min(values, rng, lambda: StructuredState.like(template))
         rows.append(f"{trial},{found.index},{found.phases},{found.iterations}")
     _emit([_flag_echo(argv), MINFIND_HEADER, *rows], args.csv)
     return 0

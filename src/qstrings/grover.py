@@ -318,7 +318,8 @@ def grover_run(
     ledger's `phase_breakdown` after its measurement.
     """
     ledger = ledger if ledger is not None else ResourceLedger()
-    rho = amplification(oracle.error_prob, iterations) if rho is None else rho
+    if rho is None:  # an exact oracle needs no re-evaluation
+        rho = amplification(oracle.error_prob, iterations) if oracle.error_prob else 1
     done = 0
     if oracle._class_errors is not None:  # an exact oracle's queries mark the targets
         for step, marked in oracle.flipped_queries(rng, rho, iterations):
@@ -383,13 +384,15 @@ def durr_hoyer_min(
     ledger: ResourceLedger | None = None,
     initial_key: object | None = None,
 ) -> MinResult:
-    """Threshold-descent minimum finding over a 1-D numeric key array,
-    whose length is the search domain M.
+    """Threshold-descent minimum finding over a non-empty 1-D numeric key
+    array, whose length is the search domain M.
 
     Each phase searches for an index with key strictly below the current
-    threshold (ties never improve), over one doubling schedule cut to
-    ceil(log2 M) counts, and adopts any verified hit; the run stops
-    after 3 * ceil(log2 M) phases or when a phase finds nothing.
+    threshold (ties never improve), whose truth is `keys < threshold`,
+    padded with non-targets when M is not a power of two, over one
+    doubling schedule cut to ceil(log2 M) counts, and adopts any
+    verified hit; the run stops after 3 * ceil(log2 M) phases or when a
+    phase finds nothing.
     The estimate is correct with probability at least 1/2.  With
     `initial_key` given, the threshold starts above every real key and
     the estimate is None if no phase ever improved on it.
@@ -398,6 +401,8 @@ def durr_hoyer_min(
     if keys.ndim != 1 or keys.dtype.kind not in "iuf":
         raise ValueError("keys must be a 1-D numeric array")
     domain = keys.size
+    if not domain:
+        raise ValueError("keys must not be empty")
     if initial_key is None:
         best_index: int | None = int(rng.integers(0, domain))
         best_key = keys[best_index]
@@ -411,8 +416,11 @@ def durr_hoyer_min(
     iterations = copies = phases = 0
     adopted = []
     for phase in range(phase_cap):
-        truth = np.zeros(padded, dtype=bool)
-        np.less(keys, best_key, out=truth[:domain])
+        if padded == domain:
+            truth = keys < best_key
+        else:  # padding indices are never targets
+            truth = np.zeros(padded, dtype=bool)
+            np.less(keys, best_key, out=truth[:domain])
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(oracle, rng, state_factory, schedule, ledger)

@@ -77,10 +77,10 @@ def _length_verdict(u: BitString, v: BitString) -> int:
 
 
 def build_compare_state(u: BitString, v: BitString) -> StructuredState:
-    """The validated template of every compare_grover search state:
-    positions a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
-    entries bind equal zeros, so a padded index can never look like a
-    differing position."""
+    """The validated template of every dense compare_grover search state
+    and of the crosscheck's: positions a < k = min(|u|, |v|) with the
+    symbol pair (u_a, v_a) bound.  Padding entries bind equal zeros, so a
+    padded index can never look like a differing position."""
     k = min(len(u), len(v))
     u_bits = np.zeros(padded_size(k), dtype=np.int64)
     v_bits = np.zeros(padded_size(k), dtype=np.int64)
@@ -119,7 +119,11 @@ def compare_grover(
     if k == 0:
         return CompareResult(_length_verdict(u, v), None, 0, 0, 0, (), ledger)
     ledger.qubits_total = qubit_count_compare_grover(k)
-    template = build_compare_state(u, v)
+    if backend is StructuredState:
+        # a structured run reads no bindings: only the index register
+        template = StructuredState(search_layout(k), k)
+    else:
+        template = build_compare_state(u, v)
     differs = u.array[:k] != v.array[:k]
     # rank of the pair (1 - [u_a != v_a], a): differing positions first,
     # each group in position order; 2k lies above every rank

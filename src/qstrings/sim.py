@@ -16,7 +16,12 @@ A query that marks exactly the group then costs O(1) scalar work, and
 any other step O(exceptions + marked).  One rule splits the steps: a
 stretch of target-only steps runs as one loop over Python floats
 (`target_steps`), and only a flipped query steps through
-`apply_phase_pattern` and `diffuse`.  A state whose only off-base
+`apply_phase_pattern` and `diffuse`.  A uniform state with no targets,
+as in the last phase of minimum finding, which searches below the
+minimum, is a fixed point of a step: the query marks nothing, and
+diffusion maps the base b to 2(b * size / size) - b, which is b exactly
+in floats, as the padded size is a power of two; so `target_steps`
+takes no step there and runs one norm check.  A state whose only off-base
 indices are the group gets a certified closed-form measurement in
 O(log g) for g targets: the cdf has a closed form at every segment end,
 and the pick stands only where the error bound of a float sum cannot
@@ -125,7 +130,7 @@ class DenseState:
 
     def check_norm(self) -> None:
         norm = float(np.vdot(self.amps, self.amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
     def register_values(self, name: str) -> np.ndarray:
@@ -388,7 +393,7 @@ class StructuredState:
         norm = self._base * self._base * rest + self._group_amp * self._group_amp * group
         if self._index.size:
             norm += float(np.dot(self._values, self._values))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm} drifted beyond tolerance")
 
     def apply_phase_pattern(self, marked: np.ndarray) -> "StructuredState":
@@ -462,6 +467,9 @@ class StructuredState:
     def target_steps(self, targets: np.ndarray, count: int) -> "StructuredState":
         """`count` steps that each mark exactly `targets`, then diffuse.
 
+        A uniform state with no targets is a fixed point: each step marks
+        nothing and reflects the base onto itself, bit for bit (see the
+        module docstring), so it takes no step and runs one norm check.
         A state whose group is `targets`, exceptions or not, or a uniform
         state that adopts them, runs its steps as one loop over Python
         floats: each does the float operations of
@@ -473,6 +481,9 @@ class StructuredState:
         """
         _check_index_array(targets)
         if count and not self._group.size and not self._index.size:
+            if not targets.size:
+                self.check_norm()
+                return self
             # every amplitude is the base: the first marking adopts the
             # targets as the group, and the loop negates the base for it
             self._group, self._group_amp = targets, self._base
@@ -485,7 +496,7 @@ class StructuredState:
         exceptions = values.size > 0  # hoisted: a test per step costs more
         group, size = float(self._group.size), float(self.size)
         rest = size - group - values.size
-        tol = NORM_TOL
+        low, high = 1.0 - NORM_TOL, 1.0 + NORM_TOL
         for _ in range(count):
             amp = -amp
             total = base * rest + amp * group
@@ -498,7 +509,7 @@ class StructuredState:
             if exceptions:
                 np.subtract(twice_mean, values, out=values)
                 norm += float(np.dot(values, values))
-            if abs(norm - 1.0) > tol:
+            if not low <= norm <= high:  # also refuses a NaN norm
                 self._base, self._group_amp = base, amp
                 raise ValueError(f"state norm {norm} drifted beyond tolerance")
         self._base, self._group_amp = base, amp

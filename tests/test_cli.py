@@ -344,6 +344,22 @@ def test_min_find_csv(capsys):
     assert found.count("1") >= 3  # argmin found most of the time
 
 
+def test_min_find_validates_one_template_per_invocation(capsys, monkeypatch):
+    # every Grover run starts from `like`; only the template runs the constructor
+    built, init = [], StructuredState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructuredState, "__init__", counted)
+    code, out, _ = run_cli(
+        ["min-find", "--values", "5,3,8,1,9,2", "--seed", "2", "--trials", "10"], capsys
+    )
+    assert code == 0 and len(out.strip().splitlines()) == 12
+    assert len(built) == 1
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

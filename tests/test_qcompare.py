@@ -393,6 +393,27 @@ def test_compare_grover_dense_and_structured_runs_agree():
         assert run(u, v, trial, StructuredState) == run(u, v, trial, DenseSearchState), (str(u), str(v))
 
 
+def test_compare_grover_binds_the_symbols_only_for_the_dense_backend(monkeypatch):
+    # a structured run reads no bindings, so it starts from an unbound template
+    built = []
+    real = qcompare.build_compare_state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structured compare_grover built the bound template")
+
+    def counted(u, v):
+        built.append((str(u), str(v)))
+        return real(u, v)
+
+    pairs = [("0110", "0100"), ("100110", "100110"), ("0111", "011")]
+    for backend, build in ((StructuredState, refuse), (DenseSearchState, counted)):
+        monkeypatch.setattr(qcompare, "build_compare_state", build)
+        for trial, (u_text, v_text) in enumerate(pairs):
+            u, v = BitString.from_text(u_text), BitString.from_text(v_text)
+            compare_grover(u, v, np.random.default_rng((181, trial)), backend=backend)
+    assert built == pairs
+
+
 def test_empty_string_edge():
     rng = np.random.default_rng(131)
     empty = BitString.from_bits([])

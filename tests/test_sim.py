@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qstrings import sim
+from qstrings.grover import doubling_schedule
 from qstrings.sim import (
     DenseSearchState,
     DenseState,
@@ -597,6 +598,38 @@ def test_norm_guard():
         DenseState(layout, np.array([1.0, 1.0]))
 
 
+def test_dense_norm_check_refuses_a_nan_amplitude():
+    # abs(nan - 1.0) > tol is False: a NaN norm must fail the check anyway
+    state = prepare_uniform(DenseState(RegisterLayout(idx=2)))
+    state.amps[1] = np.nan
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        state.check_norm()
+
+
+@pytest.mark.parametrize("field", ["_base", "_group_amp", "_values"])
+def test_structured_norm_check_refuses_a_nan_amplitude(field):
+    state = StructuredState(RegisterLayout(idx=4), 16)
+    state.apply_phase_pattern(np.array([3, 9]))  # the group
+    state.diffuse()
+    state.apply_phase_pattern(np.array([3, 5, 9]))  # an exception beside it
+    state.check_norm()
+    if field == "_values":
+        state._values[0] = np.nan
+    else:
+        setattr(state, field, math.nan)
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        state.check_norm()
+
+
+def test_target_steps_refuse_a_nan_amplitude():
+    targets = np.array([3, 9])
+    state = StructuredState(RegisterLayout(idx=4), 16)
+    state.target_steps(targets, 1)  # the targets become the group
+    state._base = math.nan
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        state.target_steps(targets, 2)
+
+
 def test_gates_against_explicit_kron_matrices():
     # independent oracle: build the full unitary with Kronecker products
     # (qubit 0 is the LSB, so it sits rightmost in the kron chain)
@@ -744,6 +777,50 @@ def test_target_steps_rejects_a_bool_mask(backend, count):
     assert (index_probabilities(search) == before).all()
     if backend is StructuredState:
         assert search._group is sim._NO_INDEX and search._index is sim._NO_INDEX
+
+
+_NOTHING = np.empty(0, dtype=np.int64)
+
+
+def test_targetless_steps_leave_a_uniform_state_as_like_starts_it():
+    # the last phase of minimum finding marks nothing: stepping would adopt
+    # the empty marking as the group and grow its amplitude by 2 * base a step
+    for width in range(1, 17):
+        template = StructuredState(RegisterLayout(idx=width), 1 << width)
+        state, fresh = StructuredState.like(template), StructuredState.like(template)
+        assert state.target_steps(_NOTHING, 64) is state
+        assert vars(state).keys() == vars(fresh).keys()
+        for name, value in vars(fresh).items():
+            got = getattr(state, name)
+            assert got is value or got == value, (width, name, got, value)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_targetless_steps_are_the_per_step_reference(flipped):
+    # bit for bit at every padded size and schedule count, from a uniform
+    # state, which takes no step, and from one a flipped query moved off
+    # the base, which steps
+    for width in range(1, 17):
+        size = 1 << width
+        for count in doubling_schedule(size):
+            got, want = (StructuredState(RegisterLayout(idx=width), size) for _ in range(2))
+            if flipped:
+                for state in (got, want):
+                    state.apply_phase_pattern(np.array([size - 1]))
+                    state.diffuse()
+            got.target_steps(_NOTHING, count)
+            for _ in range(count):
+                want.apply_phase_pattern(_NOTHING)
+                want.diffuse()
+            assert got.amps.tobytes() == want.amps.tobytes(), (width, count)
+
+
+@pytest.mark.parametrize("drift", [1 + 1e-6, math.nan])
+def test_targetless_steps_keep_the_norm_check(drift):
+    state = StructuredState(RegisterLayout(idx=3), 8)
+    state._base *= drift
+    with pytest.raises(ValueError, match="drifted beyond tolerance"):
+        state.target_steps(_NOTHING, 1)
 
 
 # Measurement paths on the benchmark workloads' distinct ops at seed 1:
