@@ -318,8 +318,7 @@ def grover_run(
     ledger's `phase_breakdown` after its measurement.
     """
     ledger = ledger if ledger is not None else ResourceLedger()
-    if rho is None:  # an exact oracle needs no re-evaluation
-        rho = amplification(oracle.error_prob, iterations) if oracle.error_prob else 1
+    rho = amplification(oracle.error_prob, iterations) if rho is None else rho
     done = 0
     if oracle._class_errors is not None:  # an exact oracle's queries mark the targets
         for step, marked in oracle.flipped_queries(rng, rho, iterations):
@@ -388,11 +387,10 @@ def durr_hoyer_min(
     array, whose length is the search domain M.
 
     Each phase searches for an index with key strictly below the current
-    threshold (ties never improve), whose truth is `keys < threshold`,
-    padded with non-targets when M is not a power of two, over one
-    doubling schedule cut to ceil(log2 M) counts, and adopts any
-    verified hit; the run stops after 3 * ceil(log2 M) phases or when a
-    phase finds nothing.
+    threshold (ties never improve), whose truth is `keys < threshold`
+    with non-target padding, over one doubling schedule cut to
+    ceil(log2 M) counts, and adopts any verified hit; the run stops
+    after 3 * ceil(log2 M) phases or when a phase finds nothing.
     The estimate is correct with probability at least 1/2.  With
     `initial_key` given, the threshold starts above every real key and
     the estimate is None if no phase ever improved on it.
@@ -415,12 +413,11 @@ def durr_hoyer_min(
     schedule = doubling_schedule(domain)[:log_m]
     iterations = copies = phases = 0
     adopted = []
+    # one buffer for every phase: each oracle reads it only in its own
+    # phase, and padding indices stay non-targets
+    truth = np.zeros(padded, dtype=bool)
     for phase in range(phase_cap):
-        if padded == domain:
-            truth = keys < best_key
-        else:  # padding indices are never targets
-            truth = np.zeros(padded, dtype=bool)
-            np.less(keys, best_key, out=truth[:domain])
+        np.less(keys, best_key, out=truth[:domain])
         oracle = OracleSpec(domain, truth, evaluation_cost=1)
         phases += 1
         outcome = bbht_search(oracle, rng, state_factory, schedule, ledger)

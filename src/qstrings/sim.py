@@ -496,7 +496,7 @@ class StructuredState:
         exceptions = values.size > 0  # hoisted: a test per step costs more
         group, size = float(self._group.size), float(self.size)
         rest = size - group - values.size
-        low, high = 1.0 - NORM_TOL, 1.0 + NORM_TOL
+        tol = NORM_TOL
         for _ in range(count):
             amp = -amp
             total = base * rest + amp * group
@@ -509,7 +509,7 @@ class StructuredState:
             if exceptions:
                 np.subtract(twice_mean, values, out=values)
                 norm += float(np.dot(values, values))
-            if not low <= norm <= high:  # also refuses a NaN norm
+            if not abs(norm - 1.0) <= tol:  # also refuses a NaN norm
                 self._base, self._group_amp = base, amp
                 raise ValueError(f"state norm {norm} drifted beyond tolerance")
         self._base, self._group_amp = base, amp

@@ -461,28 +461,6 @@ def test_bounded_error_ledger_records_rho_times_cost():
     assert ledger.hash_eval_units == 2 * 3 * 7
 
 
-def test_only_a_noisy_run_asks_for_its_amplification(monkeypatch):
-    # an exact oracle answers each query in one evaluation
-    truth = np.zeros(16, dtype=bool)
-    truth[[4, 11]] = True
-    exact = OracleSpec(16, truth, evaluation_cost=5)
-    noisy = OracleSpec(16, truth, evaluation_cost=5, error_prob=0.2,
-                       error_classes=(np.zeros(16, dtype=np.uint8), (0.2,)))
-    asked = []
-    real = grover.amplification
-
-    def counted(error, steps):
-        asked.append((error, steps))
-        return real(error, steps)
-
-    monkeypatch.setattr(grover, "amplification", counted)
-    ledger = ResourceLedger()
-    grover_run(_structured(16), exact, 3, np.random.default_rng(0), ledger)
-    assert asked == [] and ledger.hash_eval_units == 3 * 5
-    grover_run(_structured(16), noisy, 3, np.random.default_rng(0))
-    assert asked == [(0.2, 3)]
-
-
 def _dh_factory(domain):
     def factory():
         return _structured(domain)
