@@ -6,7 +6,9 @@ ceil(delta * max_len / epsilon) so that a run performing up to `delta`
 hash comparisons on strings up to `max_len` bits keeps its total
 false-equality probability at most epsilon.  Equal strings always hash
 equal; only the converse is probabilistic.  A hash is an int residue,
-of register width `hash_width(p)`.
+of register width `hash_width(p)`.  `window_hashes` reads every window
+of up to 57 bits from one 64-bit word of the bit-packed text, and takes
+longer windows by prefix differences.
 
 The draw is the Karp-Rabin one: uniform integers in [2, p_r] until
 `is_prime`, a deterministic Miller-Rabin test, accepts one; the check
@@ -293,12 +295,9 @@ _LIMB_BITS = 20
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Prefix sums add at most this many residues before reducing mod p.
 _CUMSUM_BLOCK = 1 << 20
-# Longest window whose exact value window_hashes builds in int64: every
-# such value and partial sum stays below 2^62, a bit clear of the sign.
-_EXACT_WINDOW_BITS = 62
-# Windows _exact_windows builds per chunk; its two buffers hold this many
-# int64 values (plus m - 1 bits of overlap), whatever the text length.
-_WINDOW_CHUNK = 1 << 20
+# Longest window whose exact value window_hashes reads from one 64-bit
+# word: a window starts up to 7 bits into its word's first byte.
+_EXACT_WINDOW_BITS = 57
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray | int, p: int) -> np.ndarray:
@@ -340,41 +339,24 @@ def prefix_hashes(u: BitString, p: int) -> np.ndarray:
 
 
 def _exact_windows(bits: np.ndarray, m: int, out: np.ndarray) -> None:
-    """Write into `out` the exact values sum_j bits[i+j] * 2^j of every
-    length-m window, m <= 62.
+    """Write into the C-contiguous `out` the exact values
+    sum_j bits[i+j] * 2^j of every length-m window, m <= 57.
 
-    Works through _WINDOW_CHUNK windows at a time, each chunk reading
-    m - 1 bits past its end.  Within a chunk, windows of length L are
-    doubled in place to length 2L by one shifted add, and the set bits of
-    m are joined into `out` the same way, low bits first.  One block and
-    one shift buffer, both chunk-sized, serve every chunk and level.
+    The bits are packed once, little-endian, with seven zero bytes after
+    them.  Window i then lies in the little-endian 64-bit word at byte
+    i // 8, shifted up by i % 8, and i % 8 + m <= 64.  The words are one
+    overlapping view of the packed bytes at a stride of one byte; each
+    is shifted down straight into the eight windows starting in its
+    byte, and one mask keeps their low m bits.
     """
-    count = out.size
-    chunk = min(count, _WINDOW_CHUNK)
-    block = np.empty(chunk + m - 1, dtype=np.int64)
-    shift = np.empty_like(block)
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        span = size + m - 1
-        dest = out[start : start + size]
-        block[:span] = bits[start : start + span]
-        length, filled = 1, 0  # block[i]: value of the length-`length` window at i
-        while True:
-            if m & length:
-                part = block[filled : filled + size]
-                if filled:
-                    np.left_shift(part, filled, out=shift[:size])
-                    dest += shift[:size]
-                else:
-                    dest[:] = part
-                filled += length
-            if filled == m:
-                break
-            k = span - length  # windows of length 2L in the block
-            np.left_shift(block[length : length + k], length, out=shift[:k])
-            block[:k] += shift[:k]
-            span -= length
-            length *= 2
+    rows, tail = divmod(out.size, 8)
+    packed = np.concatenate((np.packbits(bits, bitorder="little"), np.zeros(7, np.uint8)))
+    words = np.ndarray((rows + (tail > 0),), dtype="<u8", buffer=packed, strides=(1,))
+    flat = out.view(np.uint64)
+    shifts = np.arange(8, dtype=np.uint64)
+    np.right_shift(words[:rows, None], shifts, out=flat[: 8 * rows].reshape(rows, 8))
+    np.right_shift(words[rows:], shifts[:tail], out=flat[8 * rows :])
+    flat &= np.uint64((1 << m) - 1)
 
 
 def window_hashes(
@@ -382,17 +364,17 @@ def window_hashes(
 ) -> np.ndarray:
     """int64 residues of every length-m window of `text`, in one linear pass.
 
-    The residues are written into `out` when it is given (an int64 array
-    of one element per window) and into a new array otherwise; the array
-    written is returned.  For m <= _EXACT_WINDOW_BITS each window's exact
-    value sum_j text[i+1+j] * 2^j fits int64, so it is built directly in
-    `out` (by window doubling, in chunks) and reduced by one `% p`, which
-    is skipped when p >= 2^m since every such value is below 2^m; no
-    prefix table, power table or modular inverse is needed.  Longer
-    windows overflow int64, so they use prefix differences: window i
-    (0-indexed start) satisfies h(text[i+1 .. i+m]) = (pref[i+m] -
-    pref[i]) * inv2^i mod p for odd p, and for p = 2 the hash of any
-    window is simply its first bit.
+    The residues are written into `out` when it is given (a C-contiguous
+    int64 array of one element per window) and into a new array
+    otherwise; the array written is returned.  For m <= _EXACT_WINDOW_BITS
+    (57) each window's exact value sum_j text[i+1+j] * 2^j lies in one
+    64-bit word of the packed text, so it is read from there straight
+    into `out` and reduced by one `% p`, which is skipped when p >= 2^m
+    since every such value is below 2^m; no prefix table, power table or
+    modular inverse is needed.  Longer windows take prefix differences,
+    exact at every m: window i (0-indexed start) satisfies
+    h(text[i+1 .. i+m]) = (pref[i+m] - pref[i]) * inv2^i mod p for odd
+    p, and for p = 2 the hash of any window is simply its first bit.
     """
     n = len(text)
     if not 1 <= m <= n:
@@ -402,8 +384,8 @@ def window_hashes(
     count = n - m + 1
     if out is None:
         out = np.empty(count, dtype=np.int64)
-    elif out.shape != (count,) or out.dtype != np.int64:
-        raise ValueError(f"out must be an int64 array of {count} windows")
+    elif out.shape != (count,) or out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous int64 array of {count} windows")
     if m <= _EXACT_WINDOW_BITS:
         _exact_windows(text.array, m, out)
         if p < 1 << m:

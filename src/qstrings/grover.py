@@ -191,7 +191,8 @@ class OracleSpec:
         """The indices of error class c, ascending, listed on first use."""
         members = self._members.get(c)
         if members is None:
-            members = self._members[c] = np.flatnonzero(self._key == self._class_keys[c])
+            # a Python int key compares in the keys' own unsigned dtype
+            members = self._members[c] = np.flatnonzero(self._key == self._class_keys.item(c))
         return members
 
     def flipped_queries(

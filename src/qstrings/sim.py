@@ -240,7 +240,7 @@ def project_flag_minus(state: DenseState, flag_register: str) -> np.ndarray:
     a1 = state.amps[idx[keep] ^ bit]
     reduced = (a0 - a1) * _SQRT2_INV
     residual = float(np.sum(np.abs((a0 + a1) * _SQRT2_INV) ** 2))
-    if residual > NORM_TOL:
+    if not residual <= NORM_TOL:  # also refuses a NaN residual
         raise ValueError("flag register is not in the |-> state")
     return reduced
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -419,6 +420,39 @@ def test_crosscheck_ledger_check_covers_inner_iterations(monkeypatch):
     assert bad == {r.name for r in report.instances if r.name.startswith("match_")}
     assert all(r.detail == "ledger mismatch between backends"
                for r in report.instances if not r.passed)
+
+
+def _nan_deviation_at(call, monkeypatch):
+    """Make the crosscheck's `call`-th deviation (1-based) a NaN at its index."""
+    deviation = crosscheck_mod._deviation
+    calls = []
+
+    def nan_once(dense_search, structured):
+        dev, idx = deviation(dense_search, structured)
+        calls.append(idx)
+        return (math.nan, idx) if len(calls) == call else (dev, idx)
+
+    monkeypatch.setattr(crosscheck_mod, "_deviation", nan_once)
+    return calls
+
+
+def test_crosscheck_fails_a_nan_deviation_between_finite_ones(monkeypatch):
+    # NaN at the first step's deviation, then two finite steps that must not
+    # replace it: NaN > tol and NaN > max_dev are both False
+    calls = _nan_deviation_at(2, monkeypatch)
+    report = crosscheck_mod._match_instance(
+        "match_search n8 m3 p11", "10110110", "011", 11, [3], np.random.default_rng(1)
+    )
+    assert len(calls) == 4
+    assert not report.passed and math.isnan(report.max_deviation)
+    assert report.detail == f"amplitude mismatch at basis index {calls[1]}"
+
+
+def test_crosscheck_fails_a_nan_symbol_access_deviation(monkeypatch):
+    calls = _nan_deviation_at(1, monkeypatch)
+    report = crosscheck_mod._compare_bsearch_instance("compare_bsearch k4 p5", "0110", "0100")
+    assert calls and not report.passed and math.isnan(report.max_deviation)
+    assert report.detail.startswith("amplitude mismatch")
 
 
 def test_crosscheck_reports_deviation_per_instance():

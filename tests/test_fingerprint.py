@@ -1,7 +1,6 @@
 import collections
 import functools
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -393,42 +392,44 @@ def test_window_hashes_match_direct(n, m, p):
 
 
 @pytest.mark.parametrize("p", [2, WIDE_PRIMES[1]])
-@pytest.mark.parametrize("m", [1, 61, 62, 63, 64])
+@pytest.mark.parametrize("m", [1, 56, 57, 58, 61, 62, 63, 64])
 def test_window_hashes_at_the_exact_value_cut(m, p):
-    assert fp._EXACT_WINDOW_BITS == 62
+    assert fp._EXACT_WINDOW_BITS == 57
     rng = np.random.default_rng(m)
     for text in (BitString.from_bits([1] * 100), BitString.from_bits(rng.integers(0, 2, 100))):
         _assert_windows_match_direct(text, m, p)
 
 
-# Chunks of one window, of sizes that do not divide the count, and of
-# more windows than the text has; p below 2^m takes the `% p` pass, p at
-# or above 2^m skips it.
-@settings(max_examples=120)
+# Every window count mod 8, so every tail of windows after the last full
+# row of eight, with and without `out=`, from counts below eight up; p
+# below 2^m takes the `% p` pass, p at or above 2^m skips it.
+@settings(max_examples=40)
 @given(
-    st.sampled_from([1, 3, 7, 64]),
-    st.integers(1, 200),
+    st.integers(0, 20),
     st.integers(1, fp._EXACT_WINDOW_BITS),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(chunk=7, n=150, m=62, wide=False, seed=1)
-@example(chunk=3, n=100, m=40, wide=True, seed=2)
-@example(chunk=1, n=5, m=1, wide=False, seed=3)
-def test_window_hashes_in_chunks_match_reference(chunk, n, m, wide, seed):
-    m = min(m, n)
+@example(rows=0, m=1, wide=False, seed=3)
+@example(rows=2, m=57, wide=False, seed=1)
+@example(rows=5, m=40, wide=True, seed=2)
+def test_window_hashes_at_every_tail_match_reference(rows, m, wide, seed):
     if wide and m <= 40:
         p = int(sympy.nextprime((1 << m) - 1))  # 2 when m = 1
     else:
         p = int(sympy.prevprime(min(1 << m, fp._MULMOD_P_CAP))) if m > 1 else 2
-    text = BitString.from_bits(np.random.default_rng(seed).integers(0, 2, n))
-    want = [rolling_hash_reference(text.substring(i + 1, i + m), p) for i in range(n - m + 1)]
-    with mock.patch.object(fp, "_WINDOW_CHUNK", chunk):
+    for tail in range(8):
+        count = 8 * rows + tail
+        if not count:
+            continue
+        rng = np.random.default_rng((seed, tail))
+        text = BitString.from_bits(rng.integers(0, 2, count + m - 1))
+        want = [rolling_hash_reference(text.substring(i + 1, i + m), p) for i in range(count)]
         fresh = fp.window_hashes(text, m, p)
-        out = np.full(n - m + 1, -1, dtype=np.int64)
+        out = np.full(count, -1, dtype=np.int64)
         written = fp.window_hashes(text, m, p, out=out)
-    assert written is out and fresh.dtype == np.int64
-    assert fresh.tolist() == want and out.tolist() == want
+        assert written is out and fresh.dtype == np.int64
+        assert fresh.tolist() == want and out.tolist() == want
 
 
 def test_window_hashes_reject_a_mismatched_out():
@@ -436,6 +437,17 @@ def test_window_hashes_reject_a_mismatched_out():
     for out in (np.empty(3, dtype=np.int64), np.empty(4, dtype=np.int32)):
         with pytest.raises(ValueError, match="out"):
             fp.window_hashes(text, 3, 5, out=out)
+
+
+def test_window_hashes_refuse_a_non_contiguous_out():
+    # the exact path writes through a (rows, 8) reshape of `out`, which
+    # of a strided array would be a copy, the residues lost with it
+    text = BitString.from_bits(np.random.default_rng(4).integers(0, 2, 80))
+    for m in (3, fp._EXACT_WINDOW_BITS + 3):  # both sides of the cut
+        backing = np.zeros(2 * (len(text) - m + 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="contiguous"):
+            fp.window_hashes(text, m, 5, out=backing[::2])
+        assert not backing.any()
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)

@@ -326,6 +326,30 @@ def test_error_classes_match_per_index_grouping(table, labels, truth):
     assert np.array_equal(oracle._class_errors, errors)
 
 
+class _ComparedKeys(np.ndarray):
+    """A class-key array that records the dtype of every ufunc it meets."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _ComparedKeys) else x for x in inputs]
+        self.result_types.append(np.result_type(*plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("table, labels, truth", list(_error_class_cases())[:2])
+def test_class_listing_compares_in_the_keys_dtype(table, labels, truth):
+    # an int64 class key casts all n uint8 keys to int64 on every listing;
+    # the cast is buffered, so no memory peak shows it
+    oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
+    key = oracle._key.view(_ComparedKeys)
+    key.result_types = []
+    oracle._key = key
+    classes = oracle._sizes.size
+    listed = [oracle._class_members(c) for c in range(classes)]
+    assert classes and key.dtype == np.uint8
+    assert key.result_types == [key.dtype] * classes
+    assert sum(m.size for m in listed) == oracle._sizes.sum()
+
+
 @settings(max_examples=150)
 @given(
     st.integers(1, 40),

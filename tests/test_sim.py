@@ -89,6 +89,14 @@ def test_phase_oracle_ancilla_kickback_equals_direct():
     assert np.allclose(reduced, [0.5, -0.5, -0.5, 0.5])
 
 
+def test_flag_projection_refuses_a_nan_amplitude():
+    # residual > tol is False for a NaN residual: the check must refuse it anyway
+    state = prepare_minus(prepare_uniform(DenseState(RegisterLayout(idx=2, xi=1))), "xi")
+    state.amps[:] = np.nan
+    with pytest.raises(ValueError, match="flag register is not in the"):
+        project_flag_minus(state, "xi")
+
+
 def test_phase_oracle_takes_only_a_bool_pattern_over_the_index():
     layout = RegisterLayout(idx=2)
     state = prepare_uniform(DenseState(layout))
