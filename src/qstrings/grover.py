@@ -51,6 +51,18 @@ def amplification(error: float, steps: int) -> int:
     return max(1, math.ceil(math.log(10 * max(1, steps)) / math.log(1 / error)))
 
 
+# An n-wide oracle pass (a match oracle's labels, the class counts) runs
+# over chunks of this many indices, so its int64 buffer and intp casts
+# stay chunk-sized at any n.  2^14 measured fastest at n = 2^16 and 2^24.
+ORACLE_CHUNK = 1 << 14
+
+
+def chunks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most ORACLE_CHUNK indices covering range(size)."""
+    step = ORACLE_CHUNK
+    return (slice(start, start + step) for start in range(0, size, step))
+
+
 # Query uniforms are drawn for up to this many steps in one call.  Each
 # block saves the generator state once, and a flip discards the rest of
 # its block; on match searches 16 was slower and 64 or 128 no faster.
@@ -88,10 +100,12 @@ class OracleSpec:
     Non-targets fall into classes of equal positive error, ascending; a
     class's members are listed, in index order, on the first query that
     wrongly marks one of them, so a query costs O(classes + marked
-    indices) and a class no query flips is never listed.  Each padded
-    index holds one class key, its error's rank, looked up per label in a
-    table shared by every oracle over the same errors: one `take` over the
-    labels, then the targets re-keyed, with no n-wide mask.
+    indices) and a class no query flips is never listed.  The oracle
+    keeps the labels, read-only, and no per-index key: class sizes are
+    the labels' counts, taken chunk by chunk, less the targets' own,
+    folded through a per-label key table shared by every oracle over the
+    same errors, and a listing compares the labels with each label of
+    its class.
     """
 
     def __init__(
@@ -129,13 +143,24 @@ class OracleSpec:
                     or labels.max() >= len(errors)):
                 raise ValueError(_BAD_ERROR_CLASSES)
             values, key_of_label = _ranked_errors(errors)
-            # one key per padded index: its error's rank, or values.size
-            # for an index never wrongly marked (a zero error or a target)
-            key = key_of_label.take(labels)
-            key[self.targets] = values.size
-            counts = np.bincount(key, minlength=values.size + 1)[:-1]
+            if labels.flags.writeable or not labels.flags.owndata:
+                # writable here or through the array it views: keep a copy
+                labels = labels.copy()
+                labels.flags.writeable = False
+            # per label, its non-target indices; each bincount casts one chunk
+            label_counts = np.zeros(len(errors), dtype=np.intp)
+            for chunk in chunks(labels.size):
+                label_counts += np.bincount(labels[chunk], minlength=len(errors))
+            label_counts -= np.bincount(labels[self.targets], minlength=len(errors))
+            # folded by class key: a label's error rank, or values.size for
+            # a zero error, which forms no class
+            by_key = np.zeros(values.size + 1, dtype=np.intp)
+            np.add.at(by_key, key_of_label, label_counts)
+            counts = by_key[:-1]
             used = counts > 0
-            self._key = key
+            self._labels = labels
+            self._label_counts = label_counts
+            self._key_of_label = key_of_label
             self._class_keys = np.flatnonzero(used)
             self._sizes = counts[used]
             self._class_errors = values[used]
@@ -191,8 +216,15 @@ class OracleSpec:
         """The indices of error class c, ascending, listed on first use."""
         members = self._members.get(c)
         if members is None:
-            # a Python int key compares in the keys' own unsigned dtype
-            members = self._members[c] = np.flatnonzero(self._key == self._class_keys.item(c))
+            # labels of class c that some non-target holds; each compares as
+            # a Python int, so in the labels' own dtype
+            own = (self._key_of_label == self._class_keys.item(c)) & (self._label_counts > 0)
+            first, *rest = np.flatnonzero(own).tolist()
+            mask = self._labels == first
+            for label in rest:
+                mask |= self._labels == label
+            mask[self.targets] = False
+            members = self._members[c] = np.flatnonzero(mask)
         return members
 
     def flipped_queries(

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fingerprint
+from . import fingerprint, grover
 from .fingerprint import HashParams
 from .grover import (
     OracleSpec,
@@ -166,11 +166,24 @@ class MatchStateSpec:
         return backend.like(self._template)
 
     def oracle(self) -> OracleSpec:
-        """Window-hash-equality oracle with its one-sided error model."""
+        """Window-hash-equality oracle with its one-sided error model.
+
+        Each window's label is its differing-bit count t against the
+        pattern hash, written chunk by chunk into one read-only uint8
+        array through one reused int64 xor buffer, so no n-sized int64
+        array is made.
+        """
         bit_domain = padded_size(self.params.width)
         evaluation = evaluation_constants(bit_domain)
+        table = self.window_hash_table
         # t <= width <= bit_domain: every residue, the sentinel too, has width bits
-        t_counts = np.bitwise_count(self.window_hash_table ^ self.pattern_hash)
+        t_counts = np.empty(table.size, dtype=np.uint8)
+        buf = np.empty(min(table.size, grover.ORACLE_CHUNK), dtype=np.int64)
+        for chunk in grover.chunks(table.size):
+            part = table[chunk]
+            xor = np.bitwise_xor(part, self.pattern_hash, out=buf[: part.size])
+            np.bitwise_count(xor, out=t_counts[chunk])
+        t_counts.flags.writeable = False
         truth = t_counts == 0
         # error class = differing-bit count t, with miss probability miss[t]
         return OracleSpec(

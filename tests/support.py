@@ -134,10 +134,11 @@ def measure_index_reference(state: StructuredState, rng) -> int:
 def oracle_classes_reference(
     truth: np.ndarray, labels: np.ndarray, errors: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """OracleSpec's class fields (_key, _class_keys, _sizes, _class_errors)
-    by one n-wide mask: every index keyed by its error's rank among the
-    distinct errors, then every target and every zero-error index re-keyed
-    to their count."""
+    """A per-index class key and OracleSpec's class fields (_class_keys,
+    _sizes, _class_errors) by one n-wide mask: every index keyed by its
+    error's rank among the distinct errors, then every target and every
+    zero-error index re-keyed to their count.  Class c's members are the
+    indices whose key is _class_keys[c]."""
     values, rank = np.unique(np.asarray(errors, dtype=float), return_inverse=True)
     rank = rank.astype(np.min_scalar_type(values.size))
     first_positive = int(values[0] == 0)  # a zero error has rank 0

@@ -135,12 +135,14 @@ def test_match_dense_width_guard_boundary(capsys):
 
 
 def test_match_structured_size_guard(capsys):
-    big = "01" * 40000
-    code, _, err = run_cli(
+    # one bit over the cap is refused before any fingerprint is taken
+    big = "01" * (1 << 23) + "1"
+    code, out, err = run_cli(
         ["match", "--text", big, "--pattern", "01", "--seed", "1"], capsys
     )
     _assert_usage_error(code, err)
-    assert "cap" in err
+    assert err == "error: text length 16777217 exceeds structured-mode cap 16777216\n"
+    assert out == ""
 
 
 def test_match_dense_dump_state(tmp_path, capsys):
@@ -536,13 +538,13 @@ def test_negative_seed_rejected(capsys, command):
     assert err == "error: --seed must be non-negative\n" and out == ""
 
 
-@pytest.mark.parametrize("grid", ["65537", "16,99999999999999999999999"])
+@pytest.mark.parametrize("grid", ["16777217", "16,99999999999999999999999"])
 def test_sweep_grid_above_cap_rejected(capsys, grid):
     code, out, err = run_cli(
         ["sweep", "--algo", "match", "--grid", grid, "--m", "4", "--seed", "1"], capsys
     )
     _assert_usage_error(code, err)
-    assert "65536" in err and "dimension" not in err and out == ""
+    assert "2^24 = 16777216" in err and "dimension" not in err and out == ""
 
 
 @pytest.mark.parametrize(

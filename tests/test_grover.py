@@ -326,28 +326,42 @@ def test_error_classes_match_per_index_grouping(table, labels, truth):
     assert np.array_equal(oracle._class_errors, errors)
 
 
-class _ComparedKeys(np.ndarray):
-    """A class-key array that records the dtype of every ufunc it meets."""
+class _ComparedLabels(np.ndarray):
+    """A label array that records the dtype of every ufunc it meets."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _ComparedKeys) else x for x in inputs]
+        plain = [x.view(np.ndarray) if isinstance(x, _ComparedLabels) else x for x in inputs]
         self.result_types.append(np.result_type(*plain))
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
 @pytest.mark.parametrize("table, labels, truth", list(_error_class_cases())[:2])
 def test_class_listing_compares_in_the_keys_dtype(table, labels, truth):
-    # an int64 class key casts all n uint8 keys to int64 on every listing;
-    # the cast is buffered, so no memory peak shows it
+    # a class is keyed by its labels: an int64 label casts all n uint8
+    # labels to int64 on every listing; the cast is buffered, so no memory
+    # peak shows it
     oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
-    key = oracle._key.view(_ComparedKeys)
-    key.result_types = []
-    oracle._key = key
+    assert oracle._labels.dtype == labels.dtype
+    compared = oracle._labels.view(_ComparedLabels)
+    compared.result_types = []
+    oracle._labels = compared
     classes = oracle._sizes.size
     listed = [oracle._class_members(c) for c in range(classes)]
-    assert classes and key.dtype == np.uint8
-    assert key.result_types == [key.dtype] * classes
+    # one comparison per label that a wrongly markable index holds
+    held = np.unique(labels[~truth & (table[labels] > 0)]).size
+    assert classes and compared.result_types == [labels.dtype] * held
     assert sum(m.size for m in listed) == oracle._sizes.sum()
+
+
+def _assert_classes_are_the_reference(oracle, truth, labels, errors):
+    # the n-wide mask reference stays the oracle: its per-index key gives
+    # each class's members
+    key, *fields = oracle_classes_reference(truth, labels, errors)
+    got = (oracle._class_keys, oracle._sizes, oracle._class_errors)
+    for field, want in zip(got, fields):
+        assert field.dtype == want.dtype and np.array_equal(field, want)
+    for c, class_key in enumerate(oracle._class_keys.tolist()):
+        assert np.array_equal(oracle._class_members(c), np.flatnonzero(key == class_key))
 
 
 @settings(max_examples=150)
@@ -366,9 +380,7 @@ def test_oracle_class_key_matches_the_mask_reference(domain, errors, dtype, seed
     truth = np.zeros(padded, dtype=bool)
     truth[:domain] = rng.random(domain) < 0.3
     oracle = OracleSpec(domain, truth, error_classes=(labels, tuple(errors)))
-    got = (oracle._key, oracle._class_keys, oracle._sizes, oracle._class_errors)
-    for field, want in zip(got, oracle_classes_reference(truth, labels, tuple(errors))):
-        assert field.dtype == want.dtype and np.array_equal(field, want)
+    _assert_classes_are_the_reference(oracle, truth, labels, tuple(errors))
 
 
 def test_oracle_class_key_on_the_match_miss_table():
@@ -381,9 +393,7 @@ def test_oracle_class_key_on_the_match_miss_table():
     truth = labels == 0
     truth[200:] = False
     oracle = OracleSpec(200, truth, error_classes=(labels, miss))
-    got = (oracle._key, oracle._class_keys, oracle._sizes, oracle._class_errors)
-    for field, want in zip(got, oracle_classes_reference(truth, labels, miss)):
-        assert field.dtype == want.dtype and np.array_equal(field, want)
+    _assert_classes_are_the_reference(oracle, truth, labels, miss)
 
 
 def test_error_classes_rejected_when_malformed():

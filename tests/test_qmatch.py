@@ -173,7 +173,7 @@ def test_prepare_match_state_builds_the_table_in_place():
 
 
 def test_oracle_build_and_search_stay_under_their_memory_baselines():
-    # the instance above: tracemalloc peaks of 1.38 and 2.38 times the
+    # the instance above: tracemalloc peaks of 0.38 and 1.61 times the
     # table's bytes, bounded just above, so a leaner oracle build or
     # search can tighten them
     rng = np.random.default_rng(18)
@@ -191,8 +191,59 @@ def test_oracle_build_and_search_stay_under_their_memory_baselines():
             tracemalloc.stop()
     table_bytes = spec.window_hash_table.nbytes
     assert table_bytes == 1 << 21
-    assert peaks[0] < 1.45 * table_bytes
-    assert peaks[1] < 2.45 * table_bytes
+    assert peaks[0] < 0.40 * table_bytes
+    assert peaks[1] < 1.65 * table_bytes
+
+
+def _oracle_fields(oracle):
+    classes = range(oracle._sizes.size)
+    return [oracle.truth, oracle.targets, oracle._labels, oracle._class_keys, oracle._sizes,
+            oracle._class_errors, *(oracle._class_members(c) for c in classes)]
+
+
+def _search_record(inst, params, seed):
+    rng = np.random.default_rng(seed)
+    result = match_search(inst, params, rng)
+    return (result.position, result.measured_index, result.hash_verified, result.copies_used,
+            result.ledger.counters(), result.ledger.phase_breakdown, rng.random())
+
+
+def test_oracle_chunk_boundaries_cannot_show(monkeypatch):
+    # windows over many chunks of 1 or 3 indices, the padded domain ending
+    # in a ragged chunk of 3, against the default's one chunk
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in (1000, 5000):
+        inst, _ = random_multi_occurrence(n, 16, 2, rng)
+        params = match_params(inst, 0.25, rng)
+        cases.append((inst, params, prepare_match_state(inst, params)))
+    table = (0.3, 0.0, 0.05, 0.3, 0.9, 0.05, 0.0, 0.2)
+    generic = []
+    for dtype in (np.uint8, np.int64):
+        labels = rng.integers(0, len(table), 1024).astype(dtype)
+        truth = np.zeros(1024, dtype=bool)
+        truth[:1000] = rng.random(1000) < 0.1
+        generic.append((truth, labels))
+
+    def everything():
+        oracles = [spec.oracle() for *_, spec in cases]
+        oracles += [grover.OracleSpec(1000, truth, error_classes=(labels, table))
+                    for truth, labels in generic]
+        searches = [_search_record(inst, params, seed)
+                    for inst, params, _ in cases for seed in range(3)]
+        return [_oracle_fields(oracle) for oracle in oracles], searches
+
+    assert grover.ORACLE_CHUNK > 8192  # the default lists every case in one chunk
+    fields, searches = everything()
+    assert sum(r[0] is not None for r in searches) >= 3
+    for chunk in (1, 3):
+        monkeypatch.setattr(grover, "ORACLE_CHUNK", chunk)
+        got_fields, got_searches = everything()
+        assert got_searches == searches
+        for got, want in zip(got_fields, fields):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n, m", [(64, 4), (1000, 8), (5000, 16)])
