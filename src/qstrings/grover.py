@@ -159,8 +159,8 @@ class OracleSpec:
             counts = by_key[:-1]
             used = counts > 0
             self._labels = labels
-            self._label_counts = label_counts
-            self._key_of_label = key_of_label
+            # each label's class key, or values.size where no non-target holds it
+            self._label_keys = np.where(label_counts > 0, key_of_label, values.size)
             self._class_keys = np.flatnonzero(used)
             self._sizes = counts[used]
             self._class_errors = values[used]
@@ -216,15 +216,14 @@ class OracleSpec:
         """The indices of error class c, ascending, listed on first use."""
         members = self._members.get(c)
         if members is None:
-            # labels of class c that some non-target holds; each compares as
-            # a Python int, so in the labels' own dtype
-            own = (self._key_of_label == self._class_keys.item(c)) & (self._label_counts > 0)
-            first, *rest = np.flatnonzero(own).tolist()
+            # each label of class c compares as a Python int, so in the
+            # labels' own dtype; nonzero()[0] is np.flatnonzero without its ravel
+            first, *rest = (self._label_keys == self._class_keys.item(c)).nonzero()[0].tolist()
             mask = self._labels == first
             for label in rest:
                 mask |= self._labels == label
             mask[self.targets] = False
-            members = self._members[c] = np.flatnonzero(mask)
+            members = self._members[c] = mask.nonzero()[0]
         return members
 
     def flipped_queries(
