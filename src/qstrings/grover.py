@@ -148,10 +148,9 @@ class OracleSpec:
                 labels = labels.copy()
                 labels.flags.writeable = False
             # per label, its non-target indices; each bincount casts one chunk
-            label_counts = np.zeros(len(errors), dtype=np.intp)
+            label_counts = -np.bincount(labels[self.targets], minlength=len(errors))
             for chunk in chunks(labels.size):
                 label_counts += np.bincount(labels[chunk], minlength=len(errors))
-            label_counts -= np.bincount(labels[self.targets], minlength=len(errors))
             # folded by class key: a label's error rank, or values.size for
             # a zero error, which forms no class
             by_key = np.zeros(values.size + 1, dtype=np.intp)
@@ -159,8 +158,7 @@ class OracleSpec:
             counts = by_key[:-1]
             used = counts > 0
             self._labels = labels
-            # each label's class key, or values.size where no non-target holds it
-            self._label_keys = np.where(label_counts > 0, key_of_label, values.size)
+            self._key_of_label = key_of_label
             self._class_keys = np.flatnonzero(used)
             self._sizes = counts[used]
             self._class_errors = values[used]
@@ -218,7 +216,7 @@ class OracleSpec:
         if members is None:
             # each label of class c compares as a Python int, so in the
             # labels' own dtype; nonzero()[0] is np.flatnonzero without its ravel
-            first, *rest = (self._label_keys == self._class_keys.item(c)).nonzero()[0].tolist()
+            first, *rest = (self._key_of_label == self._class_keys.item(c)).nonzero()[0].tolist()
             mask = self._labels == first
             for label in rest:
                 mask |= self._labels == label

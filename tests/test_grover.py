@@ -347,9 +347,9 @@ def test_class_listing_compares_in_the_keys_dtype(table, labels, truth):
     oracle._labels = compared
     classes = oracle._sizes.size
     listed = [oracle._class_members(c) for c in range(classes)]
-    # one comparison per label that a wrongly markable index holds
-    held = np.unique(labels[~truth & (table[labels] > 0)]).size
-    assert classes and compared.result_types == [labels.dtype] * held
+    # one comparison per label of each listed class
+    compares = int(np.isin(table, oracle._class_errors).sum())
+    assert classes and compared.result_types == [labels.dtype] * compares
     assert sum(m.size for m in listed) == oracle._sizes.sum()
 
 
