@@ -129,13 +129,9 @@ def _cmd_match(args, argv) -> int:
     inst_text = _parse_bits("--text", args.text, args.ascii)
     inst_pattern = _parse_bits("--pattern", args.pattern, args.ascii)
     inst = MatchInstance(inst_text, inst_pattern)
-    backend = BACKENDS[args.mode]
     cap = resources.STRUCTURED_TEXT_CAP
-    if backend is StructuredState and inst.n > cap:
-        raise ValueError(f"text length {inst.n} exceeds structured-mode cap {cap}")
-    if args.dump_state and backend is not DenseSearchState:
-        raise ValueError("--dump-state applies only to --mode dense")
-    if backend is DenseSearchState:
+    if args.mode == "dense":
+        # a text over the cap has N * m >= n, so its hash width alone is too wide
         whash = resources.nominal_hash_width(inst.num_windows, inst.m, args.epsilon)
         width = search_layout(inst.num_windows, whash=whash).total_width + 1  # phase flag
         if width > DENSE_WIDTH_CAP:
@@ -147,7 +143,11 @@ def _cmd_match(args, argv) -> int:
             params = qmatch.match_params(inst, args.epsilon, rng)
             spec = qmatch.prepare_match_state(inst, params)
             dump_state(spec.make_copy(DenseSearchState).state, args.dump_state)
-    trial = partial(_match_trial, inst, args.epsilon, args.seed, backend)
+    elif inst.n > cap:
+        raise ValueError(f"text length {inst.n} exceeds structured-mode cap {cap}")
+    elif args.dump_state:
+        raise ValueError("--dump-state applies only to --mode dense")
+    trial = partial(_match_trial, inst, args.epsilon, args.seed, BACKENDS[args.mode])
     rows, verified = zip(*resources.pool_map(trial, range(args.trials), args.jobs))
     _emit([_flag_echo(argv), MATCH_HEADER, *rows], args.csv)
     return 0 if any(verified) else 1

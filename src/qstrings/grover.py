@@ -72,20 +72,17 @@ _BAD_ERROR_CLASSES = "error_classes must map the padded domain to errors in [0, 
 
 
 @lru_cache(maxsize=64)
-def _ranked_errors(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct errors ascending, and each label's class key: its
-    error's rank among them, or their count for a zero error, which is
-    never wrongly marked.  Keys take the smallest unsigned type that holds
-    the count.  Read-only: every oracle over the same error table shares
-    them."""
+def _ranked_labels(errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The error table, and its labels of positive error in ascending error
+    order, ties by label; a zero error is never wrongly marked.  Read-only:
+    every oracle over the same error table shares them."""
     table = np.asarray(errors, dtype=float)
     if not np.all((table >= 0) & (table <= 1)):
         raise ValueError(_BAD_ERROR_CLASSES)
-    values, rank = np.unique(table, return_inverse=True)
-    key_of_label = rank.astype(np.min_scalar_type(values.size))
-    key_of_label[table == 0] = values.size
-    values.flags.writeable = key_of_label.flags.writeable = False
-    return values, key_of_label
+    order = np.argsort(table, kind="stable")
+    order = order[table[order] > 0]
+    table.flags.writeable = order.flags.writeable = False
+    return table, order
 
 
 class OracleSpec:
@@ -98,15 +95,14 @@ class OracleSpec:
     gives index a the single-evaluation error errors[labels[a]];
     `error_prob` is the declared worst such error, which sets the default
     rho, and an oracle that declares one must give its classes.
-    Non-targets fall into classes of equal positive error, ascending; a
-    class's members are listed, in index order, on the first query that
-    wrongly marks one of them, so a query costs O(classes + marked
-    indices) and a class no query flips is never listed.  The oracle
-    keeps the labels, read-only, and no per-index key: class sizes are
-    the labels' counts, taken chunk by chunk, less the targets' own,
-    folded through a per-label key table shared by every oracle over the
-    same errors, and a listing compares the labels with each label of
-    its class.
+    Each label of positive error that holds a non-target is one error
+    class, ascending by error, ties by label; a class's members are
+    listed, in index order, on the first query that wrongly marks one of
+    them, so a query costs O(classes + marked indices) and a class no
+    query flips is never listed.  The oracle keeps the labels, read-only,
+    and no per-index key: class sizes are the labels' counts, taken chunk
+    by chunk, less the targets' own, and a listing compares the labels
+    with its class's one label.
     """
 
     def __init__(
@@ -143,7 +139,7 @@ class OracleSpec:
                     or (labels.dtype.kind == "i" and labels.min() < 0)
                     or labels.max() >= len(errors)):
                 raise ValueError(_BAD_ERROR_CLASSES)
-            values, key_of_label = _ranked_errors(errors)
+            table, order = _ranked_labels(errors)
             if labels.flags.writeable or not labels.flags.owndata:
                 # writable here or through the array it views: keep a copy
                 labels = labels.copy()
@@ -152,17 +148,10 @@ class OracleSpec:
             label_counts = -np.bincount(labels[self.targets], minlength=len(errors))
             for chunk in chunks(labels.size):
                 label_counts += np.bincount(labels[chunk], minlength=len(errors))
-            # folded by class key: a label's error rank, or values.size for
-            # a zero error, which forms no class
-            by_key = np.zeros(values.size + 1, dtype=np.intp)
-            np.add.at(by_key, key_of_label, label_counts)
-            counts = by_key[:-1]
-            used = counts > 0
             self._labels = labels
-            self._key_of_label = key_of_label
-            self._class_keys = np.flatnonzero(used)
-            self._sizes = counts[used]
-            self._class_errors = values[used]
+            self._class_labels = order[label_counts[order] > 0]
+            self._sizes = label_counts[self._class_labels]
+            self._class_errors = table[self._class_labels]
             self._members: dict[int, np.ndarray] = {}
         self._query_errors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -215,12 +204,9 @@ class OracleSpec:
         """The indices of error class c, ascending, listed on first use."""
         members = self._members.get(c)
         if members is None:
-            # each label of class c compares as a Python int, so in the
-            # labels' own dtype; nonzero()[0] is np.flatnonzero without its ravel
-            first, *rest = (self._key_of_label == self._class_keys.item(c)).nonzero()[0].tolist()
-            mask = self._labels == first
-            for label in rest:
-                mask |= self._labels == label
+            # the label compares as a Python int, so in the labels' own dtype;
+            # nonzero()[0] is np.flatnonzero without its ravel
+            mask = self._labels == self._class_labels.item(c)
             mask[self.targets] = False
             members = self._members[c] = mask.nonzero()[0]
         return members

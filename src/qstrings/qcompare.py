@@ -3,17 +3,19 @@
 The search comparator runs threshold-descent minimum finding over the
 ranks of the pairs (1 - [u_a != v_a], a), so the minimum key names the
 first differing position; a sentinel threshold above every real rank
-encodes "no differing position found yet".  The binary-search
-comparator builds no search state: it hashes only the prefixes it
-probes, each to an int residue fetched at ceil(log2 k) access units,
-and locates the first hash-unequal one with exactly ceil(log2 k)
-rho-fold quantum equality tests.  A probe's residue is spliced from the
-residue at the bracket's low end lo, h(x[1..mid]) = h(x[1..lo]) +
-2^lo * h(x[lo+1..mid]) mod p, so it reduces only the bits its bracket
-adds: about k per string over a run, where a prefix reduced from
-scratch costs up to k bits per probe.  Both read the symbol pair at the
-candidate position, at the same access cost, to settle the verdict.
-Length cases are decided classically in both.
+encodes "no differing position found yet"; no step reads a symbol, so
+both backends search the index register alone.  The binary-search
+comparator hashes only the prefixes it probes, each to an int residue
+fetched at ceil(log2 k) access units, and finds the first hash-unequal
+one with exactly ceil(log2 k) rho-fold quantum equality tests: sampled
+in closed form on the structured backend, which builds no search state,
+and run as the reference statevector search on the dense one.  A
+probe's residue is spliced from the residue at the bracket's low end
+lo, h(x[1..mid]) = h(x[1..lo]) + 2^lo * h(x[lo+1..mid]) mod p, so it
+reduces only the bits its bracket adds: about k per string over a run,
+where a prefix reduced from scratch costs up to k bits per probe.  Both
+read the symbol pair at the candidate position, at the same access
+cost, to settle the verdict.  Length cases are decided classically in both.
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ def _length_verdict(u: BitString, v: BitString) -> int:
 
 
 def build_compare_state(u: BitString, v: BitString) -> StructuredState:
-    """The validated template of every dense compare_grover search state
-    and of the crosscheck's: positions a < k = min(|u|, |v|) with the
-    symbol pair (u_a, v_a) bound.  Padding entries bind equal zeros, so a
-    padded index can never look like a differing position."""
+    """The crosscheck's validated template, which no run builds: positions
+    a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
+    entries bind equal zeros, so a padded index can never look like a
+    differing position."""
     k = min(len(u), len(v))
     u_bits = np.zeros(padded_size(k), dtype=np.int64)
     v_bits = np.zeros(padded_size(k), dtype=np.int64)
@@ -119,11 +121,8 @@ def compare_grover(
     if k == 0:
         return CompareResult(_length_verdict(u, v), None, 0, 0, 0, (), ledger)
     ledger.qubits_total = qubit_count_compare_grover(k)
-    if backend is StructuredState:
-        # a structured run reads no bindings: only the index register
-        template = StructuredState(search_layout(k), k)
-    else:
-        template = build_compare_state(u, v)
+    # no step, oracle or measurement reads a symbol: only the index register
+    template = StructuredState(search_layout(k), k)
     differs = u.array[:k] != v.array[:k]
     # rank of the pair (1 - [u_a != v_a], a): differing positions first,
     # each group in position order; 2k lies above every rank

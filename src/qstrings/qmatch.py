@@ -117,6 +117,7 @@ def hash_equality_eval(
     charge(ledger, "inner_grover_iterations", rho * evaluation.inner_iterations)
     charge(ledger, "hash_eval_units", rho * evaluation.gate_units)
     diff = reference ^ candidate
+    # the one backend fork: the dense branch is the reference the closed form is checked against
     if backend is StructuredState:
         t = diff.bit_count()
         if t == 0:

@@ -36,12 +36,13 @@ Dense diffusion acts on the index register only (identity elsewhere),
 so algorithms that keep data registers entangled with the index must
 unbind the data (XOR the binding out), diffuse, and rebind; the
 structured backend gets the same effect for free.  DenseSearchState
-does that bookkeeping.  The two search-state classes share one
-interface, and algorithm code takes the backend as a class:
-`backend(layout, domain_size, bindings)` builds a fresh uniform search
-state, and `backend.like(template)` one over the layout and bindings of
-a structured template validated once; it reads none of the template's
-amplitudes, so every search state starts uniform on both backends.
+does that bookkeeping.  Algorithm code takes the backend as a class
+and asks which it holds only in the hash-equality test, whose dense
+branch is the reference statevector search: `backend(layout,
+domain_size, bindings)` builds a fresh uniform search state, and
+`backend.like(template)` one over the layout and bindings of a
+structured template, the one validated carrier both backends read,
+never its amplitudes, so every search state starts uniform.
 
 A register layout is an ordered map from register name to width, such
 as `RegisterLayout(idx=3, whash=5)`.  `search_layout(domain_size,
@@ -667,7 +668,7 @@ class DenseSearchState:
 
     @classmethod
     def like(cls, template: StructuredState) -> "DenseSearchState":
-        """A fresh uniform state over the layout and bindings of `template`."""
+        """A fresh uniform state over `template`'s layout and bindings, then the flag."""
         return cls(template.layout, template.domain_size, template.bindings)
 
     @property

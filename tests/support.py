@@ -134,19 +134,18 @@ def measure_index_reference(state: StructuredState, rng) -> int:
 def oracle_classes_reference(
     truth: np.ndarray, labels: np.ndarray, errors: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A per-index class key and OracleSpec's class fields (_class_keys,
-    _sizes, _class_errors) by one n-wide mask: every index keyed by its
-    error's rank among the distinct errors, then every target and every
-    zero-error index re-keyed to their count.  Class c's members are the
-    indices whose key is _class_keys[c]."""
-    values, rank = np.unique(np.asarray(errors, dtype=float), return_inverse=True)
-    rank = rank.astype(np.min_scalar_type(values.size))
-    first_positive = int(values[0] == 0)  # a zero error has rank 0
-    key = rank.take(labels)
-    key[truth | (key < first_positive)] = values.size
-    counts = np.bincount(key, minlength=values.size + 1)[:-1]
-    used = counts > 0
-    return key, np.flatnonzero(used), counts[used], values[used]
+    """A per-index class key and OracleSpec's class fields (_class_labels,
+    _sizes, _class_errors) by one n-wide mask: every non-target of positive
+    error keyed by its label, every other index by -1, and one class per
+    label that keys an index, in ascending error with ties by label.
+    Class c's members are the indices whose key is _class_labels[c]."""
+    table = np.asarray(errors, dtype=float)
+    key = labels.astype(np.intp)
+    key[truth | (table[labels] == 0)] = -1
+    ranked = sorted(set(key[key >= 0].tolist()), key=lambda label: (errors[label], label))
+    class_labels = np.array(ranked, dtype=np.intp)
+    sizes = np.array([np.count_nonzero(key == label) for label in ranked], dtype=np.intp)
+    return key, class_labels, sizes, table[class_labels]
 
 
 def hash_equality_eval_reference(

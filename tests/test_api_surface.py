@@ -6,6 +6,10 @@ method of its classes, must be used as code somewhere in `src/`,
 imported, or named in one of the tracer's patch points.  A word in a
 docstring, a comment or a string label does not count.  A name only
 tests reach belongs in `tests/`, or nowhere.
+
+Algorithm code takes the backend as a class and does not ask which one
+it holds: no comparison in the seam modules names a backend class, but
+for the one fork where the backends differ in their draws.
 """
 
 import ast
@@ -97,3 +101,64 @@ def test_a_name_only_its_definition_mentions_is_flagged(tmp_path):
         'LABEL = "orphan_method"\n'
     )
     assert unused_names(tmp_path) == ["documented", "orphan", "orphan_method"]
+
+
+SEAM_MODULES = ("qmatch", "qcompare", "cli", "grover", "resources")
+BACKEND_CLASSES = {"StructuredState", "DenseSearchState"}
+# the closed-form sampler against the reference statevector search
+BACKEND_FORKS = ["qmatch.hash_equality_eval"]
+
+
+def _names_a_backend(node: ast.expr) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id in BACKEND_CLASSES)
+        or (isinstance(n, ast.Attribute) and n.attr in BACKEND_CLASSES)
+        for n in ast.walk(node)
+    )
+
+
+def backend_comparisons(tree: ast.Module, module: str) -> list[str]:
+    """The enclosing definition of each `is`, `is not`, `==` or `!=`
+    comparison in `tree` with an operand naming a backend class."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif (isinstance(child, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                            for op in child.ops)
+                    and any(map(_names_a_backend, [child.left, *child.comparators]))):
+                found.append(where)
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_equality_test_asks_which_backend_it_holds():
+    found = [
+        where
+        for module in SEAM_MODULES
+        for where in backend_comparisons(
+            ast.parse((ROOT / "src" / "qstrings" / f"{module}.py").read_text()), module)
+    ]
+    assert found == BACKEND_FORKS
+
+
+def test_a_backend_comparison_is_flagged_in_every_form():
+    tree = ast.parse(
+        "def a(backend):\n"
+        "    return backend is StructuredState\n"
+        "def b(backend):\n"
+        "    return sim.DenseSearchState is not backend\n"
+        "class C:\n"
+        "    def c(self, backend):\n"
+        "        return BACKENDS['dense'] == backend or backend != DenseSearchState\n"
+        "def d(backend, state):\n"
+        "    return isinstance(state, StructuredState) or backend in (DenseSearchState,)\n"
+        "X = type(x) == StructuredState\n"
+    )
+    assert backend_comparisons(tree, "m") == ["m.a", "m.b", "m.C.c", "m"]

@@ -257,42 +257,46 @@ def test_bounded_error_success_close_to_exact():
 
 def test_query_pattern_marks_each_index_at_its_amplified_error():
     # mixed per-index errors: zeros, classes of several sizes, an error
-    # above 1/2, and targets with and without evaluation error
-    errors = np.array([0.0, 0.3, 0.05, 0.6])
+    # above 1/2, and targets with and without evaluation error; in the
+    # second table labels 1 and 3 share an error, so equal errors split
     labels = np.array([0, 1, 1, 2, 3, 1, 0, 2, 1, 1, 3, 1, 2, 0, 2, 3])
     truth = np.zeros(16, dtype=bool)
     truth[[2, 9, 13]] = True
     rho, queries = 3, 100_000
-    oracle = OracleSpec(16, truth, error_classes=(labels, errors))
-    # a wrong mark needs all rho evaluations to miss; a target is never missed
-    wrong = np.where(truth, 0.0, errors[labels] ** rho)
-    expected = np.where(truth, 1.0, wrong)
-    rng = np.random.default_rng(2024)
-    marked = [oracle.query_pattern(rng, rho) for _ in range(queries)]
-    for m in marked[:2000]:
-        assert m.dtype == np.int64 and np.all(np.diff(m) > 0)
-    counts = np.bincount(np.concatenate(marked), minlength=16)
-    sigma = np.sqrt(expected * (1 - expected) / queries)
-    assert np.all(np.abs(counts / queries - expected) <= 4 * sigma)
-    assert counts[0] == counts[6] == 0  # zero-error non-targets are never marked
-    assert counts[13] == queries  # a zero-error target is always marked
-    # the marked-set size is a sum of independent Bernoulli(expected) terms
-    sizes = np.array([m.size for m in marked])
-    var = float(np.sum(expected * (1 - expected)))
-    kappa4 = float(np.sum(expected * (1 - expected) * (1 - 6 * expected * (1 - expected))))
-    assert abs(sizes.mean() - expected.sum()) <= 4 * math.sqrt(var / queries)
-    assert abs(sizes.var() - var) <= 4 * math.sqrt((kappa4 + 2 * var**2) / queries)
+    for errors, classes in ((np.array([0.0, 0.3, 0.05, 0.6]), [2, 1, 3]),
+                            (np.array([0.0, 0.3, 0.6, 0.3]), [1, 3, 2])):
+        oracle = OracleSpec(16, truth, error_classes=(labels, errors))
+        assert oracle._class_labels.tolist() == classes
+        # a wrong mark needs all rho evaluations to miss; a target is never missed
+        wrong = np.where(truth, 0.0, errors[labels] ** rho)
+        expected = np.where(truth, 1.0, wrong)
+        rng = np.random.default_rng(2024)
+        marked = [oracle.query_pattern(rng, rho) for _ in range(queries)]
+        for m in marked[:2000]:
+            assert m.dtype == np.int64 and np.all(np.diff(m) > 0)
+        counts = np.bincount(np.concatenate(marked), minlength=16)
+        sigma = np.sqrt(expected * (1 - expected) / queries)
+        assert np.all(np.abs(counts / queries - expected) <= 4 * sigma)
+        assert counts[0] == counts[6] == 0  # zero-error non-targets are never marked
+        assert counts[13] == queries  # a zero-error target is always marked
+        # the marked-set size is a sum of independent Bernoulli(expected) terms
+        sizes = np.array([m.size for m in marked])
+        var = float(np.sum(expected * (1 - expected)))
+        kappa4 = float(np.sum(expected * (1 - expected) * (1 - 6 * expected * (1 - expected))))
+        assert abs(sizes.mean() - expected.sum()) <= 4 * math.sqrt(var / queries)
+        assert abs(sizes.var() - var) <= 4 * math.sqrt((kappa4 + 2 * var**2) / queries)
 
 
-def _reference_classes(truth, probs):
-    """Error classes grouped from per-index evaluation errors, as OracleSpec
-    built them when it took one error per index: non-targets with a
-    positive error, one class per distinct error in ascending order,
-    members in index order."""
-    index = np.flatnonzero((probs > 0) & ~truth)
-    errors, inverse, counts = np.unique(probs[index], return_inverse=True, return_counts=True)
-    members = index[np.argsort(inverse, kind="stable")]
-    return members, np.cumsum(counts) - counts, counts, errors
+def _reference_classes(truth, labels, table):
+    """Error classes grouped per index: non-targets with a positive error,
+    one class per label, in ascending error with ties by label, members
+    in index order."""
+    index = np.flatnonzero((table[labels] > 0) & ~truth)
+    ranked = sorted(set(labels[index].tolist()), key=lambda label: (table[label], label))
+    listed = [index[labels[index] == label] for label in ranked]
+    counts = np.array([m.size for m in listed], dtype=np.int64)
+    members = np.concatenate([np.empty(0, dtype=np.int64), *listed])
+    return members, np.cumsum(counts) - counts, counts, table[ranked]
 
 
 def _error_class_cases():
@@ -315,7 +319,7 @@ def _error_class_cases():
 @pytest.mark.parametrize("table, labels, truth", list(_error_class_cases()))
 def test_error_classes_match_per_index_grouping(table, labels, truth):
     oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
-    members, starts, sizes, errors = _reference_classes(truth, table[labels])
+    members, starts, sizes, errors = _reference_classes(truth, labels, table)
     assert not oracle._members  # no class is listed before a query flips it
     listed = [oracle._class_members(c) for c in range(oracle._sizes.size)]
     assert all(oracle._class_members(c) is m for c, m in enumerate(listed))
@@ -337,7 +341,7 @@ class _ComparedLabels(np.ndarray):
 
 @pytest.mark.parametrize("table, labels, truth", list(_error_class_cases())[:2])
 def test_class_listing_compares_in_the_keys_dtype(table, labels, truth):
-    # a class is keyed by its labels: an int64 label casts all n uint8
+    # a class is its one label: an int64 label casts all n uint8
     # labels to int64 on every listing; the cast is buffered, so no memory
     # peak shows it
     oracle = OracleSpec(truth.size, truth, error_classes=(labels, table))
@@ -347,9 +351,8 @@ def test_class_listing_compares_in_the_keys_dtype(table, labels, truth):
     oracle._labels = compared
     classes = oracle._sizes.size
     listed = [oracle._class_members(c) for c in range(classes)]
-    # one comparison per label of each listed class
-    compares = int(np.isin(table, oracle._class_errors).sum())
-    assert classes and compared.result_types == [labels.dtype] * compares
+    # one comparison per listed class, with its one label
+    assert classes and compared.result_types == [labels.dtype] * classes
     assert sum(m.size for m in listed) == oracle._sizes.sum()
 
 
@@ -357,11 +360,11 @@ def _assert_classes_are_the_reference(oracle, truth, labels, errors):
     # the n-wide mask reference stays the oracle: its per-index key gives
     # each class's members
     key, *fields = oracle_classes_reference(truth, labels, errors)
-    got = (oracle._class_keys, oracle._sizes, oracle._class_errors)
+    got = (oracle._class_labels, oracle._sizes, oracle._class_errors)
     for field, want in zip(got, fields):
         assert field.dtype == want.dtype and np.array_equal(field, want)
-    for c, class_key in enumerate(oracle._class_keys.tolist()):
-        assert np.array_equal(oracle._class_members(c), np.flatnonzero(key == class_key))
+    for c, label in enumerate(oracle._class_labels.tolist()):
+        assert np.array_equal(oracle._class_members(c), np.flatnonzero(key == label))
 
 
 @settings(max_examples=150)
@@ -372,7 +375,7 @@ def _assert_classes_are_the_reference(oracle, truth, labels, errors):
     st.integers(0, 2**32 - 1),
 )
 def test_oracle_class_key_matches_the_mask_reference(domain, errors, dtype, seed):
-    # duplicated errors share a class, zero errors are never wrongly marked,
+    # duplicated errors split by label, zero errors are never wrongly marked,
     # targets land in positive-error labels, and padding carries labels too
     rng = np.random.default_rng(seed)
     padded = padded_size(domain)

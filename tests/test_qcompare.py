@@ -22,7 +22,7 @@ from qstrings.resources import (
     qubit_count_compare_bsearch,
     qubit_count_compare_grover,
 )
-from qstrings.sim import DenseSearchState, StructuredState
+from qstrings.sim import DenseSearchState, StructuredState, search_layout
 from qstrings.strings_core import BitString, compare_classical
 from support import binds
 
@@ -393,25 +393,31 @@ def test_compare_grover_dense_and_structured_runs_agree():
         assert run(u, v, trial, StructuredState) == run(u, v, trial, DenseSearchState), (str(u), str(v))
 
 
-def test_compare_grover_binds_the_symbols_only_for_the_dense_backend(monkeypatch):
-    # a structured run reads no bindings, so it starts from an unbound template
-    built = []
-    real = qcompare.build_compare_state
+def test_compare_grover_copies_hold_the_index_register_alone(monkeypatch):
+    # no step, oracle or measurement reads a symbol, so neither backend
+    # builds the bound template, and a dense copy is the index plus its flag
+    layouts = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a structured compare_grover built the bound template")
+        raise AssertionError("a compare_grover run built the bound template")
 
-    def counted(u, v):
-        built.append((str(u), str(v)))
-        return real(u, v)
+    class RecordedDense(DenseSearchState):
+        @classmethod
+        def like(cls, template):
+            copy = super().like(template)
+            layouts.append(list(copy.state.layout.widths.items()))
+            return copy
 
+    monkeypatch.setattr(qcompare, "build_compare_state", refuse)
     pairs = [("0110", "0100"), ("100110", "100110"), ("0111", "011")]
-    for backend, build in ((StructuredState, refuse), (DenseSearchState, counted)):
-        monkeypatch.setattr(qcompare, "build_compare_state", build)
+    for backend in (StructuredState, RecordedDense):
         for trial, (u_text, v_text) in enumerate(pairs):
             u, v = BitString.from_text(u_text), BitString.from_text(v_text)
             compare_grover(u, v, np.random.default_rng((181, trial)), backend=backend)
-    assert built == pairs
+            want = [*search_layout(min(len(u), len(v))).widths.items(), ("xi", 1)]
+            if backend is RecordedDense:  # at least one copy per run
+                assert layouts and layouts == [want] * len(layouts)
+            layouts.clear()
 
 
 def test_empty_string_edge():

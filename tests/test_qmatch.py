@@ -49,6 +49,23 @@ def test_miss_table_endpoints():
     assert table[4] == pytest.approx(0.0, abs=1e-12)  # all bits differ
 
 
+def test_miss_tables_give_one_class_per_positive_error_label():
+    # no two differing-bit counts share a positive miss probability in any
+    # table up to the 64 bit positions of a 39-bit modulus, so one error
+    # class per label is one class per distinct error, as the draws assume
+    for bit_domain in range(1, 65):
+        positive = [miss for miss in miss_probability_table(bit_domain) if miss > 0]
+        assert len(set(positive)) == len(positive), bit_domain
+    rng = np.random.default_rng(64)
+    for bit_domain in range(2, 65, 2):
+        miss = miss_probability_table(bit_domain)
+        labels = rng.integers(0, bit_domain + 1, 512).astype(np.uint8)
+        oracle = grover.OracleSpec(512, labels == 0, error_classes=(labels, miss))
+        present = {t for t in labels.tolist() if t and miss[t] > 0}
+        assert sorted(oracle._class_labels.tolist()) == sorted(present), bit_domain
+        assert np.all(np.diff(oracle._class_errors) > 0), bit_domain
+
+
 @pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
 def test_equal_hashes_always_judged_equal(backend):
     rng = np.random.default_rng(0)
@@ -197,7 +214,7 @@ def test_oracle_build_and_search_stay_under_their_memory_baselines():
 
 def _oracle_fields(oracle):
     classes = range(oracle._sizes.size)
-    return [oracle.truth, oracle.targets, oracle._labels, oracle._class_keys, oracle._sizes,
+    return [oracle.truth, oracle.targets, oracle._labels, oracle._class_labels, oracle._sizes,
             oracle._class_errors, *(oracle._class_members(c) for c in classes)]
 
 
@@ -309,7 +326,7 @@ def test_copies_of_one_spec_evolve_independently():
 
 def test_oracles_over_one_bit_domain_rank_their_errors_once():
     # moduli 7 and 5 both have 3-bit residues, so one miss table
-    grover._ranked_errors.cache_clear()
+    grover._ranked_labels.cache_clear()
     specs = [
         prepare_match_state(MatchInstance(BitString.from_text("0110100"),
                                           BitString.from_text("101")),
@@ -320,7 +337,7 @@ def test_oracles_over_one_bit_domain_rank_their_errors_once():
     ]
     for spec in specs:
         spec.oracle()
-    info = grover._ranked_errors.cache_info()
+    info = grover._ranked_labels.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
