@@ -16,7 +16,8 @@ interpreter of the tree, and gives the median wall time of five untraced
 calls, with the five times, and the tracemalloc peak of one more call of
 `prepare_match_state`, `MatchStateSpec.oracle` and `match_search`.  It writes one JSON file:
 the git revision, a digest of the sources under `src/`, the line count
-of each `src/qstrings/*.py` module and their total, the machine (cores,
+of each `src/qstrings/*.py` module and their total, the line totals of
+the Python files under `tests/` and `perfbench/`, the machine (cores,
 CPU, Python, numpy, sympy), every metric each run printed, per seed the
 four workloads' result digests, the scale section, and the Tier-1
 summary line and wall time.  End-to-end metrics are the median over the
@@ -27,7 +28,8 @@ probe (`perfbench/worker.py`), run just before and just after the suite.
 
 `--compare A B` prints each metric of A and B with B's change relative
 to A, the source line total and each module whose count changed as
-A -> B ("n/a" for a record without line counts), each scale stage's
+A -> B, then the `tests/` and `perfbench/` line totals, each total with
+its change ("n/a" for a record without that count), each scale stage's
 median time, with the range of its five times, and peak as A -> B, and
 a loud DIGEST
 CHANGED line for every workload and seed whose result digest differs;
@@ -306,11 +308,22 @@ def report_uncommitted(root: Path) -> None:
               file=sys.stderr)
 
 
+LINE_TREES = ("tests", "perfbench")
+
+
+def _line_count(path: Path) -> int:
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
 def source_lines(root: Path) -> dict:
-    """Line count of each program module and their total."""
-    modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+    """Line count of each program module and their total, and the line
+    total of the Python files under each of LINE_TREES."""
+    modules = {path.name: _line_count(path)
                for path in sorted((root / "src" / "qstrings").glob("*.py"))}
-    return {"total": sum(modules.values()), "modules": modules}
+    counts = {"total": sum(modules.values()), "modules": modules}
+    for tree in LINE_TREES:
+        counts[tree] = sum(map(_line_count, (root / tree).rglob("*.py")))
+    return counts
 
 
 def _version(package: str) -> str | None:
@@ -571,17 +584,24 @@ def _source_check(side: str, r: dict) -> list[str]:
     return []
 
 
+def _line_total(name: str, a: int | None, b: int | None) -> str:
+    """One line total A -> B, with its change when both records have it."""
+    if a is None or b is None:
+        return f"{name} lines: {'n/a' if a is None else a} -> {'n/a' if b is None else b}"
+    return f"{name} lines: {a} -> {b} ({b - a:+d})"
+
+
 def _source_line_report(la: dict | None, lb: dict | None) -> list[str]:
-    """The source line totals, then each module whose count changed."""
-    if la is None or lb is None:
-        total = ["n/a" if side is None else side["total"] for side in (la, lb)]
-        return [f"src lines: {total[0]} -> {total[1]}"]
-    lines = [f"src lines: {la['total']} -> {lb['total']} ({lb['total'] - la['total']:+d})"]
-    for name in sorted(set(la["modules"]) | set(lb["modules"])):
-        ma, mb = (side["modules"].get(name, "absent") for side in (la, lb))
-        if ma != mb:
-            lines.append(f"  {name:<20} {ma} -> {mb}")
-    return lines
+    """The source line totals, each module whose count changed, then the
+    line totals of LINE_TREES."""
+    la, lb = la or {}, lb or {}
+    lines = [_line_total("src", la.get("total"), lb.get("total"))]
+    if la and lb:
+        for name in sorted(set(la["modules"]) | set(lb["modules"])):
+            ma, mb = (side["modules"].get(name, "absent") for side in (la, lb))
+            if ma != mb:
+                lines.append(f"  {name:<20} {ma} -> {mb}")
+    return lines + [_line_total(tree, la.get(tree), lb.get(tree)) for tree in LINE_TREES]
 
 
 def _scale_cell(stage: dict | None) -> str:

@@ -26,16 +26,9 @@ from .grover import (
     bbht_search,
     doubling_schedule,
     grover_run,
-    optimal_iterations,
     success_probability,
 )
-from .resources import (
-    ResourceLedger,
-    charge,
-    index_width,
-    qubit_count_match,
-    qubit_count_match_unique,
-)
+from .resources import ResourceLedger, charge, index_width, qubit_count_match
 from .sim import SearchState, StructuredState, padded_size, search_layout
 from .strings_core import BitString, MatchInstance
 
@@ -247,19 +240,19 @@ class MatchResult:
         return self.position is not None
 
 
-def _search(
+def match_search(
     inst: MatchInstance,
     params: HashParams,
     rng: np.random.Generator,
-    backend: type[SearchState],
-    schedule: list[int],
-    qubits: int,
+    backend: type[SearchState] = StructuredState,
 ) -> MatchResult:
-    """One fresh state copy and one Grover run per schedule entry; the
-    first measured index that passes the exact window comparison wins,
-    so a non-None position is always a true occurrence."""
+    """Doubling-schedule search handling any number of occurrences, with
+    at most one state copy per index-register bit: one fresh copy and one
+    Grover run per schedule entry.  The first measured index that passes
+    the exact window comparison wins, so a non-None position is always a
+    true occurrence."""
     ledger = ResourceLedger()
-    ledger.qubits_total = qubits
+    ledger.qubits_total = qubit_count_match(inst.n, inst.m, params.epsilon, p=params.p)
     if inst.num_windows == 1:
         # Single-window instance: the search domain has one element, so the
         # quantum search degenerates to verifying window 1 directly.
@@ -267,7 +260,8 @@ def _search(
         return MatchResult(1 if ok else None, 0, ok, 1, ledger)
     spec = prepare_match_state(inst, params)
     oracle = spec.oracle()
-    for rep, iterations in enumerate(schedule):
+    copies = index_width(inst.num_windows)
+    for rep, iterations in enumerate(doubling_schedule(inst.num_windows)[:copies]):
         outcome = grover_run(spec.make_copy(backend), oracle, iterations, rng, ledger)
         # the oracle's truth is the hash verdict, never true on padding
         measured, hash_ok = outcome.found_index, outcome.verified
@@ -282,32 +276,6 @@ def _search(
         copies_used=rep + 1,
         ledger=ledger,
     )
-
-
-def match_unique(
-    inst: MatchInstance,
-    params: HashParams,
-    rng: np.random.Generator,
-    backend: type[SearchState] = StructuredState,
-) -> MatchResult:
-    """Single fixed-length search, calibrated for exactly one occurrence."""
-    schedule = [optimal_iterations(padded_size(inst.num_windows), 1)]
-    qubits = qubit_count_match_unique(inst.n, inst.m, params.epsilon, p=params.p)
-    return _search(inst, params, rng, backend, schedule, qubits)
-
-
-def match_search(
-    inst: MatchInstance,
-    params: HashParams,
-    rng: np.random.Generator,
-    backend: type[SearchState] = StructuredState,
-) -> MatchResult:
-    """Doubling-schedule search handling any number of occurrences, with
-    one state copy per index-register bit."""
-    copies = max(1, index_width(inst.num_windows))
-    schedule = doubling_schedule(inst.num_windows)[:copies]
-    qubits = qubit_count_match(inst.n, inst.m, params.epsilon, p=params.p)
-    return _search(inst, params, rng, backend, schedule, qubits)
 
 
 def random_single_occurrence(

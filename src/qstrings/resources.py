@@ -142,16 +142,6 @@ def qubit_count_match(n: int, m: int, epsilon: float, p: int | None = None) -> i
     return lp + copies * (ln + lp) + ANCILLA_MATCH
 
 
-def qubit_count_match_unique(n: int, m: int, epsilon: float, p: int | None = None) -> int:
-    """Qubit count of a single-copy matching run: one index register plus
-    the window-hash and pattern-hash registers and the ancilla allowance."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    num_windows = n - m + 1
-    lp = _hash_register_width(num_windows, m, epsilon, p)
-    return index_width(num_windows) + 2 * lp + ANCILLA_MATCH
-
-
 def qubit_count_compare_bsearch(k: int, epsilon: float, p: int | None = None) -> int:
     """Exact qubit count of the prefix-hash binary-search comparator layout."""
     if k < 1:

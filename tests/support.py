@@ -1,9 +1,10 @@
-"""Helpers only the tests use: a scalar reference hash, a per-query
-reference Grover run, a reference structured measurement, a reference
-oracle class key, a reference structured equality test, a classical
-prefix-hash comparator, a collision-rate Monte Carlo, a multi-occurrence
-instance generator, either backend's index marginal, the tables
-either backend binds and a copy of an evolved structured state."""
+"""Helpers only the tests use: the single-copy match search, a scalar
+reference hash, a per-query reference Grover run, a reference structured
+measurement, a reference oracle class key, a reference structured
+equality test, a classical prefix-hash comparator, a collision-rate Monte
+Carlo, a multi-occurrence instance generator, either backend's index
+marginal, the tables either backend binds and a copy of an evolved
+structured state."""
 
 from __future__ import annotations
 
@@ -12,12 +13,40 @@ import math
 import numpy as np
 
 from qstrings.fingerprint import HashParams, choose_prime, prefix_hashes, rolling_hash
-from qstrings.grover import GroverOutcome, OracleSpec, amplification, charge_iterations
-from qstrings.qmatch import hit_probabilities
+from qstrings.grover import (
+    GroverOutcome,
+    OracleSpec,
+    amplification,
+    charge_iterations,
+    grover_run,
+    optimal_iterations,
+)
+from qstrings.qmatch import MatchResult, hit_probabilities, match_search, prepare_match_state
 from qstrings.resources import ResourceLedger
 from qstrings import sim
 from qstrings.sim import SearchState, StructuredState, padded_size
 from qstrings.strings_core import BitString, MatchInstance, compare_classical, naive_match_all
+
+
+def match_unique(
+    inst: MatchInstance,
+    params: HashParams,
+    rng: np.random.Generator,
+    backend: type[SearchState] = StructuredState,
+) -> MatchResult:
+    """The match search calibrated for exactly one occurrence: one state
+    copy and one Grover run of the one-target optimal count, then the
+    exact window comparison.  A one-window instance is `match_search`'s
+    degenerate case, which takes one copy and no run."""
+    if inst.num_windows == 1:
+        return match_search(inst, params, rng, backend)
+    spec = prepare_match_state(inst, params)
+    iterations = optimal_iterations(padded_size(inst.num_windows), 1)
+    ledger = ResourceLedger()
+    outcome = grover_run(spec.make_copy(backend), spec.oracle(), iterations, rng, ledger)
+    measured, hash_ok = outcome.found_index, outcome.verified
+    exact_ok = hash_ok and inst.window(measured + 1).bits == inst.pattern.bits
+    return MatchResult(measured + 1 if exact_ok else None, measured, hash_ok, 1, ledger)
 
 
 def index_probabilities(search: SearchState) -> np.ndarray:

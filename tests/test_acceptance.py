@@ -32,7 +32,7 @@ from qstrings.sim import (
     StructuredState,
 )
 from qstrings.strings_core import BitString, compare_classical
-from support import monte_carlo_collision_rate, random_multi_occurrence
+from support import match_unique, monte_carlo_collision_rate, random_multi_occurrence
 
 
 def _check(criterion: str, condition: bool, detail: str) -> None:
@@ -103,7 +103,7 @@ def test_criterion_3_matching_success_bound():
         rng = np.random.default_rng((2026, trial))
         inst, d = qmatch.random_single_occurrence(32, 4, rng)
         params = qmatch.match_params(inst, 0.1, rng)
-        result = qmatch.match_unique(inst, params, rng, backend=StructuredState)
+        result = match_unique(inst, params, rng, backend=StructuredState)
         pre_hits += int(result.measured_index == d - 1)
         if result.position is not None and result.position != d:
             unsound += 1

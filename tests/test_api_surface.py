@@ -17,10 +17,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "perfbench", "bench")
-# Criterion-3 API: the acceptance suite runs the unique-occurrence search
-# through match_unique; criterion 8 fits its slopes with fit_loglog_slope,
-# and the sweep's slope summary will.
-ALLOWED = {"fit_loglog_slope", "match_unique"}
+# Criterion 8 fits its slopes with fit_loglog_slope, and the sweep's slope
+# summary will.
+ALLOWED = {"fit_loglog_slope"}
 
 
 def _defined_names(tree: ast.Module) -> list[str]:

@@ -132,23 +132,40 @@ def test_record_counts_source_lines_and_compare_prints_the_change(tmp_path):
     (module_dir / "sim.py").write_text("a = 1\nb = 2\nc = 3\n")
     (module_dir / "cli.py").write_text("x = 1\n")
     (tmp_path / "src" / "notes.txt").write_text("not a module\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_sim.py").write_text("def test():\n    pass\n")
+    (tmp_path / "tests" / "golden.txt").write_text("not counted\n")
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    (tmp_path / "perfbench" / "run.py").write_text("r = 1\n")
     before = record.source_lines(tmp_path)
-    assert before == {"total": 4, "modules": {"cli.py": 1, "sim.py": 3}}
+    assert before == {"total": 4, "modules": {"cli.py": 1, "sim.py": 3},
+                      "tests": 2, "perfbench": 1}
     (module_dir / "sim.py").write_text("a = 1\n")
     (module_dir / "trace.py").write_text("t = 1\nu = 2\n")
+    # a line moved from src/ into tests/, in a nested directory too
+    (tmp_path / "tests" / "support.py").write_text("a = 1\n")
+    (tmp_path / "perfbench" / "out" / "probe.py").write_text("p = 1\nq = 2\n")
     after = record.source_lines(tmp_path)
-    assert after["total"] == 4
+    assert (after["total"], after["tests"], after["perfbench"]) == (4, 3, 3)
     blank = {"metrics": {}, "digests": {}, "tier1": {}}
     lines = record.compare({**blank, "src_lines": before}, {**blank, "src_lines": after})[0]
     start = next(i for i, line in enumerate(lines) if line.startswith("src lines:"))
-    assert lines[start:start + 3] == [
+    assert lines[start:start + 5] == [
         "src lines: 4 -> 4 (+0)",
         "  sim.py               3 -> 1",
         "  trace.py             absent -> 2",
+        "tests lines: 2 -> 3 (+1)",
+        "perfbench lines: 1 -> 3 (+2)",
     ]
     old = record.compare(blank, {**blank, "src_lines": after})[0]
-    assert "src lines: n/a -> 4" in old
-    assert "src lines: n/a -> n/a" in record.compare(blank, blank)[0]
+    assert {"src lines: n/a -> 4", "tests lines: n/a -> 3", "perfbench lines: n/a -> 3"} <= set(old)
+    # a record from before the tests/ and perfbench/ counts
+    src_only = {"total": 4, "modules": before["modules"]}
+    older = record.compare({**blank, "src_lines": src_only}, {**blank, "src_lines": after})[0]
+    assert {"src lines: 4 -> 4 (+0)", "tests lines: n/a -> 3",
+            "perfbench lines: n/a -> 3"} <= set(older)
+    assert {"src lines: n/a -> n/a", "tests lines: n/a -> n/a",
+            "perfbench lines: n/a -> n/a"} <= set(record.compare(blank, blank)[0])
 
 
 def test_scale_runs_each_size_in_a_fresh_interpreter_and_compare_prints_it(monkeypatch, tmp_path):

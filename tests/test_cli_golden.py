@@ -69,6 +69,14 @@ GOLDEN = [
         "f47d6ef9027e33390b4d066dd32636f6e1c59879f3e9d0758ae5550d03eef3d5",
     ),
     (
+        # three queries flip: the noisy-oracle path, through the error-class order
+        "sweep-match-flips",
+        ["sweep", "--algo", "match", "--grid", "128,256", "--m", "8", "--trials", "4",
+         "--seed", "2"],
+        0,
+        "54eaadc5ef38b164cc7fa06bf2662c2ee292347bd0ad6ef663b1f6c03812caed",
+    ),
+    (
         "sweep-compare-grover-dense",
         ["sweep", "--algo", "compare-grover", "--grid", "4,8", "--trials", "2", "--seed", "5",
          "--mode", "dense"],

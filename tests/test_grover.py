@@ -17,7 +17,7 @@ from qstrings.grover import (
     success_probability,
 )
 from qstrings.qmatch import evaluation_constants, miss_probability_table
-from qstrings.resources import ResourceLedger, charge
+from qstrings.resources import ResourceLedger, charge, index_width
 from qstrings.sim import (
     DenseSearchState,
     RegisterLayout,
@@ -539,6 +539,19 @@ def test_durr_hoyer_phase_cap():
     for _ in range(50):
         found = durr_hoyer_min(values, rng, _dh_factory(16))
         assert found.phases <= 3 * math.ceil(math.log2(16))
+
+
+def test_durr_hoyer_stops_at_its_phase_cap(monkeypatch):
+    # the slowest descent: every phase adopts the largest key below the
+    # threshold, so only the cap of 3 * ceil(log2 M) phases ends the run
+    def slowest(oracle, rng, state_factory, schedule, ledger=None):
+        return grover.GroverOutcome(int(oracle.targets[-1]), True, schedule[0])
+
+    monkeypatch.setattr(grover, "bbht_search", slowest)
+    found = durr_hoyer_min(np.arange(64), np.random.default_rng(0), _dh_factory(64),
+                           initial_key=64)
+    assert found.phases == len(found.adopted) == 3 * index_width(64)
+    assert found.adopted == tuple((phase, 63 - phase) for phase in range(found.phases))
 
 
 def test_durr_hoyer_sentinel_start():

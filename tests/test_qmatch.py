@@ -14,14 +14,13 @@ from qstrings.qmatch import (
     inner_schedule,
     match_params,
     match_search,
-    match_unique,
     miss_probability_table,
     prepare_match_state,
 )
-from qstrings.resources import ResourceLedger, qubit_count_match, qubit_count_match_unique
+from qstrings.resources import ResourceLedger, qubit_count_match
 from qstrings.sim import DenseSearchState, StructuredState, expand_structured, padded_size
 from qstrings.strings_core import BitString, MatchInstance, naive_match_all
-from support import hash_equality_eval_reference, random_multi_occurrence
+from support import hash_equality_eval_reference, match_unique, random_multi_occurrence
 
 
 def _params(p, delta, max_len, epsilon=0.5):
@@ -353,53 +352,34 @@ def test_match_unique_small_monte_carlo():
     assert hits / 500 >= 0.45
 
 
-def test_match_unique_single_window():
-    inst = MatchInstance(BitString.from_text("101"), BitString.from_text("101"))
-    params = _params(7, delta=1, max_len=3)
-    result = match_unique(inst, params, np.random.default_rng(0))
-    assert result.position == 1 and result.exactly_verified
-    # index register is width 0 here, so both layout formulas coincide
-    assert result.ledger.qubits_total == qubit_count_match_unique(3, 3, params.epsilon, p=7)
-    assert result.ledger.qubits_total == qubit_count_match(3, 3, params.epsilon, p=7)
-
-
-def test_match_unique_ledger_qubit_formula():
-    # single-copy run: ceil(log2 N) + 2 ceil(log2 p) + ancillas
-    inst = MatchInstance(BitString.from_text("00101100"), BitString.from_text("011"))
-    params = _params(13, delta=6, max_len=3)
-    result = match_unique(inst, params, np.random.default_rng(2))
-    assert result.ledger.qubits_total == qubit_count_match_unique(8, 3, params.epsilon, p=13)
-    assert result.ledger.qubits_total == 3 + 2 * 4 + 7
-
-
 # (text, pattern, epsilon, seed, (position, measured_index, hash_verified,
 # exactly_verified, copies_used, ledger counters in ResourceLedger.counters()
-# order, qubits_total)), recorded from match_unique before it shared
-# match_search's driver.  Both backends give the same run.
+# order)), recorded from the single-copy search while it was package code;
+# `support.match_unique` reproduces them.  Both backends give the same run.
 MATCH_UNIQUE_RUNS = [
-    ("010000", "00", 0.1, 100, (None, 5, False, False, 1, (6, 2, 60, 0, 240), 26)),
-    ("1110010", "001", 0.5, 101, (4, 3, True, True, 1, (6, 2, 60, 0, 240), 24)),
-    ("00001111", "0", 0.9, 102, (None, 4, False, False, 1, (6, 2, 42, 0, 126), 18)),
-    ("01100001", "000", 0.1, 103, (None, 6, False, False, 1, (6, 2, 60, 0, 240), 26)),
-    ("111000010", "1011", 0.5, 104, (None, 5, False, False, 1, (6, 2, 60, 0, 240), 22)),
-    ("1000110000", "00", 0.9, 105, (8, 7, True, True, 1, (12, 3, 90, 0, 360), 25)),
-    ("1010011001", "10011", 0.1, 106, (3, 2, True, True, 1, (6, 2, 90, 0, 450), 32)),
-    ("00001010000", "100", 0.5, 107, (7, 6, True, True, 1, (12, 3, 90, 0, 360), 27)),
-    ("111100100010", "0000", 0.9, 108, (None, 3, False, False, 1, (12, 3, 42, 0, 84), 13)),
-    ("110101010111", "010101", 0.1, 109, (None, 7, False, False, 1, (6, 2, 90, 0, 450), 32)),
-    ("0010110110101", "11", 0.5, 110, (None, 6, False, False, 1, (12, 3, 90, 0, 360), 23)),
-    ("00011010000101", "000", 0.9, 111, (None, 15, False, False, 1, (12, 3, 90, 0, 360), 25)),
-    ("00010001001110", "0100111", 0.1, 112, (7, 6, True, True, 1, (6, 2, 90, 0, 450), 32)),
-    ("110001100000011", "0000", 0.5, 113, (None, 2, False, False, 1, (12, 3, 90, 0, 360), 23)),
-    ("0000111011100111", "101", 0.9, 114, (7, 6, True, True, 1, (12, 3, 90, 0, 360), 21)),
-    ("1001010001101001", "01001", 0.1, 115, (12, 11, True, True, 1, (12, 3, 180, 0, 900), 33)),
-    ("10000", "01001", 0.5, 116, (None, 0, False, False, 1, (0, 0, 0, 0, 0), 13)),
-    ("000", "111", 0.9, 117, (None, 0, False, False, 1, (0, 0, 0, 0, 0), 9)),
-    ("011111000101", "1", 0.1, 118, (5, 4, True, True, 1, (12, 3, 180, 0, 900), 29)),
-    ("1001011110010000", "00100000", 0.5, 119, (None, 2, False, False, 1, (12, 3, 180, 0, 900), 29)),
+    ("010000", "00", 0.1, 100, (None, 5, False, False, 1, (6, 2, 60, 0, 240))),
+    ("1110010", "001", 0.5, 101, (4, 3, True, True, 1, (6, 2, 60, 0, 240))),
+    ("00001111", "0", 0.9, 102, (None, 4, False, False, 1, (6, 2, 42, 0, 126))),
+    ("01100001", "000", 0.1, 103, (None, 6, False, False, 1, (6, 2, 60, 0, 240))),
+    ("111000010", "1011", 0.5, 104, (None, 5, False, False, 1, (6, 2, 60, 0, 240))),
+    ("1000110000", "00", 0.9, 105, (8, 7, True, True, 1, (12, 3, 90, 0, 360))),
+    ("1010011001", "10011", 0.1, 106, (3, 2, True, True, 1, (6, 2, 90, 0, 450))),
+    ("00001010000", "100", 0.5, 107, (7, 6, True, True, 1, (12, 3, 90, 0, 360))),
+    ("111100100010", "0000", 0.9, 108, (None, 3, False, False, 1, (12, 3, 42, 0, 84))),
+    ("110101010111", "010101", 0.1, 109, (None, 7, False, False, 1, (6, 2, 90, 0, 450))),
+    ("0010110110101", "11", 0.5, 110, (None, 6, False, False, 1, (12, 3, 90, 0, 360))),
+    ("00011010000101", "000", 0.9, 111, (None, 15, False, False, 1, (12, 3, 90, 0, 360))),
+    ("00010001001110", "0100111", 0.1, 112, (7, 6, True, True, 1, (6, 2, 90, 0, 450))),
+    ("110001100000011", "0000", 0.5, 113, (None, 2, False, False, 1, (12, 3, 90, 0, 360))),
+    ("0000111011100111", "101", 0.9, 114, (7, 6, True, True, 1, (12, 3, 90, 0, 360))),
+    ("1001010001101001", "01001", 0.1, 115, (12, 11, True, True, 1, (12, 3, 180, 0, 900))),
+    ("10000", "01001", 0.5, 116, (None, 0, False, False, 1, (0, 0, 0, 0, 0))),
+    ("000", "111", 0.9, 117, (None, 0, False, False, 1, (0, 0, 0, 0, 0))),
+    ("011111000101", "1", 0.1, 118, (5, 4, True, True, 1, (12, 3, 180, 0, 900))),
+    ("1001011110010000", "00100000", 0.5, 119, (None, 2, False, False, 1, (12, 3, 180, 0, 900))),
     # fingerprint collisions: hash-verified, not exactly verified
-    ("1111110000", "00001", 0.9, 224, (None, 4, True, False, 1, (6, 2, 42, 0, 126), 18)),
-    ("010000011", "10011", 0.9, 287, (None, 1, True, False, 1, (6, 2, 28, 0, 56), 12)),
+    ("1111110000", "00001", 0.9, 224, (None, 4, True, False, 1, (6, 2, 42, 0, 126))),
+    ("010000011", "10011", 0.9, 287, (None, 1, True, False, 1, (6, 2, 28, 0, 56))),
 ]
 
 
@@ -417,7 +397,6 @@ def test_match_unique_runs_are_pinned(backend):
             result.exactly_verified,
             result.copies_used,
             tuple(result.ledger.counters().values()),
-            result.ledger.qubits_total,
         )
         assert got == expected, (text, pattern, seed)
 
@@ -427,6 +406,53 @@ def test_match_search_ledger_qubit_formula():
     params = _params(13, delta=6, max_len=3)
     result = match_search(inst, params, np.random.default_rng(2))
     assert result.ledger.qubits_total == qubit_count_match(8, 3, params.epsilon, p=13)
+
+
+def test_match_search_single_window():
+    inst = MatchInstance(BitString.from_text("101"), BitString.from_text("101"))
+    params = _params(7, delta=1, max_len=3)
+    result = match_search(inst, params, np.random.default_rng(0))
+    assert result.position == 1 and result.exactly_verified and result.copies_used == 1
+    assert result.ledger.qubits_total == qubit_count_match(3, 3, params.epsilon, p=7)
+
+
+# (text, pattern, seed, (position, measured_index, hash_verified,
+# exactly_verified, copies_used, ledger counters in ResourceLedger.counters()
+# order, phase_breakdown)) of match_search runs at epsilon 0.9 that end in a
+# fingerprint collision: the last copy's index is hash-verified, not exactly
+# verified.  Both backends give the same run.
+MATCH_SEARCH_COLLISIONS = [
+    ("1100101001100101", "110011", 312,
+     (None, 4, True, False, 3, (28, 7, 140, 0, 420),
+      [("grover_run[1]", (4, 1, 14, 0, 42)), ("grover_run[2]", (8, 2, 42, 0, 126)),
+       ("grover_run[4]", (16, 4, 84, 0, 252))])),
+    ("1011001", "000", 424,
+     (None, 4, True, False, 3, (21, 7, 98, 0, 196),
+      [("grover_run[1]", (3, 1, 14, 0, 28)), ("grover_run[2]", (6, 2, 28, 0, 56)),
+       ("grover_run[4]", (12, 4, 56, 0, 112))])),
+    ("11000010", "01010", 495,
+     (None, 2, True, False, 2, (6, 3, 42, 0, 84),
+      [("grover_run[1]", (2, 1, 14, 0, 28)), ("grover_run[2]", (4, 2, 28, 0, 56))])),
+]
+
+
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState], ids=["structured", "dense"])
+def test_match_search_collision_runs_are_pinned(backend):
+    for text, pattern, seed, expected in MATCH_SEARCH_COLLISIONS:
+        inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
+        rng = np.random.default_rng(seed)
+        params = match_params(inst, 0.9, rng)
+        result = match_search(inst, params, rng, backend=backend)
+        got = (
+            result.position,
+            result.measured_index,
+            result.hash_verified,
+            result.exactly_verified,
+            result.copies_used,
+            tuple(result.ledger.counters().values()),
+            result.ledger.phase_breakdown,
+        )
+        assert got == expected, (text, pattern, seed)
 
 
 def test_match_search_finds_occurrences():
