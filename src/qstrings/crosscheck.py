@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fingerprint import HashParams, universe_size
+from .fingerprint import HashParams
 from .grover import (
     OracleSpec,
     amplification,
@@ -33,6 +33,7 @@ from .sim import (
     expand_structured,
     padded_size,
     project_flag_minus,
+    search_layout,
 )
 from .strings_core import BitString, MatchInstance
 
@@ -72,12 +73,6 @@ class CrosscheckReport:
             f"instances, overall max_dev={self.max_deviation:.3e}"
         )
         return "\n".join(lines)
-
-
-def _small_params(num_comparisons: int, max_len: int, p: int) -> HashParams:
-    epsilon = 0.5
-    r = universe_size(num_comparisons, max_len, epsilon)
-    return HashParams(p=p, epsilon=epsilon, delta=num_comparisons, r=r, max_len=max_len)
 
 
 def _deviation(dense_search, structured) -> tuple[float, int]:
@@ -121,9 +116,8 @@ def _step_battery(
     return InstanceReport(name, max_dev, True)
 
 
-def _match_instance(name, text, pattern, p, schedule, rng) -> InstanceReport:
-    inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
-    params = _small_params(inst.num_windows, inst.m, p)
+def _match_instance(name, inst, p, schedule, rng) -> InstanceReport:
+    params = HashParams(p=p, epsilon=0.5, delta=inst.num_windows, max_len=inst.m)
     spec = prepare_match_state(inst, params)
     oracle = spec.oracle()
     reports = []
@@ -141,8 +135,8 @@ def _match_instance(name, text, pattern, p, schedule, rng) -> InstanceReport:
 def _compare_grover_instance(name, u_text, v_text, rng) -> InstanceReport:
     u = BitString.from_text(u_text)
     v = BitString.from_text(v_text)
-    template = build_compare_state(u, v)
-    k = template.domain_size
+    k = min(len(u), len(v))
+    template = StructuredState(search_layout(k), k)
     truth = np.zeros(template.size, dtype=bool)
     truth[:k] = u.array[:k] != v.array[:k]
     oracle = OracleSpec(k, truth, evaluation_cost=1)
@@ -191,7 +185,7 @@ def run_crosscheck(seed: int) -> CrosscheckReport:
     for name, text, pattern, p in unique_cases:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
         iters = optimal_iterations(padded_size(inst.num_windows), 1)
-        report.instances.append(_match_instance(name, text, pattern, p, [iters], rng))
+        report.instances.append(_match_instance(name, inst, p, [iters], rng))
 
     search_cases = [
         ("match_search n6 m2 p7", "010101", "01", 7),
@@ -202,7 +196,7 @@ def run_crosscheck(seed: int) -> CrosscheckReport:
     for name, text, pattern, p in search_cases:
         inst = MatchInstance(BitString.from_text(text), BitString.from_text(pattern))
         schedule = doubling_schedule(inst.num_windows)
-        report.instances.append(_match_instance(name, text, pattern, p, schedule, rng))
+        report.instances.append(_match_instance(name, inst, p, schedule, rng))
 
     grover_cases = [
         ("compare_grover k4", "1011", "1111"),

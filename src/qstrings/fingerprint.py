@@ -233,16 +233,18 @@ class HashParams:
     p: int
     epsilon: float
     delta: int
-    r: int
     max_len: int
 
     def __post_init__(self) -> None:
-        if self.r < universe_size(self.delta, self.max_len, self.epsilon):
-            raise ValueError("universe too small for the declared error budget")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p > top_prime(self.r):
             raise ValueError(f"{self.p} lies beyond the first {self.r} primes")
+
+    @property
+    def r(self) -> int:
+        """Size of the prime universe, ceil(delta * max_len / epsilon)."""
+        return universe_size(self.delta, self.max_len, self.epsilon)
 
     @property
     def width(self) -> int:
@@ -259,12 +261,11 @@ def choose_prime(
     up to p_r is equally likely to be the first accepted.  A draw takes
     about ln p_r candidates.  Deterministic given the generator state.
     """
-    r = universe_size(delta, max_len, epsilon)
-    top = top_prime(r)
+    top = top_prime(universe_size(delta, max_len, epsilon))
     while True:
         p = int(rng.integers(2, top + 1))
         if is_prime(p):
-            return HashParams(p=p, epsilon=epsilon, delta=delta, r=r, max_len=max_len)
+            return HashParams(p=p, epsilon=epsilon, delta=delta, max_len=max_len)
 
 
 def hash_width(p: int) -> int:

@@ -39,15 +39,6 @@ from .sim import SearchState, StructuredState, padded_size, search_layout
 from .strings_core import BitString
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseRecord:
-    """Running-best snapshot after one minimum-finding phase."""
-
-    phi: int  # 1 - [symbols differ] at the current best index
-    psi: int  # current best index
-    phase: int
-
-
 @dataclass(frozen=True)
 class CompareResult:
     """Verdict plus per-run diagnostics and accounting."""
@@ -57,7 +48,7 @@ class CompareResult:
     phases: int
     hash_comparisons: int
     copies_used: int
-    records: tuple[PhaseRecord, ...]
+    records: tuple[tuple[int, int], ...]  # durr_hoyer_min's adopted (phase, index)
     ledger: ResourceLedger
 
 
@@ -79,10 +70,10 @@ def _length_verdict(u: BitString, v: BitString) -> int:
 
 
 def build_compare_state(u: BitString, v: BitString) -> StructuredState:
-    """The crosscheck's validated template, which no run builds: positions
-    a < k = min(|u|, |v|) with the symbol pair (u_a, v_a) bound.  Padding
-    entries bind equal zeros, so a padded index can never look like a
-    differing position."""
+    """The bound template the crosscheck's bsearch instances check, which
+    no run builds: positions a < k = min(|u|, |v|) with the symbol pair
+    (u_a, v_a) bound.  Padding entries bind equal zeros, so a padded index
+    can never look like a differing position."""
     k = min(len(u), len(v))
     u_bits = np.zeros(padded_size(k), dtype=np.int64)
     v_bits = np.zeros(padded_size(k), dtype=np.int64)
@@ -129,11 +120,7 @@ def compare_grover(
     rank = np.where(differs, 0, k) + np.arange(k)
 
     found = durr_hoyer_min(rank, rng, lambda: backend.like(template), ledger, initial_key=2 * k)
-    best, phases, copies = found.index, found.phases, found.copies
-    records = tuple(
-        PhaseRecord(phi=int(not differs[index]), psi=index, phase=phase)
-        for phase, index in found.adopted
-    )
+    best, phases, copies, records = found.index, found.phases, found.copies, found.adopted
     if best is None or not differs[best]:
         # No differing position was adopted: equal within the compared
         # prefix, so string length decides.

@@ -205,14 +205,14 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
 
 
-def _layout_qubits(config: SweepConfig, x: int, p: int | None) -> int:
-    """Qubit count of the algorithm's layout at grid value x; with `p`
-    given, at that modulus's width, else at the nominal one."""
+def _layout_qubits(config: SweepConfig, x: int) -> int:
+    """Qubit count of the algorithm's layout at grid value x, at the
+    nominal hash width."""
     if config.algo == "match":
-        return qubit_count_match(x, config.m, config.epsilon, p=p)
+        return qubit_count_match(x, config.m, config.epsilon)
     if config.algo == "compare_grover":
         return qubit_count_compare_grover(x)
-    return qubit_count_compare_bsearch(x, config.epsilon, p=p)
+    return qubit_count_compare_bsearch(x, config.epsilon)
 
 
 def _sweep_point(config: SweepConfig, x: int) -> dict:
@@ -225,12 +225,11 @@ def _sweep_point(config: SweepConfig, x: int) -> dict:
     successes = 0
     for trial in range(config.trials):
         rng = np.random.default_rng((config.seed, x, trial))
-        p = None
         if config.algo == "match":
             inst, d_true = qmatch.random_single_occurrence(x, config.m, rng)
             params = qmatch.match_params(inst, config.epsilon, rng)
             result = qmatch.match_search(inst, params, rng, backend=config.backend)
-            p, success = params.p, result.position == d_true
+            success = result.position == d_true
         else:
             u = BitString.from_bits(rng.integers(0, 2, x))
             shared = u.bits[: int(rng.integers(0, x + 1))]
@@ -240,11 +239,8 @@ def _sweep_point(config: SweepConfig, x: int) -> dict:
             else:
                 params = qcompare.compare_params(u, v, config.epsilon, rng)
                 result = qcompare.compare_bsearch(u, v, params, rng, backend=config.backend)
-                p = params.p
             success = result.verdict == compare_classical(u, v)
         ledger = result.ledger
-        if ledger.qubits_total != _layout_qubits(config, x, p):
-            raise AssertionError("ledger qubit count diverged from the layout formula")
         successes += success
         for name in _COUNTERS:
             counters[name] += getattr(ledger, name)
@@ -261,7 +257,7 @@ def _sweep_point(config: SweepConfig, x: int) -> dict:
         "seed": config.seed,
         "trials": config.trials,
         "success_rate": successes / config.trials,
-        "qubits": _layout_qubits(config, x, None),
+        "qubits": _layout_qubits(config, x),
         **counters,
     }
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qstrings import fingerprint as fp
-from qstrings import qmatch
+from qstrings import qcompare, qmatch
 from qstrings.crosscheck import run_crosscheck
 from qstrings.grover import OracleSpec, durr_hoyer_min, success_probability
 from qstrings.qcompare import compare_bsearch, compare_grover, compare_params
@@ -22,7 +22,9 @@ from qstrings.resources import (
     SweepConfig,
     fit_loglog_slope,
     index_width,
+    nominal_hash_width,
     qubit_count_compare_bsearch,
+    qubit_count_compare_grover,
     qubit_count_match,
     run_sweep,
 )
@@ -40,12 +42,31 @@ def _check(criterion: str, condition: bool, detail: str) -> None:
     assert condition, f"{criterion}: {detail}"
 
 
+def _record_calls(patch, module, name: str, calls: list) -> None:
+    """Patch `module.name` to append (args, result) of each call to `calls`."""
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    patch.setattr(module, name, recording)
+
+
 @pytest.fixture(scope="module")
-def match_sweep():
+def match_sweep_runs():
+    """(args, result) of every `match_search` call the `match_sweep` fixture makes."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def match_sweep(match_sweep_runs):
     grid = (64, 128, 256, 512, 1024, 2048, 4096)
-    rows = run_sweep(
-        SweepConfig(algo="match", grid=grid, m=8, epsilon=0.1, trials=20, seed=11)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        _record_calls(patch, qmatch, "match_search", match_sweep_runs)
+        rows = run_sweep(
+            SweepConfig(algo="match", grid=grid, m=8, epsilon=0.1, trials=20, seed=11)
+        )
     return grid, rows
 
 
@@ -180,7 +201,8 @@ def test_criterion_6_comparator_correctness():
 
 def test_criterion_7_memory_claims(match_sweep):
     grid, rows = match_sweep
-    # exact-formula agreement is asserted per trial inside the sweep; spot-check here
+    # every sweep trial is held to its formula by
+    # test_criterion_7_sweep_ledgers_count_the_layout_at_the_drawn_p; spot-check here
     rng = np.random.default_rng(59)
     inst, _ = qmatch.random_single_occurrence(64, 8, rng)
     params = qmatch.match_params(inst, 0.1, rng)
@@ -201,8 +223,40 @@ def test_criterion_7_memory_claims(match_sweep):
         dev_match <= 0.20 and dev_bsearch <= 0.20,
         f"matching count ratio {hi / lo:.3f} vs leading-term {predicted:.3f} "
         f"(dev {dev_match:.1%}); bsearch ratio {bhi / blo:.3f} vs 4.0 "
-        f"(dev {dev_bsearch:.1%}); ledger counts match formulas at every point",
+        f"(dev {dev_bsearch:.1%}); spot-checked ledger count matches its formula",
     )
+
+
+def test_criterion_7_sweep_ledgers_count_the_layout_at_the_drawn_p(
+    match_sweep, match_sweep_runs, monkeypatch
+):
+    # Every trial's ledger, of the match sweep above and of two small
+    # comparator sweeps, holds its layout's qubit count at the prime the
+    # trial drew.  Some draws are narrower than the universe's nominal
+    # width, so a ledger charged at the nominal width fails here.
+    grid, _ = match_sweep
+    assert len(match_sweep_runs) == 20 * len(grid)
+    narrower = 0
+    for (inst, params, _), result in match_sweep_runs:
+        n, m, eps, p = inst.n, inst.m, params.epsilon, params.p
+        assert result.ledger.qubits_total == qubit_count_match(n, m, eps, p=p)
+        narrower += fp.hash_width(p) < nominal_hash_width(n - m + 1, m, eps)
+    assert narrower > 0
+
+    runs = {"compare_grover": [], "compare_bsearch": []}
+    for algo, calls in runs.items():
+        _record_calls(monkeypatch, qcompare, algo, calls)
+        run_sweep(SweepConfig(algo=algo, grid=(1, 16, 64, 256), epsilon=0.1, trials=5, seed=5))
+        assert len(calls) == 20
+    for (u, v, _), result in runs["compare_grover"]:
+        k = min(len(u), len(v))
+        assert result.ledger.qubits_total == qubit_count_compare_grover(k)
+    narrower = 0
+    for (u, v, params, _), result in runs["compare_bsearch"]:
+        k, eps, p = min(len(u), len(v)), params.epsilon, params.p
+        assert result.ledger.qubits_total == qubit_count_compare_bsearch(k, eps, p=p)
+        narrower += fp.hash_width(p) < nominal_hash_width(k, k, eps)
+    assert narrower > 0
 
 
 @pytest.mark.xfail(

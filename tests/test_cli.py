@@ -388,8 +388,8 @@ def test_crosscheck_fault_injection(monkeypatch):
 
     def nudged_diffuse(self):
         diffuse(self)
-        # only compare_grover k4 searches a domain of 4 with registers u and v
-        if self.domain_size == 4 and set(self.layout.widths) == {"idx", "u", "v"}:
+        # only compare_grover k4 searches a domain of 4 over the index alone
+        if self.domain_size == 4 and set(self.layout.widths) == {"idx"}:
             # nudge the amplitude shared by every never-marked index, then
             # renormalize every stored amplitude: base, group and exceptions
             self._base += 1e-6
@@ -442,8 +442,9 @@ def test_crosscheck_fails_a_nan_deviation_between_finite_ones(monkeypatch):
     # NaN at the first step's deviation, then two finite steps that must not
     # replace it: NaN > tol and NaN > max_dev are both False
     calls = _nan_deviation_at(2, monkeypatch)
+    inst = MatchInstance(BitString.from_text("10110110"), BitString.from_text("011"))
     report = crosscheck_mod._match_instance(
-        "match_search n8 m3 p11", "10110110", "011", 11, [3], np.random.default_rng(1)
+        "match_search n8 m3 p11", inst, 11, [3], np.random.default_rng(1)
     )
     assert len(calls) == 4
     assert not report.passed and math.isnan(report.max_deviation)

@@ -542,22 +542,21 @@ def test_compare_bsearch_classical_monte_carlo():
 
 def test_undersized_delta_rejected():
     u = BitString.from_bits([0, 1] * 16)
-    params = fp.HashParams(p=3, epsilon=0.5, delta=1, max_len=32, r=64)
+    params = fp.HashParams(p=3, epsilon=0.5, delta=1, max_len=32)
     with pytest.raises(ValueError):
         compare_by_hash_bsearch_classical(u, u, params)
 
 
 def test_hash_params_validation():
     with pytest.raises(ValueError):
-        fp.HashParams(p=4, epsilon=0.5, delta=1, max_len=4, r=8)  # not prime
+        fp.HashParams(p=4, epsilon=0.5, delta=1, max_len=4)  # not prime
     with pytest.raises(ValueError, match="not prime"):
-        fp.HashParams(p=2047, epsilon=0.5, delta=1, max_len=4, r=1000)  # 23 * 89
+        fp.HashParams(p=2047, epsilon=0.5, delta=1, max_len=500)  # 23 * 89; r = 1000
     with pytest.raises(ValueError):
-        fp.HashParams(p=101, epsilon=0.5, delta=1, max_len=4, r=8)  # outside universe
+        fp.HashParams(p=101, epsilon=0.5, delta=1, max_len=4)  # outside universe
     with pytest.raises(ValueError, match="beyond the first 10 primes"):
-        fp.HashParams(p=31, epsilon=0.5, delta=1, max_len=1, r=10)  # the 11th prime
-    assert fp.HashParams(p=29, epsilon=0.5, delta=1, max_len=1, r=10).p == 29  # the 10th
-    with pytest.raises(ValueError):
-        fp.HashParams(p=5, epsilon=0.5, delta=10, max_len=10, r=8)  # r too small
+        fp.HashParams(p=31, epsilon=0.5, delta=1, max_len=5)  # the 11th prime
+    params = fp.HashParams(p=29, epsilon=0.5, delta=1, max_len=5)  # the 10th
+    assert (params.p, params.r) == (29, 10)
     with pytest.raises(ValueError):
         fp.universe_size(1, 4, 1.5)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from qstrings import fingerprint, qcompare
-from qstrings.fingerprint import HashParams, universe_size
+from qstrings.fingerprint import HashParams
 from qstrings.grover import OracleSpec, bbht_search, doubling_schedule
 from qstrings.qcompare import (
-    PhaseRecord,
     access_element,
     build_compare_state,
     compare_bsearch,
@@ -28,8 +27,7 @@ from support import binds
 
 
 def _params(p, k, epsilon=0.5):
-    return HashParams(p=p, epsilon=epsilon, delta=k, max_len=k,
-                      r=universe_size(k, k, epsilon))
+    return HashParams(p=p, epsilon=epsilon, delta=k, max_len=k)
 
 
 @pytest.mark.parametrize("u_text, v_text", [("1011", "1001"), ("10110", "100"), ("01", "0110")])
@@ -142,8 +140,35 @@ def test_compare_grover_phase_records_monotone():
         u = BitString.from_bits(trng.integers(0, 2, 12))
         v = BitString.from_bits(trng.integers(0, 2, 12))
         result = compare_grover(u, v, trng)
-        keys = [(rec.phi, rec.psi) for rec in result.records]
+        keys = [(int(u.bit(i + 1) == v.bit(i + 1)), i) for _, i in result.records]
         assert all(keys[i + 1] < keys[i] for i in range(len(keys) - 1))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The `MinResult` of every `durr_hoyer_min` call compare_grover makes."""
+    found = []
+    real = qcompare.durr_hoyer_min
+
+    def recording(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(qcompare, "durr_hoyer_min", recording)
+    return found
+
+
+@pytest.mark.parametrize("backend", [StructuredState, DenseSearchState])
+def test_compare_grover_records_are_the_adopted_pairs(searches, backend):
+    adopted = 0
+    for trial in range(40):
+        make = np.random.default_rng((157, trial))
+        u = BitString.from_bits(make.integers(0, 2, int(make.integers(1, 13))))
+        v = BitString.from_bits(make.integers(0, 2, int(make.integers(1, 13))))
+        result = compare_grover(u, v, np.random.default_rng((158, trial)), backend=backend)
+        assert result.records == searches[-1].adopted
+        adopted += len(result.records)
+    assert len(searches) == 40 and adopted > 40
 
 
 def _reference_durr_hoyer_min(key_of, domain, rng, state_factory, ledger, initial_key, on_phase):
@@ -184,7 +209,7 @@ def _reference_compare_grover(u, v, rng):
 
     def on_phase(phase, found, key):
         if found is not None:
-            records.append(PhaseRecord(phi=key[0], psi=key[1], phase=phase))
+            records.append((phase, found))
 
     out = _reference_durr_hoyer_min(
         lambda a: (int(not differs[a]), a), k, rng,
@@ -196,15 +221,7 @@ def _reference_compare_grover(u, v, rng):
     return out, tuple(records), ledger
 
 
-def test_compare_grover_rank_keys_match_tuple_reference(monkeypatch):
-    searches = []
-    real = qcompare.durr_hoyer_min
-
-    def recording(*args, **kwargs):
-        searches.append(real(*args, **kwargs))
-        return searches[-1]
-
-    monkeypatch.setattr(qcompare, "durr_hoyer_min", recording)
+def test_compare_grover_rank_keys_match_tuple_reference(searches):
     differing = 0
     for pair in range(60):
         make = np.random.default_rng((61, pair))
@@ -353,8 +370,7 @@ def test_compare_bsearch_undersized_params_rejected():
 def test_compare_bsearch_collision_free_prime_tracks_classical():
     # p = 65537 exceeds every prefix value of 16-bit strings, so prefix
     # hashes are injective and only inner-search misses could interfere.
-    params = HashParams(p=65537, epsilon=0.03, delta=16, max_len=16,
-                        r=universe_size(16, 16, 0.03))
+    params = HashParams(p=65537, epsilon=0.03, delta=16, max_len=16)
     agree = 0
     for trial in range(400):
         rng = np.random.default_rng((113, trial))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstrings import grover, qmatch
-from qstrings.fingerprint import HashParams, rolling_hash, universe_size
+from qstrings.fingerprint import HashParams, rolling_hash
 from qstrings.qmatch import (
     evaluation_constants,
     hash_equality_eval,
@@ -24,8 +24,7 @@ from support import hash_equality_eval_reference, match_unique, random_multi_occ
 
 
 def _params(p, delta, max_len, epsilon=0.5):
-    return HashParams(p=p, epsilon=epsilon, delta=delta, max_len=max_len,
-                      r=universe_size(delta, max_len, epsilon))
+    return HashParams(p=p, epsilon=epsilon, delta=delta, max_len=max_len)
 
 
 def test_inner_schedule_shape():
